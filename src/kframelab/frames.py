@@ -44,6 +44,7 @@ __all__ = [
     "frame_operator",
     "frame_bounds",
     "k_lower_bound",
+    "parseval_residual",
     "classify",
     "is_l2_independent",
     "synthesis_kernel_basis",
@@ -219,6 +220,13 @@ def k_lower_bound(frame: SampledFrame, k: KOperator, rank_tol: float = RANK_EPS)
     return 1.0 / inc.lambda_star
 
 
+def parseval_residual(frame: SampledFrame, k: KOperator) -> float:
+    """Defect of the operator identity S = K K*, in norm and relative to
+    the size of K K*; the Parseval K-frame test compares it to a tolerance."""
+    kk = k.op @ k.adjoint
+    return op_norm(frame_operator(frame) - kk) / (1.0 + op_norm(kk))
+
+
 def classify(frame: SampledFrame, k: KOperator, tol: float = DEFAULT_TOL) -> FrameClassification:
     """Classify the field relative to K with optimal bounds and residuals.
 
@@ -227,21 +235,19 @@ def classify(frame: SampledFrame, k: KOperator, tol: float = DEFAULT_TOL) -> Fra
     over the whole space (frame) outranks a merely K-restricted one.
     """
     s = frame_operator(frame)
-    kk = k.op @ k.adjoint
-    kk_norm = op_norm(kk)
-    parseval_residual = op_norm(s - kk) / (1.0 + kk_norm)
+    residual = parseval_residual(frame, k)
 
     a_opt = k_lower_bound(frame, k)
     b_opt = frame_bounds(frame).upper
     # Rank-zero K admits every lower constant; report 0 to keep bounds finite.
     a_report = 0.0 if a_opt is None or not math.isfinite(a_opt) else a_opt
 
-    residuals = {"parseval_identity": parseval_residual}
+    residuals = {"parseval_identity": residual}
     if a_opt is not None and math.isfinite(a_opt):
         residuals["tight_gap"] = abs(a_opt - b_opt) / (1.0 + b_opt)
         residuals["unit_lower_gap"] = abs(a_opt - 1.0)
 
-    if parseval_residual <= tol:
+    if residual <= tol:
         verdict = FrameVerdict.PARSEVAL_K_FRAME
     elif a_opt is not None and abs(a_report - b_opt) <= tol * (1.0 + b_opt):
         verdict = FrameVerdict.TIGHT_K_FRAME

@@ -21,6 +21,7 @@ __all__ = [
     "L2Coefficients",
     "l2_inner",
     "l2_norm_sq",
+    "weighted_norm_sq",
     "bochner_integrate",
 ]
 
@@ -105,7 +106,13 @@ def l2_inner(a: L2Coefficients, b: L2Coefficients) -> complex:
 
 def l2_norm_sq(c: L2Coefficients) -> float:
     """Weighted squared norm; nonnegative real."""
-    return float(np.sum(c.space.weights * np.abs(c.values) ** 2))
+    return weighted_norm_sq(c.space, c.values)
+
+
+def weighted_norm_sq(space: MeasureSpace, values: np.ndarray) -> float:
+    """Weighted squared norm of raw values on the atoms, without building
+    (and validating) an :class:`L2Coefficients`."""
+    return float(np.sum(space.weights * np.abs(values) ** 2))
 
 
 def bochner_integrate(field: "SampledFrame", c: L2Coefficients) -> np.ndarray:

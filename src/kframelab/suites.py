@@ -8,34 +8,21 @@ derive from (seed, property, trial index), so execution order does not
 matter and a witness replays by restricting the scenario to one trial.
 """
 
+import math
 import platform
 import time
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .duality import (
-    HypothesisError,
-    build_dual_from_phi,
-    canonical_characterization,
-    canonical_dual,
-    complement_parseval_check,
-    construct_alternative_dual,
-    dual_coefficient_family,
-    field_norm,
-    is_dual_k_bessel,
-    l2_independence_transfer,
-    pythagorean_decomposition,
-    residual_operator,
-    sample_kernel_field,
-    uniqueness_test,
-)
+from .duality import Check, HypothesisError, ParsevalKFrame, field_norm, is_dual_k_bessel
 from .frames import (
     InfeasibleError,
+    KOperator,
     SampledFrame,
     analysis,
     analysis_norm,
-    frame_operator,
     k_lower_bound,
     synthesis,
     weighted_synthesis,
@@ -50,6 +37,7 @@ from .hilbert import (
     range_projector,
     rank,
 )
+from .measure import MeasureSpace
 from .report import REPORT_VERSION, PropertyRecord, SuiteReport
 from .rng import complex_normal, derive_seed, stream
 from .scenario import Scenario, ScenarioError, build_frame, build_k, build_space
@@ -95,25 +83,41 @@ DEFAULT_TOLERANCES: Dict[str, float] = {
 
 _PROPERTY_TAG = {pid: 1000 + i for i, pid in enumerate(PROPERTY_IDS)}
 
-Check = Tuple[str, float]
-
 
 class UnknownPropertyError(ScenarioError):
     """A property id outside the registered set was requested."""
 
 
-def _rng(scenario: Scenario, pid: str, trial: int, *extra: int) -> np.random.Generator:
-    return stream(scenario.seed, _PROPERTY_TAG[pid], trial, *extra)
+class _Trial:
+    """One trial of a scenario, shared by every property that runs on it.
 
+    The instance (space, K, frame) is realized on first use, and so is the
+    checked Parseval K-frame built from it; each at most once per trial.
+    Property streams derive from (seed, property, trial index), so sharing
+    the instance does not couple the properties' draws.
+    """
 
-def _sub_seed(scenario: Scenario, pid: str, trial: int, slot: int) -> int:
-    return derive_seed(scenario.seed, _PROPERTY_TAG[pid], trial, slot)
+    def __init__(self, scenario: Scenario, index: int):
+        self.scenario = scenario
+        self.index = index
 
+    def rng(self, pid: str) -> np.random.Generator:
+        return stream(self.scenario.seed, _PROPERTY_TAG[pid], self.index)
 
-def _instance(scenario: Scenario, trial: int):
-    space = build_space(scenario)
-    k = build_k(scenario, trial)
-    return space, k, build_frame(scenario, space, k, trial)
+    def sub_seed(self, pid: str, slot: int) -> int:
+        return derive_seed(self.scenario.seed, _PROPERTY_TAG[pid], self.index, slot)
+
+    @cached_property
+    def instance(self) -> Tuple[MeasureSpace, KOperator, SampledFrame]:
+        space = build_space(self.scenario)
+        k = build_k(self.scenario, self.index)
+        return space, k, build_frame(self.scenario, space, k, self.index)
+
+    @cached_property
+    def parseval(self) -> ParsevalKFrame:
+        """The instance as a Parseval K-frame; raises HypothesisError when it is not one."""
+        _, k, frame = self.instance
+        return ParsevalKFrame(frame, k)
 
 
 def loewner_inclusion_exists(s_op: np.ndarray, t_op: np.ndarray, cap: float = 1e12) -> bool:
@@ -175,13 +179,13 @@ def _conditioned_matrix(rng: np.random.Generator, rows: int, cols: int, r: int) 
     return (q1 * singulars) @ q2.conj().T
 
 
-def _prop_l1(scenario: Scenario, trial: int) -> List[Check]:
+def _prop_l1(trial: _Trial) -> List[Check]:
     """Pseudo-inverse identity suite on random matrices up to 16 x 16;
     every other trial forces a rank-deficient input."""
-    rng = _rng(scenario, "l1", trial)
+    rng = trial.rng("l1")
     n = int(rng.integers(1, 17))
     p = int(rng.integers(1, 17))
-    if trial % 2 == 1 and min(n, p) > 1:
+    if trial.index % 2 == 1 and min(n, p) > 1:
         r = int(rng.integers(1, min(n, p)))
         a = complex_normal(rng, n, r) @ complex_normal(rng, r, p)
     else:
@@ -201,10 +205,10 @@ def _prop_l1(scenario: Scenario, trial: int) -> List[Check]:
     ]
 
 
-def _prop_l2(scenario: Scenario, trial: int) -> List[Check]:
+def _prop_l2(trial: _Trial) -> List[Check]:
     """Factorization suite on random included pairs: the factor's squared
     norm must match the bisection scale, and kernel/range nesting must hold."""
-    rng = _rng(scenario, "l2", trial)
+    rng = trial.rng("l2")
     n = int(rng.integers(2, 9))
     p = int(rng.integers(1, 9))
     q = int(rng.integers(1, 9))
@@ -233,12 +237,13 @@ def _prop_l2(scenario: Scenario, trial: int) -> List[Check]:
     return checks
 
 
-def _prop_l3(scenario: Scenario, trial: int) -> List[Check]:
+def _prop_l3(trial: _Trial) -> List[Check]:
     """Equivalence of the K-frame verdict with range inclusion, decided by
     two disjoint routes (rank test versus Loewner doubling), plus tightness
-    of the optimal lower bound when it exists."""
-    space, k, frame = _instance(scenario, trial)
-    rng = _rng(scenario, "l3", trial)
+    of the optimal lower bound when it exists. Runs on any frame, not only
+    on Parseval K-frames."""
+    space, k, frame = trial.instance
+    rng = trial.rng("l3")
     b = weighted_synthesis(frame)
     included = range_inclusion(k.op, b).included
     a_opt = k_lower_bound(frame, k)
@@ -263,95 +268,62 @@ def _prop_l3(scenario: Scenario, trial: int) -> List[Check]:
     return checks
 
 
-def _prop_l4(scenario: Scenario, trial: int) -> List[Check]:
+def _prop_l4(trial: _Trial) -> List[Check]:
     """Canonical dual reproduces K through the frame, and is Parseval on the
     range of the adjoint operator."""
-    space, k, frame = _instance(scenario, trial)
-    rng = _rng(scenario, "l4", trial)
-    dual = canonical_dual(frame, k)
-    checks: List[Check] = [
-        ("duality", op_norm(synthesis(frame) @ analysis(dual) - k.op) / (1.0 + k.norm))
-    ]
-    an_dual = analysis(dual)
-    for _ in range(5):
-        g = k.adjoint_range_projector @ complex_normal(rng, frame.dim)
-        lhs = float(np.sum(space.weights * np.abs(an_dual @ g) ** 2))
-        rhs = float(np.vdot(g, g).real)
-        checks.append(("corange-parseval", abs(lhs - rhs) / (1.0 + rhs)))
-    return checks
+    pk = trial.parseval
+    duality = op_norm(synthesis(pk.frame) @ analysis(pk.dual) - pk.k.op) / (1.0 + pk.k.norm)
+    probes = pk.corange_parseval_residuals(trial.rng("l4"), 5)
+    return [("duality", duality)] + [("corange-parseval", r) for r in probes]
 
 
-def _prop_l5(scenario: Scenario, trial: int) -> List[Check]:
+def _prop_l5(trial: _Trial) -> List[Check]:
     """Round trip between kernel fields and duals: building a dual from a
     kernel field and extracting its residual field recovers the field."""
-    space, k, frame = _instance(scenario, trial)
-    rng = _rng(scenario, "l5", trial)
-    dual_norm = analysis_norm(canonical_dual(frame, k))
-    phi = sample_kernel_field(frame, rng, dual_norm)
-    g = build_dual_from_phi(frame, k, phi)
-    recovered = residual_operator(g, frame, k)
+    pk = trial.parseval
+    space = pk.frame.space
+    phi = pk.sample_kernel_field(trial.rng("l5"), pk.dual_norm)
+    recovered = pk.residual_field(pk.build_dual(phi))
     phi_norm = field_norm(space, phi)
     return [
         ("field-roundtrip", field_norm(space, recovered.phi - phi) / (1.0 + phi_norm)),
         (
             "synthesis-annihilates",
-            op_norm(synthesis(frame) @ recovered.phi)
-            / (1.0 + analysis_norm(frame) * phi_norm),
+            op_norm(synthesis(pk.frame) @ recovered.phi)
+            / (1.0 + analysis_norm(pk.frame) * phi_norm),
         ),
     ]
 
 
-def _prop_l6(scenario: Scenario, trial: int) -> List[Check]:
+def _prop_l6(trial: _Trial) -> List[Check]:
     """Minimality of the canonical dual's analysis norm among sampled duals,
     with the pointwise squared-norm split as the reason."""
-    space, k, frame = _instance(scenario, trial)
-    rng = _rng(scenario, "l6", trial)
-    dual = canonical_dual(frame, k)
-    dual_norm = analysis_norm(dual)
-    phi = sample_kernel_field(frame, rng, dual_norm)
-    g = build_dual_from_phi(frame, k, phi)
-    g_norm = analysis_norm(g)
-    checks: List[Check] = [("minimality", max(0.0, dual_norm - g_norm) / (1.0 + g_norm))]
-    an_g = analysis(g)
-    an_dual = analysis(dual)
-    for _ in range(20):
-        f = complex_normal(rng, frame.dim)
-        total = float(np.sum(space.weights * np.abs(an_g @ f) ** 2))
-        canonical = float(np.sum(space.weights * np.abs(an_dual @ f) ** 2))
-        residual = float(np.sum(space.weights * np.abs(phi @ f) ** 2))
-        f_scale = max(1e-12, float(np.vdot(f, f).real))
-        checks.append(("norm-split", abs(total - canonical - residual) / f_scale))
-    return checks
+    return trial.parseval.minimality_residuals(trial.rng("l6"), probes=20)
 
 
-def _prop_canonical_char(scenario: Scenario, trial: int) -> List[Check]:
+def _prop_canonical_char(trial: _Trial) -> List[Check]:
     """Gram identity characterizes the canonical dual: it passes against
     sampled partners, while any sampled perturbation fails with the canonical
     dual itself as witness."""
-    space, k, frame = _instance(scenario, trial)
-    rng = _rng(scenario, "canonical-char", trial)
-    dual = canonical_dual(frame, k)
-    ok_forward = canonical_characterization(
-        dual, frame, k, trials=8, seed=_sub_seed(scenario, "canonical-char", trial, 1)
-    )
+    pk = trial.parseval
+    ok_forward = pk.characterizes(pk.dual, trials=8, seed=trial.sub_seed("canonical-char", 1))
     checks: List[Check] = [("canonical-passes", 0.0 if ok_forward else 1.0)]
-    phi = sample_kernel_field(frame, rng, analysis_norm(dual))
-    if field_norm(space, phi) > 0:
-        g = build_dual_from_phi(frame, k, phi)
-        ok_perturbed = canonical_characterization(
-            g, frame, k, trials=1, seed=_sub_seed(scenario, "canonical-char", trial, 2)
+    phi = pk.sample_kernel_field(trial.rng("canonical-char"), pk.dual_norm)
+    if field_norm(pk.frame.space, phi) > 0:
+        ok_perturbed = pk.characterizes(
+            pk.build_dual(phi), trials=1, seed=trial.sub_seed("canonical-char", 2)
         )
         checks.append(("perturbed-fails", 0.0 if not ok_perturbed else 1.0))
     return checks
 
 
-def _prop_t1(scenario: Scenario, trial: int) -> List[Check]:
+def _prop_t1(trial: _Trial) -> List[Check]:
     """Uniqueness dichotomy: full-rank analysis forces independently built
     duals to coincide, otherwise a verified distinct dual exists."""
-    space, k, frame = _instance(scenario, trial)
-    dual = canonical_dual(frame, k)
+    pk = trial.parseval
+    space, k, frame, dual = pk.frame.space, pk.k, pk.frame, pk.dual
     checks: List[Check] = []
-    if uniqueness_test(frame, k):
+    if pk.is_unique():
         # Independent construction: minimal-norm solve against the weighted
         # synthesis matrix instead of applying pinv(K) to the samples.
         x_weighted = pinv(weighted_synthesis(frame)) @ k.op
@@ -362,7 +334,7 @@ def _prop_t1(scenario: Scenario, trial: int) -> List[Check]:
         scale = 1.0 + float(np.max(np.linalg.norm(dual.samples, axis=1)))
         checks.append(("constructions-agree", gap / scale))
     else:
-        q = construct_alternative_dual(frame, k, seed=_sub_seed(scenario, "t1", trial, 1))
+        q = pk.alternative_dual(seed=trial.sub_seed("t1", 1))
         rep = is_dual_k_bessel(q, frame, k)
         checks.append(("alternative-dual", rep.duality_residual / (1.0 + k.norm)))
         gap = float(np.max(np.linalg.norm(q.samples - dual.samples, axis=1)))
@@ -370,73 +342,44 @@ def _prop_t1(scenario: Scenario, trial: int) -> List[Check]:
     return checks
 
 
-def _prop_t2(scenario: Scenario, trial: int) -> List[Check]:
+def _prop_t2(trial: _Trial) -> List[Check]:
     """Independence transfers between the frame and its canonical dual; when
     independent, the frame is the push-forward of its dual through K."""
-    space, k, frame = _instance(scenario, trial)
-    transfer = l2_independence_transfer(frame, k)
-    checks: List[Check] = [
-        (
-            "independence-agreement",
-            0.0 if transfer.frame_independent == transfer.dual_independent else 1.0,
-        )
-    ]
-    if transfer.frame_independent:
-        dual = canonical_dual(frame, k)
-        rebuilt = dual.samples @ k.op.T
-        gap = float(np.max(np.linalg.norm(frame.samples - rebuilt, axis=1)))
-        checks.append(("pushforward-identity", gap / (1.0 + k.norm)))
+    frame_indep, dual_indep, gap = trial.parseval.independence_transfer()
+    checks: List[Check] = [("independence-agreement", 0.0 if frame_indep == dual_indep else 1.0)]
+    if gap is not None:
+        checks.append(("pushforward-identity", gap))
     return checks
 
 
-def _prop_t4(scenario: Scenario, trial: int) -> List[Check]:
+def _prop_t4(trial: _Trial) -> List[Check]:
     """Coefficient norm split: total equals residual plus canonical, because
     the residual is orthogonal to the canonical coefficients."""
-    space, k, frame = _instance(scenario, trial)
-    rng = _rng(scenario, "t4", trial)
-    f = complex_normal(rng, frame.dim)
-    families = dual_coefficient_family(
-        frame, k, f, count=10, seed=_sub_seed(scenario, "t4", trial, 1)
-    )
-    canonical_values = analysis(canonical_dual(frame, k)) @ f
+    pk = trial.parseval
+    space = pk.frame.space
+    f = complex_normal(trial.rng("t4"), pk.frame.dim)
+    canonical_values = analysis(pk.dual) @ f
     checks: List[Check] = []
-    for c in families:
-        total, residual, canonical = pythagorean_decomposition(frame, k, f, c)
+    for c in pk.coefficient_family(f, count=10, seed=trial.sub_seed("t4", 1)):
+        total, residual, canonical = pk.norm_split(f, c)
         checks.append(("norm-split", abs(total - residual - canonical) / (1.0 + total)))
         cross = np.sum(space.weights * (c.values - canonical_values) * np.conj(canonical_values))
         checks.append(("cross-term", abs(complex(cross)) / (1.0 + total)))
     return checks
 
 
-def _prop_complement(scenario: Scenario, trial: int) -> List[Check]:
+def _prop_complement(trial: _Trial) -> List[Check]:
     """Canonical dual is Parseval on the orthogonal complement of N(K)."""
-    space, k, frame = _instance(scenario, trial)
-    rng = _rng(scenario, "complement-parseval", trial)
-    ok = complement_parseval_check(
-        frame, k, trials=5, seed=_sub_seed(scenario, "complement-parseval", trial, 1)
-    )
-    an_dual = analysis(canonical_dual(frame, k))
-    g = k.adjoint_range_projector @ complex_normal(rng, frame.dim)
-    lhs = float(np.sum(space.weights * np.abs(an_dual @ g) ** 2))
-    rhs = float(np.vdot(g, g).real)
-    return [
-        ("complement-parseval", 0.0 if ok else 1.0),
-        ("probe-residual", abs(lhs - rhs) / (1.0 + rhs)),
-    ]
+    pk = trial.parseval
+    ok = pk.complement_parseval_holds(trials=5, seed=trial.sub_seed("complement-parseval", 1))
+    (probe,) = pk.corange_parseval_residuals(trial.rng("complement-parseval"), 1)
+    return [("complement-parseval", 0.0 if ok else 1.0), ("probe-residual", probe)]
 
 
-def _prop_kdaggerk(scenario: Scenario, trial: int) -> List[Check]:
+def _prop_kdaggerk(trial: _Trial) -> List[Check]:
     """Frame operator identities for the canonical dual and its push-forward
     through K."""
-    space, k, frame = _instance(scenario, trial)
-    dual = canonical_dual(frame, k)
-    p = k.adjoint_range_projector
-    scale = 1.0 + k.norm**2
-    pushed = SampledFrame(space, dual.samples @ k.op.T)
-    return [
-        ("dual-projector-parseval", op_norm(frame_operator(dual) - p @ p.conj().T) / scale),
-        ("pushforward-parseval", op_norm(frame_operator(pushed) - k.op @ k.adjoint) / scale),
-    ]
+    return trial.parseval.kdaggerk_residuals()
 
 
 _PROPERTY_FUNCS = {
@@ -458,9 +401,11 @@ _PROPERTY_FUNCS = {
 def run_suite(scenario: Scenario, properties: Optional[Iterable[str]] = None) -> SuiteReport:
     """Run the selected property suites over the scenario's seeded trials.
 
-    Output is a pure function of (scenario, properties): residuals agree to
-    the last bit between repeated runs in one floating point environment,
-    and verdicts agree regardless. Zero trials pass vacuously.
+    Trials run in order; within a trial, the selected properties run in
+    order on one shared instance. Output is a pure function of (scenario,
+    properties): residuals agree to the last bit between repeated runs in
+    one floating point environment, and verdicts agree regardless. Zero
+    trials pass vacuously.
     """
     if properties is None:
         props = list(PROPERTY_IDS)
@@ -472,24 +417,28 @@ def run_suite(scenario: Scenario, properties: Optional[Iterable[str]] = None) ->
                 f"unknown property id(s) {', '.join(unknown)}; valid ids: {', '.join(PROPERTY_IDS)}"
             )
     start = time.perf_counter()
-    records: List[PropertyRecord] = []
-    for pid in props:
-        tolerance = scenario.tolerances.get(pid, DEFAULT_TOLERANCES[pid])
-        worst_residual = 0.0
-        worst_check = ""
-        worst_trial = -1
-        for i in range(scenario.trials):
-            trial = scenario.trial_offset + i
+    # Per selected property: (worst residual, its check, its trial index).
+    worst: List[Tuple[float, str, int]] = [(0.0, "", -1)] * len(props)
+    for i in range(scenario.trials):
+        trial = _Trial(scenario, scenario.trial_offset + i)
+        for j, pid in enumerate(props):
             try:
-                checks = _PROPERTY_FUNCS[pid](scenario, trial)
+                checks = _PROPERTY_FUNCS[pid](trial)
             except (HypothesisError, InfeasibleError) as exc:
                 raise ScenarioError(f"property {pid} cannot run on this scenario: {exc}")
             for name, residual in checks:
-                if residual > worst_residual or worst_trial < 0:
-                    worst_residual = residual
-                    worst_check = name
-                    worst_trial = trial
-        passed = worst_residual <= tolerance
+                # The first check always becomes the worst, a non-finite one is
+                # never replaced, and one replaces any finite worst: a NaN fails
+                # every comparison, so ">" alone would skip it and pass.
+                value, _, seen = worst[j]
+                if seen < 0 or (
+                    math.isfinite(value) and (residual > value or not math.isfinite(residual))
+                ):
+                    worst[j] = (residual, name, trial.index)
+    records: List[PropertyRecord] = []
+    for pid, (worst_residual, worst_check, worst_trial) in zip(props, worst):
+        tolerance = scenario.tolerances.get(pid, DEFAULT_TOLERANCES[pid])
+        passed = math.isfinite(worst_residual) and worst_residual <= tolerance
         witness = None
         if not passed:
             witness = {

@@ -6,12 +6,30 @@ rather than from any pseudo-inverse, and weighted sums are written as
 plain loops.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 
+import kframelab
 from kframelab.frames import KOperator, generate_parseval_k_frame
 from kframelab.hilbert import loewner_leq
 from kframelab.measure import MeasureSpace
 from kframelab.rng import complex_normal, derive_seed, stream
+
+
+def run_cli(*args):
+    """Run ``python -m kframelab`` on the package these tests imported, so a
+    checkout runs its own code with or without an install."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kframelab.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "kframelab", *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 def loewner_inclusion_exists(s_op, t_op, cap=1e12):

@@ -5,8 +5,6 @@ asserts the criterion. All randomness is seeded, so a pass is stable.
 """
 
 import json
-import subprocess
-import sys
 
 import numpy as np
 
@@ -53,6 +51,7 @@ from helpers import (
     loewner_inclusion_exists,
     parseval_instance,
     random_space,
+    run_cli,
 )
 
 
@@ -413,16 +412,11 @@ def test_criterion_12_cli_determinism_and_diagnostics(tmp_path):
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps(doc))
 
-    def run(*args):
-        return subprocess.run(
-            [sys.executable, "-m", "kframelab", *args], capture_output=True, text=True
-        )
-
     reports = []
     codes = []
     for name in ("a.json", "b.json"):
         out = tmp_path / name
-        result = run("verify", "--config", str(config), "--report", str(out))
+        result = run_cli("verify", "--config", str(config), "--report", str(out))
         codes.append(result.returncode)
         loaded = json.loads(out.read_text())
         loaded.pop("wall_time_ms")
@@ -431,7 +425,7 @@ def test_criterion_12_cli_determinism_and_diagnostics(tmp_path):
 
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps({**doc, "weights": [1.0, -2.0, 1.0]}))
-    bad = run("verify", "--config", str(broken))
+    bad = run_cli("verify", "--config", str(broken))
     diagnosed = bad.returncode == 2 and "weights[1]" in bad.stderr
 
     ok = deterministic and diagnosed

@@ -1,18 +1,10 @@
 """End-to-end tests of the command line interface."""
 
 import json
-import subprocess
-import sys
 
 from kframelab.fixtures import fixture_scenario
 
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "kframelab", *args],
-        capture_output=True,
-        text=True,
-    )
+from helpers import run_cli
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from kframelab import duality
 from kframelab.duality import (
     HypothesisError,
+    ParsevalKFrame,
     build_dual_from_phi,
     canonical_characterization,
     canonical_dual,
@@ -82,6 +84,33 @@ class TestCanonicalDual:
         frame = SampledFrame(space, 2.0 * np.eye(2))
         with pytest.raises(HypothesisError, match="Parseval"):
             canonical_dual(frame, KOperator.identity(2))
+
+
+class TestParsevalKFrame:
+    def test_rejects_non_parseval_and_mismatched_dimensions(self):
+        space = MeasureSpace.uniform(2)
+        with pytest.raises(HypothesisError, match="Parseval"):
+            ParsevalKFrame(SampledFrame(space, 2.0 * np.eye(2)), KOperator.identity(2))
+        with pytest.raises(HypothesisError, match="dimension"):
+            ParsevalKFrame(SampledFrame(space, np.eye(2)), KOperator.identity(3))
+
+    def test_kernel_basis_computed_at_most_once(self, monkeypatch):
+        calls = []
+        original = duality.synthesis_kernel_basis
+
+        def counted(frame):
+            calls.append(frame)
+            return original(frame)
+
+        monkeypatch.setattr(duality, "synthesis_kernel_basis", counted)
+        _, k, frame = fixture_w1()
+        pk = ParsevalKFrame(frame, k)
+        assert calls == []
+        pk.alternative_dual(seed=1)
+        pk.coefficient_family(np.array([1.0, 0.0]), count=3, seed=2)
+        pk.minimality_residuals(stream(3))
+        assert pk.characterizes(pk.dual, trials=3, seed=4)
+        assert len(calls) == 1
 
 
 class TestIsDualKBessel:

@@ -1,7 +1,12 @@
 """Tests for the property suite runner and its reports."""
 
+import math
+import sys
+from collections import Counter
+
 import pytest
 
+from kframelab import frames, suites
 from kframelab.fixtures import fixture_scenario
 from kframelab.report import report_to_dict
 from kframelab.scenario import ScenarioError, scenario_from_dict
@@ -133,3 +138,66 @@ class TestWitnessReplay:
         assert set(doc) == {"version", "scenario_echo", "properties", "wall_time_ms", "meta"}
         (prop,) = doc["properties"]
         assert set(prop) == {"id", "instances", "max_residual", "tolerance", "pass"}
+
+
+class TestNonFiniteResiduals:
+    def test_nan_after_the_first_check_fails_with_witness(self, monkeypatch):
+        # A NaN fails every comparison; it must still become the worst
+        # residual, and the finite residuals of later trials must not
+        # replace it.
+        original = suites._PROPERTY_FUNCS["l4"]
+
+        def with_nan(trial):
+            checks = original(trial)
+            return checks + [("nan", math.nan)] if trial.index == 3 else checks
+
+        monkeypatch.setitem(suites._PROPERTY_FUNCS, "l4", with_nan)
+        sc = scenario_from_dict(generated_doc())
+        (rec,) = run_suite(sc, ["l4"]).properties
+        assert not rec.passed
+        assert math.isnan(rec.max_residual)
+        assert rec.worst_check == "nan"
+        assert rec.witness["trial_index"] == 3
+        (replayed,) = run_suite(scenario_from_dict(rec.witness["scenario"]), ["l4"]).properties
+        assert not replayed.passed
+        assert replayed.worst_check == "nan"
+
+
+class TestSharedInstance:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            generated_doc(trials=3),
+            generated_doc(trials=3, tolerances={pid: 1e-300 for pid in PROPERTY_IDS}),
+            fixture_scenario("W1p", trials=3),
+        ],
+        ids=["readme", "readme-witnesses", "W1p"],
+    )
+    def test_each_property_matches_its_solo_run(self, doc):
+        sc = scenario_from_dict(doc)
+        for rec in run_suite(sc).properties:
+            (solo,) = run_suite(sc, [rec.prop_id]).properties
+            assert solo.max_residual == rec.max_residual, rec.prop_id
+            assert solo.worst_check == rec.worst_check, rec.prop_id
+            assert solo.witness == rec.witness, rec.prop_id
+
+    def test_instance_is_built_once_per_trial(self, monkeypatch):
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(suites, "build_k", counted("build_k", suites.build_k))
+        monkeypatch.setattr(suites, "build_frame", counted("build_frame", suites.build_frame))
+        classify = frames.classify
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "kframelab" and getattr(module, "classify", None) is classify:
+                monkeypatch.setattr(module, "classify", counted("classify", classify))
+        trials = 4
+        report = run_suite(scenario_from_dict(generated_doc(trials=trials)))
+        assert len(report.properties) == 12
+        assert counts == {"build_k": trials, "build_frame": trials}
