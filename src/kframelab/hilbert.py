@@ -142,12 +142,28 @@ def _require_hermitian(arr: np.ndarray, tol: float, which: str) -> np.ndarray:
     return (arr + arr.conj().T) / 2.0
 
 
+def _loewner_holds(aa: np.ndarray, bb: np.ndarray, norm_a: float, tol: float) -> bool:
+    """The Loewner decision ``aa <= bb`` on operands that are already
+    checked, symmetrized and of equal square size, given ``op_norm(aa)``.
+
+    This is the one implementation of the decision, shared by
+    :func:`loewner_leq` and the minimal-scale bisection of the suites.
+    """
+    lam_min = float(np.linalg.eigvalsh(bb - aa)[0])
+    # For tol >= 0 the slack only grows with the max, so a verdict that holds
+    # without the norm of bb holds with it and that norm need not be computed.
+    if tol >= 0.0 and lam_min >= -tol * max(1.0, norm_a):
+        return True
+    return lam_min >= -tol * max(1.0, norm_a, op_norm(bb))
+
+
 def loewner_leq(a, b, tol: float = DEFAULT_TOL) -> bool:
     """Whether ``a <= b`` in the Loewner (positive semidefinite) order.
 
     Both operands must be Hermitian and of the same square size; inputs are
     typically computed products, so Hermitian-ness is only required up to the
-    default tolerance.
+    default tolerance. Every call checks both operands here, then decides on
+    their Hermitian parts.
     """
     aa = as_operator(a)
     bb = as_operator(b)
@@ -155,8 +171,7 @@ def loewner_leq(a, b, tol: float = DEFAULT_TOL) -> bool:
         raise ValueError(f"operands must be square and of equal size, got {aa.shape} and {bb.shape}")
     aa = _require_hermitian(aa, DEFAULT_TOL, "first")
     bb = _require_hermitian(bb, DEFAULT_TOL, "second")
-    lam_min = float(np.linalg.eigvalsh(bb - aa)[0])
-    return lam_min >= -tol * max(1.0, op_norm(aa), op_norm(bb))
+    return _loewner_holds(aa, bb, op_norm(aa), tol)
 
 
 class RangeInclusion(NamedTuple):

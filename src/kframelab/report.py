@@ -6,6 +6,7 @@ replayable witness: the echoed scenario restricted to the failing trial.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -38,18 +39,24 @@ class SuiteReport:
         return all(p.passed for p in self.properties)
 
 
+def _json_residual(value: float):
+    """A residual as valid JSON: a non-finite one becomes the string "nan",
+    "inf" or "-inf", which JSON has no number for."""
+    return value if math.isfinite(value) else repr(float(value))
+
+
 def report_to_dict(report: SuiteReport) -> dict:
     properties = []
     for rec in report.properties:
         entry = {
             "id": rec.prop_id,
             "instances": rec.instances,
-            "max_residual": rec.max_residual,
+            "max_residual": _json_residual(rec.max_residual),
             "tolerance": rec.tolerance,
             "pass": rec.passed,
         }
         if rec.witness is not None:
-            entry["witness"] = rec.witness
+            entry["witness"] = dict(rec.witness, residual=_json_residual(rec.witness["residual"]))
         properties.append(entry)
     return {
         "version": report.version,
@@ -81,11 +88,16 @@ def render_text(report: SuiteReport) -> str:
 
 
 def emit_report(report: SuiteReport, path: str, fmt: str = "json") -> None:
-    """Write the report; JSON follows the fixed schema with stable key order."""
+    """Write the report; JSON follows the fixed schema with stable key order.
+
+    Non-finite residuals are written as strings; any other non-finite
+    number raises ``ValueError`` instead of writing invalid JSON.
+    """
     if fmt not in ("json", "text"):
         raise ValueError(f"unknown report format {fmt!r}; use json or text")
-    payload = (
-        json.dumps(report_to_dict(report), indent=2) + "\n" if fmt == "json" else render_text(report)
-    )
+    if fmt == "json":
+        payload = json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\n"
+    else:
+        payload = render_text(report)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(payload)

@@ -135,6 +135,15 @@ def _parse_weights(value, atoms: int) -> Tuple[float, ...]:
     return tuple(out)
 
 
+def _require_finite_gram(k: np.ndarray, path: str) -> None:
+    """Reject a K whose K K* is not finite: every Parseval check forms it.
+    Finiteness is tested on the product itself, not read off a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = k @ k.conj().T
+    if not np.isfinite(gram).all():
+        raise ScenarioError("K K* is not finite; scale the operator down", path)
+
+
 def _parse_k_spec(doc, dim: int) -> dict:
     if not isinstance(doc, dict):
         raise ScenarioError("expected an object", "k_spec")
@@ -147,6 +156,7 @@ def _parse_k_spec(doc, dim: int) -> dict:
         if not isinstance(values, list) or len(values) != dim:
             raise ScenarioError(f"expected a list of {dim} entries", "k_spec.values")
         parsed = [_parse_complex(v, f"k_spec.values[{i}]") for i, v in enumerate(values)]
+        _require_finite_gram(np.diag(np.array(parsed, dtype=np.complex128)), "k_spec.values")
         spec["values"] = [[z.real, z.imag] for z in parsed]
     elif kind == "random-rank":
         rank = _as_int(_need(doc, "rank", "k_spec"), "k_spec.rank", minimum=1)
@@ -156,6 +166,7 @@ def _parse_k_spec(doc, dim: int) -> dict:
         spec["seed"] = _as_int(_need(doc, "seed", "k_spec"), "k_spec.seed", minimum=0)
     elif kind == "explicit":
         matrix = _parse_matrix(_need(doc, "matrix", "k_spec"), dim, dim, "k_spec.matrix")
+        _require_finite_gram(matrix, "k_spec.matrix")
         spec["matrix"] = [[[z.real, z.imag] for z in row] for row in matrix]
     return spec
 

@@ -28,9 +28,12 @@ from .frames import (
     weighted_synthesis,
 )
 from .hilbert import (
+    DEFAULT_TOL,
+    _loewner_holds,
+    _require_hermitian,
+    as_operator,
     corange_projector,
     douglas_factor,
-    loewner_leq,
     op_norm,
     pinv,
     range_inclusion,
@@ -151,20 +154,41 @@ def bisect_loewner_lambda(
     the pseudo-inverse factor, so the two can check each other. Only
     meaningful for pairs whose minimal scale is far below the cap; use
     :func:`loewner_inclusion_exists` for the inclusion decision itself.
+
+    Each step makes the decision ``loewner_leq(S S*, scale * T T*)`` would
+    make, bit for bit, but the operands are checked once per call, here:
+    S S* as ``loewner_leq`` checks it, and T T* Hermitian relative to its
+    own norm, which implies that check on every positive multiple of it. A
+    non-finite product or scaled operand raises ``ValueError``.
     """
     ss = s_op @ s_op.conj().T
     tt = t_op @ t_op.conj().T
-    if loewner_leq(ss, np.zeros_like(tt)):
+    if ss.shape != tt.shape:
+        raise ValueError(f"operands must be square and of equal size, got {ss.shape} and {tt.shape}")
+    aa = _require_hermitian(as_operator(ss), DEFAULT_TOL, "first")
+    norm_a = op_norm(aa)
+    if _loewner_holds(aa, np.zeros_like(aa), norm_a, DEFAULT_TOL):
         return 0.0
+    tt = as_operator(tt)
+    gap = op_norm(tt - tt.conj().T)
+    if gap > DEFAULT_TOL * op_norm(tt):
+        raise ValueError(f"second operand is not Hermitian (asymmetry {gap:.3e})")
+
+    def holds(scale: float) -> bool:
+        bb = scale * tt
+        if not np.isfinite(bb).all():
+            raise ValueError("operator entries must be finite")
+        return _loewner_holds(aa, (bb + bb.conj().T) / 2.0, norm_a, DEFAULT_TOL)
+
     hi = 1.0
-    while not loewner_leq(ss, hi * tt):
+    while not holds(hi):
         hi *= 2.0
         if hi > cap:
             return None
     lo = 0.0
     for _ in range(int(iters)):
         mid = (lo + hi) / 2.0
-        if loewner_leq(ss, mid * tt):
+        if holds(mid):
             hi = mid
         else:
             lo = mid

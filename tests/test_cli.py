@@ -121,6 +121,23 @@ class TestVerifyCommand:
         assert result.returncode == 2
         assert "weights[1]" in result.stderr
 
+    def test_k_whose_gram_overflows_exits_two(self, tmp_path):
+        # K K* = diag(1e400, 1, 0) is not finite; validation must reject it
+        # by field path instead of letting l4 crash on the product.
+        doc = {
+            "dim": 3,
+            "atoms": 7,
+            "weights": [0.5, 2.0, 1.0, 0.25, 3.0, 1.5, 0.75],
+            "k_spec": {"kind": "diagonal", "values": [1e200, 1, 0]},
+            "frame_spec": {"kind": "generate-parseval-k", "seed": 9},
+            "trials": 3,
+            "seed": 42,
+        }
+        result = run_cli("verify", "--config", write_scenario(tmp_path, doc), "--properties", "l4")
+        assert result.returncode == 2
+        assert "k_spec.values" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_unknown_property_exits_two(self, tmp_path):
         path = write_scenario(tmp_path, generated_doc())
         result = run_cli("verify", "--config", path, "--properties", "bogus")

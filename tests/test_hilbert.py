@@ -163,6 +163,18 @@ class TestLoewner:
         with pytest.raises(ValueError, match="Hermitian"):
             loewner_leq(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
 
+    def test_slack_scales_with_the_larger_operand(self):
+        # b - a has eigenvalue -1e-4; the slack 1e-9 * max(1, |a|, |b|)
+        # absorbs it only when one operand has norm 1e6.
+        assert loewner_leq(np.zeros((2, 2)), np.diag([1e6, -1e-4]))
+        assert loewner_leq(np.diag([1e6, 1e-4]), np.diag([1e6, 0.0]))
+        assert not loewner_leq(np.zeros((2, 2)), np.diag([1.0, -1e-4]))
+
+    def test_negative_tolerance_demands_a_margin_scaled_by_both_norms(self):
+        # lam_min = 0.5 clears 0.1 * max(1, |a|) but not 0.1 * max(1, |a|, |b|).
+        assert not loewner_leq(np.zeros((2, 2)), np.diag([0.5, 10.0]), tol=-0.1)
+        assert loewner_leq(np.zeros((2, 2)), np.diag([0.5, 1.0]), tol=-0.1)
+
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError, match="square"):
             loewner_leq(np.eye(2), np.eye(3))

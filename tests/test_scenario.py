@@ -84,6 +84,12 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="k_spec.matrix"):
             scenario_from_dict(minimal_doc(k_spec={"kind": "explicit", "matrix": [[1.0]]}))
 
+    def test_explicit_matrix_whose_gram_overflows(self):
+        with pytest.raises(ScenarioError, match="k_spec.matrix"):
+            scenario_from_dict(
+                minimal_doc(k_spec={"kind": "explicit", "matrix": [[1e200, 0.0], [0.0, 1.0]]})
+            )
+
     def test_unknown_tolerance_property(self):
         with pytest.raises(ScenarioError, match="tolerances.nope"):
             scenario_from_dict(minimal_doc(tolerances={"nope": 1e-9}))

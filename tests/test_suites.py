@@ -1,16 +1,21 @@
 """Tests for the property suite runner and its reports."""
 
+import json
 import math
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from kframelab import frames, suites
 from kframelab.fixtures import fixture_scenario
-from kframelab.report import report_to_dict
+from kframelab.report import emit_report, report_to_dict
+from kframelab.rng import complex_normal, stream
 from kframelab.scenario import ScenarioError, scenario_from_dict
-from kframelab.suites import PROPERTY_IDS, UnknownPropertyError, run_suite
+from kframelab.suites import PROPERTY_IDS, UnknownPropertyError, bisect_loewner_lambda, run_suite
+
+from helpers import bisect_loewner
 
 
 def generated_doc(**overrides):
@@ -141,10 +146,9 @@ class TestWitnessReplay:
 
 
 class TestNonFiniteResiduals:
-    def test_nan_after_the_first_check_fails_with_witness(self, monkeypatch):
-        # A NaN fails every comparison; it must still become the worst
-        # residual, and the finite residuals of later trials must not
-        # replace it.
+    @pytest.fixture
+    def nan_scenario(self, monkeypatch):
+        """The README scenario, with a NaN check appended to l4 at trial 3."""
         original = suites._PROPERTY_FUNCS["l4"]
 
         def with_nan(trial):
@@ -152,8 +156,13 @@ class TestNonFiniteResiduals:
             return checks + [("nan", math.nan)] if trial.index == 3 else checks
 
         monkeypatch.setitem(suites._PROPERTY_FUNCS, "l4", with_nan)
-        sc = scenario_from_dict(generated_doc())
-        (rec,) = run_suite(sc, ["l4"]).properties
+        return scenario_from_dict(generated_doc())
+
+    def test_nan_after_the_first_check_fails_with_witness(self, nan_scenario):
+        # A NaN fails every comparison; it must still become the worst
+        # residual, and the finite residuals of later trials must not
+        # replace it.
+        (rec,) = run_suite(nan_scenario, ["l4"]).properties
         assert not rec.passed
         assert math.isnan(rec.max_residual)
         assert rec.worst_check == "nan"
@@ -161,6 +170,76 @@ class TestNonFiniteResiduals:
         (replayed,) = run_suite(scenario_from_dict(rec.witness["scenario"]), ["l4"]).properties
         assert not replayed.passed
         assert replayed.worst_check == "nan"
+
+    def test_nan_residual_is_written_as_a_json_string(self, nan_scenario, tmp_path):
+        path = tmp_path / "report.json"
+        emit_report(run_suite(nan_scenario, ["l4"]), str(path))
+
+        def reject(token):
+            raise ValueError(f"bare {token} is not JSON")
+
+        doc = json.loads(path.read_text(), parse_constant=reject)
+        (prop,) = doc["properties"]
+        assert prop["max_residual"] == "nan"
+        assert prop["witness"]["residual"] == "nan"
+        assert not prop["pass"]
+
+
+def _included_pair(rng):
+    """An included pair drawn like the l2 suite's: S = T theta."""
+    n, p, q = int(rng.integers(2, 9)), int(rng.integers(1, 9)), int(rng.integers(1, 9))
+    t = suites._conditioned_matrix(rng, n, p, int(rng.integers(1, min(n, p) + 1)))
+    return t @ (rng.uniform(0.1, 3.0) * complex_normal(rng, p, q)), t
+
+
+def _escaping_pair(rng):
+    """A generic S against a rank-deficient T, so R(S) is not inside R(T)."""
+    n, p, q = int(rng.integers(2, 9)), int(rng.integers(1, 9)), int(rng.integers(1, 9))
+    t = suites._conditioned_matrix(rng, n, p, int(rng.integers(1, min(n - 1, p) + 1)))
+    return complex_normal(rng, n, q), t
+
+
+class TestLoewnerBisection:
+    def test_matches_the_loewner_leq_oracle_bit_for_bit(self):
+        rng = stream(31)
+        results = Counter()
+        for _ in range(60):
+            s, t = _included_pair(rng)
+            for scale in (1.0, 1e-6, 1e6):
+                lam = bisect_loewner_lambda(scale * s, scale * t)
+                assert lam == bisect_loewner(scale * s, scale * t)
+                results["zero" if lam == 0.0 else "scale"] += 1
+            assert bisect_loewner_lambda(np.zeros_like(s), t) == bisect_loewner(np.zeros_like(s), t) == 0.0
+            s, t = _escaping_pair(rng)
+            assert bisect_loewner_lambda(s, t) == bisect_loewner(s, t)
+            # With the cap far below the scale at which the slack absorbs the
+            # escaping directions, no scale works on either side.
+            assert bisect_loewner_lambda(s, t, cap=1e3) is bisect_loewner(s, t, cap=1e3) is None
+        # The 1e-6 pairs fall under the slack (scale 0); the others do not.
+        assert results == {"scale": 120, "zero": 60}
+
+    def test_overflowing_product_raises(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                bisect_loewner_lambda(np.eye(3), 1e160 * np.eye(3))
+
+    def test_l2_work_per_trial(self, monkeypatch):
+        counts = Counter()
+        for name in ("svd", "eigvalsh"):
+            fn = getattr(np.linalg, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        trials = 20
+        report = run_suite(scenario_from_dict(generated_doc(trials=trials)), ["l2"])
+        assert report.all_passed
+        # One eigvalsh per bisection decision, at most one SVD per decision
+        # plus the fixed checks of the trial.
+        assert counts["eigvalsh"] == 1259
+        assert counts["svd"] <= 80 * trials
 
 
 class TestSharedInstance:
