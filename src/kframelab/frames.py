@@ -7,32 +7,42 @@ the weights. The ``weighted_*`` variants give the same operators in
 weight-normalized coordinates, where the plain conjugate transpose of a
 matrix is the true adjoint; norms and minimal-scale computations for
 maps in or out of the coefficient space must use these.
+
+The maps, norms and checks below also take a :class:`FrameStack` and a
+:class:`KStack`, stacks of fields on one space and of operators, and
+then return one result per member; the per-instance types are stacks of
+one for the same code.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from .hilbert import (
     DEFAULT_TOL,
     RANK_EPS,
+    _as_stack,
+    _cut_ranks,
+    _groups,
+    _pinv_groups,
     as_operator,
     op_norm,
     range_inclusion,
+    ranks,
     svd,
 )
-from .hilbert import adjoint as op_adjoint
-from .hilbert import pinv as op_pinv
 from .measure import MeasureSpace, _require_same_space
-from .rng import complex_normal, stream
+from .rng import complex_normal, stacked, stream
 
 __all__ = [
     "InfeasibleError",
     "SampledFrame",
+    "FrameStack",
     "KOperator",
+    "KStack",
     "FrameBounds",
     "FrameVerdict",
     "FrameClassification",
@@ -51,6 +61,8 @@ __all__ = [
     "frames_allclose",
     "generate_parseval_k_frame",
     "generate_random_bessel",
+    "parseval_k_samples",
+    "random_bessel_samples",
 ]
 
 
@@ -84,27 +96,83 @@ class SampledFrame:
         return self.samples[i]
 
 
-class KOperator:
-    """Square operator on H with pseudo-inverse and projector data precomputed.
+class FrameStack:
+    """Fields on one space, stacked: ``samples[t]`` is the (m, d) sample
+    matrix of member t. Taken as given (not copied), checked finite."""
+
+    def __init__(self, space: MeasureSpace, samples):
+        s = np.asarray(samples, dtype=np.complex128)
+        if s.ndim != 3 or s.shape[1] != space.atom_count or s.shape[2] < 1:
+            raise ValueError(f"samples must be (n, {space.atom_count}, d) with d >= 1, got shape {s.shape}")
+        if not np.isfinite(s).all():
+            raise ValueError("sample entries must be finite")
+        self.space = space
+        self.samples = s
+
+    @property
+    def dim(self) -> int:
+        return int(self.samples.shape[2])
+
+    def __len__(self) -> int:
+        return int(self.samples.shape[0])
+
+    def subset(self, idx: Optional[np.ndarray]) -> "FrameStack":
+        """The members ``idx`` (all of them for None)."""
+        return self if idx is None else FrameStack(self.space, self.samples[idx])
+
+
+class KStack:
+    """Square operators (n, d, d) with the pseudo-inverse and projector data
+    of :class:`KOperator` for each, from one stacked SVD.
 
     Finite dimension makes the range closed automatically, so the
-    pseudo-inverse always exists and the cached projectors are exact up
-    to the rank tolerance.
+    pseudo-inverse always exists and the projectors are exact up to the
+    rank tolerance.
     """
+
+    def __init__(self, ops, rank_tol: float = RANK_EPS):
+        mat = _as_stack(ops)
+        if mat.ndim != 3 or mat.shape[1] != mat.shape[2]:
+            raise ValueError(f"expected a stack of square operators (n, d, d), got shape {mat.shape}")
+        self.op = mat
+        u, s, vh = np.linalg.svd(mat, full_matrices=False)
+        self.rank = _cut_ranks(s, mat.shape, rank_tol)
+        self.norm = np.where(self.rank > 0, s[:, 0], 0.0)
+        self.adjoint = np.ascontiguousarray(mat.conj().swapaxes(-1, -2))
+        self.pinv = _pinv_groups(u, s, vh, self.rank)
+        # Orthogonal projectors onto R(K) and onto R(K*) = N(K)-perp.
+        self.range_projector = self.op @ self.pinv
+        self.adjoint_range_projector = self.pinv @ self.op
+        self._vh = vh
+
+    @property
+    def dim(self) -> int:
+        return int(self.op.shape[2])
+
+    def __len__(self) -> int:
+        return int(self.op.shape[0])
+
+    def corange_bases(self, idx: np.ndarray, r: int) -> np.ndarray:
+        """Orthonormal bases (len(idx), d, r) of R(K*) for members of rank r."""
+        return np.ascontiguousarray(self._vh[idx, :r].conj().swapaxes(-1, -2))
+
+
+class KOperator:
+    """Square operator on H with pseudo-inverse and projector data precomputed,
+    as a :class:`KStack` of one (held as ``stack``)."""
 
     def __init__(self, op, rank_tol: float = RANK_EPS):
         mat = as_operator(op)
         if mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator must be square, got shape {mat.shape}")
+        self.stack = KStack(mat[None], rank_tol)
         self.op = mat
-        f = svd(mat, rank_tol)
-        self.rank = f.rank
-        self.norm = float(f.singulars[0]) if f.rank else 0.0
-        self.adjoint = op_adjoint(mat)
-        self.pinv = op_pinv(mat, rank_tol)
-        # Orthogonal projectors onto R(K) and onto R(K*) = N(K)-perp.
-        self.range_projector = self.op @ self.pinv
-        self.adjoint_range_projector = self.pinv @ self.op
+        self.rank = int(self.stack.rank[0])
+        self.norm = float(self.stack.norm[0])
+        self.adjoint = self.stack.adjoint[0]
+        self.pinv = self.stack.pinv[0]
+        self.range_projector = self.stack.range_projector[0]
+        self.adjoint_range_projector = self.stack.adjoint_range_projector[0]
 
     @property
     def dim(self) -> int:
@@ -126,7 +194,7 @@ def synthesis(frame: SampledFrame) -> np.ndarray:
     Column i is weight_i * F_i, so applying it to coefficients x yields
     the weighted sum of samples; this is where the weights live.
     """
-    return (frame.samples * frame.space.weights[:, None]).T
+    return (frame.samples * frame.space.weights[:, None]).swapaxes(-1, -2)
 
 
 def weighted_analysis(frame: SampledFrame) -> np.ndarray:
@@ -138,7 +206,7 @@ def weighted_analysis(frame: SampledFrame) -> np.ndarray:
 
 def weighted_synthesis(frame: SampledFrame) -> np.ndarray:
     """Synthesis matrix in weight-normalized coordinates."""
-    return (frame.samples * frame.space.sqrt_weights[:, None]).T
+    return (frame.samples * frame.space.sqrt_weights[:, None]).swapaxes(-1, -2)
 
 
 def analysis_norm(frame: SampledFrame) -> float:
@@ -213,11 +281,17 @@ def k_lower_bound(frame: SampledFrame, k: KOperator, rank_tol: float = RANK_EPS)
     if k.dim != frame.dim:
         raise ValueError(f"operator dimension {k.dim} does not match frame dimension {frame.dim}")
     inc = range_inclusion(k.op, weighted_synthesis(frame), rank_tol)
-    if not inc.included:
+    return lower_bound_from_scale(inc.included, inc.lambda_star)
+
+
+def lower_bound_from_scale(included: bool, lambda_star: float) -> Optional[float]:
+    """The optimal lower K-bound given the range inclusion verdict of K in
+    the synthesis map and its minimal scale, as :func:`k_lower_bound`."""
+    if not included:
         return None
-    if inc.lambda_star == 0.0:
+    if lambda_star == 0.0:
         return math.inf
-    return 1.0 / inc.lambda_star
+    return 1.0 / lambda_star
 
 
 def parseval_residual(frame: SampledFrame, k: KOperator) -> float:
@@ -264,38 +338,79 @@ def classify(frame: SampledFrame, k: KOperator, tol: float = DEFAULT_TOL) -> Fra
     )
 
 
-def is_l2_independent(frame: SampledFrame, rank_tol: float = RANK_EPS) -> bool:
+def is_l2_independent(frame: SampledFrame, rank_tol: float = RANK_EPS):
     """Whether only the zero coefficient function synthesizes to zero.
 
     Positive weights cannot mask a dependence, so this is linear
     independence of the sample vectors: the sample matrix has full row
-    rank.
+    rank. One verdict per member for a :class:`FrameStack`.
     """
-    return svd(frame.samples, rank_tol).rank == frame.space.atom_count
+    return ranks(frame.samples, rank_tol) == frame.space.atom_count
 
 
-def synthesis_kernel_basis(frame: SampledFrame, rank_tol: float = RANK_EPS) -> np.ndarray:
+def synthesis_kernel_basis(frame: SampledFrame, rank_tol: float = RANK_EPS):
     """Columns form a basis of the null space of the synthesis map,
-    orthonormal in the weighted inner product. Shape (m, m - rank)."""
+    orthonormal in the weighted inner product. Shape (m, m - rank); for a
+    :class:`FrameStack`, a list with one such basis per member."""
     b = weighted_synthesis(frame)
     u, s, vh = np.linalg.svd(b, full_matrices=True)
-    cut = rank_tol * (s[0] if s.size else 0.0) * max(b.shape)
-    r = int(np.count_nonzero(s > cut))
-    null_w = vh[r:].conj().T
-    return null_w / frame.space.sqrt_weights[:, None]
+    r = _cut_ranks(s, b.shape, rank_tol)
+    sqrt_w = frame.space.sqrt_weights[:, None]
+    if b.ndim == 2:
+        return vh[r:].conj().T / sqrt_w
+    return [vh[t, r[t]:].conj().T / sqrt_w for t in range(b.shape[0])]
 
 
-def frames_allclose(f: SampledFrame, g: SampledFrame, tol: float = DEFAULT_TOL) -> bool:
-    """Samplewise equality up to the relative tolerance."""
+def _max_row_norm(samples: np.ndarray):
+    return np.max(np.linalg.norm(samples, axis=-1), axis=-1)
+
+
+def frames_allclose(f: SampledFrame, g: SampledFrame, tol: float = DEFAULT_TOL):
+    """Samplewise equality up to the relative tolerance; one verdict per
+    member for two stacks of equal length."""
     _require_same_space(f.space, g.space)
     if f.dim != g.dim:
         raise ValueError(f"frame dimensions differ: {f.dim} and {g.dim}")
-    gap = float(np.max(np.linalg.norm(f.samples - g.samples, axis=1)))
-    scale = max(
-        float(np.max(np.linalg.norm(f.samples, axis=1))),
-        float(np.max(np.linalg.norm(g.samples, axis=1))),
-    )
-    return gap <= tol * (1.0 + scale)
+    gap = _max_row_norm(f.samples - g.samples)
+    scale = np.maximum(_max_row_norm(f.samples), _max_row_norm(g.samples))
+    out = gap <= tol * (1.0 + scale)
+    return bool(out) if out.ndim == 0 else out
+
+
+def parseval_k_samples(ks: KStack, space: MeasureSpace, rngs: Sequence) -> np.ndarray:
+    """Samples (n, m, d) of the seeded Parseval K-frames of
+    :func:`generate_parseval_k_frame`, member t drawing from ``rngs[t]``;
+    members of equal rank share one stacked QR and product."""
+    m = space.atom_count
+    too_few = np.flatnonzero(ks.rank > m)
+    if too_few.size:
+        raise InfeasibleError(
+            f"cannot reach the lower bound with {m} atoms and rank {ks.rank[too_few[0]]}; "
+            "need m >= rank(K)"
+        )
+    out = np.zeros((len(ks), m, ks.dim), dtype=np.complex128)
+    for r, idx in _groups(ks.rank):
+        if r == 0:
+            continue
+        basis = ks.corange_bases(idx, r)  # orthonormal basis of R(K*), (n, d, r)
+        q, _ = np.linalg.qr(stacked([complex_normal(rngs[t], m, r) for t in idx]))
+        # w_i = basis @ conj(q[i]) / sqrt(weight_i) gives sum_i weight_i w_i w_i* = basis basis*.
+        w_rows = np.conj(q) / space.sqrt_weights[:, None]
+        out[idx] = w_rows @ (ks.op[idx] @ basis).swapaxes(-1, -2)
+    return out
+
+
+def random_bessel_samples(d: int, space: MeasureSpace, rngs: Sequence) -> np.ndarray:
+    """Samples (n, m, d) of :func:`generate_random_bessel`, member t drawing
+    from ``rngs[t]``."""
+    m = space.atom_count
+    raw = stacked([complex_normal(rng, m, int(d)) for rng in rngs])
+    return raw / np.sqrt(m * space.weights)[:, None]
+
+
+def _require_atoms(m: int, space: MeasureSpace) -> None:
+    if m != space.atom_count:
+        raise ValueError(f"m = {m} does not match the space's {space.atom_count} atoms")
 
 
 def generate_parseval_k_frame(
@@ -308,34 +423,12 @@ def generate_parseval_k_frame(
     Gaussian matrix, so the frame operator equals K K* by algebra rather
     than by numerical accident. Requires at least rank(K) atoms.
     """
-    m = int(m)
-    if m != space.atom_count:
-        raise ValueError(f"m = {m} does not match the space's {space.atom_count} atoms")
-    if m < k.rank:
-        raise InfeasibleError(
-            f"cannot reach the lower bound with {m} atoms and rank {k.rank}; need m >= rank(K)"
-        )
-    d = k.dim
-    r = k.rank
-    if r == 0:
-        return SampledFrame(space, np.zeros((m, d)))
-    basis = svd(k.op).right  # orthonormal basis of R(K*), shape (d, r)
-    rng = stream(seed)
-    g = complex_normal(rng, m, r)
-    q, _ = np.linalg.qr(g)  # (m, r), isometric columns
-    # w_i = basis @ conj(q[i]) / sqrt(weight_i) gives sum_i weight_i w_i w_i* = basis basis*.
-    w_rows = np.conj(q) / space.sqrt_weights[:, None]
-    samples = w_rows @ (k.op @ basis).T
-    return SampledFrame(space, samples)
+    _require_atoms(int(m), space)
+    return SampledFrame(space, parseval_k_samples(k.stack, space, [stream(seed)])[0])
 
 
 def generate_random_bessel(d: int, m: int, space: MeasureSpace, seed: int) -> SampledFrame:
     """Seeded field with independent complex Gaussian samples scaled by
     1/sqrt(m * weight_i); always Bessel since the atom set is finite."""
-    m = int(m)
-    if m != space.atom_count:
-        raise ValueError(f"m = {m} does not match the space's {space.atom_count} atoms")
-    rng = stream(seed)
-    raw = complex_normal(rng, m, int(d))
-    samples = raw / np.sqrt(m * space.weights)[:, None]
-    return SampledFrame(space, samples)
+    _require_atoms(int(m), space)
+    return SampledFrame(space, random_bessel_samples(d, space, [stream(seed)])[0])

@@ -4,10 +4,17 @@ Vectors are 1-D complex numpy arrays, operators are 2-D complex arrays.
 Every spectral routine shares one notion of numerical rank: a singular
 value counts only if it exceeds ``RANK_EPS * smax * max(rows, cols)``.
 Comparisons are relative, scaled by the largest norm among the operands.
+
+The stacked routines (``op_norm``, ``ranks``, ``pinvs``,
+``range_inclusions``, ``vdots``, ``vector_norms``) take operators
+``(..., rows, cols)`` or vectors ``(..., n)`` stacked along leading axes
+and work matrix by matrix through numpy's stacked routines, whose
+results equal the per-matrix calls bit for bit on the builds where
+``tests/test_hilbert.py`` passes; the suites run their trials this way.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -17,17 +24,23 @@ __all__ = [
     "RangeInclusionError",
     "SvdFactorization",
     "RangeInclusion",
+    "RangeInclusions",
     "as_operator",
     "as_vector",
+    "vdots",
+    "vector_norms",
     "adjoint",
     "svd",
     "rank",
+    "ranks",
     "pinv",
+    "pinvs",
     "op_norm",
     "range_projector",
     "corange_projector",
     "loewner_leq",
     "range_inclusion",
+    "range_inclusions",
     "douglas_factor",
 ]
 
@@ -64,6 +77,34 @@ def as_vector(a) -> np.ndarray:
     return arr
 
 
+def _as_stack(a) -> np.ndarray:
+    """Validate a finite operator or stack of operators (..., rows, cols),
+    without copying one that is already complex."""
+    arr = np.asarray(a, dtype=np.complex128)
+    if arr.ndim < 2:
+        raise ValueError(f"expected a 2-D operator, got ndim={arr.ndim}")
+    if arr.shape[-2] < 1 or arr.shape[-1] < 1:
+        raise ValueError(f"operator needs at least one row and column, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("operator entries must be finite")
+    return arr
+
+
+def vdots(x, y) -> np.ndarray:
+    """``np.vdot`` of each pair of vectors of two stacks (..., n), as one
+    stacked product of conj(x) as a row with y as a column."""
+    return (np.conj(x)[..., None, :] @ np.asarray(y)[..., :, None])[..., 0, 0]
+
+
+def vector_norms(x) -> np.ndarray:
+    """``np.linalg.norm`` of each vector of a stack (..., n): the square root
+    of the sum of the dot products of the real and the imaginary parts."""
+    x = np.asarray(x, dtype=np.complex128)
+    re, im = x.real, x.imag
+    dots = re[..., None, :] @ re[..., :, None] + im[..., None, :] @ im[..., :, None]
+    return np.sqrt(dots[..., 0, 0])
+
+
 def adjoint(a) -> np.ndarray:
     """Conjugate transpose."""
     return as_operator(a).conj().T.copy()
@@ -87,14 +128,21 @@ class SvdFactorization:
         return (self.left * self.singulars) @ self.right.conj().T
 
 
+def _cut_ranks(s: np.ndarray, shape, rank_tol: float):
+    """Rank under the rank cut of a descending singular value row, or of
+    each row of a stack of them."""
+    if rank_tol < 0:
+        raise ValueError("rank_tol must be nonnegative")
+    if s.ndim == 1:
+        return int(np.count_nonzero(s > rank_tol * s[0] * max(shape[-2:])))
+    return np.add.reduce(s > rank_tol * s[..., :1] * max(shape[-2:]), axis=-1, dtype=np.intp)
+
+
 def svd(a, rank_tol: float = RANK_EPS) -> SvdFactorization:
     """Singular value decomposition truncated at the numerical rank."""
     arr = as_operator(a)
-    if rank_tol < 0:
-        raise ValueError("rank_tol must be nonnegative")
     u, s, vh = np.linalg.svd(arr, full_matrices=False)
-    cut = rank_tol * s[0] * max(arr.shape)
-    r = int(np.count_nonzero(s > cut))
+    r = _cut_ranks(s, arr.shape, rank_tol)
     return SvdFactorization(
         left=u[:, :r].copy(),
         singulars=s[:r].copy(),
@@ -108,18 +156,62 @@ def rank(a, rank_tol: float = RANK_EPS) -> int:
     return svd(a, rank_tol).rank
 
 
+def ranks(a, rank_tol: float = RANK_EPS) -> np.ndarray:
+    """:func:`rank` of an operator, or of every operator of a stack (..., rows, cols)."""
+    arr = _as_stack(a)
+    return _cut_ranks(np.linalg.svd(arr, full_matrices=False)[1], arr.shape, rank_tol)
+
+
+def _groups(keys: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+    """Each distinct key of a 1-D integer array, ascending, with its positions."""
+    if len(keys) and (keys == keys[0]).all():
+        yield int(keys[0]), np.arange(len(keys))
+        return
+    for key in sorted(set(keys.tolist())):
+        yield key, np.flatnonzero(keys == key)
+
+
+def _pinv_of_rank(u: np.ndarray, s: np.ndarray, vh: np.ndarray, r: int) -> np.ndarray:
+    """Pseudo-inverse of an operator, or of a stack of operators, of rank
+    r > 0 from its thin SVD factors, with the truncated factors laid out as
+    :func:`svd` lays them out, so a stacked product is the per-matrix one."""
+    right = np.ascontiguousarray(vh[..., :r, :].conj().swapaxes(-1, -2))
+    return (right / s[..., None, :r]) @ u[..., :r].conj().swapaxes(-1, -2)
+
+
+def _pinv_groups(u: np.ndarray, s: np.ndarray, vh: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Pseudo-inverses of a stack from its thin SVD factors and ranks;
+    members of equal rank share one stacked product."""
+    out = np.zeros(u.shape[:-2] + (vh.shape[-1], u.shape[-2]), dtype=np.complex128)
+    for k, idx in _groups(r):
+        if k and len(idx) == len(r):
+            return _pinv_of_rank(u, s, vh, k)
+        if k:
+            out[idx] = _pinv_of_rank(u[idx], s[idx], vh[idx], k)
+    return out
+
+
+def pinvs(a, rank_tol: float = RANK_EPS) -> np.ndarray:
+    """:func:`pinv` of every operator of a stack (n, rows, cols)."""
+    arr = _as_stack(a)
+    u, s, vh = np.linalg.svd(arr, full_matrices=False)
+    return _pinv_groups(u, s, vh, _cut_ranks(s, arr.shape, rank_tol))
+
+
 def pinv(a, rank_tol: float = RANK_EPS) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via the truncated SVD."""
     arr = as_operator(a)
-    f = svd(arr, rank_tol)
-    if f.rank == 0:
+    u, s, vh = np.linalg.svd(arr, full_matrices=False)
+    r = _cut_ranks(s, arr.shape, rank_tol)
+    if r == 0:
         return np.zeros((arr.shape[1], arr.shape[0]), dtype=np.complex128)
-    return (f.right / f.singulars) @ f.left.conj().T
+    return _pinv_of_rank(u, s, vh, r)
 
 
-def op_norm(a) -> float:
-    """Largest singular value."""
-    return float(np.linalg.svd(as_operator(a), compute_uv=False)[0])
+def op_norm(a):
+    """Largest singular value; one per operator for a stack (..., rows, cols)."""
+    top = np.linalg.svd(_as_stack(a), compute_uv=False)[..., 0]
+    return float(top) if top.ndim == 0 else top
 
 
 def range_projector(a, rank_tol: float = RANK_EPS) -> np.ndarray:
@@ -179,6 +271,42 @@ class RangeInclusion(NamedTuple):
     lambda_star: Optional[float]
 
 
+class RangeInclusions(NamedTuple):
+    """:func:`range_inclusions` of a stack: per trial the verdict, the
+    minimal scale (NaN where excluded), and pinv(T) with the factor
+    pinv(T) @ S (zero where excluded)."""
+
+    included: np.ndarray
+    lambda_star: np.ndarray
+    t_pinv: np.ndarray
+    factor: np.ndarray
+
+
+def range_inclusions(s, t, rank_tol: float = RANK_EPS) -> RangeInclusions:
+    """:func:`range_inclusion` of every pair of two stacks (n, rows, .);
+    the factor and its norm are computed on the included pairs only."""
+    ss = _as_stack(s)
+    tt = _as_stack(t)
+    if ss.shape[-2] != tt.shape[-2]:
+        raise ValueError(
+            f"operands must share their codomain, got {ss.shape[-2]} and {tt.shape[-2]} rows"
+        )
+    u, sv, vh = np.linalg.svd(tt, full_matrices=False)
+    rank_t = _cut_ranks(sv, tt.shape, rank_tol)
+    aug = np.concatenate([tt, ss], axis=-1)
+    rank_aug = _cut_ranks(np.linalg.svd(aug, full_matrices=False)[1], aug.shape, rank_tol)
+    included = rank_aug <= rank_t
+    t_pinv = np.zeros(tt.shape[:-2] + tt.shape[:-3:-1], dtype=np.complex128)
+    factor = np.zeros(tt.shape[:-2] + (tt.shape[-1], ss.shape[-1]), dtype=np.complex128)
+    lam = np.full(tt.shape[:-2], np.nan)
+    if included.any():
+        idx = slice(None) if included.all() else np.flatnonzero(included)
+        t_pinv[idx] = _pinv_groups(u[idx], sv[idx], vh[idx], rank_t[idx])
+        factor[idx] = t_pinv[idx] @ ss[idx]
+        lam[idx] = [norm**2 for norm in op_norm(factor[idx]).tolist()]
+    return RangeInclusions(included, lam, t_pinv, factor)
+
+
 def range_inclusion(s, t, rank_tol: float = RANK_EPS) -> RangeInclusion:
     """Test R(S) subseteq R(T) and, when it holds, the minimal scale lambda
     with S S* <= lambda T T*.
@@ -187,17 +315,10 @@ def range_inclusion(s, t, rank_tol: float = RANK_EPS) -> RangeInclusion:
     the minimal scale equals the squared norm of the unique factor pinv(T) @ S.
     A zero ``s`` yields lambda_star = 0, the infimum of the admissible set.
     """
-    ss = as_operator(s)
-    tt = as_operator(t)
-    if ss.shape[0] != tt.shape[0]:
-        raise ValueError(
-            f"operands must share their codomain, got {ss.shape[0]} and {tt.shape[0]} rows"
-        )
-    rank_t = svd(tt, rank_tol).rank
-    rank_aug = svd(np.hstack([tt, ss]), rank_tol).rank
-    if rank_aug > rank_t:
+    inc = range_inclusions(as_operator(s)[None], as_operator(t)[None], rank_tol)
+    if not inc.included[0]:
         return RangeInclusion(False, None)
-    return RangeInclusion(True, op_norm(pinv(tt, rank_tol) @ ss) ** 2)
+    return RangeInclusion(True, float(inc.lambda_star[0]))
 
 
 def douglas_factor(s, t, rank_tol: float = RANK_EPS) -> np.ndarray:

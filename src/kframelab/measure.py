@@ -23,6 +23,7 @@ __all__ = [
     "l2_norm_sq",
     "weighted_norm_sq",
     "bochner_integrate",
+    "weighted_sums",
 ]
 
 
@@ -109,13 +110,21 @@ def l2_norm_sq(c: L2Coefficients) -> float:
     return weighted_norm_sq(c.space, c.values)
 
 
-def weighted_norm_sq(space: MeasureSpace, values: np.ndarray) -> float:
+def weighted_norm_sq(space: MeasureSpace, values: np.ndarray):
     """Weighted squared norm of raw values on the atoms, without building
-    (and validating) an :class:`L2Coefficients`."""
-    return float(np.sum(space.weights * np.abs(values) ** 2))
+    (and validating) an :class:`L2Coefficients`; one norm per row for a
+    stack of value rows (..., m)."""
+    out = np.add.reduce(space.weights * np.abs(values) ** 2, axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def bochner_integrate(field: "SampledFrame", c: L2Coefficients) -> np.ndarray:
     """Weighted sum of the field's sample vectors against the coefficients."""
     _require_same_space(field.space, c.space)
-    return (field.space.weights * c.values) @ field.samples
+    return weighted_sums(field.space, field.samples, c.values)
+
+
+def weighted_sums(space: MeasureSpace, samples: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """:func:`bochner_integrate` on raw arrays; stacks of sample matrices
+    (..., m, d) and value rows (..., m) give one vector per member."""
+    return ((space.weights * values)[..., None, :] @ samples)[..., 0, :]

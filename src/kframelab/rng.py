@@ -9,7 +9,7 @@ per (seed, trial index) pair and may therefore run in any order.
 
 import numpy as np
 
-__all__ = ["stream", "derive_seed", "complex_normal"]
+__all__ = ["stream", "derive_seed", "complex_normal", "complex_normals"]
 
 
 def stream(seed: int, *indices: int) -> np.random.Generator:
@@ -24,8 +24,26 @@ def derive_seed(seed: int, *indices: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    """Standard complex Gaussian draws (unit total variance per entry)."""
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return (re + 1j * im) / np.sqrt(2.0)
+
+
+def complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Standard complex Gaussian draws (unit total variance per entry): the
+    real parts, then the imaginary parts, from one call."""
+    raw = rng.standard_normal((2,) + shape)
+    return _complex(raw[0], raw[1])
+
+
+def complex_normals(rng: np.random.Generator, count: int, *shape: int) -> np.ndarray:
+    """``count`` successive :func:`complex_normal` draws of ``shape``, stacked,
+    from one call: a stream fills an array in order, so the numbers are the
+    same."""
+    raw = rng.standard_normal((int(count), 2) + shape)
+    return _complex(raw[:, 0], raw[:, 1])
+
+
+def stacked(arrays) -> np.ndarray:
+    """Per-trial draws stacked along a new first axis; a single draw becomes
+    a stack of one without a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)

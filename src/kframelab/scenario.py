@@ -8,13 +8,20 @@ config is diagnosable without reading the source.
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .frames import KOperator, SampledFrame, generate_parseval_k_frame, generate_random_bessel
+from .frames import (
+    FrameStack,
+    KOperator,
+    KStack,
+    SampledFrame,
+    parseval_k_samples,
+    random_bessel_samples,
+)
 from .measure import MeasureSpace
-from .rng import complex_normal, derive_seed, stream
+from .rng import complex_normal, derive_seed, stacked, stream
 
 __all__ = [
     "ScenarioError",
@@ -23,7 +30,9 @@ __all__ = [
     "load_scenario",
     "build_space",
     "build_k",
+    "build_ks",
     "build_frame",
+    "build_frames",
 ]
 
 K_KINDS = ("identity", "diagonal", "random-rank", "explicit")
@@ -135,13 +144,26 @@ def _parse_weights(value, atoms: int) -> Tuple[float, ...]:
     return tuple(out)
 
 
+# Headroom kept between the entries of K K* and the largest double, per
+# dimension of H. The checks form multiples of K K* (a symmetrized sum
+# doubles it) and quadratic forms f* K K* f with probes of squared norm
+# about dim; on the README frame a diagonal K first overflows once the
+# entries of K K* pass about max_float / 4.5.
+_GRAM_HEADROOM = 16.0
+
+
 def _require_finite_gram(k: np.ndarray, path: str) -> None:
-    """Reject a K whose K K* is not finite: every Parseval check forms it.
-    Finiteness is tested on the product itself, not read off a warning."""
+    """Reject a K whose K K*, times the headroom, is not finite: every
+    Parseval check forms it. Tested on the product itself, not read off a
+    warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = k @ k.conj().T
-    if not np.isfinite(gram).all():
-        raise ScenarioError("K K* is not finite; scale the operator down", path)
+        size = np.abs(k @ k.conj().T).max() * (_GRAM_HEADROOM * k.shape[0])
+    if not np.isfinite(size):
+        raise ScenarioError(
+            f"K K* is too large to verify in double precision (its entries times {_GRAM_HEADROOM:g} "
+            "times dim must stay finite); scale the operator down",
+            path,
+        )
 
 
 def _parse_k_spec(doc, dim: int) -> dict:
@@ -262,35 +284,52 @@ def _complex_list(values) -> np.ndarray:
     return np.array([complex(re, im) for re, im in values], dtype=np.complex128)
 
 
-def build_k(scenario: Scenario, trial: int) -> KOperator:
-    """Realize the operator for one trial; random kinds vary with the trial."""
+def build_ks(scenario: Scenario, trials: Sequence[int]) -> KStack:
+    """Realize the operators of the given trials as one stack; random kinds
+    vary with the trial, each drawing from its own stream."""
     spec = scenario.k_spec
     kind = spec["kind"]
-    if kind == "identity":
-        return KOperator.identity(scenario.dim)
-    if kind == "diagonal":
-        return KOperator(np.diag(_complex_list(spec["values"])))
-    if kind == "explicit":
-        rows = [_complex_list(row) for row in spec["matrix"]]
-        return KOperator(np.array(rows))
+    if kind != "random-rank":
+        if kind == "identity":
+            op = np.eye(scenario.dim)
+        elif kind == "diagonal":
+            op = np.diag(_complex_list(spec["values"]))
+        else:
+            op = np.array([_complex_list(row) for row in spec["matrix"]])
+        return KStack(np.broadcast_to(op, (len(trials),) + op.shape))
     # random-rank: isometries from QR factors, singular values in [0.5, 2]
     # keep the operator well conditioned on its support.
     d, r = scenario.dim, spec["rank"]
-    rng = stream(spec["seed"], _K_STREAM, trial)
-    q1, _ = np.linalg.qr(complex_normal(rng, d, r))
-    q2, _ = np.linalg.qr(complex_normal(rng, d, r))
-    singulars = np.sort(rng.uniform(0.5, 2.0, r))[::-1]
-    return KOperator((q1 * singulars) @ q2.conj().T)
+    g1, g2, singulars = [], [], []
+    for trial in trials:
+        rng = stream(spec["seed"], _K_STREAM, trial)
+        g1.append(complex_normal(rng, d, r))
+        g2.append(complex_normal(rng, d, r))
+        singulars.append(np.sort(rng.uniform(0.5, 2.0, r))[::-1])
+    q1, _ = np.linalg.qr(stacked(g1))
+    q2, _ = np.linalg.qr(stacked(g2))
+    return KStack((q1 * stacked(singulars)[:, None, :]) @ q2.conj().swapaxes(-1, -2))
 
 
-def build_frame(scenario: Scenario, space: MeasureSpace, k: KOperator, trial: int) -> SampledFrame:
-    """Realize the frame for one trial; generated kinds vary with the trial."""
+def build_k(scenario: Scenario, trial: int) -> KOperator:
+    """Realize the operator for one trial; see :func:`build_ks`."""
+    return KOperator(build_ks(scenario, [trial]).op[0])
+
+
+def build_frames(scenario: Scenario, space: MeasureSpace, ks: KStack, trials: Sequence[int]) -> FrameStack:
+    """Realize the frames of the given trials, with their operators ``ks``,
+    as one stack; generated kinds vary with the trial."""
     spec = scenario.frame_spec
     kind = spec["kind"]
     if kind == "explicit":
-        rows = [_complex_list(row) for row in spec["samples"]]
-        return SampledFrame(space, np.array(rows))
-    seed = derive_seed(spec["seed"], _FRAME_STREAM, trial)
+        samples = np.array([_complex_list(row) for row in spec["samples"]])
+        return FrameStack(space, np.broadcast_to(samples, (len(trials),) + samples.shape))
+    rngs = [stream(derive_seed(spec["seed"], _FRAME_STREAM, trial)) for trial in trials]
     if kind == "generate-parseval-k":
-        return generate_parseval_k_frame(k, scenario.atoms, space, seed)
-    return generate_random_bessel(scenario.dim, scenario.atoms, space, seed)
+        return FrameStack(space, parseval_k_samples(ks, space, rngs))
+    return FrameStack(space, random_bessel_samples(scenario.dim, space, rngs))
+
+
+def build_frame(scenario: Scenario, space: MeasureSpace, k: KOperator, trial: int) -> SampledFrame:
+    """Realize the frame for one trial; see :func:`build_frames`."""
+    return SampledFrame(space, build_frames(scenario, space, k.stack, [trial]).samples[0])

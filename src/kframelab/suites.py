@@ -6,24 +6,39 @@ normalized by the scale the check's statement dictates; boolean checks
 contribute 0 or 1, which fails any realistic tolerance. Trial streams
 derive from (seed, property, trial index), so execution order does not
 matter and a witness replays by restricting the scenario to one trial.
+
+Trials run in chunks: every property takes a chunk of consecutive
+trials and returns one check list per trial, in trial order. The draws
+loop over the chunk's trials, each from its own stream, and the
+arithmetic runs once per chunk on numpy's stacked routines, which give
+each trial the bits its own per-matrix calls would. A one-trial replay
+is a chunk of one and so reproduces every residual exactly.
 """
 
 import math
 import platform
 import time
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .duality import Check, HypothesisError, ParsevalKFrame, field_norm, is_dual_k_bessel
+from .duality import (
+    Check,
+    HypothesisError,
+    ParsevalKFrames,
+    _positive_part,
+    _take,
+    _where,
+    check_rows,
+    field_norm,
+)
 from .frames import (
+    FrameStack,
     InfeasibleError,
-    KOperator,
-    SampledFrame,
-    analysis,
-    analysis_norm,
-    k_lower_bound,
+    KStack,
+    _max_row_norm,
+    lower_bound_from_scale,
     synthesis,
     weighted_synthesis,
 )
@@ -36,14 +51,16 @@ from .hilbert import (
     douglas_factor,
     op_norm,
     pinv,
-    range_inclusion,
+    pinvs,
+    range_inclusions,
     range_projector,
     rank,
+    vdots,
 )
 from .measure import MeasureSpace
 from .report import REPORT_VERSION, PropertyRecord, SuiteReport
-from .rng import complex_normal, derive_seed, stream
-from .scenario import Scenario, ScenarioError, build_frame, build_k, build_space
+from .rng import complex_normal, complex_normals, derive_seed, stacked, stream
+from .scenario import Scenario, ScenarioError, build_frames, build_ks, build_space
 
 __all__ = [
     "PROPERTY_IDS",
@@ -91,57 +108,83 @@ class UnknownPropertyError(ScenarioError):
     """A property id outside the registered set was requested."""
 
 
-class _Trial:
-    """One trial of a scenario, shared by every property that runs on it.
+# Trials per chunk are capped so that the chunk's stacked arrays stay
+# within about this many bytes, so memory does not grow with the trials.
+_CHUNK_BYTES = 1 << 22
 
-    The instance (space, K, frame) is realized on first use, and so is the
-    checked Parseval K-frame built from it; each at most once per trial.
-    Property streams derive from (seed, property, trial index), so sharing
-    the instance does not couple the properties' draws.
+
+def _trial_bytes(scenario: Scenario) -> int:
+    """Bytes of one trial's largest stacked arrays: kernel bases (m x m),
+    frame-sized and operator-sized arrays."""
+    m, d = scenario.atoms, scenario.dim
+    return 16 * (m * m + 8 * m * d + 8 * d * d)
+
+
+class _Chunk:
+    """Consecutive trials of a scenario, shared by every property that runs on them.
+
+    The instances (space, K stack, frame stack) are realized on first use,
+    and so is the checked Parseval K-frame stack built from them; each at
+    most once per chunk. Property streams derive from (seed, property,
+    trial index), so sharing the instances does not couple the
+    properties' draws.
     """
 
-    def __init__(self, scenario: Scenario, index: int):
+    def __init__(self, scenario: Scenario, indices: Sequence[int]):
         self.scenario = scenario
-        self.index = index
+        self.indices = list(indices)
 
-    def rng(self, pid: str) -> np.random.Generator:
-        return stream(self.scenario.seed, _PROPERTY_TAG[pid], self.index)
+    def _chosen(self, positions: Optional[np.ndarray]) -> List[int]:
+        return self.indices if positions is None else [self.indices[j] for j in positions]
 
-    def sub_seed(self, pid: str, slot: int) -> int:
-        return derive_seed(self.scenario.seed, _PROPERTY_TAG[pid], self.index, slot)
+    def rngs(self, pid: str, positions: Optional[np.ndarray] = None) -> List[np.random.Generator]:
+        """The property's stream of each trial, or of the trials at ``positions``."""
+        return [stream(self.scenario.seed, _PROPERTY_TAG[pid], i) for i in self._chosen(positions)]
+
+    def sub_seeds(self, pid: str, slot: int, positions: Optional[np.ndarray] = None) -> List[int]:
+        return [derive_seed(self.scenario.seed, _PROPERTY_TAG[pid], i, slot) for i in self._chosen(positions)]
 
     @cached_property
-    def instance(self) -> Tuple[MeasureSpace, KOperator, SampledFrame]:
+    def instance(self) -> Tuple[MeasureSpace, KStack, FrameStack]:
         space = build_space(self.scenario)
-        k = build_k(self.scenario, self.index)
-        return space, k, build_frame(self.scenario, space, k, self.index)
+        ks = build_ks(self.scenario, self.indices)
+        return space, ks, build_frames(self.scenario, space, ks, self.indices)
 
     @cached_property
-    def parseval(self) -> ParsevalKFrame:
-        """The instance as a Parseval K-frame; raises HypothesisError when it is not one."""
-        _, k, frame = self.instance
-        return ParsevalKFrame(frame, k)
+    def parseval(self) -> ParsevalKFrames:
+        """The instances as Parseval K-frames; raises HypothesisError when one is not."""
+        _, ks, frames = self.instance
+        return ParsevalKFrames(frames, ks)
 
 
-def loewner_inclusion_exists(s_op: np.ndarray, t_op: np.ndarray, cap: float = 1e12) -> bool:
-    """Whether some scale puts S S* under the cone of T T*, by doubling.
+def loewner_inclusion_exists(s_op: np.ndarray, t_op: np.ndarray, cap: float = 1e12):
+    """Whether some scale puts S S* under the cone of T T*, by doubling;
+    one verdict per pair for stacks (n, rows, .), each pair leaving the
+    doubling at its first success.
 
     The slack here is fixed at the scale of S S* instead of growing with
     the trial scale: a growing slack would eventually absorb the strictly
     negative directions that witness non-inclusion, making every pair
     look included for a large enough scale.
     """
-    ss = s_op @ s_op.conj().T
-    tt = t_op @ t_op.conj().T
-    ss = (ss + ss.conj().T) / 2.0
-    tt = (tt + tt.conj().T) / 2.0
-    slack = 1e-9 * max(1.0, op_norm(ss))
+    ss = s_op @ s_op.conj().swapaxes(-1, -2)
+    tt = t_op @ t_op.conj().swapaxes(-1, -2)
+    ss = (ss + ss.conj().swapaxes(-1, -2)) / 2.0
+    tt = (tt + tt.conj().swapaxes(-1, -2)) / 2.0
+    single = ss.ndim == 2
+    if single:
+        ss, tt = ss[None], tt[None]
+    slack = 1e-9 * np.maximum(1.0, op_norm(ss))
+    holds = np.zeros(len(ss), dtype=bool)
+    active = np.arange(len(ss))
     lam = 1.0
-    while lam <= cap:
-        if float(np.linalg.eigvalsh(lam * tt - ss)[0]) >= -slack:
-            return True
+    while lam <= cap and active.size:
+        lowest = np.linalg.eigvalsh(lam * tt[active] - ss[active])[:, 0]
+        found = lowest >= -slack[active]
+        holds[active[found]] = True
+        active = active[~found]
         lam *= 2.0
-    return False
+    return bool(holds[0]) if single else holds
 
 
 def bisect_loewner_lambda(
@@ -203,13 +246,12 @@ def _conditioned_matrix(rng: np.random.Generator, rows: int, cols: int, r: int) 
     return (q1 * singulars) @ q2.conj().T
 
 
-def _prop_l1(trial: _Trial) -> List[Check]:
+def _pinv_checks(rng: np.random.Generator, index: int) -> List[Check]:
     """Pseudo-inverse identity suite on random matrices up to 16 x 16;
     every other trial forces a rank-deficient input."""
-    rng = trial.rng("l1")
     n = int(rng.integers(1, 17))
     p = int(rng.integers(1, 17))
-    if trial.index % 2 == 1 and min(n, p) > 1:
+    if index % 2 == 1 and min(n, p) > 1:
         r = int(rng.integers(1, min(n, p)))
         a = complex_normal(rng, n, r) @ complex_normal(rng, r, p)
     else:
@@ -229,10 +271,14 @@ def _prop_l1(trial: _Trial) -> List[Check]:
     ]
 
 
-def _prop_l2(trial: _Trial) -> List[Check]:
+def _prop_l1(chunk: _Chunk) -> List[List[Check]]:
+    """Matrix sizes are drawn per trial, so each trial runs on its own."""
+    return [_pinv_checks(rng, i) for rng, i in zip(chunk.rngs("l1"), chunk.indices)]
+
+
+def _factorization_checks(rng: np.random.Generator) -> List[Check]:
     """Factorization suite on random included pairs: the factor's squared
     norm must match the bisection scale, and kernel/range nesting must hold."""
-    rng = trial.rng("l2")
     n = int(rng.integers(2, 9))
     p = int(rng.integers(1, 9))
     q = int(rng.integers(1, 9))
@@ -261,149 +307,175 @@ def _prop_l2(trial: _Trial) -> List[Check]:
     return checks
 
 
-def _prop_l3(trial: _Trial) -> List[Check]:
+def _prop_l2(chunk: _Chunk) -> List[List[Check]]:
+    """Matrix sizes are drawn per trial, so each trial runs on its own."""
+    return [_factorization_checks(rng) for rng in chunk.rngs("l2")]
+
+
+def _prop_l3(chunk: _Chunk) -> List[List[Check]]:
     """Equivalence of the K-frame verdict with range inclusion, decided by
     two disjoint routes (rank test versus Loewner doubling), plus tightness
     of the optimal lower bound when it exists. Runs on any frame, not only
     on Parseval K-frames."""
-    space, k, frame = trial.instance
-    rng = trial.rng("l3")
-    b = weighted_synthesis(frame)
-    included = range_inclusion(k.op, b).included
-    a_opt = k_lower_bound(frame, k)
-    agree = included == (a_opt is not None) == loewner_inclusion_exists(k.op, b)
-    checks: List[Check] = [("inclusion-agreement", 0.0 if agree else 1.0)]
-    if a_opt is not None and np.isfinite(a_opt):
-        s_mat = b @ b.conj().T
-        for _ in range(5):
-            f = complex_normal(rng, frame.dim)
-            lhs = a_opt * float(np.vdot(k.adjoint @ f, k.adjoint @ f).real)
-            rhs = float(np.vdot(f, s_mat @ f).real)
-            checks.append(("lower-bound-holds", max(0.0, lhs - rhs) / (1.0 + rhs)))
-        # Extremal probe: the lower bound must be unimprovable by 0.1 percent.
-        theta = pinv(b) @ k.op
-        top_left = np.linalg.svd(theta)[0][:, 0]
-        f_star = pinv(b).conj().T @ top_left
-        kf = k.adjoint @ f_star
-        if float(np.vdot(kf, kf).real) > 0:
-            lhs = a_opt * 1.001 * float(np.vdot(kf, kf).real)
-            rhs = float(np.vdot(f_star, s_mat @ f_star).real)
-            checks.append(("optimality-tight", 0.0 if lhs > rhs else 1.0))
-    return checks
+    _, ks, frames = chunk.instance
+    b = weighted_synthesis(frames)
+    inc = range_inclusions(ks.op, b)
+    # The optimal lower bound from the one inclusion test, as k_lower_bound derives it.
+    a_opt = [lower_bound_from_scale(*pair) for pair in zip(inc.included.tolist(), inc.lambda_star.tolist())]
+    loewner = loewner_inclusion_exists(ks.op, b)
+    out = [
+        [("inclusion-agreement", 0.0 if included == (a is not None) == route else 1.0)]
+        for included, a, route in zip(inc.included.tolist(), a_opt, loewner.tolist())
+    ]
+    bounded = np.array([a is not None and np.isfinite(a) for a in a_opt])
+    if not bounded.any():
+        return out
+    idx, positions = _where(bounded), np.flatnonzero(bounded)
+    a = np.array([a_opt[j] for j in positions])
+    b = weighted_synthesis(frames.subset(idx))
+    s_mat = b @ b.conj().swapaxes(-1, -2)
+    k_adjoint = _take(ks.adjoint, idx)
+    f = stacked([complex_normals(rng, 5, frames.dim) for rng in chunk.rngs("l3", idx)])
+    kf = (k_adjoint[:, None] @ f[..., None])[..., 0]
+    lhs = a[:, None] * vdots(kf, kf).real
+    rhs = vdots(f, (s_mat[:, None] @ f[..., None])[..., 0]).real
+    for j, row in zip(positions, (_positive_part(lhs - rhs) / (1.0 + rhs)).tolist()):
+        out[j] += [("lower-bound-holds", value) for value in row]
+    # Extremal probe: the lower bound must be unimprovable by 0.1 percent.
+    # Only the top left singular vector of theta is read, so its thin SVD suffices.
+    t_pinv = _take(inc.t_pinv, idx)
+    top_left = np.linalg.svd(_take(inc.factor, idx), full_matrices=False)[0][..., :, 0]
+    f_star = (t_pinv.conj().swapaxes(-1, -2) @ top_left[..., None])[..., 0]
+    kf = (k_adjoint @ f_star[..., None])[..., 0]
+    kf_sq = vdots(kf, kf).real
+    sub = np.flatnonzero(kf_sq > 0)
+    if sub.size:
+        lhs = a[sub] * 1.001 * kf_sq[sub]
+        rhs = vdots(f_star[sub], (s_mat[sub] @ f_star[sub, :, None])[..., 0]).real
+        for j, tight in zip(positions[sub], (lhs > rhs).tolist()):
+            out[j].append(("optimality-tight", 0.0 if tight else 1.0))
+    return out
 
 
-def _prop_l4(trial: _Trial) -> List[Check]:
+def _prop_l4(chunk: _Chunk) -> List[List[Check]]:
     """Canonical dual reproduces K through the frame, and is Parseval on the
     range of the adjoint operator."""
-    pk = trial.parseval
-    duality = op_norm(synthesis(pk.frame) @ analysis(pk.dual) - pk.k.op) / (1.0 + pk.k.norm)
-    probes = pk.corange_parseval_residuals(trial.rng("l4"), 5)
-    return [("duality", duality)] + [("corange-parseval", r) for r in probes]
+    pk = chunk.parseval
+    duality = pk.duality_residuals(pk.duals) / (1.0 + pk.k.norm)
+    probes = pk.corange_parseval_residuals(chunk.rngs("l4"), 5)
+    return check_rows(["duality"] + ["corange-parseval"] * 5, [duality] + list(probes.T))
 
 
-def _prop_l5(trial: _Trial) -> List[Check]:
+def _prop_l5(chunk: _Chunk) -> List[List[Check]]:
     """Round trip between kernel fields and duals: building a dual from a
     kernel field and extracting its residual field recovers the field."""
-    pk = trial.parseval
-    space = pk.frame.space
-    phi = pk.sample_kernel_field(trial.rng("l5"), pk.dual_norm)
-    recovered = pk.residual_field(pk.build_dual(phi))
+    pk = chunk.parseval
+    space = pk.space
+    phi = pk.sample_kernel_fields(chunk.rngs("l5"))
+    recovered = pk.residual_fields(pk.build_duals(phi))
     phi_norm = field_norm(space, phi)
-    return [
-        ("field-roundtrip", field_norm(space, recovered.phi - phi) / (1.0 + phi_norm)),
-        (
-            "synthesis-annihilates",
-            op_norm(synthesis(pk.frame) @ recovered.phi)
-            / (1.0 + analysis_norm(pk.frame) * phi_norm),
-        ),
-    ]
+    return check_rows(
+        ["field-roundtrip", "synthesis-annihilates"],
+        [
+            field_norm(space, recovered - phi) / (1.0 + phi_norm),
+            op_norm(synthesis(pk.frames) @ recovered) / (1.0 + pk.frame_norms * phi_norm),
+        ],
+    )
 
 
-def _prop_l6(trial: _Trial) -> List[Check]:
+def _prop_l6(chunk: _Chunk) -> List[List[Check]]:
     """Minimality of the canonical dual's analysis norm among sampled duals,
     with the pointwise squared-norm split as the reason."""
-    return trial.parseval.minimality_residuals(trial.rng("l6"), probes=20)
+    return chunk.parseval.minimality_residuals(chunk.rngs("l6"), probes=20)
 
 
-def _prop_canonical_char(trial: _Trial) -> List[Check]:
+def _prop_canonical_char(chunk: _Chunk) -> List[List[Check]]:
     """Gram identity characterizes the canonical dual: it passes against
     sampled partners, while any sampled perturbation fails with the canonical
     dual itself as witness."""
-    pk = trial.parseval
-    ok_forward = pk.characterizes(pk.dual, trials=8, seed=trial.sub_seed("canonical-char", 1))
-    checks: List[Check] = [("canonical-passes", 0.0 if ok_forward else 1.0)]
-    phi = pk.sample_kernel_field(trial.rng("canonical-char"), pk.dual_norm)
-    if field_norm(pk.frame.space, phi) > 0:
-        ok_perturbed = pk.characterizes(
-            pk.build_dual(phi), trials=1, seed=trial.sub_seed("canonical-char", 2)
-        )
-        checks.append(("perturbed-fails", 0.0 if not ok_perturbed else 1.0))
-    return checks
+    pk = chunk.parseval
+    ok_forward = pk.characterizes(pk.duals, trials=8, seeds=chunk.sub_seeds("canonical-char", 1))
+    out = [[("canonical-passes", 0.0 if ok else 1.0)] for ok in ok_forward.tolist()]
+    phi = pk.sample_kernel_fields(chunk.rngs("canonical-char"))
+    nonzero = field_norm(pk.space, phi) > 0
+    if nonzero.any():
+        idx = _where(nonzero)
+        perturbed = pk.build_duals(_take(phi, idx), idx)
+        ok_perturbed = pk.characterizes(perturbed, trials=1, seeds=chunk.sub_seeds("canonical-char", 2, idx), idx=idx)
+        for j, ok in zip(np.flatnonzero(nonzero), ok_perturbed.tolist()):
+            out[j].append(("perturbed-fails", 0.0 if not ok else 1.0))
+    return out
 
 
-def _prop_t1(trial: _Trial) -> List[Check]:
+def _prop_t1(chunk: _Chunk) -> List[List[Check]]:
     """Uniqueness dichotomy: full-rank analysis forces independently built
     duals to coincide, otherwise a verified distinct dual exists."""
-    pk = trial.parseval
-    space, k, frame, dual = pk.frame.space, pk.k, pk.frame, pk.dual
-    checks: List[Check] = []
-    if pk.is_unique():
+    pk = chunk.parseval
+    space, k = pk.space, pk.k
+    out: List[List[Check]] = [[] for _ in chunk.indices]
+    unique = pk.is_unique()
+    if unique.any():
+        idx = _where(unique)
         # Independent construction: minimal-norm solve against the weighted
         # synthesis matrix instead of applying pinv(K) to the samples.
-        x_weighted = pinv(weighted_synthesis(frame)) @ k.op
-        g2 = SampledFrame(space, np.conj(x_weighted / space.sqrt_weights[:, None]))
-        rep = is_dual_k_bessel(g2, frame, k)
-        checks.append(("minnorm-dual", rep.duality_residual / (1.0 + k.norm)))
-        gap = float(np.max(np.linalg.norm(g2.samples - dual.samples, axis=1)))
-        scale = 1.0 + float(np.max(np.linalg.norm(dual.samples, axis=1)))
-        checks.append(("constructions-agree", gap / scale))
-    else:
-        q = pk.alternative_dual(seed=trial.sub_seed("t1", 1))
-        rep = is_dual_k_bessel(q, frame, k)
-        checks.append(("alternative-dual", rep.duality_residual / (1.0 + k.norm)))
-        gap = float(np.max(np.linalg.norm(q.samples - dual.samples, axis=1)))
-        checks.append(("alternative-differs", 0.0 if gap > 1e-6 else 1.0))
-    return checks
+        x_weighted = pinvs(weighted_synthesis(pk.frames.subset(idx))) @ _take(k.op, idx)
+        g2 = FrameStack(space, np.conj(x_weighted / space.sqrt_weights[:, None]))
+        dual = _take(pk.duals.samples, idx)
+        residual = pk.duality_residuals(g2, idx) / (1.0 + _take(k.norm, idx))
+        gap = _max_row_norm(g2.samples - dual) / (1.0 + _max_row_norm(dual))
+        for j, r, g in zip(np.flatnonzero(unique), residual.tolist(), gap.tolist()):
+            out[j] += [("minnorm-dual", r), ("constructions-agree", g)]
+    if not unique.all():
+        idx = _where(~unique)
+        q, residual = pk.alternative_duals(chunk.sub_seeds("t1", 1, idx), idx)
+        gap = _max_row_norm(q.samples - _take(pk.duals.samples, idx))
+        residual = residual / (1.0 + _take(k.norm, idx))
+        for j, r, g in zip(np.flatnonzero(~unique), residual.tolist(), gap.tolist()):
+            out[j] += [("alternative-dual", r), ("alternative-differs", 0.0 if g > 1e-6 else 1.0)]
+    return out
 
 
-def _prop_t2(trial: _Trial) -> List[Check]:
+def _prop_t2(chunk: _Chunk) -> List[List[Check]]:
     """Independence transfers between the frame and its canonical dual; when
     independent, the frame is the push-forward of its dual through K."""
-    frame_indep, dual_indep, gap = trial.parseval.independence_transfer()
-    checks: List[Check] = [("independence-agreement", 0.0 if frame_indep == dual_indep else 1.0)]
-    if gap is not None:
-        checks.append(("pushforward-identity", gap))
-    return checks
+    frame_indep, dual_indep, gaps = chunk.parseval.independence_transfer()
+    out = []
+    for fi, di, gap in zip(frame_indep.tolist(), dual_indep.tolist(), gaps.tolist()):
+        checks: List[Check] = [("independence-agreement", 0.0 if fi == di else 1.0)]
+        if fi:
+            checks.append(("pushforward-identity", gap))
+        out.append(checks)
+    return out
 
 
-def _prop_t4(trial: _Trial) -> List[Check]:
+def _prop_t4(chunk: _Chunk) -> List[List[Check]]:
     """Coefficient norm split: total equals residual plus canonical, because
     the residual is orthogonal to the canonical coefficients."""
-    pk = trial.parseval
-    space = pk.frame.space
-    f = complex_normal(trial.rng("t4"), pk.frame.dim)
-    canonical_values = analysis(pk.dual) @ f
-    checks: List[Check] = []
-    for c in pk.coefficient_family(f, count=10, seed=trial.sub_seed("t4", 1)):
-        total, residual, canonical = pk.norm_split(f, c)
-        checks.append(("norm-split", abs(total - residual - canonical) / (1.0 + total)))
-        cross = np.sum(space.weights * (c.values - canonical_values) * np.conj(canonical_values))
-        checks.append(("cross-term", abs(complex(cross)) / (1.0 + total)))
-    return checks
+    pk = chunk.parseval
+    weights = pk.space.weights
+    f = stacked([complex_normal(rng, pk.frames.dim) for rng in chunk.rngs("t4")])
+    canonical_values = pk.canonical_values(f)[:, None]
+    families = pk.coefficient_families(f, count=10, seeds=chunk.sub_seeds("t4", 1))
+    total, residual, canonical = pk.norm_splits(f, families)
+    cross = np.sum(weights * (families - canonical_values) * np.conj(canonical_values), axis=-1)
+    cross = np.array([[abs(z) for z in row] for row in cross.tolist()])
+    # Per family, the norm split and then the cross term.
+    columns = np.stack([abs(total - residual - canonical), cross], axis=-1) / (1.0 + total)[..., None]
+    return check_rows(["norm-split", "cross-term"] * 10, list(columns.reshape(len(f), -1).T))
 
 
-def _prop_complement(trial: _Trial) -> List[Check]:
+def _prop_complement(chunk: _Chunk) -> List[List[Check]]:
     """Canonical dual is Parseval on the orthogonal complement of N(K)."""
-    pk = trial.parseval
-    ok = pk.complement_parseval_holds(trials=5, seed=trial.sub_seed("complement-parseval", 1))
-    (probe,) = pk.corange_parseval_residuals(trial.rng("complement-parseval"), 1)
-    return [("complement-parseval", 0.0 if ok else 1.0), ("probe-residual", probe)]
+    pk = chunk.parseval
+    ok = pk.complement_parseval_holds(trials=5, seeds=chunk.sub_seeds("complement-parseval", 1))
+    probe = pk.corange_parseval_residuals(chunk.rngs("complement-parseval"), 1)[:, 0]
+    return check_rows(["complement-parseval", "probe-residual"], [np.where(ok, 0.0, 1.0), probe])
 
 
-def _prop_kdaggerk(trial: _Trial) -> List[Check]:
+def _prop_kdaggerk(chunk: _Chunk) -> List[List[Check]]:
     """Frame operator identities for the canonical dual and its push-forward
     through K."""
-    return trial.parseval.kdaggerk_residuals()
+    return chunk.parseval.kdaggerk_residuals()
 
 
 _PROPERTY_FUNCS = {
@@ -422,14 +494,26 @@ _PROPERTY_FUNCS = {
 }
 
 
+def _run_chunk(chunk: _Chunk, props: Sequence[str]) -> List[List[List[Check]]]:
+    results = []
+    for pid in props:
+        try:
+            results.append(_PROPERTY_FUNCS[pid](chunk))
+        except (HypothesisError, InfeasibleError) as exc:
+            raise ScenarioError(f"property {pid} cannot run on this scenario: {exc}")
+    return results
+
+
 def run_suite(scenario: Scenario, properties: Optional[Iterable[str]] = None) -> SuiteReport:
     """Run the selected property suites over the scenario's seeded trials.
 
-    Trials run in order; within a trial, the selected properties run in
-    order on one shared instance. Output is a pure function of (scenario,
-    properties): residuals agree to the last bit between repeated runs in
-    one floating point environment, and verdicts agree regardless. Zero
-    trials pass vacuously.
+    Chunks of trials run in order; within a chunk, the selected properties
+    run in order on one shared stack of instances. Output is a pure
+    function of (scenario, properties), whatever the chunk size: residuals
+    agree to the last bit between repeated runs in one floating point
+    environment, and verdicts agree regardless. When a trial cannot run,
+    the error is the one a trial-by-trial run meets first. Zero trials
+    pass vacuously.
     """
     if properties is None:
         props = list(PROPERTY_IDS)
@@ -443,22 +527,30 @@ def run_suite(scenario: Scenario, properties: Optional[Iterable[str]] = None) ->
     start = time.perf_counter()
     # Per selected property: (worst residual, its check, its trial index).
     worst: List[Tuple[float, str, int]] = [(0.0, "", -1)] * len(props)
-    for i in range(scenario.trials):
-        trial = _Trial(scenario, scenario.trial_offset + i)
-        for j, pid in enumerate(props):
-            try:
-                checks = _PROPERTY_FUNCS[pid](trial)
-            except (HypothesisError, InfeasibleError) as exc:
-                raise ScenarioError(f"property {pid} cannot run on this scenario: {exc}")
-            for name, residual in checks:
-                # The first check always becomes the worst, a non-finite one is
-                # never replaced, and one replaces any finite worst: a NaN fails
-                # every comparison, so ">" alone would skip it and pass.
-                value, _, seen = worst[j]
-                if seen < 0 or (
-                    math.isfinite(value) and (residual > value or not math.isfinite(residual))
-                ):
-                    worst[j] = (residual, name, trial.index)
+    size = max(1, _CHUNK_BYTES // _trial_bytes(scenario))
+    for first in range(0, scenario.trials, size):
+        chunk = _Chunk(
+            scenario, range(scenario.trial_offset + first, scenario.trial_offset + min(first + size, scenario.trials))
+        )
+        try:
+            results = _run_chunk(chunk, props)
+        except Exception:
+            # Raise what the trial-major order meets first: run the chunk's
+            # trials one at a time, each with every property.
+            for index in chunk.indices:
+                _run_chunk(_Chunk(scenario, [index]), props)
+            raise
+        for j, per_trial in enumerate(results):
+            for index, checks in zip(chunk.indices, per_trial):
+                for name, residual in checks:
+                    # The first check always becomes the worst, a non-finite one is
+                    # never replaced, and one replaces any finite worst: a NaN fails
+                    # every comparison, so ">" alone would skip it and pass.
+                    value, _, seen = worst[j]
+                    if seen < 0 or (
+                        math.isfinite(value) and (residual > value or not math.isfinite(residual))
+                    ):
+                        worst[j] = (residual, name, index)
     records: List[PropertyRecord] = []
     for pid, (worst_residual, worst_check, worst_trial) in zip(props, worst):
         tolerance = scenario.tolerances.get(pid, DEFAULT_TOLERANCES[pid])

@@ -138,6 +138,23 @@ class TestVerifyCommand:
         assert "k_spec.values" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_k_just_below_the_gram_overflow_exits_two(self, tmp_path):
+        # K K* = diag(1e308, 1, 0) is finite, but the checks double it and
+        # form quadratic forms in it; validation must keep a headroom.
+        doc = {
+            "dim": 3,
+            "atoms": 7,
+            "weights": [0.5, 2.0, 1.0, 0.25, 3.0, 1.5, 0.75],
+            "k_spec": {"kind": "diagonal", "values": [1e154, 1, 0]},
+            "frame_spec": {"kind": "generate-parseval-k", "seed": 9},
+            "trials": 3,
+            "seed": 42,
+        }
+        result = run_cli("verify", "--config", write_scenario(tmp_path, doc))
+        assert result.returncode == 2
+        assert "k_spec.values" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_unknown_property_exits_two(self, tmp_path):
         path = write_scenario(tmp_path, generated_doc())
         result = run_cli("verify", "--config", path, "--properties", "bogus")

@@ -7,6 +7,7 @@ from kframelab import duality
 from kframelab.duality import (
     HypothesisError,
     ParsevalKFrame,
+    ParsevalKFrames,
     build_dual_from_phi,
     canonical_characterization,
     canonical_dual,
@@ -26,13 +27,16 @@ from kframelab.duality import (
 )
 from kframelab.fixtures import fixture_w1, fixture_w1_prime
 from kframelab.frames import (
+    FrameStack,
     InfeasibleError,
     KOperator,
+    KStack,
     SampledFrame,
     analysis,
     analysis_norm,
     frame_operator,
     frames_allclose,
+    parseval_k_samples,
     synthesis,
 )
 from kframelab.hilbert import op_norm
@@ -419,3 +423,66 @@ class TestDualCoefficientFamily:
             assert abs(kernel_part[0] + kernel_part[1]) <= 1e-12 * (
                 1.0 + np.abs(kernel_part).max()
             )
+
+
+class TestParsevalKFramesStack:
+    """A stack whose members differ in rank, so that every routine splits
+    it into groups (kernel widths 0, 2, 3 and 2; unique and non-unique
+    duals), must give each member what the member gives alone."""
+
+    @pytest.fixture
+    def members(self):
+        space = MeasureSpace(np.array([0.5, 2.0, 1.0, 1.5, 0.75]))
+        rng = stream(77)
+        ops = []
+        for r in (5, 3, 2, 3):
+            a = complex_normal(rng, 5, r) @ complex_normal(rng, r, 5)
+            ops.append(a / op_norm(a))
+        ks = KStack(np.stack(ops))
+        samples = parseval_k_samples(ks, space, [stream(5, t) for t in range(4)])
+        stack = ParsevalKFrames(FrameStack(space, samples), ks)
+        singles = [ParsevalKFrame(SampledFrame(space, samples[t]), KOperator(ops[t])) for t in range(4)]
+        assert stack.kernel.widths.tolist() == [0, 2, 3, 2]
+        return stack, singles
+
+    def test_members_agree_with_their_single_runs(self, members):
+        stack, singles = members
+        seeds = [11, 12, 13, 14]
+        assert stack.is_unique().tolist() == [pk.is_unique() for pk in singles] == [True, False, False, False]
+        assert stack.minimality_residuals([stream(seed, 1) for seed in seeds]) == [
+            pk.minimality_residuals(stream(seed, 1)) for pk, seed in zip(singles, seeds)
+        ]
+        assert stack.kdaggerk_residuals() == [pk.kdaggerk_residuals() for pk in singles]
+        fields = stack.sample_kernel_fields([stream(seed, 2) for seed in seeds])
+        for t, pk in enumerate(singles):
+            assert np.array_equal(fields[t], pk.sample_kernel_field(stream(seeds[t], 2), pk.dual_norm))
+        assert stack.characterizes(stack.duals, 4, seeds).tolist() == [
+            pk.characterizes(pk.dual, 4, seed) for pk, seed in zip(singles, seeds)
+        ]
+        perturbed = stack.build_duals(fields)
+        assert stack.characterizes(perturbed, 2, seeds).tolist() == [
+            pk.characterizes(SampledFrame(pk.frame.space, perturbed.samples[t]), 2, seeds[t])
+            for t, pk in enumerate(singles)
+        ]
+        assert stack.complement_parseval_holds(3, seeds).tolist() == [
+            pk.complement_parseval_holds(3, seed) for pk, seed in zip(singles, seeds)
+        ]
+        # Members 1 and 2 out of the width groups {1, 3} and {2}.
+        idx = np.array([1, 2])
+        alternatives, _ = stack.alternative_duals(seeds[1:3], idx)
+        for j, t in enumerate(idx):
+            assert np.array_equal(alternatives.samples[j], singles[t].alternative_dual(seeds[t]).samples)
+        with pytest.raises(InfeasibleError):
+            stack.alternative_duals(seeds)
+        f = complex_normal(stream(3), 4, 5)
+        families = stack.coefficient_families(f, 4, seeds)
+        splits = np.stack(stack.norm_splits(f, families), axis=-1)
+        for t, pk in enumerate(singles):
+            single = pk.coefficient_family(f[t], 4, seeds[t])
+            assert np.array_equal(families[t], [c.values for c in single])
+            assert splits[t].tolist() == [list(pk.norm_split(f[t], c)) for c in single]
+        frame_indep, dual_indep, gaps = stack.independence_transfer()
+        for t, pk in enumerate(singles):
+            single = pk.independence_transfer()
+            assert (frame_indep[t], dual_indep[t]) == single[:2]
+            assert (single[2] is None) if not frame_indep[t] else gaps[t] == single[2]

@@ -13,10 +13,15 @@ from kframelab.hilbert import (
     loewner_leq,
     op_norm,
     pinv,
+    pinvs,
     range_inclusion,
+    range_inclusions,
     range_projector,
     rank,
+    ranks,
     svd,
+    vdots,
+    vector_norms,
 )
 from kframelab.rng import complex_normal, stream
 
@@ -262,3 +267,81 @@ def test_pinv_identities_hypothesis(singulars, seed):
     tol = 1e-10 * (1.0 + op_norm(a))
     assert op_norm(a @ a_pinv @ a - a) <= tol
     assert op_norm(a_pinv @ a @ a_pinv - a_pinv) <= tol * (1.0 + op_norm(a_pinv))
+
+
+class TestStackedLinalg:
+    """The suites stack trials and run numpy's stacked routines once per
+    chunk; witness replay stays exact only if every stacked call returns
+    what the per-matrix call returns, bit for bit. That depends on the
+    numpy and LAPACK/BLAS build, so it is asserted here, not assumed."""
+
+    SHAPES = [(7, 3), (4, 6), (3, 3), (6, 6)]
+
+    @staticmethod
+    def _stack(seed, *shape):
+        return complex_normal(stream(seed), 5, *shape)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_numpy_stacked_routines_equal_per_matrix_calls(self, shape):
+        rows, cols = shape
+        a = self._stack(1, rows, cols)
+        b = self._stack(2, cols, rows)
+        x = self._stack(3, cols)
+        y = self._stack(4, cols)
+        v = self._stack(7, rows)
+        hermitian = a[:, :, :rows] @ a[:, :, :rows].conj().swapaxes(-1, -2) if rows <= cols else None
+        ops = {
+            "svd": (lambda m: np.linalg.svd(m, full_matrices=False), a),
+            "svd(full_matrices=True)": (lambda m: np.linalg.svd(m), a),
+            "svd(compute_uv=False)": (lambda m: np.linalg.svd(m, compute_uv=False), a),
+            "qr": (lambda m: np.linalg.qr(m)[0], a),
+        }
+        if hermitian is not None:
+            ops["eigvalsh"] = (np.linalg.eigvalsh, hermitian)
+        mismatched = []
+        for name, (fn, arg) in ops.items():
+            stacked = fn(arg)
+            stacked = stacked if isinstance(stacked, tuple) else (stacked,)
+            for t in range(len(arg)):
+                single = fn(arg[t].copy())
+                single = single if isinstance(single, tuple) else (single,)
+                if not all(np.array_equal(s_[t], o) for s_, o in zip(stacked, single)):
+                    mismatched.append(name)
+                    break
+        products = {
+            "matmul": (a @ b, [a[t] @ b[t] for t in range(5)]),
+            "matmul with a transposed operand": (
+                a @ a.conj().swapaxes(-1, -2),
+                [a[t] @ a[t].conj().T for t in range(5)],
+            ),
+            "matvec": ((a @ x[..., None])[..., 0], [a[t] @ x[t] for t in range(5)]),
+            "vecmat": ((v[:, None, :] @ a)[:, 0], [v[t] @ a[t] for t in range(5)]),
+            "vdot as matmul": (vdots(x, y), [np.vdot(x[t], y[t]) for t in range(5)]),
+            "norm as matmul": (vector_norms(x), [np.linalg.norm(x[t]) for t in range(5)]),
+        }
+        for name, (stacked, single) in products.items():
+            if not all(np.array_equal(stacked[t], single[t]) for t in range(5)):
+                mismatched.append(name)
+        assert not mismatched, (
+            f"stacked {', '.join(mismatched)} differ from per-matrix calls on this numpy/LAPACK "
+            "build, so chunked runs and one-trial witness replays would not agree bit for bit"
+        )
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_stacked_helpers_equal_their_per_matrix_forms(self, shape):
+        rows, cols = shape
+        a = self._stack(5, rows, cols)
+        a[1] = 0.0
+        a[2, :, 0] = a[2, :, 1]  # rank-deficient member
+        s = self._stack(6, rows, 2)
+        s[3] = a[3][:, :2]  # included member
+        p = pinvs(a)
+        inc = range_inclusions(s, a)
+        for t in range(5):
+            assert np.array_equal(p[t], pinv(a[t]))
+            assert op_norm(a)[t] == op_norm(a[t])
+            assert ranks(a)[t] == rank(a[t])
+            single = range_inclusion(s[t], a[t])
+            assert bool(inc.included[t]) == single.included
+            if single.included:
+                assert inc.lambda_star[t] == single.lambda_star

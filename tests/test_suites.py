@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kframelab import frames, suites
+from kframelab import duality, frames, suites
 from kframelab.fixtures import fixture_scenario
 from kframelab.report import emit_report, report_to_dict
 from kframelab.rng import complex_normal, stream
@@ -151,9 +151,12 @@ class TestNonFiniteResiduals:
         """The README scenario, with a NaN check appended to l4 at trial 3."""
         original = suites._PROPERTY_FUNCS["l4"]
 
-        def with_nan(trial):
-            checks = original(trial)
-            return checks + [("nan", math.nan)] if trial.index == 3 else checks
+        def with_nan(chunk):
+            per_trial = original(chunk)
+            return [
+                checks + [("nan", math.nan)] if index == 3 else checks
+                for index, checks in zip(chunk.indices, per_trial)
+            ]
 
         monkeypatch.setitem(suites._PROPERTY_FUNCS, "l4", with_nan)
         return scenario_from_dict(generated_doc())
@@ -261,17 +264,19 @@ class TestSharedInstance:
             assert solo.witness == rec.witness, rec.prop_id
 
     def test_instance_is_built_once_per_trial(self, monkeypatch):
+        # The builders take a chunk's trial indices; each trial must be
+        # among them exactly once.
         counts = Counter()
 
-        def counted(name, fn):
+        def counted(name, fn, trials_at=None):
             def wrapper(*args, **kwargs):
-                counts[name] += 1
+                counts[name] += 1 if trials_at is None else len(args[trials_at])
                 return fn(*args, **kwargs)
 
             return wrapper
 
-        monkeypatch.setattr(suites, "build_k", counted("build_k", suites.build_k))
-        monkeypatch.setattr(suites, "build_frame", counted("build_frame", suites.build_frame))
+        monkeypatch.setattr(suites, "build_ks", counted("build_k", suites.build_ks, 1))
+        monkeypatch.setattr(suites, "build_frames", counted("build_frame", suites.build_frames, 3))
         classify = frames.classify
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "kframelab" and getattr(module, "classify", None) is classify:
@@ -280,3 +285,98 @@ class TestSharedInstance:
         report = run_suite(scenario_from_dict(generated_doc(trials=trials)))
         assert len(report.properties) == 12
         assert counts == {"build_k": trials, "build_frame": trials}
+
+
+def _tight(doc):
+    """Every tolerance at 1e-300, so every property with a nonzero residual fails with a witness."""
+    return dict(doc, tolerances={pid: 1e-300 for pid in PROPERTY_IDS})
+
+
+def _set_chunk_trials(monkeypatch, scenario, trials):
+    monkeypatch.setattr(suites, "_CHUNK_BYTES", trials * suites._trial_bytes(scenario))
+
+
+class TestChunkedTrials:
+    def test_report_does_not_depend_on_the_chunk_size(self, monkeypatch):
+        sc = scenario_from_dict(_tight(generated_doc(trials=7)))
+        default = strip_timing(report_to_dict(run_suite(sc)))
+        # Properties with only 0/1 checks still pass at 1e-300; the rest
+        # fail with witnesses.
+        assert sum("witness" in p for p in default["properties"]) >= 8
+        for trials in (1, 3):
+            _set_chunk_trials(monkeypatch, sc, trials)
+            assert strip_timing(report_to_dict(run_suite(sc))) == default, trials
+
+    def test_witness_on_the_last_trial_of_a_chunk_replays(self, monkeypatch):
+        sc = scenario_from_dict(_tight(generated_doc(trials=6, trial_offset=5)))
+        replayed = 0
+        for rec in run_suite(sc).properties:
+            if rec.witness is None:
+                continue
+            # Cut the chunks so that the witness trial closes the first one.
+            last = rec.witness["trial_index"]
+            _set_chunk_trials(monkeypatch, sc, last - sc.trial_offset + 1)
+            (chunked,) = run_suite(sc, [rec.prop_id]).properties
+            assert chunked.witness == rec.witness, rec.prop_id
+            (replay,) = run_suite(scenario_from_dict(rec.witness["scenario"]), [rec.prop_id]).properties
+            assert replay.max_residual == rec.max_residual, rec.prop_id
+            assert replay.worst_check == rec.worst_check, rec.prop_id
+            replayed += last > sc.trial_offset
+        # At least some witnesses sit past the first trial, so a chunk of
+        # several trials really ended on them.
+        assert replayed > 0
+
+    def test_stacked_work_does_not_grow_with_the_trials(self, monkeypatch):
+        calls = Counter()
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls["svd"] += 1
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        counts = []
+        for trials in (4, 20):
+            calls.clear()
+            report = run_suite(scenario_from_dict(generated_doc(trials=trials)), ["l4", "kdaggerk"])
+            assert report.all_passed
+            counts.append(calls["svd"])
+        assert counts[0] == counts[1]
+
+    def test_first_error_of_the_trial_major_order_is_raised(self, monkeypatch):
+        # Non-Parseval frames: l1 to l3 run on every trial, then l4 raises on
+        # the first trial; the error names l4 whatever the chunking.
+        sc = scenario_from_dict(generated_doc(frame_spec={"kind": "random-bessel", "seed": 3}))
+        with pytest.raises(ScenarioError, match="property l4 cannot run.*Parseval"):
+            run_suite(sc, ["l1", "l3", "l4", "l1"])
+        # l4 fails on trial 2 and l5 on trial 1: a stacked l4 meets its
+        # failure first, but trial by trial l5 fails on trial 1 before l4
+        # reaches trial 2.
+        for pid, bad in (("l4", 2), ("l5", 1)):
+            original = suites._PROPERTY_FUNCS[pid]
+
+            def failing(chunk, original=original, bad=bad, pid=pid):
+                if bad in chunk.indices:
+                    raise duality.HypothesisError(f"{pid} fails on trial {bad}")
+                return original(chunk)
+
+            monkeypatch.setitem(suites._PROPERTY_FUNCS, pid, failing)
+        with pytest.raises(ScenarioError, match="property l5 cannot run.*trial 1"):
+            run_suite(scenario_from_dict(generated_doc()), ["l4", "l5"])
+
+
+@pytest.mark.parametrize(
+    "exponent", [float(e) for e in range(100, 161)] + [152.5, 153.25, 153.5, 153.75, 153.9]
+)
+def test_large_diagonal_k_is_verified_or_rejected(exponent):
+    # K = diag(x, 1, 0) over the README frame: every x is either rejected at
+    # validation or verified to the end without a warning (warnings are
+    # errors here), never a crash.
+    doc = generated_doc(k_spec={"kind": "diagonal", "values": [10.0**exponent, 1.0, 0.0]}, trials=2)
+    try:
+        sc = scenario_from_dict(doc)
+    except ScenarioError as exc:
+        assert exc.field_path == "k_spec.values"
+        assert exponent > 152
+        return
+    assert run_suite(sc).all_passed
