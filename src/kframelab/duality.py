@@ -11,9 +11,10 @@ stack is built, and fails loudly: the statements being verified are
 false without it, and returning numbers anyway would fake the
 verification. The routines are methods of that stack and run on all its
 members at once through stacked linear algebra; branches run on the
-members that take them. :class:`ParsevalKFrame` is the stack of one for
-a single instance, and each public ``(frame, k, ...)`` function builds
-it and delegates. The boolean checks pass when every residual the suites
+members that take them. The stack serves the suite runner and is left
+out of ``__all__``; :class:`ParsevalKFrame` is the stack of one for a
+single instance, and each public ``(frame, k, ...)`` function builds it
+and delegates. The boolean checks pass when every residual the suites
 report is within the tolerance.
 """
 
@@ -52,7 +53,6 @@ from .rng import complex_normal, complex_normals, stacked, stream
 __all__ = [
     "HypothesisError",
     "ParsevalKFrame",
-    "ParsevalKFrames",
     "DualityReport",
     "ResidualOperator",
     "IndependenceTransfer",
@@ -137,6 +137,12 @@ def _duality_residual(f, g, k_op: np.ndarray):
     return op_norm(synthesis(f) @ analysis(g) - k_op)
 
 
+def _is_dual(residual, k_norm, tol: float):
+    """The duality verdict on a residual of :func:`_duality_residual`
+    (per member for stacks); a NaN residual fails."""
+    return residual <= tol * (1.0 + k_norm)
+
+
 @dataclass(frozen=True)
 class DualityReport:
     """Outcome of a duality test: G is dual when composing the synthesis of
@@ -158,7 +164,7 @@ def is_dual_k_bessel(
     residual = _duality_residual(f, g, k.op)
     norm_g = analysis_norm(g)
     return DualityReport(
-        is_dual=residual <= tol * (1.0 + k.norm),
+        is_dual=_is_dual(residual, k.norm, tol),
         duality_residual=residual,
         bessel_bound_of_g=norm_g**2,
         analysis_norm_of_g=norm_g,
@@ -359,7 +365,7 @@ class ParsevalKFrames:
     def require_duals(self, g: FrameStack, idx: Optional[np.ndarray] = None) -> np.ndarray:
         """Duality residuals of G; raises unless every G is a dual K-Bessel family."""
         residual = self.duality_residuals(g, idx)
-        failed = _first(~(residual <= self.tol * (1.0 + _take(self.k.norm, idx))))
+        failed = _first(~_is_dual(residual, _take(self.k.norm, idx), self.tol))
         if failed is not None:
             raise HypothesisError(
                 f"G is not a dual K-Bessel family (residual {residual[failed]:.3e})"
@@ -471,7 +477,7 @@ class ParsevalKFrames:
         dual = self.duals.subset(idx)
         q = FrameStack(space, dual.samples + np.conj(alpha)[:, :, None] * h[:, None, :])
         residual = self.duality_residuals(q, idx)
-        is_dual = residual <= self.tol * (1.0 + _take(self.k.norm, idx))
+        is_dual = _is_dual(residual, _take(self.k.norm, idx), self.tol)
         if not is_dual.all() or frames_allclose(q, dual, self.tol).any():
             raise ArithmeticError("alternative dual construction violated its guarantee")
         return q, residual

@@ -11,7 +11,8 @@ maps in or out of the coefficient space must use these.
 The maps, norms and checks below also take a :class:`FrameStack` and a
 :class:`KStack`, stacks of fields on one space and of operators, and
 then return one result per member; the per-instance types are stacks of
-one for the same code.
+one for the same code. The stacked types and builders serve the suite
+runner and are left out of ``__all__``.
 """
 
 import math
@@ -40,9 +41,7 @@ from .rng import complex_normal, stacked, stream
 __all__ = [
     "InfeasibleError",
     "SampledFrame",
-    "FrameStack",
     "KOperator",
-    "KStack",
     "FrameBounds",
     "FrameVerdict",
     "FrameClassification",
@@ -61,8 +60,6 @@ __all__ = [
     "frames_allclose",
     "generate_parseval_k_frame",
     "generate_random_bessel",
-    "parseval_k_samples",
-    "random_bessel_samples",
 ]
 
 

@@ -5,12 +5,13 @@ Every spectral routine shares one notion of numerical rank: a singular
 value counts only if it exceeds ``RANK_EPS * smax * max(rows, cols)``.
 Comparisons are relative, scaled by the largest norm among the operands.
 
-The stacked routines (``op_norm``, ``ranks``, ``pinvs``,
-``range_inclusions``, ``vdots``, ``vector_norms``) take operators
-``(..., rows, cols)`` or vectors ``(..., n)`` stacked along leading axes
-and work matrix by matrix through numpy's stacked routines, whose
-results equal the per-matrix calls bit for bit on the builds where
-``tests/test_hilbert.py`` passes; the suites run their trials this way.
+``op_norm`` and the stacked routines that serve the suite runner
+(``ranks``, ``pinvs``, ``range_inclusions``, ``vdots``, ``vector_norms``;
+internal, left out of ``__all__``) take operators ``(..., rows, cols)``
+or vectors ``(..., n)`` stacked along leading axes and work matrix by
+matrix through numpy's stacked routines, whose results equal the
+per-matrix calls bit for bit on the builds where ``tests/test_hilbert.py``
+passes; the per-matrix routines are stacks of one over the same code.
 """
 
 from dataclasses import dataclass
@@ -24,23 +25,17 @@ __all__ = [
     "RangeInclusionError",
     "SvdFactorization",
     "RangeInclusion",
-    "RangeInclusions",
     "as_operator",
     "as_vector",
-    "vdots",
-    "vector_norms",
     "adjoint",
     "svd",
     "rank",
-    "ranks",
     "pinv",
-    "pinvs",
     "op_norm",
     "range_projector",
     "corange_projector",
     "loewner_leq",
     "range_inclusion",
-    "range_inclusions",
     "douglas_factor",
 ]
 
@@ -172,9 +167,9 @@ def _groups(keys: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
 
 
 def _pinv_of_rank(u: np.ndarray, s: np.ndarray, vh: np.ndarray, r: int) -> np.ndarray:
-    """Pseudo-inverse of an operator, or of a stack of operators, of rank
-    r > 0 from its thin SVD factors, with the truncated factors laid out as
-    :func:`svd` lays them out, so a stacked product is the per-matrix one."""
+    """Pseudo-inverses of a stack of operators of rank r > 0 from their thin
+    SVD factors, with the truncated factors laid out as :func:`svd` lays
+    them out, so a stacked product is the per-matrix one."""
     right = np.ascontiguousarray(vh[..., :r, :].conj().swapaxes(-1, -2))
     return (right / s[..., None, :r]) @ u[..., :r].conj().swapaxes(-1, -2)
 
@@ -199,13 +194,9 @@ def pinvs(a, rank_tol: float = RANK_EPS) -> np.ndarray:
 
 
 def pinv(a, rank_tol: float = RANK_EPS) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse via the truncated SVD."""
-    arr = as_operator(a)
-    u, s, vh = np.linalg.svd(arr, full_matrices=False)
-    r = _cut_ranks(s, arr.shape, rank_tol)
-    if r == 0:
-        return np.zeros((arr.shape[1], arr.shape[0]), dtype=np.complex128)
-    return _pinv_of_rank(u, s, vh, r)
+    """Moore-Penrose pseudo-inverse via the truncated SVD, as a stack of one
+    for :func:`pinvs`."""
+    return pinvs(as_operator(a)[None], rank_tol)[0]
 
 
 def op_norm(a):

@@ -23,7 +23,6 @@ __all__ = [
     "l2_norm_sq",
     "weighted_norm_sq",
     "bochner_integrate",
-    "weighted_sums",
 ]
 
 

@@ -9,7 +9,7 @@ per (seed, trial index) pair and may therefore run in any order.
 
 import numpy as np
 
-__all__ = ["stream", "derive_seed", "complex_normal", "complex_normals"]
+__all__ = ["stream", "derive_seed", "complex_normal"]
 
 
 def stream(seed: int, *indices: int) -> np.random.Generator:

@@ -30,9 +30,7 @@ __all__ = [
     "load_scenario",
     "build_space",
     "build_k",
-    "build_ks",
     "build_frame",
-    "build_frames",
 ]
 
 K_KINDS = ("identity", "diagonal", "random-rank", "explicit")
@@ -284,8 +282,8 @@ def _complex_list(values) -> np.ndarray:
     return np.array([complex(re, im) for re, im in values], dtype=np.complex128)
 
 
-def build_ks(scenario: Scenario, trials: Sequence[int]) -> KStack:
-    """Realize the operators of the given trials as one stack; random kinds
+def _k_ops(scenario: Scenario, trials: Sequence[int]) -> np.ndarray:
+    """The operator matrices (n, d, d) of the given trials; random kinds
     vary with the trial, each drawing from its own stream."""
     spec = scenario.k_spec
     kind = spec["kind"]
@@ -296,7 +294,7 @@ def build_ks(scenario: Scenario, trials: Sequence[int]) -> KStack:
             op = np.diag(_complex_list(spec["values"]))
         else:
             op = np.array([_complex_list(row) for row in spec["matrix"]])
-        return KStack(np.broadcast_to(op, (len(trials),) + op.shape))
+        return np.broadcast_to(op, (len(trials),) + op.shape)
     # random-rank: isometries from QR factors, singular values in [0.5, 2]
     # keep the operator well conditioned on its support.
     d, r = scenario.dim, spec["rank"]
@@ -308,12 +306,17 @@ def build_ks(scenario: Scenario, trials: Sequence[int]) -> KStack:
         singulars.append(np.sort(rng.uniform(0.5, 2.0, r))[::-1])
     q1, _ = np.linalg.qr(stacked(g1))
     q2, _ = np.linalg.qr(stacked(g2))
-    return KStack((q1 * stacked(singulars)[:, None, :]) @ q2.conj().swapaxes(-1, -2))
+    return (q1 * stacked(singulars)[:, None, :]) @ q2.conj().swapaxes(-1, -2)
+
+
+def build_ks(scenario: Scenario, trials: Sequence[int]) -> KStack:
+    """Realize the operators of the given trials as one stack."""
+    return KStack(_k_ops(scenario, trials))
 
 
 def build_k(scenario: Scenario, trial: int) -> KOperator:
     """Realize the operator for one trial; see :func:`build_ks`."""
-    return KOperator(build_ks(scenario, [trial]).op[0])
+    return KOperator(_k_ops(scenario, [trial])[0])
 
 
 def build_frames(scenario: Scenario, space: MeasureSpace, ks: KStack, trials: Sequence[int]) -> FrameStack:
