@@ -413,8 +413,11 @@ class ParsevalKFrames:
         True exactly when G is the canonical dual (up to tolerance): the
         first sampled partner is the canonical dual itself, which is the
         witness that breaks the identity for any other dual. A member
-        stops at its first broken identity; zero trials pass vacuously.
-        Partner t of member j draws from ``stream(seeds[j], t)``.
+        stops at its first broken identity, and after partner 0 when its
+        synthesis kernel is trivial: the canonical dual is then its only
+        dual, so every later partner would repeat partner 0's comparison.
+        Zero trials pass vacuously. Partner t of member j draws from
+        ``stream(seeds[j], t)``.
         """
         self.require_duals(g, idx)
         syn_g = synthesis(g)
@@ -427,12 +430,14 @@ class ParsevalKFrames:
             if t == 0:
                 partner = self.duals.subset(chosen)
             else:
-                # Members with a trivial kernel draw nothing; they get no stream.
-                draws = _take(self.kernel.widths, chosen) > 0
-                rngs = [stream(seed, t) if draw else None for seed, draw in zip(_take(seeds, active), draws)]
+                rngs = [stream(seed, t) for seed in _take(seeds, active)]
                 partner = self.build_duals(self.sample_kernel_fields(rngs, chosen), chosen)
             gap = op_norm(_take(gram, active) - _take(syn_g, active) @ analysis(partner))
             active = _still_holding(active, gap > self.tol * _take(scale, active), holds)
+            if t == 0 and trials > 1:
+                nontrivial = _take(self.kernel.widths, _positions(active, idx)) > 0
+                if not nontrivial.all():
+                    active = (np.arange(len(g)) if active is None else active)[nontrivial]
             if active is not None and not active.size:
                 break
         return holds

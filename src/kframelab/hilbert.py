@@ -225,19 +225,49 @@ def _require_hermitian(arr: np.ndarray, tol: float, which: str) -> np.ndarray:
     return (arr + arr.conj().T) / 2.0
 
 
-def _loewner_holds(aa: np.ndarray, bb: np.ndarray, norm_a: float, tol: float) -> bool:
-    """The Loewner decision ``aa <= bb`` on operands that are already
-    checked, symmetrized and of equal square size, given ``op_norm(aa)``.
+class _LoewnerTest:
+    """The Loewner decisions ``aa <= bb`` against a fixed stack (k, n, n) of
+    operands ``aa``, already checked and symmetrized, given ``op_norm(aa)``:
+    per member, ``eigvalsh(bb - aa)[0] >= -tol * max(1, |aa|, |bb|)``, for
+    each stack ``bb`` of checked, symmetrized operands it is called on.
 
-    This is the one implementation of the decision, shared by
-    :func:`loewner_leq` and the minimal-scale bisection of the suites.
+    ``op_norm(bb)`` is computed only for the members whose verdict it can
+    change. For tol >= 0, ``norm_b = (low, high)`` narrows those down further:
+    bounds per member with ``scale * low <= op_norm(bb) <= scale * high``
+    for the ``scale`` each call passes, by a relative margin of at least
+    8 eps, which covers the rounding of the products that scale them. This
+    is the one implementation of the decision, shared by :func:`loewner_leq`
+    and the minimal-scale bisection of the suites.
     """
-    lam_min = float(np.linalg.eigvalsh(bb - aa)[0])
-    # For tol >= 0 the slack only grows with the max, so a verdict that holds
-    # without the norm of bb holds with it and that norm need not be computed.
-    if tol >= 0.0 and lam_min >= -tol * max(1.0, norm_a):
-        return True
-    return lam_min >= -tol * max(1.0, norm_a, op_norm(bb))
+
+    def __init__(self, aa: np.ndarray, norm_a, tol: float, norm_b=None):
+        self.aa, self.tol = aa, tol
+        self.limit = np.maximum(1.0, norm_a)
+        # For tol >= 0 the slack only grows with the max, so a verdict that
+        # holds without the norm of bb holds with it.
+        self.short = -tol * self.limit if tol >= 0.0 else np.inf
+        # Rounding is monotone, so the slack of |bb| lies between the slacks
+        # of its bounds in floating point too: a verdict that holds at the
+        # lower bound holds, and one that fails at the upper bound fails.
+        self.slacks = None if norm_b is None or tol < 0.0 else [-tol * bound for bound in norm_b]
+
+    def __call__(self, bb: np.ndarray, scale=1.0) -> np.ndarray:
+        lam_min = np.linalg.eigvalsh(bb - self.aa)[:, 0]
+        holds = lam_min >= self.short
+        if np.count_nonzero(holds) == len(holds):
+            return holds
+        open_ = ~holds
+        if self.slacks is not None:
+            at_low, at_high = self.slacks
+            open_ &= lam_min >= scale * at_high
+            if np.count_nonzero(open_):
+                settled = lam_min >= scale * at_low
+                holds |= open_ & settled
+                open_ &= ~settled
+        idx = open_.nonzero()[0]
+        if idx.size:
+            holds[idx] = lam_min[idx] >= -self.tol * np.maximum(self.limit[idx], op_norm(bb[idx]))
+        return holds
 
 
 def loewner_leq(a, b, tol: float = DEFAULT_TOL) -> bool:
@@ -252,9 +282,9 @@ def loewner_leq(a, b, tol: float = DEFAULT_TOL) -> bool:
     bb = as_operator(b)
     if aa.shape != bb.shape or aa.shape[0] != aa.shape[1]:
         raise ValueError(f"operands must be square and of equal size, got {aa.shape} and {bb.shape}")
-    aa = _require_hermitian(aa, DEFAULT_TOL, "first")
-    bb = _require_hermitian(bb, DEFAULT_TOL, "second")
-    return _loewner_holds(aa, bb, op_norm(aa), tol)
+    aa = _require_hermitian(aa, DEFAULT_TOL, "first")[None]
+    bb = _require_hermitian(bb, DEFAULT_TOL, "second")[None]
+    return bool(_LoewnerTest(aa, op_norm(aa), tol)(bb)[0])
 
 
 class RangeInclusion(NamedTuple):

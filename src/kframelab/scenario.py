@@ -150,16 +150,20 @@ def _parse_weights(value, atoms: int) -> Tuple[float, ...]:
 _GRAM_HEADROOM = 16.0
 
 
-def _require_finite_gram(k: np.ndarray, path: str) -> None:
-    """Reject a K whose K K*, times the headroom, is not finite: every
-    Parseval check forms it. Tested on the product itself, not read off a
-    warning."""
+def _require_finite_gram(k: np.ndarray, path: str, weights: Optional[np.ndarray] = None) -> None:
+    """Reject a K whose K K*, or explicit samples (the columns of ``k``)
+    whose weighted frame operator sum_i w_i f_i f_i*, times the headroom,
+    is not finite: every check forms them. Tested on the product itself,
+    not read off a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
+        if weights is not None:
+            k = k * np.sqrt(weights)
         size = np.abs(k @ k.conj().T).max() * (_GRAM_HEADROOM * k.shape[0])
     if not np.isfinite(size):
+        what, which = ("K K*", "operator") if weights is None else ("the frame operator", "samples")
         raise ScenarioError(
-            f"K K* is too large to verify in double precision (its entries times {_GRAM_HEADROOM:g} "
-            "times dim must stay finite); scale the operator down",
+            f"{what} is too large to verify in double precision (its entries times {_GRAM_HEADROOM:g} "
+            f"times dim must stay finite); scale the {which} down",
             path,
         )
 
@@ -191,7 +195,7 @@ def _parse_k_spec(doc, dim: int) -> dict:
     return spec
 
 
-def _parse_frame_spec(doc, atoms: int, dim: int) -> dict:
+def _parse_frame_spec(doc, atoms: int, dim: int, weights: Tuple[float, ...]) -> dict:
     if not isinstance(doc, dict):
         raise ScenarioError("expected an object", "frame_spec")
     kind = _need(doc, "kind", "frame_spec")
@@ -202,6 +206,7 @@ def _parse_frame_spec(doc, atoms: int, dim: int) -> dict:
     spec = {"kind": kind}
     if kind == "explicit":
         samples = _parse_matrix(_need(doc, "samples", "frame_spec"), atoms, dim, "frame_spec.samples")
+        _require_finite_gram(samples.T, "frame_spec.samples", np.array(weights))
         spec["samples"] = [[[z.real, z.imag] for z in row] for row in samples]
     else:
         spec["seed"] = _as_int(_need(doc, "seed", "frame_spec"), "frame_spec.seed", minimum=0)
@@ -215,7 +220,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     atoms = _as_int(_need(doc, "atoms"), "atoms", minimum=1)
     weights = _parse_weights(_need(doc, "weights"), atoms)
     k_spec = _parse_k_spec(_need(doc, "k_spec"), dim)
-    frame_spec = _parse_frame_spec(_need(doc, "frame_spec"), atoms, dim)
+    frame_spec = _parse_frame_spec(_need(doc, "frame_spec"), atoms, dim, weights)
     trials = _as_int(_need(doc, "trials"), "trials", minimum=0)
     seed = _as_int(_need(doc, "seed"), "seed", minimum=0)
     trial_offset = _as_int(doc.get("trial_offset", 0), "trial_offset", minimum=0)

@@ -19,7 +19,7 @@ import math
 import platform
 import time
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +44,8 @@ from .frames import (
 )
 from .hilbert import (
     DEFAULT_TOL,
-    _loewner_holds,
+    _groups,
+    _LoewnerTest,
     _require_hermitian,
     as_operator,
     corange_projector,
@@ -187,6 +188,144 @@ def loewner_inclusion_exists(s_op: np.ndarray, t_op: np.ndarray, cap: float = 1e
     return bool(holds[0]) if single else holds
 
 
+class _LoewnerOperands(NamedTuple):
+    """The checked operands of one minimal-scale bisection of S S* under
+    T T*: ``aa``, the Hermitian part of S S*, and ``tt`` = T T*, with the
+    norms the checks computed."""
+
+    aa: np.ndarray
+    norm_a: float
+    tt: np.ndarray
+    norm_t: float
+    gap: float  # op_norm(tt - tt*)
+
+
+def _loewner_operands(s_op: np.ndarray, t_op: np.ndarray) -> Optional[_LoewnerOperands]:
+    """The checked operands of the bisection, or None when scale zero
+    already works.
+
+    S S* is checked as ``loewner_leq`` checks it; T T* is checked Hermitian
+    relative to its own norm, which implies that check on every positive
+    multiple of it.
+    """
+    ss = s_op @ s_op.conj().T
+    tt = t_op @ t_op.conj().T
+    if ss.shape != tt.shape:
+        raise ValueError(f"operands must be square and of equal size, got {ss.shape} and {tt.shape}")
+    aa = _require_hermitian(as_operator(ss), DEFAULT_TOL, "first")[None]
+    norm_a = op_norm(aa)
+    # The zero operand's norm is 0, known without an SVD.
+    if _LoewnerTest(aa, norm_a, DEFAULT_TOL, (0.0, 0.0))(np.zeros_like(aa))[0]:
+        return None
+    tt = as_operator(tt)
+    gap = op_norm(tt - tt.conj().T)
+    norm_t = op_norm(tt)
+    if gap > DEFAULT_TOL * norm_t:
+        raise ValueError(f"second operand is not Hermitian (asymmetry {gap:.3e})")
+    return _LoewnerOperands(aa[0], float(norm_a[0]), tt, norm_t, gap)
+
+
+def _bisect_loewner_lambdas(
+    operands: Sequence[Optional[_LoewnerOperands]], iters: int = 60, cap: float = 1e18
+) -> List[Optional[float]]:
+    """:func:`bisect_loewner_lambda` of each member's checked operands (0.0
+    for None), all bisections in lockstep.
+
+    The members' ``aa`` and ``tt`` are zero-padded to one stack, ordered by
+    size, so every elementwise step runs once for all of them; the Loewner
+    decisions run once per size on each member's own n x n block, so each
+    member sees exactly its own matrices. Members double their upper scale
+    on a shrinking active set (None above the cap), then halve in lockstep.
+    A decision computes op_norm(bb) only when bounds on it from |tt| and
+    |tt - tt*| leave the decision open.
+    """
+    out: List[Optional[float]] = [0.0 if ops is None else None for ops in operands]
+    order = sorted((j for j, ops in enumerate(operands) if ops is not None), key=lambda j: len(operands[j].tt))
+    if not order:
+        return out
+    pairs = [operands[j] for j in order]
+    sizes = np.array([len(pair.tt) for pair in pairs])
+    count, n_max = len(pairs), int(sizes[-1])
+    aa = np.zeros((count, n_max, n_max), dtype=np.complex128)
+    tt = np.zeros_like(aa)
+    for j, pair in enumerate(pairs):
+        aa[j, : sizes[j], : sizes[j]] = pair.aa
+        tt[j, : sizes[j], : sizes[j]] = pair.tt
+    norm_a, norm_t, gap = np.array([(pair.norm_a, pair.norm_t, pair.gap) for pair in pairs]).T
+    # Bounds on op_norm(bb), bb the Hermitian part of scale * tt, per unit
+    # of scale. The exact Hermitian part H of tt has | |H| - |tt| | <=
+    # |tt - tt*| / 2. Forming bb rounds each entry by at most 2u relative to
+    # scale (|tt_ij| + |tt_ji|) / 2 (u = eps / 2; halving is exact), so
+    # |bb - scale H| <= 2 sqrt(n) u scale |tt|, and forming tt - tt* moves
+    # half of it by at most sqrt(n) u |tt|. LAPACK's SVD returns a norm
+    # within p(n) u of it, p a small polynomial, and three norms enter.
+    # With |tt| <= |H| (1 + 1e-9) once T T* is checked Hermitian, the band
+    # 64 n^2 eps (about 1e-12 for n = 8) leaves a factor of four over
+    # p(n) <= 8 n^2 and the four products that form and scale the bounds; a
+    # wider band only sends more decisions to the SVD.
+    band = 64.0 * np.finfo(float).eps * sizes**2.0
+    low, high = (norm_t - gap / 2.0) * (1.0 - band), (norm_t + gap / 2.0) * (1.0 + band)
+
+    def stepper(members: np.ndarray):
+        """The members' decisions, each at its own scale; the members are
+        ascending, so those of one size are a run of them."""
+        t = tt[members]
+        runs = []
+        for n, pos in _groups(sizes[members]):
+            m = members[pos]
+            test = _LoewnerTest(aa[m, :n, :n], norm_a[m], DEFAULT_TOL, (low[m], high[m]))
+            runs.append((slice(pos[0], pos[-1] + 1), n, test))
+        whole = len(runs) == 1 and runs[0][1] == n_max
+
+        def holds(scale: np.ndarray, check: bool = True) -> np.ndarray:
+            bb = scale[:, None, None] * t
+            if check and not np.isfinite(bb).all():
+                raise ValueError("operator entries must be finite")
+            bb += bb.conj().swapaxes(-1, -2)
+            bb /= 2.0
+            if whole:
+                return runs[0][2](bb, scale)
+            return np.concatenate([test(bb[run, :n, :n], scale[run]) for run, n, test in runs])
+
+        return holds
+
+    hi = np.ones(count)
+    found = np.zeros(count, dtype=bool)
+    active, holds = np.arange(count), None
+    while active.size:
+        if holds is None:
+            holds = stepper(active)
+        ok = holds(hi[active])
+        hi[active[~ok]] *= 2.0
+        done = ok | (hi[active] > cap)
+        if done.any():
+            found[active[ok]] = True
+            active, holds = active[~done], None
+    live = np.flatnonzero(found)
+    if not live.size:
+        return out
+    holds = stepper(live)
+    # The halving runs on Python floats, which round as numpy's doubles do;
+    # on a stack of one they cost less than array calls.
+    lo, hi = [0.0] * live.size, hi[live].tolist()
+    for step in range(1, int(iters) + 1):
+        mid = [(a + b) / 2.0 for a, b in zip(lo, hi)]
+        # Once every mid is a bound already decided (hi, or a lo > 0 that a
+        # failed decision set), each later step repeats that decision and
+        # changes nothing. Doubling leaves hi a power of two and lo zero, so
+        # the first 53 midpoints are exact and strictly inside.
+        if step > 53 and all(m == b or (m == a and a > 0.0) for a, m, b in zip(lo, mid, hi)):
+            break
+        # mid <= hi, whose scaled operand was finite, and rounding is
+        # monotone: the scaled operand is finite, with no need to check.
+        ok = holds(np.array(mid), check=False).tolist()
+        lo = [a if k else m for a, m, k in zip(lo, mid, ok)]
+        hi = [m if k else b for m, b, k in zip(mid, hi, ok)]
+    for j, scale in zip(live.tolist(), hi):
+        out[order[j]] = scale
+    return out
+
+
 def bisect_loewner_lambda(
     s_op: np.ndarray, t_op: np.ndarray, iters: int = 60, cap: float = 1e18
 ) -> Optional[float]:
@@ -199,43 +338,14 @@ def bisect_loewner_lambda(
     :func:`loewner_inclusion_exists` for the inclusion decision itself.
 
     Each step makes the decision ``loewner_leq(S S*, scale * T T*)`` would
-    make, bit for bit, but the operands are checked once per call, here:
-    S S* as ``loewner_leq`` checks it, and T T* Hermitian relative to its
-    own norm, which implies that check on every positive multiple of it. A
-    non-finite product or scaled operand raises ``ValueError``.
+    make, bit for bit, but the operands are checked once per call (see
+    :func:`_loewner_operands`), and the norm of the scaled operand is
+    bounded from the norm of T T* instead of computed wherever the bound
+    settles the decision. A non-finite product or scaled operand raises
+    ``ValueError``. The suites bisect a chunk's pairs in lockstep; this is
+    a stack of one over the same routine.
     """
-    ss = s_op @ s_op.conj().T
-    tt = t_op @ t_op.conj().T
-    if ss.shape != tt.shape:
-        raise ValueError(f"operands must be square and of equal size, got {ss.shape} and {tt.shape}")
-    aa = _require_hermitian(as_operator(ss), DEFAULT_TOL, "first")
-    norm_a = op_norm(aa)
-    if _loewner_holds(aa, np.zeros_like(aa), norm_a, DEFAULT_TOL):
-        return 0.0
-    tt = as_operator(tt)
-    gap = op_norm(tt - tt.conj().T)
-    if gap > DEFAULT_TOL * op_norm(tt):
-        raise ValueError(f"second operand is not Hermitian (asymmetry {gap:.3e})")
-
-    def holds(scale: float) -> bool:
-        bb = scale * tt
-        if not np.isfinite(bb).all():
-            raise ValueError("operator entries must be finite")
-        return _loewner_holds(aa, (bb + bb.conj().T) / 2.0, norm_a, DEFAULT_TOL)
-
-    hi = 1.0
-    while not holds(hi):
-        hi *= 2.0
-        if hi > cap:
-            return None
-    lo = 0.0
-    for _ in range(int(iters)):
-        mid = (lo + hi) / 2.0
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _bisect_loewner_lambdas([_loewner_operands(s_op, t_op)], iters, cap)[0]
 
 
 def _conditioned_matrix(rng: np.random.Generator, rows: int, cols: int, r: int) -> np.ndarray:
@@ -276,9 +386,8 @@ def _prop_l1(chunk: _Chunk) -> List[List[Check]]:
     return [_pinv_checks(rng, i) for rng, i in zip(chunk.rngs("l1"), chunk.indices)]
 
 
-def _factorization_checks(rng: np.random.Generator) -> List[Check]:
-    """Factorization suite on random included pairs: the factor's squared
-    norm must match the bisection scale, and kernel/range nesting must hold."""
+def _factorization_pair(rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+    """A random included pair (S, T) with S = T theta0, sizes up to 8."""
     n = int(rng.integers(2, 9))
     p = int(rng.integers(1, 9))
     q = int(rng.integers(1, 9))
@@ -288,28 +397,40 @@ def _factorization_checks(rng: np.random.Generator) -> List[Check]:
     norm0 = op_norm(theta0)
     if norm0 > 0:
         theta0 *= rng.uniform(0.1, 3.0) / norm0
-    s_op = t_op @ theta0
-    theta = douglas_factor(s_op, t_op)
-    lam = op_norm(theta) ** 2
-    lam_b = bisect_loewner_lambda(s_op, t_op)
-    checks: List[Check] = [
-        ("factorization", op_norm(t_op @ theta - s_op) / (1.0 + op_norm(s_op))),
-        ("min-scale", 1.0 if lam_b is None else abs(lam - lam_b) / (1.0 + lam_b)),
-        (
-            "kernel-match",
-            0.0 if rank(s_op) == rank(theta) == rank(np.vstack([s_op, theta])) else 1.0,
-        ),
-        (
-            "range-in-adjoint",
-            0.0 if rank(np.hstack([t_op.conj().T, theta])) == rank(t_op) else 1.0,
-        ),
-    ]
-    return checks
+    return t_op @ theta0, t_op
 
 
 def _prop_l2(chunk: _Chunk) -> List[List[Check]]:
-    """Matrix sizes are drawn per trial, so each trial runs on its own."""
-    return [_factorization_checks(rng) for rng in chunk.rngs("l2")]
+    """Factorization suite on random included pairs: the factor's squared
+    norm must match the bisection scale, and kernel/range nesting must hold.
+
+    Matrix sizes are drawn per trial, so the draws, the factor, the
+    bisection operands and the checks run trial by trial; the bisections
+    of the chunk's trials run in one lockstep.
+    """
+    trials = []
+    for rng in chunk.rngs("l2"):
+        s_op, t_op = _factorization_pair(rng)
+        theta = douglas_factor(s_op, t_op)
+        trials.append((s_op, t_op, theta, op_norm(theta) ** 2, _loewner_operands(s_op, t_op)))
+    scales = _bisect_loewner_lambdas([operands for *_, operands in trials])
+    out = []
+    for (s_op, t_op, theta, lam, _), lam_b in zip(trials, scales):
+        out.append(
+            [
+                ("factorization", op_norm(t_op @ theta - s_op) / (1.0 + op_norm(s_op))),
+                ("min-scale", 1.0 if lam_b is None else abs(lam - lam_b) / (1.0 + lam_b)),
+                (
+                    "kernel-match",
+                    0.0 if rank(s_op) == rank(theta) == rank(np.vstack([s_op, theta])) else 1.0,
+                ),
+                (
+                    "range-in-adjoint",
+                    0.0 if rank(np.hstack([t_op.conj().T, theta])) == rank(t_op) else 1.0,
+                ),
+            ]
+        )
+    return out
 
 
 def _prop_l3(chunk: _Chunk) -> List[List[Check]]:

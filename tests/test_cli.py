@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from kframelab.fixtures import fixture_scenario
 
 from helpers import run_cli
@@ -153,6 +155,24 @@ class TestVerifyCommand:
         result = run_cli("verify", "--config", write_scenario(tmp_path, doc))
         assert result.returncode == 2
         assert "k_spec.values" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("prop", ["l4", "l3"])
+    def test_explicit_frame_whose_frame_operator_overflows_exits_two(self, tmp_path, prop):
+        # The frame operator diag(1e400, 1) is not finite: l4 used to crash
+        # on it with a traceback and l3 to pass. Validation must reject it.
+        doc = {
+            "dim": 2,
+            "atoms": 2,
+            "weights": [1, 1],
+            "k_spec": {"kind": "identity"},
+            "frame_spec": {"kind": "explicit", "samples": [[1e200, 0], [0, 1]]},
+            "trials": 2,
+            "seed": 42,
+        }
+        result = run_cli("verify", "--config", write_scenario(tmp_path, doc), "--properties", prop)
+        assert result.returncode == 2
+        assert "frame_spec.samples" in result.stderr
         assert "Traceback" not in result.stderr
 
     def test_unknown_property_exits_two(self, tmp_path):

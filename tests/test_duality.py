@@ -445,6 +445,46 @@ class TestParsevalKFramesStack:
         assert stack.kernel.widths.tolist() == [0, 2, 3, 2]
         return stack, singles
 
+    def test_characterizes_stops_trivial_kernels_after_the_canonical_dual(self, members, monkeypatch):
+        # Member 0's kernel is trivial, so every later partner would be its
+        # canonical dual again: it stops after partner 0, with the verdict
+        # a loop over every partner gives.
+        stack, singles = members
+        seeds = [11, 12, 13, 14]
+
+        def every_partner(pk, g, trials, seed):
+            syn_g = synthesis(g)
+            gram, scale = syn_g @ analysis(g), 1.0 + analysis_norm(g) ** 2
+            for t in range(trials):
+                partner = pk.dual if t == 0 else pk.build_dual(pk.sample_kernel_field(stream(seed, t), pk.dual_norm))
+                if op_norm(gram - syn_g @ analysis(partner)) > pk.tol * scale:
+                    return False
+            return True
+
+        perturbed = stack.build_duals(stack.sample_kernel_fields([stream(seed, 2) for seed in seeds]))
+        built, build_duals = [], stack.build_duals
+        monkeypatch.setattr(stack, "build_duals", lambda phi, idx=None: built.append(idx) or build_duals(phi, idx))
+        for g in (stack.duals, perturbed):
+            assert stack.characterizes(g, 8, seeds).tolist() == [
+                every_partner(pk, SampledFrame(pk.frame.space, g.samples[t]), 8, seed)
+                for t, (pk, seed) in enumerate(zip(singles, seeds))
+            ]
+        assert len(built) == 7 and all(0 not in idx for idx in built)
+        # A stack of trivial kernels makes the SVDs of partner 0 alone.
+        unique = ParsevalKFrames(stack.frames.subset(np.array([0])), KStack(stack.k.op[:1]))
+        unique.kernel
+        svd, counts = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            counts[-1] += 1
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        for trials in (1, 8):
+            counts.append(0)
+            assert unique.characterizes(unique.duals, trials, [11]).tolist() == [True]
+        assert counts[0] == counts[1] > 0
+
     def test_members_agree_with_their_single_runs(self, members):
         stack, singles = members
         seeds = [11, 12, 13, 14]

@@ -327,6 +327,20 @@ class TestStackedLinalg:
             "build, so chunked runs and one-trial witness replays would not agree bit for bit"
         )
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_square_blocks_of_a_zero_padded_stack(self, n):
+        # The l2 bisection pads each member's n x n operands to one
+        # (k, 8, 8) stack and decides each member on its own block.
+        a = self._stack(10 + n, n, n)
+        h = a + a.conj().swapaxes(-1, -2)
+        padded = np.zeros((5, 8, 8), dtype=np.complex128)
+        padded[:, :n, :n] = h
+        for stack in (h, padded[:, :n, :n]):
+            values, norms = np.linalg.eigvalsh(stack), op_norm(stack)
+            for t in range(5):
+                assert np.array_equal(values[t], np.linalg.eigvalsh(h[t].copy()))
+                assert norms[t] == op_norm(h[t].copy())
+
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
     def test_stacked_helpers_equal_their_per_matrix_forms(self, shape):
         rows, cols = shape

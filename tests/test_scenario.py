@@ -90,6 +90,14 @@ class TestParsing:
                 minimal_doc(k_spec={"kind": "explicit", "matrix": [[1e200, 0.0], [0.0, 1.0]]})
             )
 
+    def test_explicit_samples_whose_weighted_frame_operator_overflows(self):
+        # sum_i w_i f_i f_i* with f_0 = (1e150, 0): finite at unit weights,
+        # past the headroom once w_0 = 1e10.
+        frame_spec = {"kind": "explicit", "samples": [[1e150, 0.0], [0.0, 1.0], [0.0, 0.0]]}
+        scenario_from_dict(minimal_doc(frame_spec=frame_spec))
+        with pytest.raises(ScenarioError, match="frame_spec.samples"):
+            scenario_from_dict(minimal_doc(frame_spec=frame_spec, weights=[1e10, 1.0, 1.0]))
+
     def test_unknown_tolerance_property(self):
         with pytest.raises(ScenarioError, match="tolerances.nope"):
             scenario_from_dict(minimal_doc(tolerances={"nope": 1e-9}))

@@ -10,6 +10,7 @@ import pytest
 
 from kframelab import duality, frames, suites
 from kframelab.fixtures import fixture_scenario
+from kframelab.hilbert import DEFAULT_TOL, _LoewnerTest, loewner_leq, op_norm
 from kframelab.report import emit_report, report_to_dict
 from kframelab.rng import complex_normal, stream
 from kframelab.scenario import ScenarioError, scenario_from_dict
@@ -231,18 +232,99 @@ class TestLoewnerBisection:
         for name in ("svd", "eigvalsh"):
             fn = getattr(np.linalg, name)
 
-            def counted(*args, _fn=fn, _name=name, **kwargs):
+            def counted(a, *args, _fn=fn, _name=name, **kwargs):
                 counts[_name] += 1
-                return _fn(*args, **kwargs)
+                counts[f"{_name} matrices"] += int(np.prod(np.shape(a)[:-2]))
+                return _fn(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
         trials = 20
         report = run_suite(scenario_from_dict(generated_doc(trials=trials)), ["l2"])
         assert report.all_passed
-        # One eigvalsh per bisection decision, at most one SVD per decision
-        # plus the fixed checks of the trial.
-        assert counts["eigvalsh"] == 1259
-        assert counts["svd"] <= 80 * trials
+        # The chunk's bisections decide one matrix per member and step, with
+        # one stacked eigvalsh per matrix size and step, and stop once every
+        # member's bisection has settled. The norm bounds settle every
+        # decision here, so the SVDs are those of each trial's fixed checks.
+        assert counts["eigvalsh matrices"] == 1199
+        assert counts["eigvalsh"] < counts["eigvalsh matrices"] / 2
+        assert counts["svd"] <= 25 * trials
+
+    def test_lockstep_equals_per_pair_bisection_and_the_oracle(self):
+        # One stack of sizes 2 to 8 mixing nested pairs, zero S (scale 0)
+        # and non-nested pairs (None at cap 1e3).
+        rng = stream(57)
+        pairs = []
+        for _ in range(8):
+            pairs.append(_included_pair(rng))
+            pairs.append(_escaping_pair(rng))
+        s, t = _included_pair(rng)
+        pairs.append((np.zeros_like(s), t))
+        assert len({len(t) for _, t in pairs}) >= 5
+        for cap in (1e18, 1e3):
+            stacked = suites._bisect_loewner_lambdas([suites._loewner_operands(s, t) for s, t in pairs], cap=cap)
+            assert stacked == [bisect_loewner_lambda(s, t, cap=cap) for s, t in pairs]
+            assert stacked == [bisect_loewner(s, t, cap=cap) for s, t in pairs]
+            assert 0.0 in stacked
+            assert (None in stacked) == (cap == 1e3)
+
+    def test_l2_checks_do_not_depend_on_the_chunk_size(self, monkeypatch):
+        sc = scenario_from_dict(generated_doc(trials=10))
+
+        def checks():
+            size = max(1, suites._CHUNK_BYTES // suites._trial_bytes(sc))
+            chunks = [suites._Chunk(sc, range(i, min(i + size, sc.trials))) for i in range(0, sc.trials, size)]
+            return [[(name, value.hex()) for name, value in trial] for c in chunks for trial in suites._prop_l2(c)]
+
+        default = checks()
+        for trials in (1, 3):
+            _set_chunk_trials(monkeypatch, sc, trials)
+            assert checks() == default, trials
+
+    @pytest.mark.parametrize("x", [0.5e-8, 1e-8, np.nextafter(1e-8, 1.0), 2e-8])
+    def test_bounded_decision_falls_back_to_the_norm_inside_the_band(self, monkeypatch, x):
+        # eigvalsh(bb - aa)[0] = -x against the slack 1e-9 * |bb| = 1e-8: the
+        # bounds 10 (1 +- 1e-12) on |bb| settle x = 0.5e-8 (holds) and 2e-8
+        # (fails) alone; x = 1e-8 and the next double up lie inside the band,
+        # where the decision must compute the norm and match loewner_leq.
+        aa, bb = np.diag([0.0, x]).astype(complex), np.diag([10.0, 0.0]).astype(complex)
+        svd = np.linalg.svd
+        calls = Counter()
+
+        def counted(*args, **kwargs):
+            calls["svd"] += 1
+            return svd(*args, **kwargs)
+
+        test = _LoewnerTest(aa[None], op_norm(aa[None]), DEFAULT_TOL, (np.array([10 - 1e-11]), np.array([10 + 1e-11])))
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        verdict = bool(test(bb[None])[0])
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert verdict == loewner_leq(aa, bb) == (x <= 1e-8)
+        assert calls["svd"] == (1 if x in (1e-8, np.nextafter(1e-8, 1.0)) else 0)
+
+    def test_overflow_in_a_chunk_raises_the_first_error_of_the_trials(self, monkeypatch):
+        # Trial 2's T T* = 1e308 I overflows once the bisection symmetrizes
+        # it; trial 4's pair is not nested, so its factor fails earlier in
+        # the chunk, before the lockstep. Trial by trial, trial 2's error
+        # comes first, and so it must in the chunk.
+        sc = scenario_from_dict(generated_doc(trials=6))
+        states = {
+            str(stream(sc.seed, suites._PROPERTY_TAG["l2"], i).bit_generator.state): i for i in range(sc.trials)
+        }
+        big = np.diag([1e154, 1e154]).astype(complex)
+        replaced = {2: (np.eye(2), big), 4: (np.eye(2), np.diag([1.0, 0.0]))}
+        original = suites._factorization_pair
+
+        def pair(rng):
+            index = states[str(rng.bit_generator.state)]
+            return replaced[index] if index in replaced else original(rng)
+
+        monkeypatch.setattr(suites, "_factorization_pair", pair)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(Exception) as first:
+                bisect_loewner_lambda(*replaced[2])
+            with pytest.raises(type(first.value)) as raised:
+                run_suite(sc, ["l2"])
+        assert str(raised.value) == str(first.value)
 
 
 class TestSharedInstance:
