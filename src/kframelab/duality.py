@@ -48,7 +48,7 @@ from .measure import (
     weighted_norm_sq,
     weighted_sums,
 )
-from .rng import complex_normal, complex_normals, stacked, stream
+from .rng import complex_normal, complex_normals, stacked, stream, streams
 
 __all__ = [
     "HypothesisError",
@@ -576,7 +576,8 @@ class ParsevalKFrames:
         scale = 1.0 + np.sqrt(weighted_norm_sq(self.space, canonical_values))
         kernel_part = np.zeros((len(self), int(count), self.space.atom_count), dtype=np.complex128)
         for w, pos, bases in self.kernel.of(None) if count > 1 else ():
-            draws = stacked([stacked([complex_normal(stream(seeds[j], t), w) for t in range(1, count)]) for j in pos])
+            tails = [(t,) for t in range(1, count)]
+            draws = stacked([stacked([complex_normal(rng, w) for rng in streams(seeds[j], (), tails)]) for j in pos])
             kernel_part[pos, 1:] = scale[pos, None, None] * (bases[:, None] @ draws[..., None])[..., 0]
         return canonical_values[:, None] + kernel_part
 

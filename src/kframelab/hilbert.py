@@ -6,16 +6,18 @@ value counts only if it exceeds ``RANK_EPS * smax * max(rows, cols)``.
 Comparisons are relative, scaled by the largest norm among the operands.
 
 ``op_norm`` and the stacked routines that serve the suite runner
-(``ranks``, ``pinvs``, ``range_inclusions``, ``vdots``, ``vector_norms``;
-internal, left out of ``__all__``) take operators ``(..., rows, cols)``
-or vectors ``(..., n)`` stacked along leading axes and work matrix by
+(``ranks``, ``pinvs``, ``op_norms``, ``range_inclusions``,
+``douglas_factors``, ``vdots``, ``vector_norms``; internal, left out of
+``__all__``) take operators
+``(..., rows, cols)`` or vectors ``(..., n)`` stacked along leading axes
+(``op_norms`` a list of operators) and work matrix by
 matrix through numpy's stacked routines, whose results equal the
 per-matrix calls bit for bit on the builds where ``tests/test_hilbert.py``
 passes; the per-matrix routines are stacks of one over the same code.
 """
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,6 +124,18 @@ class SvdFactorization:
     def reconstruct(self) -> np.ndarray:
         return (self.left * self.singulars) @ self.right.conj().T
 
+    def pinv(self) -> np.ndarray:
+        """The pseudo-inverse, the product :func:`pinv` forms from the same factors."""
+        return (self.right / self.singulars) @ self.left.conj().T
+
+    def range_projector(self) -> np.ndarray:
+        """Orthogonal projector onto the column space."""
+        return self.left @ self.left.conj().T
+
+    def corange_projector(self) -> np.ndarray:
+        """Orthogonal projector onto the row space."""
+        return self.right @ self.right.conj().T
+
 
 def _cut_ranks(s: np.ndarray, shape, rank_tol: float):
     """Rank under the rank cut of a descending singular value row, or of
@@ -147,8 +161,9 @@ def svd(a, rank_tol: float = RANK_EPS) -> SvdFactorization:
 
 
 def rank(a, rank_tol: float = RANK_EPS) -> int:
-    """Numerical rank under the module's rank cut."""
-    return svd(a, rank_tol).rank
+    """Numerical rank under the module's rank cut, as a stack of one for
+    :func:`ranks`."""
+    return int(ranks(as_operator(a)[None], rank_tol)[0])
 
 
 def ranks(a, rank_tol: float = RANK_EPS) -> np.ndarray:
@@ -205,24 +220,39 @@ def op_norm(a):
     return float(top) if top.ndim == 0 else top
 
 
+def op_norms(operators: Sequence[np.ndarray]) -> List[float]:
+    """:func:`op_norm` of each operator of a list; operators of one shape
+    share one stacked call."""
+    out = [0.0] * len(operators)
+    by_shape: Dict[Tuple[int, ...], List[int]] = {}
+    for j, a in enumerate(operators):
+        by_shape.setdefault(np.shape(a), []).append(j)
+    for positions in by_shape.values():
+        norms = op_norm(np.stack([operators[j] for j in positions])).tolist()
+        for j, norm in zip(positions, norms):
+            out[j] = norm
+    return out
+
+
 def range_projector(a, rank_tol: float = RANK_EPS) -> np.ndarray:
     """Orthogonal projector onto the column space of ``a``."""
-    f = svd(a, rank_tol)
-    return f.left @ f.left.conj().T
+    return svd(a, rank_tol).range_projector()
 
 
 def corange_projector(a, rank_tol: float = RANK_EPS) -> np.ndarray:
     """Orthogonal projector onto the row space of ``a``, i.e. the
     orthogonal complement of its null space."""
-    f = svd(a, rank_tol)
-    return f.right @ f.right.conj().T
+    return svd(a, rank_tol).corange_projector()
 
 
-def _require_hermitian(arr: np.ndarray, tol: float, which: str) -> np.ndarray:
-    gap = op_norm(arr - arr.conj().T)
-    if gap > tol * (1.0 + op_norm(arr)):
+def _require_hermitian(arr: np.ndarray, tol: float, which: str) -> Tuple[np.ndarray, float]:
+    """The Hermitian part of ``arr`` and its norm, once ``arr`` is checked
+    Hermitian up to ``tol``; the three norms share one stacked call."""
+    herm = (arr + arr.conj().T) / 2.0
+    gap, norm, norm_herm = op_norm(np.stack([arr - arr.conj().T, arr, herm])).tolist()
+    if gap > tol * (1.0 + norm):
         raise ValueError(f"{which} operand is not Hermitian (asymmetry {gap:.3e})")
-    return (arr + arr.conj().T) / 2.0
+    return herm, norm_herm
 
 
 class _LoewnerTest:
@@ -282,9 +312,9 @@ def loewner_leq(a, b, tol: float = DEFAULT_TOL) -> bool:
     bb = as_operator(b)
     if aa.shape != bb.shape or aa.shape[0] != aa.shape[1]:
         raise ValueError(f"operands must be square and of equal size, got {aa.shape} and {bb.shape}")
-    aa = _require_hermitian(aa, DEFAULT_TOL, "first")[None]
-    bb = _require_hermitian(bb, DEFAULT_TOL, "second")[None]
-    return bool(_LoewnerTest(aa, op_norm(aa), tol)(bb)[0])
+    aa, norm_a = _require_hermitian(aa, DEFAULT_TOL, "first")
+    bb, _ = _require_hermitian(bb, DEFAULT_TOL, "second")
+    return bool(_LoewnerTest(aa[None], np.array([norm_a]), tol)(bb[None])[0])
 
 
 class RangeInclusion(NamedTuple):
@@ -294,13 +324,14 @@ class RangeInclusion(NamedTuple):
 
 class RangeInclusions(NamedTuple):
     """:func:`range_inclusions` of a stack: per trial the verdict, the
-    minimal scale (NaN where excluded), and pinv(T) with the factor
-    pinv(T) @ S (zero where excluded)."""
+    minimal scale (NaN where excluded), pinv(T) with the factor
+    pinv(T) @ S (zero where excluded), and the rank of T."""
 
     included: np.ndarray
     lambda_star: np.ndarray
     t_pinv: np.ndarray
     factor: np.ndarray
+    rank_t: np.ndarray
 
 
 def range_inclusions(s, t, rank_tol: float = RANK_EPS) -> RangeInclusions:
@@ -325,7 +356,7 @@ def range_inclusions(s, t, rank_tol: float = RANK_EPS) -> RangeInclusions:
         t_pinv[idx] = _pinv_groups(u[idx], sv[idx], vh[idx], rank_t[idx])
         factor[idx] = t_pinv[idx] @ ss[idx]
         lam[idx] = [norm**2 for norm in op_norm(factor[idx]).tolist()]
-    return RangeInclusions(included, lam, t_pinv, factor)
+    return RangeInclusions(included, lam, t_pinv, factor, rank_t)
 
 
 def range_inclusion(s, t, rank_tol: float = RANK_EPS) -> RangeInclusion:
@@ -342,14 +373,22 @@ def range_inclusion(s, t, rank_tol: float = RANK_EPS) -> RangeInclusion:
     return RangeInclusion(True, float(inc.lambda_star[0]))
 
 
+def douglas_factors(s, t, rank_tol: float = RANK_EPS) -> RangeInclusions:
+    """:func:`range_inclusions` of two stacks whose every pair is included,
+    holding the factors of :func:`douglas_factor` with their squared norms
+    and the ranks of T; raises :class:`RangeInclusionError` otherwise."""
+    inc = range_inclusions(s, t, rank_tol)
+    if not inc.included.all():
+        raise RangeInclusionError("R(S) is not contained in R(T); no factor exists")
+    return inc
+
+
 def douglas_factor(s, t, rank_tol: float = RANK_EPS) -> np.ndarray:
     """The unique theta with S = T theta, minimal norm, N(theta) = N(S) and
     R(theta) inside R(T*).
 
     Raises :class:`RangeInclusionError` when R(S) is not contained in R(T),
-    in which case no bounded factor exists.
+    in which case no bounded factor exists. A stack of one for
+    :func:`douglas_factors`.
     """
-    inc = range_inclusion(s, t, rank_tol)
-    if not inc.included:
-        raise RangeInclusionError("R(S) is not contained in R(T); no factor exists")
-    return pinv(t, rank_tol) @ as_operator(s)
+    return douglas_factors(as_operator(s)[None], as_operator(t)[None], rank_tol).factor[0]

@@ -1,27 +1,164 @@
 """Deterministic random streams for generators and trial loops.
 
-Streams use the Philox counter-based bit generator keyed through
-``numpy.random.SeedSequence``, so the stream identified by a 64-bit seed
-plus an index tuple is the same on every platform and independent of how
-many other streams were drawn before it. Trial loops derive one stream
-per (seed, trial index) pair and may therefore run in any order.
+Streams use the Philox counter-based bit generator (Salmon et al., SC'11)
+with the key ``numpy.random.Philox(numpy.random.SeedSequence(seed,
+spawn_key=indices))`` takes, so the stream identified by a seed plus an
+index path is the same on every platform and independent of how many
+other streams were drawn before it. Trial loops derive one stream per
+(seed, trial index) pair and may therefore run in any order.
+
+The SeedSequence hash (NEP 19) is computed here on Python ints instead of
+through one ``SeedSequence`` object per key. The seed and each index are
+split into little-endian uint32 words, the seed's words are zero-padded
+to the pool of four, and the words are mixed into the pool with
+``hashmix``/``mix`` exactly as numpy mixes them. numpy pads only when a
+spawn key is present, but without one it runs the hash out over zeros,
+which gives the same pool. The pool after the words that keys share
+(the seed and every index but the last) is memoized in a bounded cache,
+so each key hashes only its own trailing words. Philox then takes its
+key from a seed sequence that returns the precomputed state.
 """
 
+from functools import lru_cache
+from typing import Iterable, List, Sequence, Tuple
+
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = ["stream", "derive_seed", "complex_normal"]
+
+_MASK = 0xFFFFFFFF
+# numpy's SeedSequence constants: the start and multiplier of hashmix's
+# running constant (A) and of the state output's (B), and mix's two
+# multipliers.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+# The running constant of the state output over its first four words.
+_STATE_CONSTS = (_INIT_B,) + tuple(_INIT_B * _MULT_B**k & _MASK for k in range(1, _POOL + 1))
+
+Pool = Tuple[int, int, int, int]
+
+
+def _words(value) -> List[int]:
+    """A nonnegative integer as little-endian uint32 words, as
+    SeedSequence splits its entropy and spawn key (zero is one word)."""
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"seeds and stream indices must be nonnegative, got {value}")
+    words = [value & _MASK]
+    value >>= 32
+    while value:
+        words.append(value & _MASK)
+        value >>= 32
+    return words
+
+
+def _absorb(pool: Pool, const: int, words: Sequence[int]) -> Tuple[Pool, int]:
+    """Mix each of ``words`` into every pool word, as SeedSequence mixes the
+    entropy past the pool's size; returns the pool and the running constant.
+    Per pool word: hashmix (xor with the running constant, advance it,
+    multiply by it, fold the high half down), then mix with the pool word."""
+    pool = list(pool)
+    for w in words:
+        for i in range(_POOL):
+            h = w ^ const
+            const = const * _MULT_A & _MASK
+            h = h * const & _MASK
+            r = (_MIX_L * pool[i] - _MIX_R * (h ^ h >> 16)) & _MASK
+            pool[i] = r ^ r >> 16
+    return tuple(pool), const
+
+
+@lru_cache(maxsize=1024)
+def _prefix(seed: int, indices: Tuple[int, ...]) -> Tuple[Pool, int]:
+    """The pool and running constant after the seed's words, zero-padded
+    to the pool size, and the words of ``indices``."""
+    if indices:
+        return _absorb(*_prefix(seed, indices[:-1]), _words(indices[-1]))
+    words = _words(seed)
+    const = _INIT_A
+    pool = []
+    for w in (words + [0] * _POOL)[:_POOL]:
+        h = w ^ const
+        const = const * _MULT_A & _MASK
+        h = h * const & _MASK
+        pool.append(h ^ h >> 16)
+    # Every pool word into every other, so late words reach early ones.
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                h = pool[src] ^ const
+                const = const * _MULT_A & _MASK
+                h = h * const & _MASK
+                r = (_MIX_L * pool[dst] - _MIX_R * (h ^ h >> 16)) & _MASK
+                pool[dst] = r ^ r >> 16
+    return _absorb(tuple(pool), const, words[_POOL:])
+
+
+def _tail_words(tail: Tuple[int, ...]) -> Sequence[int]:
+    """The words of a key's own indices; one index of one word is the
+    common case."""
+    if len(tail) == 1 and 0 <= tail[0] <= _MASK:
+        return (int(tail[0]),)
+    return [w for i in tail for w in _words(i)]
+
+
+def _pools(seed: int, shared: Tuple[int, ...], tails: Iterable[Tuple[int, ...]]) -> List[Pool]:
+    """The SeedSequence pool of each key (seed, *shared, *tail): the prefix
+    (seed, *shared) is hashed once and memoized, each tail per key. Every
+    stream and derived seed is keyed here."""
+    pool, const = _prefix(seed, tuple(shared))
+    return [_absorb(pool, const, _tail_words(tail))[0] for tail in tails]
+
+
+def _seeds64(pool: Pool) -> Tuple[int, int]:
+    """``generate_state(2, np.uint64)`` of the pool: one output word per
+    pool word, each pair read as one little-endian uint64."""
+    b0, b1, b2, b3, b4 = _STATE_CONSTS
+    w0 = (pool[0] ^ b0) * b1 & _MASK
+    w1 = (pool[1] ^ b1) * b2 & _MASK
+    w2 = (pool[2] ^ b2) * b3 & _MASK
+    w3 = (pool[3] ^ b3) * b4 & _MASK
+    return w0 ^ w0 >> 16 | (w1 ^ w1 >> 16) << 32, w2 ^ w2 >> 16 | (w3 ^ w3 >> 16) << 32
+
+
+class _PhiloxKey(ISeedSequence):
+    """The seed sequence Philox takes its key from: ``generate_state(2,
+    np.uint64)`` returns the state SeedSequence generates for the same
+    seed and index path, precomputed, as the pair of ints Philox indexes.
+    Other requests raise."""
+
+    def __init__(self, state: Tuple[int, int]):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or not (dtype is np.uint64 or np.dtype(dtype) == np.uint64):
+            raise ValueError("a precomputed Philox key answers generate_state(2, np.uint64) only")
+        return self.state
+
+
+def streams(seed: int, shared: Tuple[int, ...], tails: Iterable[Tuple[int, ...]]) -> List[np.random.Generator]:
+    """:func:`stream` of each key (seed, *shared, *tail), the prefix hashed once."""
+    return [np.random.Generator(np.random.Philox(_PhiloxKey(_seeds64(pool)))) for pool in _pools(seed, shared, tails)]
+
+
+def derive_seeds(seed: int, shared: Tuple[int, ...], tails: Iterable[Tuple[int, ...]]) -> List[int]:
+    """:func:`derive_seed` of each key (seed, *shared, *tail): the first of
+    the two uint64 state words."""
+    return [_seeds64(pool)[0] for pool in _pools(seed, shared, tails)]
 
 
 def stream(seed: int, *indices: int) -> np.random.Generator:
     """Generator for the stream addressed by ``seed`` and an index path."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(i) for i in indices))
-    return np.random.Generator(np.random.Philox(ss))
+    return streams(seed, indices[:-1], [indices[-1:]])[0]
 
 
 def derive_seed(seed: int, *indices: int) -> int:
     """Collapse (seed, indices) into a single 64-bit seed for nested use."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(i) for i in indices))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return derive_seeds(seed, indices[:-1], [indices[-1:]])[0]
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from .frames import (
     random_bessel_samples,
 )
 from .measure import MeasureSpace
-from .rng import complex_normal, derive_seed, stacked, stream
+from .rng import complex_normal, derive_seeds, stacked, stream, streams
 
 __all__ = [
     "ScenarioError",
@@ -304,8 +304,7 @@ def _k_ops(scenario: Scenario, trials: Sequence[int]) -> np.ndarray:
     # keep the operator well conditioned on its support.
     d, r = scenario.dim, spec["rank"]
     g1, g2, singulars = [], [], []
-    for trial in trials:
-        rng = stream(spec["seed"], _K_STREAM, trial)
+    for rng in streams(spec["seed"], (_K_STREAM,), [(trial,) for trial in trials]):
         g1.append(complex_normal(rng, d, r))
         g2.append(complex_normal(rng, d, r))
         singulars.append(np.sort(rng.uniform(0.5, 2.0, r))[::-1])
@@ -332,7 +331,7 @@ def build_frames(scenario: Scenario, space: MeasureSpace, ks: KStack, trials: Se
     if kind == "explicit":
         samples = np.array([_complex_list(row) for row in spec["samples"]])
         return FrameStack(space, np.broadcast_to(samples, (len(trials),) + samples.shape))
-    rngs = [stream(derive_seed(spec["seed"], _FRAME_STREAM, trial)) for trial in trials]
+    rngs = [stream(seed) for seed in derive_seeds(spec["seed"], (_FRAME_STREAM,), [(trial,) for trial in trials])]
     if kind == "generate-parseval-k":
         return FrameStack(space, parseval_k_samples(ks, space, rngs))
     return FrameStack(space, random_bessel_samples(scenario.dim, space, rngs))

@@ -48,19 +48,19 @@ from .hilbert import (
     _LoewnerTest,
     _require_hermitian,
     as_operator,
-    corange_projector,
-    douglas_factor,
+    douglas_factors,
     op_norm,
+    op_norms,
     pinv,
     pinvs,
     range_inclusions,
-    range_projector,
     rank,
+    svd,
     vdots,
 )
 from .measure import MeasureSpace
 from .report import REPORT_VERSION, PropertyRecord, SuiteReport
-from .rng import complex_normal, complex_normals, derive_seed, stacked, stream
+from .rng import complex_normal, complex_normals, derive_seeds, stacked, streams
 from .scenario import Scenario, ScenarioError, build_frames, build_ks, build_space
 
 __all__ = [
@@ -140,10 +140,10 @@ class _Chunk:
 
     def rngs(self, pid: str, positions: Optional[np.ndarray] = None) -> List[np.random.Generator]:
         """The property's stream of each trial, or of the trials at ``positions``."""
-        return [stream(self.scenario.seed, _PROPERTY_TAG[pid], i) for i in self._chosen(positions)]
+        return streams(self.scenario.seed, (_PROPERTY_TAG[pid],), [(i,) for i in self._chosen(positions)])
 
     def sub_seeds(self, pid: str, slot: int, positions: Optional[np.ndarray] = None) -> List[int]:
-        return [derive_seed(self.scenario.seed, _PROPERTY_TAG[pid], i, slot) for i in self._chosen(positions)]
+        return derive_seeds(self.scenario.seed, (_PROPERTY_TAG[pid],), [(i, slot) for i in self._chosen(positions)])
 
     @cached_property
     def instance(self) -> Tuple[MeasureSpace, KStack, FrameStack]:
@@ -212,17 +212,15 @@ def _loewner_operands(s_op: np.ndarray, t_op: np.ndarray) -> Optional[_LoewnerOp
     tt = t_op @ t_op.conj().T
     if ss.shape != tt.shape:
         raise ValueError(f"operands must be square and of equal size, got {ss.shape} and {tt.shape}")
-    aa = _require_hermitian(as_operator(ss), DEFAULT_TOL, "first")[None]
-    norm_a = op_norm(aa)
+    aa, norm_a = _require_hermitian(as_operator(ss), DEFAULT_TOL, "first")
     # The zero operand's norm is 0, known without an SVD.
-    if _LoewnerTest(aa, norm_a, DEFAULT_TOL, (0.0, 0.0))(np.zeros_like(aa))[0]:
+    if _LoewnerTest(aa[None], np.array([norm_a]), DEFAULT_TOL, (0.0, 0.0))(np.zeros_like(aa[None]))[0]:
         return None
     tt = as_operator(tt)
-    gap = op_norm(tt - tt.conj().T)
-    norm_t = op_norm(tt)
+    gap, norm_t = op_norm(np.stack([tt - tt.conj().T, tt])).tolist()
     if gap > DEFAULT_TOL * norm_t:
         raise ValueError(f"second operand is not Hermitian (asymmetry {gap:.3e})")
-    return _LoewnerOperands(aa[0], float(norm_a[0]), tt, norm_t, gap)
+    return _LoewnerOperands(aa, norm_a, tt, norm_t, gap)
 
 
 def _bisect_loewner_lambdas(
@@ -279,10 +277,11 @@ def _bisect_loewner_lambdas(
 
         def holds(scale: np.ndarray, check: bool = True) -> np.ndarray:
             bb = scale[:, None, None] * t
-            if check and not np.isfinite(bb).all():
-                raise ValueError("operator entries must be finite")
             bb += bb.conj().swapaxes(-1, -2)
             bb /= 2.0
+            # Both the scaled operand and its symmetrized sum can overflow.
+            if check and not np.isfinite(bb).all():
+                raise ValueError("operator entries must be finite")
             if whole:
                 return runs[0][2](bb, scale)
             return np.concatenate([test(bb[run, :n, :n], scale[run]) for run, n, test in runs])
@@ -316,8 +315,8 @@ def _bisect_loewner_lambdas(
         # the first 53 midpoints are exact and strictly inside.
         if step > 53 and all(m == b or (m == a and a > 0.0) for a, m, b in zip(lo, mid, hi)):
             break
-        # mid <= hi, whose scaled operand was finite, and rounding is
-        # monotone: the scaled operand is finite, with no need to check.
+        # mid <= hi, whose symmetrized scaled operand was finite, and
+        # rounding is monotone: so is this one, with no need to check.
         ok = holds(np.array(mid), check=False).tolist()
         lo = [a if k else m for a, m, k in zip(lo, mid, ok)]
         hi = [m if k else b for m, b, k in zip(mid, hi, ok)]
@@ -356,6 +355,17 @@ def _conditioned_matrix(rng: np.random.Generator, rows: int, cols: int, r: int) 
     return (q1 * singulars) @ q2.conj().T
 
 
+_PINV_CHECKS = (
+    "outer-identity",
+    "inner-identity",
+    "left-projector-hermitian",
+    "right-projector-hermitian",
+    "adjoint-commutes",
+    "null-complement",
+    "range-complement",
+)
+
+
 def _pinv_checks(rng: np.random.Generator, index: int) -> List[Check]:
     """Pseudo-inverse identity suite on random matrices up to 16 x 16;
     every other trial forces a rank-deficient input."""
@@ -366,19 +376,25 @@ def _pinv_checks(rng: np.random.Generator, index: int) -> List[Check]:
         a = complex_normal(rng, n, r) @ complex_normal(rng, r, p)
     else:
         a = complex_normal(rng, n, p)
-    a_pinv = pinv(a)
+    # pinv(a) and both projectors of a from one SVD.
+    f = svd(a)
+    a_pinv = f.pinv()
     left = a @ a_pinv
     right = a_pinv @ a
-    scale = 1.0 + op_norm(a)
-    return [
-        ("outer-identity", op_norm(a @ a_pinv @ a - a) / scale),
-        ("inner-identity", op_norm(a_pinv @ a @ a_pinv - a_pinv) / scale),
-        ("left-projector-hermitian", op_norm(left - left.conj().T) / scale),
-        ("right-projector-hermitian", op_norm(right - right.conj().T) / scale),
-        ("adjoint-commutes", op_norm(pinv(a.conj().T) - a_pinv.conj().T) / scale),
-        ("null-complement", op_norm(a_pinv @ range_projector(a) - a_pinv) / scale),
-        ("range-complement", op_norm(corange_projector(a) - right) / scale),
-    ]
+    norm_a, *gaps = op_norms(
+        [
+            a,
+            a @ a_pinv @ a - a,
+            a_pinv @ a @ a_pinv - a_pinv,
+            left - left.conj().T,
+            right - right.conj().T,
+            pinv(a.conj().T) - a_pinv.conj().T,
+            a_pinv @ f.range_projector() - a_pinv,
+            f.corange_projector() - right,
+        ]
+    )
+    scale = 1.0 + norm_a
+    return [(name, gap / scale) for name, gap in zip(_PINV_CHECKS, gaps)]
 
 
 def _prop_l1(chunk: _Chunk) -> List[List[Check]]:
@@ -411,23 +427,23 @@ def _prop_l2(chunk: _Chunk) -> List[List[Check]]:
     trials = []
     for rng in chunk.rngs("l2"):
         s_op, t_op = _factorization_pair(rng)
-        theta = douglas_factor(s_op, t_op)
-        trials.append((s_op, t_op, theta, op_norm(theta) ** 2, _loewner_operands(s_op, t_op)))
+        # The factor with the squared norm and rank of T its test computed.
+        inc = douglas_factors(s_op[None], t_op[None])
+        lam, rank_t = float(inc.lambda_star[0]), int(inc.rank_t[0])
+        trials.append((s_op, t_op, inc.factor[0], lam, rank_t, _loewner_operands(s_op, t_op)))
     scales = _bisect_loewner_lambdas([operands for *_, operands in trials])
     out = []
-    for (s_op, t_op, theta, lam, _), lam_b in zip(trials, scales):
+    for (s_op, t_op, theta, lam, rank_t, _), lam_b in zip(trials, scales):
+        gap, norm_s = op_norm(np.stack([t_op @ theta - s_op, s_op])).tolist()
         out.append(
             [
-                ("factorization", op_norm(t_op @ theta - s_op) / (1.0 + op_norm(s_op))),
+                ("factorization", gap / (1.0 + norm_s)),
                 ("min-scale", 1.0 if lam_b is None else abs(lam - lam_b) / (1.0 + lam_b)),
                 (
                     "kernel-match",
                     0.0 if rank(s_op) == rank(theta) == rank(np.vstack([s_op, theta])) else 1.0,
                 ),
-                (
-                    "range-in-adjoint",
-                    0.0 if rank(np.hstack([t_op.conj().T, theta])) == rank(t_op) else 1.0,
-                ),
+                ("range-in-adjoint", 0.0 if rank(np.hstack([t_op.conj().T, theta])) == rank_t else 1.0),
             ]
         )
     return out

@@ -12,6 +12,7 @@ from kframelab.hilbert import (
     douglas_factor,
     loewner_leq,
     op_norm,
+    op_norms,
     pinv,
     pinvs,
     range_inclusion,
@@ -242,6 +243,10 @@ class TestDouglasFactor:
             theta = douglas_factor(s, t)
             assert op_norm(t @ theta - s) <= 1e-9 * (1.0 + op_norm(s))
             lam = op_norm(theta) ** 2
+            # The factor and scale of the inclusion test are the ones formed
+            # from pinv(t) directly, bit for bit.
+            assert np.array_equal(theta, pinv(t) @ s)
+            assert range_inclusion(s, t).lambda_star == lam
             lam_oracle = bisect_loewner(s, t)
             assert lam_oracle is not None
             assert abs(lam - lam_oracle) <= 1e-6 * (1.0 + lam_oracle)
@@ -351,10 +356,19 @@ class TestStackedLinalg:
         s[3] = a[3][:, :2]  # included member
         p = pinvs(a)
         inc = range_inclusions(s, a)
+        # Shapes repeat, so some operators share a stacked call.
+        mixed = [a[0], s[0], a[1], a[2].conj().T, s[1], a[3]]
+        assert op_norms(mixed) == [op_norm(m.copy()) for m in mixed]
         for t in range(5):
+            f = svd(a[t])
             assert np.array_equal(p[t], pinv(a[t]))
+            # l1 takes the pseudo-inverse and both projectors from one SVD.
+            assert np.array_equal(f.pinv(), pinv(a[t]))
+            assert np.array_equal(f.range_projector(), range_projector(a[t]))
+            assert np.array_equal(f.corange_projector(), corange_projector(a[t]))
             assert op_norm(a)[t] == op_norm(a[t])
-            assert ranks(a)[t] == rank(a[t])
+            assert ranks(a)[t] == rank(a[t]) == f.rank
+            assert inc.rank_t[t] == rank(a[t])
             single = range_inclusion(s[t], a[t])
             assert bool(inc.included[t]) == single.included
             if single.included:

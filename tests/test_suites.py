@@ -227,6 +227,15 @@ class TestLoewnerBisection:
             with pytest.raises(ValueError, match="finite"):
                 bisect_loewner_lambda(np.eye(3), 1e160 * np.eye(3))
 
+    def test_overflowing_symmetrized_operand_raises(self):
+        # T T* = diag(1e308, 1e308, 0) is finite, and so is it at scale 1,
+        # but the sum that symmetrizes it overflows: the documented
+        # ValueError, not eigvalsh's LinAlgError on the infinite operand.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="finite") as raised:
+                bisect_loewner_lambda(np.eye(3), np.diag([1e154, 1e154, 0.0]))
+        assert not isinstance(raised.value, np.linalg.LinAlgError)
+
     def test_l2_work_per_trial(self, monkeypatch):
         counts = Counter()
         for name in ("svd", "eigvalsh"):
@@ -462,3 +471,24 @@ def test_large_diagonal_k_is_verified_or_rejected(exponent):
         assert exponent > 152
         return
     assert run_suite(sc).all_passed
+
+
+@pytest.mark.parametrize("pid, bound", [("l1", 10), ("l2", 15)])
+def test_svds_per_trial(monkeypatch, pid, bound):
+    # l1 takes pinv(a) and both projectors of a from one SVD; l2 takes
+    # its factor, scale and rank of T from the inclusion test's SVDs.
+    counts = Counter()
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        counts["svd"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    sc = scenario_from_dict(generated_doc(trials=20))
+    per_trial = []
+    for trial in range(sc.trials):
+        counts.clear()
+        assert run_suite(sc.replay(trial), [pid]).all_passed
+        per_trial.append(counts["svd"])
+    assert max(per_trial) <= bound, per_trial
