@@ -28,7 +28,7 @@ def test_every_scenario_is_recorded():
 @pytest.mark.parametrize("name", sorted(golden.SCENARIOS))
 def test_scenario_matches_golden(name, same_build, capsys):
     expected = GOLDEN["scenarios"][name]
-    actual = golden.scenario_record(golden.SCENARIOS[name])
+    actual = golden.scenario_record(golden.SCENARIOS[name], golden.PROPERTIES.get(name, golden.suites.PROPERTY_IDS))
     assert sorted(actual["properties"]) == sorted(expected["properties"])
     for pid, want in expected["properties"].items():
         got = actual["properties"][pid]
@@ -40,3 +40,22 @@ def test_scenario_matches_golden(name, same_build, capsys):
     else:
         with capsys.disabled():
             print(f"\n{name}: build fingerprint differs from golden.json; bits were not compared")
+
+
+def test_regenerate_refuses_another_fingerprint(monkeypatch, capsys):
+    from golden import regenerate
+
+    with open(golden.GOLDEN_PATH, "rb") as handle:
+        before = handle.read()
+    other = dict(GOLDEN["fingerprint"], blas_threads=-1)
+    monkeypatch.setattr(golden, "build_fingerprint", lambda: other)
+
+    def refused():
+        raise AssertionError("the digests were recomputed")
+
+    monkeypatch.setattr(golden, "compute", refused)
+    assert regenerate.main() == 1
+    err = capsys.readouterr().err
+    assert '"blas_threads": -1' in err and f'"blas_threads": {GOLDEN["fingerprint"]["blas_threads"]}' in err
+    with open(golden.GOLDEN_PATH, "rb") as handle:
+        assert handle.read() == before
