@@ -48,7 +48,7 @@ from .measure import (
     weighted_norm_sq,
     weighted_sums,
 )
-from .rng import complex_normal, complex_normals, stacked, stream, streams
+from .rng import complex_normal_stack, stacked, stream, streams
 
 __all__ = [
     "HypothesisError",
@@ -228,7 +228,7 @@ def _kernel_fields(
     phi = np.zeros((len(rngs), space.atom_count, dim), dtype=np.complex128)
     lo, hi = np.log10(norm_band[0]), np.log10(norm_band[1])
     for w, pos, bases in kernel.of(members):
-        draws = bases @ stacked([complex_normal(rngs[j], w, dim) for j in pos])
+        draws = bases @ complex_normal_stack([rngs[j] for j in pos], w, dim)
         scale = np.ones(len(pos))
         for i, (j, norm) in enumerate(zip(pos.tolist(), field_norm(space, draws).tolist())):
             if norm != 0.0:
@@ -327,6 +327,11 @@ class ParsevalKFrames:
         return analysis_norm(self.duals)
 
     @cached_property
+    def dual_residuals(self) -> np.ndarray:
+        """Duality residuals of the canonical duals, see :meth:`duality_residuals`."""
+        return _duality_residual(self.frames, self.duals, self.k.op)
+
+    @cached_property
     def dual_analysis(self) -> np.ndarray:
         """Analysis matrices of the canonical duals."""
         return analysis(self.duals)
@@ -359,7 +364,10 @@ class ParsevalKFrames:
         return FrameStack(self.space, self.duals.subset(idx).samples + np.conj(phi))
 
     def duality_residuals(self, g: FrameStack, idx: Optional[np.ndarray] = None) -> np.ndarray:
-        """Norms of synthesis(frame) @ analysis(G) - K, see :func:`is_dual_k_bessel`."""
+        """Norms of synthesis(frame) @ analysis(G) - K, see :func:`is_dual_k_bessel`;
+        the cached :attr:`dual_residuals` for the stack's own canonical duals."""
+        if g is self.duals and idx is None:
+            return self.dual_residuals
         return _duality_residual(self.frames.subset(idx), g, _take(self.k.op, idx))
 
     def require_duals(self, g: FrameStack, idx: Optional[np.ndarray] = None) -> np.ndarray:
@@ -379,7 +387,7 @@ class ParsevalKFrames:
 
     def _probes(self, rngs: Sequence, count: int) -> np.ndarray:
         """``count`` probe vectors per member, (members, count, d)."""
-        return stacked([complex_normals(rng, count, self.frames.dim) for rng in rngs])
+        return complex_normal_stack(rngs, self.frames.dim, count=count)
 
     def _coefficient_norms(self, an: np.ndarray, f: np.ndarray) -> np.ndarray:
         """Weighted squared norms of an @ f for probes f (members, count, d)."""
@@ -422,7 +430,7 @@ class ParsevalKFrames:
         self.require_duals(g, idx)
         syn_g = synthesis(g)
         gram = syn_g @ analysis(g)
-        scale = 1.0 + _squares(analysis_norm(g))
+        scale = 1.0 + _squares(self.dual_norms if g is self.duals else analysis_norm(g))
         holds = np.ones(len(g), dtype=bool)
         active = None  # positions in g still holding; None: all of them
         for t in range(int(trials)):
@@ -465,14 +473,14 @@ class ParsevalKFrames:
         rngs = [stream(seed) for seed in seeds]
         alpha = np.empty((len(members), space.atom_count), dtype=np.complex128)
         for w, pos, bases in self.kernel.of(idx):
-            coeffs = stacked([complex_normal(rngs[j], w) for j in pos])
+            coeffs = complex_normal_stack([rngs[j] for j in pos], w)
             alpha[pos] = (bases @ coeffs[..., None])[..., 0]
         alpha_norm = np.sqrt(weighted_norm_sq(space, alpha))
         for j in np.flatnonzero(alpha_norm == 0.0):  # measure-zero draw; fall back to a basis column
             alpha[j] = self.kernel.basis(members[j])[:, 0]
             alpha_norm[j] = np.sqrt(weighted_norm_sq(space, alpha[j]))
         alpha = alpha / alpha_norm[:, None]
-        h = stacked([complex_normal(rng, dim) for rng in rngs])
+        h = complex_normal_stack(rngs, dim)
         h_norm = vector_norms(h)
         for j in np.flatnonzero(h_norm == 0.0):
             h[j] = 0.0
@@ -577,7 +585,8 @@ class ParsevalKFrames:
         kernel_part = np.zeros((len(self), int(count), self.space.atom_count), dtype=np.complex128)
         for w, pos, bases in self.kernel.of(None) if count > 1 else ():
             tails = [(t,) for t in range(1, count)]
-            draws = stacked([stacked([complex_normal(rng, w) for rng in streams(seeds[j], (), tails)]) for j in pos])
+            rngs = [rng for j in pos for rng in streams(seeds[j], (), tails)]
+            draws = complex_normal_stack(rngs, w).reshape(len(pos), count - 1, w)
             kernel_part[pos, 1:] = scale[pos, None, None] * (bases[:, None] @ draws[..., None])[..., 0]
         return canonical_values[:, None] + kernel_part
 

@@ -36,7 +36,7 @@ from .hilbert import (
     svd,
 )
 from .measure import MeasureSpace, _require_same_space
-from .rng import complex_normal, stacked, stream
+from .rng import complex_normal_stack, stream
 
 __all__ = [
     "InfeasibleError",
@@ -390,7 +390,7 @@ def parseval_k_samples(ks: KStack, space: MeasureSpace, rngs: Sequence) -> np.nd
         if r == 0:
             continue
         basis = ks.corange_bases(idx, r)  # orthonormal basis of R(K*), (n, d, r)
-        q, _ = np.linalg.qr(stacked([complex_normal(rngs[t], m, r) for t in idx]))
+        q, _ = np.linalg.qr(complex_normal_stack([rngs[t] for t in idx], m, r))
         # w_i = basis @ conj(q[i]) / sqrt(weight_i) gives sum_i weight_i w_i w_i* = basis basis*.
         w_rows = np.conj(q) / space.sqrt_weights[:, None]
         out[idx] = w_rows @ (ks.op[idx] @ basis).swapaxes(-1, -2)
@@ -401,7 +401,7 @@ def random_bessel_samples(d: int, space: MeasureSpace, rngs: Sequence) -> np.nda
     """Samples (n, m, d) of :func:`generate_random_bessel`, member t drawing
     from ``rngs[t]``."""
     m = space.atom_count
-    raw = stacked([complex_normal(rng, m, int(d)) for rng in rngs])
+    raw = complex_normal_stack(rngs, m, int(d))
     return raw / np.sqrt(m * space.weights)[:, None]
 
 

@@ -17,10 +17,21 @@ which gives the same pool. The pool after the words that keys share
 (the seed and every index but the last) is memoized in a bounded cache,
 so each key hashes only its own trailing words. Philox then takes its
 key from a seed sequence that returns the precomputed state.
+
+A batch of keys (:func:`streams`, :func:`derive_seeds`) is keyed lazily:
+each stream or derived seed is built when a caller first reads it, so
+members that draw nothing, such as those whose synthesis kernel is
+trivial, cost no Philox constructor. Building the generator is what is
+left of a stream's cost. Stacked complex Gaussian draws
+(:func:`complex_normal_stack`) fill each member's raw normals from its
+own stream and make the whole stack complex in one expression, the one
+:func:`complex_normal` applies per member.
 """
 
+import operator
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -140,25 +151,51 @@ class _PhiloxKey(ISeedSequence):
         return self.state
 
 
-def streams(seed: int, shared: Tuple[int, ...], tails: Iterable[Tuple[int, ...]]) -> List[np.random.Generator]:
-    """:func:`stream` of each key (seed, *shared, *tail), the prefix hashed once."""
-    return [np.random.Generator(np.random.Philox(_PhiloxKey(_seeds64(pool)))) for pool in _pools(seed, shared, tails)]
+class Keyed(Sequence):
+    """The streams or derived seeds of the keys (seed, *shared, *tail), one
+    per tail, each keyed on first use and then kept: a member that never
+    draws or reads costs nothing, and repeated reads see one generator."""
+
+    def __init__(self, make: Callable[[Tuple[int, int]], object], seed: int, shared: Tuple[int, ...], tails):
+        self._make = make
+        self._seed, self._shared = seed, tuple(shared)
+        self._tails = list(tails)
+        self._made: list = [None] * len(self._tails)
+
+    def __len__(self) -> int:
+        return len(self._tails)
+
+    def __getitem__(self, j):
+        j = operator.index(j)
+        made = self._made[j]
+        if made is None:
+            made = self._made[j] = self._make(_seeds64(_pools(self._seed, self._shared, (self._tails[j],))[0]))
+        return made
 
 
-def derive_seeds(seed: int, shared: Tuple[int, ...], tails: Iterable[Tuple[int, ...]]) -> List[int]:
-    """:func:`derive_seed` of each key (seed, *shared, *tail): the first of
-    the two uint64 state words."""
-    return [_seeds64(pool)[0] for pool in _pools(seed, shared, tails)]
+def _generator(state: Tuple[int, int]) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(_PhiloxKey(state)))
+
+
+def streams(seed: int, shared: Tuple[int, ...], tails: Iterable[Tuple[int, ...]]) -> Keyed:
+    """:func:`stream` of each key (seed, *shared, *tail), each built on first use."""
+    return Keyed(_generator, seed, shared, tails)
+
+
+def derive_seeds(seed: int, shared: Tuple[int, ...], tails: Iterable[Tuple[int, ...]]) -> Keyed:
+    """:func:`derive_seed` of each key (seed, *shared, *tail), each derived on
+    first use: the first of the two uint64 state words."""
+    return Keyed(operator.itemgetter(0), seed, shared, tails)
 
 
 def stream(seed: int, *indices: int) -> np.random.Generator:
     """Generator for the stream addressed by ``seed`` and an index path."""
-    return streams(seed, indices[:-1], [indices[-1:]])[0]
+    return _generator(_seeds64(_pools(seed, indices[:-1], [indices[-1:]])[0]))
 
 
 def derive_seed(seed: int, *indices: int) -> int:
     """Collapse (seed, indices) into a single 64-bit seed for nested use."""
-    return derive_seeds(seed, indices[:-1], [indices[-1:]])[0]
+    return _seeds64(_pools(seed, indices[:-1], [indices[-1:]])[0])[0]
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -178,6 +215,24 @@ def complex_normals(rng: np.random.Generator, count: int, *shape: int) -> np.nda
     same."""
     raw = rng.standard_normal((int(count), 2) + shape)
     return _complex(raw[:, 0], raw[:, 1])
+
+
+def complex_normal_stack(rngs: Sequence[np.random.Generator], *shape: int, count: Optional[int] = None) -> np.ndarray:
+    """:func:`complex_normal` of ``shape`` from each generator, or
+    :func:`complex_normals` of ``count`` draws when it is given, stacked
+    along a new first axis. Each generator fills its member's raw normals
+    in stream order, and the whole stack is made complex at once, with the
+    expression each member's own call applies."""
+    lead = () if count is None else (int(count),)
+    if len(rngs) == 1:
+        # A stack of one, as a replay draws it: one sized draw costs less.
+        raw = rngs[0].standard_normal(lead + (2,) + shape)[None]
+    else:
+        raw = np.empty((len(rngs),) + lead + (2,) + shape)
+        for rng, out in zip(rngs, raw):
+            rng.standard_normal(out=out)
+    before = (slice(None),) * (1 + len(lead))  # the axes before (re, im)
+    return _complex(raw[before + (0,)], raw[before + (1,)])
 
 
 def stacked(arrays) -> np.ndarray:

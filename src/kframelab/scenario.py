@@ -21,7 +21,7 @@ from .frames import (
     random_bessel_samples,
 )
 from .measure import MeasureSpace
-from .rng import complex_normal, derive_seeds, stacked, stream, streams
+from .rng import complex_normal_stack, derive_seeds, stacked, stream, streams
 
 __all__ = [
     "ScenarioError",
@@ -303,14 +303,13 @@ def _k_ops(scenario: Scenario, trials: Sequence[int]) -> np.ndarray:
     # random-rank: isometries from QR factors, singular values in [0.5, 2]
     # keep the operator well conditioned on its support.
     d, r = scenario.dim, spec["rank"]
-    g1, g2, singulars = [], [], []
-    for rng in streams(spec["seed"], (_K_STREAM,), [(trial,) for trial in trials]):
-        g1.append(complex_normal(rng, d, r))
-        g2.append(complex_normal(rng, d, r))
-        singulars.append(np.sort(rng.uniform(0.5, 2.0, r))[::-1])
-    q1, _ = np.linalg.qr(stacked(g1))
-    q2, _ = np.linalg.qr(stacked(g2))
-    return (q1 * stacked(singulars)[:, None, :]) @ q2.conj().swapaxes(-1, -2)
+    rngs = streams(spec["seed"], (_K_STREAM,), [(trial,) for trial in trials])
+    # Per trial, two d x r draws and then the singular values.
+    g = complex_normal_stack(rngs, d, r, count=2)
+    singulars = stacked([np.sort(rng.uniform(0.5, 2.0, r))[::-1] for rng in rngs])
+    q1, _ = np.linalg.qr(g[:, 0])
+    q2, _ = np.linalg.qr(g[:, 1])
+    return (q1 * singulars[:, None, :]) @ q2.conj().swapaxes(-1, -2)
 
 
 def build_ks(scenario: Scenario, trials: Sequence[int]) -> KStack:

@@ -60,7 +60,7 @@ from .hilbert import (
 )
 from .measure import MeasureSpace
 from .report import REPORT_VERSION, PropertyRecord, SuiteReport
-from .rng import complex_normal, complex_normals, derive_seeds, stacked, streams
+from .rng import Keyed, complex_normal, complex_normal_stack, derive_seeds, streams
 from .scenario import Scenario, ScenarioError, build_frames, build_ks, build_space
 
 __all__ = [
@@ -138,11 +138,14 @@ class _Chunk:
     def _chosen(self, positions: Optional[np.ndarray]) -> List[int]:
         return self.indices if positions is None else [self.indices[j] for j in positions]
 
-    def rngs(self, pid: str, positions: Optional[np.ndarray] = None) -> List[np.random.Generator]:
-        """The property's stream of each trial, or of the trials at ``positions``."""
+    def rngs(self, pid: str, positions: Optional[np.ndarray] = None) -> Keyed:
+        """The property's stream of each trial, or of the trials at
+        ``positions``, each built when it is first drawn from."""
         return streams(self.scenario.seed, (_PROPERTY_TAG[pid],), [(i,) for i in self._chosen(positions)])
 
-    def sub_seeds(self, pid: str, slot: int, positions: Optional[np.ndarray] = None) -> List[int]:
+    def sub_seeds(self, pid: str, slot: int, positions: Optional[np.ndarray] = None) -> Keyed:
+        """The property's derived seed in ``slot`` of each trial, or of the
+        trials at ``positions``, each derived when it is first read."""
         return derive_seeds(self.scenario.seed, (_PROPERTY_TAG[pid],), [(i, slot) for i in self._chosen(positions)])
 
     @cached_property
@@ -472,7 +475,7 @@ def _prop_l3(chunk: _Chunk) -> List[List[Check]]:
     b = weighted_synthesis(frames.subset(idx))
     s_mat = b @ b.conj().swapaxes(-1, -2)
     k_adjoint = _take(ks.adjoint, idx)
-    f = stacked([complex_normals(rng, 5, frames.dim) for rng in chunk.rngs("l3", idx)])
+    f = complex_normal_stack(chunk.rngs("l3", idx), frames.dim, count=5)
     kf = (k_adjoint[:, None] @ f[..., None])[..., 0]
     lhs = a[:, None] * vdots(kf, kf).real
     rhs = vdots(f, (s_mat[:, None] @ f[..., None])[..., 0]).real
@@ -590,7 +593,7 @@ def _prop_t4(chunk: _Chunk) -> List[List[Check]]:
     the residual is orthogonal to the canonical coefficients."""
     pk = chunk.parseval
     weights = pk.space.weights
-    f = stacked([complex_normal(rng, pk.frames.dim) for rng in chunk.rngs("t4")])
+    f = complex_normal_stack(chunk.rngs("t4"), pk.frames.dim)
     canonical_values = pk.canonical_values(f)[:, None]
     families = pk.coefficient_families(f, count=10, seeds=chunk.sub_seeds("t4", 1))
     total, residual, canonical = pk.norm_splits(f, families)

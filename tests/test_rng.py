@@ -1,15 +1,28 @@
-"""The keyed streams against numpy's SeedSequence.
+"""The keyed streams against numpy's SeedSequence, and the stacked draws.
 
 kframelab computes the SeedSequence hash itself; every stream and derived
 seed must equal the one ``np.random.SeedSequence(seed, spawn_key=indices)``
 gives, over the whole range of seeds and indices the runner can ask for.
+A run keys only the streams it draws from and the seeds it reads, and a
+stack of complex Gaussian draws gives each member the bits of its own
+per-generator call.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
 from kframelab import rng, suites
-from kframelab.rng import derive_seed, derive_seeds, stream, streams
+from kframelab.rng import (
+    complex_normal,
+    complex_normal_stack,
+    complex_normals,
+    derive_seed,
+    derive_seeds,
+    stream,
+    streams,
+)
 from kframelab.scenario import scenario_from_dict
 
 DRAWS = 50
@@ -102,3 +115,121 @@ def test_precomputed_key_answers_only_the_philox_request():
     assert [int(w) for w in key.generate_state(2, np.uint64)] == list(reference(42, 1000, 5).generate_state(2, np.uint64))
     with pytest.raises(ValueError):
         key.generate_state(4, np.uint32)
+
+
+def test_keyed_entries_are_built_on_first_read_and_kept(monkeypatch):
+    built = []
+    philox = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda key: built.append(key) or philox(key))
+    generators = streams(42, (1003,), [(i,) for i in range(5)])
+    assert len(generators) == 5 and built == []
+    assert generators[3] is generators[3] and len(built) == 1
+    assert np.array_equal(generators[1].standard_normal(DRAWS), stream(42, 1003, 1).standard_normal(DRAWS))
+    assert list(derive_seeds(42, (1003,), [(2, 1)])) == [derive_seed(42, 1003, 2, 1)]
+    with pytest.raises(IndexError):
+        generators[5]
+
+
+README_DOC = {
+    "dim": 3,
+    "atoms": 7,
+    "weights": [0.5, 2.0, 1.0, 0.25, 3.0, 1.5, 0.75],
+    "k_spec": {"kind": "random-rank", "rank": 2, "seed": 5},
+    "frame_spec": {"kind": "generate-parseval-k", "seed": 9},
+    "trials": 20,
+    "seed": 42,
+}
+# atoms == rank: the analysis map fills the coefficient space, so the
+# synthesis kernel is trivial and the canonical dual is the only dual.
+UNIQUE_DUAL_DOC = dict(
+    README_DOC, dim=6, atoms=4, weights=[0.5, 2.0, 1.0, 1.5], k_spec={"kind": "random-rank", "rank": 4, "seed": 5}
+)
+# Every property that reads the scenario's instance; l1 and l2 draw their
+# own matrices.
+INSTANCE_PROPERTIES = [pid for pid in suites.PROPERTY_IDS if pid not in ("l1", "l2")]
+
+
+@pytest.mark.parametrize(
+    "doc, props, per_trial",
+    [(README_DOC, suites.PROPERTY_IDS, (33, 5)), (UNIQUE_DUAL_DOC, INSTANCE_PROPERTIES, (12, 2))],
+    ids=["readme", "unique-dual"],
+)
+def test_streams_and_seeds_keyed_per_trial(monkeypatch, doc, props, per_trial):
+    # Every stream and every derived seed takes one state from the hash; a
+    # stream also builds one Philox. Members with a trivial kernel draw no
+    # kernel field (l5, canonical-char) and read no partner or family seeds
+    # (canonical-char, t4), and canonical-char's one-partner check reads no
+    # seeds at all.
+    counts = {"philox": 0, "states": 0}
+    philox, seeds64 = np.random.Philox, rng._seeds64
+
+    def counted_philox(key):
+        counts["philox"] += 1
+        return philox(key)
+
+    def counted_state(pool):
+        counts["states"] += 1
+        return seeds64(pool)
+
+    monkeypatch.setattr(np.random, "Philox", counted_philox)
+    monkeypatch.setattr(rng, "_seeds64", counted_state)
+    sc = scenario_from_dict(doc)
+    assert suites.run_suite(sc, props).all_passed
+    made = (counts["philox"], counts["states"] - counts["philox"])
+    assert made == (per_trial[0] * sc.trials, per_trial[1] * sc.trials)
+
+
+class Crafted:
+    """A stand-in generator whose normals are the given numbers, in order."""
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return self.values.reshape(size).copy()
+        out[...] = self.values.reshape(out.shape)
+        return out
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("members", [1, 2, 20])
+@pytest.mark.parametrize("shape, count", [((5,), None), ((3, 2), None), ((4,), 5), ((2, 3), 2)], ids=str)
+def test_stacked_draws_equal_per_generator_draws(members, shape, count):
+    keys = [(i,) for i in range(members)]
+
+    def draw(g):
+        return complex_normal(g, *shape) if count is None else complex_normals(g, count, *shape)
+
+    singles = streams(7, (1000,), keys)
+    generators = streams(7, (1000,), keys)
+    stack = complex_normal_stack(generators, *shape, count=count)
+    assert stack.shape == (members,) + (() if count is None else (count,)) + shape
+    for j in range(members):
+        assert same_bits(stack[j], draw(singles[j]))
+        # Each stream is left where its own call leaves it.
+        assert np.array_equal(generators[j].standard_normal(3), singles[j].standard_normal(3))
+
+
+SPECIAL = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1.5, -2.5e300]
+
+
+@pytest.mark.parametrize("members", [1, 2, 20])
+def test_stacked_conversion_keeps_signed_zeros_and_specials(members):
+    # Every (re, im) pair of the special values, in both parts, spread over
+    # the members; each member's conversion is compared with its own call.
+    pairs = np.array(list(itertools.product(SPECIAL, SPECIAL)))
+    rows = np.resize(np.arange(len(pairs)), (members, 11 * 11))
+    raw = [np.concatenate([pairs[r, 0], pairs[r, 1]]) for r in rows]
+    with np.errstate(all="ignore"):
+        singles = [complex_normal(Crafted(values), 11, 11) for values in raw]
+        stack = complex_normal_stack([Crafted(values) for values in raw], 11, 11)
+        counted_singles = [complex_normals(Crafted(values), 1, 11, 11) for values in raw]
+        counted = complex_normal_stack([Crafted(values) for values in raw], 11, 11, count=1)
+    assert all(same_bits(stack[j], single) for j, single in enumerate(singles))
+    assert all(same_bits(counted[j], single) for j, single in enumerate(counted_singles))
+    # The crafted parts really carry both zeros.
+    assert {str(v) for v in raw[0]} >= {"0.0", "-0.0"}
