@@ -36,7 +36,7 @@ from typing import Callable, Iterable, List, Optional, Tuple
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["stream", "derive_seed", "complex_normal"]
+__all__ = ["stream", "derive_seed", "complex_normal", "complex_normal_stack"]
 
 _MASK = 0xFFFFFFFF
 # numpy's SeedSequence constants: the start and multiplier of hashmix's
