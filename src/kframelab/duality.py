@@ -364,15 +364,15 @@ class ParsevalKFrames:
         return FrameStack(self.space, self.duals.subset(idx).samples + np.conj(phi))
 
     def duality_residuals(self, g: FrameStack, idx: Optional[np.ndarray] = None) -> np.ndarray:
-        """Norms of synthesis(frame) @ analysis(G) - K, see :func:`is_dual_k_bessel`;
-        the cached :attr:`dual_residuals` for the stack's own canonical duals."""
-        if g is self.duals and idx is None:
-            return self.dual_residuals
+        """Norms of synthesis(frame) @ analysis(G) - K, see :func:`is_dual_k_bessel`."""
         return _duality_residual(self.frames.subset(idx), g, _take(self.k.op, idx))
 
     def require_duals(self, g: FrameStack, idx: Optional[np.ndarray] = None) -> np.ndarray:
         """Duality residuals of G; raises unless every G is a dual K-Bessel family."""
-        residual = self.duality_residuals(g, idx)
+        return self._required(self.duality_residuals(g, idx), idx)
+
+    def _required(self, residual: np.ndarray, idx: Optional[np.ndarray]) -> np.ndarray:
+        """``residual``, the duality residuals of G; raises unless every G is dual."""
         failed = _first(~_is_dual(residual, _take(self.k.norm, idx), self.tol))
         if failed is not None:
             raise HypothesisError(
@@ -427,10 +427,15 @@ class ParsevalKFrames:
         Zero trials pass vacuously. Partner t of member j draws from
         ``stream(seeds[j], t)``.
         """
-        self.require_duals(g, idx)
+        if g is self.duals and idx is None:  # the stack's canonical duals: their cached measures
+            self._required(self.dual_residuals, idx)
+            norms = self.dual_norms
+        else:
+            self.require_duals(g, idx)
+            norms = analysis_norm(g)
         syn_g = synthesis(g)
         gram = syn_g @ analysis(g)
-        scale = 1.0 + _squares(self.dual_norms if g is self.duals else analysis_norm(g))
+        scale = 1.0 + _squares(norms)
         holds = np.ones(len(g), dtype=bool)
         active = None  # positions in g still holding; None: all of them
         for t in range(int(trials)):

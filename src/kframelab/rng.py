@@ -117,14 +117,6 @@ def _tail_words(tail: Tuple[int, ...]) -> Sequence[int]:
     return [w for i in tail for w in _words(i)]
 
 
-def _pools(seed: int, shared: Tuple[int, ...], tails: Iterable[Tuple[int, ...]]) -> List[Pool]:
-    """The SeedSequence pool of each key (seed, *shared, *tail): the prefix
-    (seed, *shared) is hashed once and memoized, each tail per key. Every
-    stream and derived seed is keyed here."""
-    pool, const = _prefix(seed, tuple(shared))
-    return [_absorb(pool, const, _tail_words(tail))[0] for tail in tails]
-
-
 def _seeds64(pool: Pool) -> Tuple[int, int]:
     """``generate_state(2, np.uint64)`` of the pool: one output word per
     pool word, each pair read as one little-endian uint64."""
@@ -134,6 +126,14 @@ def _seeds64(pool: Pool) -> Tuple[int, int]:
     w2 = (pool[2] ^ b2) * b3 & _MASK
     w3 = (pool[3] ^ b3) * b4 & _MASK
     return w0 ^ w0 >> 16 | (w1 ^ w1 >> 16) << 32, w2 ^ w2 >> 16 | (w3 ^ w3 >> 16) << 32
+
+
+def _state(seed: int, shared: Tuple[int, ...], tail: Tuple[int, ...]) -> Tuple[int, int]:
+    """The Philox key state of (seed, *shared, *tail): the prefix (seed,
+    *shared) is hashed once and memoized, the tail per key. Every stream
+    and derived seed is keyed here."""
+    pool, const = _prefix(seed, tuple(shared))
+    return _seeds64(_absorb(pool, const, _tail_words(tail))[0])
 
 
 class _PhiloxKey(ISeedSequence):
@@ -169,7 +169,7 @@ class Keyed(Sequence):
         j = operator.index(j)
         made = self._made[j]
         if made is None:
-            made = self._made[j] = self._make(_seeds64(_pools(self._seed, self._shared, (self._tails[j],))[0]))
+            made = self._made[j] = self._make(_state(self._seed, self._shared, self._tails[j]))
         return made
 
 
@@ -190,12 +190,12 @@ def derive_seeds(seed: int, shared: Tuple[int, ...], tails: Iterable[Tuple[int, 
 
 def stream(seed: int, *indices: int) -> np.random.Generator:
     """Generator for the stream addressed by ``seed`` and an index path."""
-    return _generator(_seeds64(_pools(seed, indices[:-1], [indices[-1:]])[0]))
+    return _generator(_state(seed, indices[:-1], indices[-1:]))
 
 
 def derive_seed(seed: int, *indices: int) -> int:
     """Collapse (seed, indices) into a single 64-bit seed for nested use."""
-    return _seeds64(_pools(seed, indices[:-1], [indices[-1:]])[0])[0]
+    return _state(seed, indices[:-1], indices[-1:])[0]
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -224,13 +224,9 @@ def complex_normal_stack(rngs: Sequence[np.random.Generator], *shape: int, count
     in stream order, and the whole stack is made complex at once, with the
     expression each member's own call applies."""
     lead = () if count is None else (int(count),)
-    if len(rngs) == 1:
-        # A stack of one, as a replay draws it: one sized draw costs less.
-        raw = rngs[0].standard_normal(lead + (2,) + shape)[None]
-    else:
-        raw = np.empty((len(rngs),) + lead + (2,) + shape)
-        for rng, out in zip(rngs, raw):
-            rng.standard_normal(out=out)
+    raw = np.empty((len(rngs),) + lead + (2,) + shape)
+    for rng, out in zip(rngs, raw):
+        rng.standard_normal(out=out)
     before = (slice(None),) * (1 + len(lead))  # the axes before (re, im)
     return _complex(raw[before + (0,)], raw[before + (1,)])
 

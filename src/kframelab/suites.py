@@ -501,7 +501,7 @@ def _prop_l4(chunk: _Chunk) -> List[List[Check]]:
     """Canonical dual reproduces K through the frame, and is Parseval on the
     range of the adjoint operator."""
     pk = chunk.parseval
-    duality = pk.duality_residuals(pk.duals) / (1.0 + pk.k.norm)
+    duality = pk.dual_residuals / (1.0 + pk.k.norm)
     probes = pk.corange_parseval_residuals(chunk.rngs("l4"), 5)
     return check_rows(["duality"] + ["corange-parseval"] * 5, [duality] + list(probes.T))
 

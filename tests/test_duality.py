@@ -476,7 +476,7 @@ class TestParsevalKFramesStack:
         unique = ParsevalKFrames(stack.frames.subset(np.array([0])), KStack(stack.k.op[:1]))
         unique.kernel
         unique.dual_norms
-        unique.duality_residuals(unique.duals)
+        unique.dual_residuals
         svd, counts = np.linalg.svd, []
 
         def counted(*args, **kwargs):

@@ -111,7 +111,7 @@ def test_negative_seeds_and_indices_raise_like_seed_sequence():
 
 
 def test_precomputed_key_answers_only_the_philox_request():
-    key = rng._PhiloxKey(rng._seeds64(rng._pools(42, (1000,), [(5,)])[0]))
+    key = rng._PhiloxKey(rng._state(42, (1000,), (5,)))
     assert [int(w) for w in key.generate_state(2, np.uint64)] == list(reference(42, 1000, 5).generate_state(2, np.uint64))
     with pytest.raises(ValueError):
         key.generate_state(4, np.uint32)
