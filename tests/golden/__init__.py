@@ -20,6 +20,7 @@ import sys
 from typing import Dict, List, Sequence
 
 from kframelab import suites
+from kframelab.fixtures import fixture_scenario
 from kframelab.report import report_to_dict
 from kframelab.scenario import Scenario, scenario_from_dict
 
@@ -85,6 +86,16 @@ SCENARIOS: Dict[str, dict] = {
         "trials": 10,
         "seed": 11,
     },
+    "w1": fixture_scenario("W1", trials=20),
+    "w1p": fixture_scenario("W1p", trials=20),
+    "d24-m96": _readme(
+        dim=24,
+        atoms=96,
+        weights=[0.5, 2.0, 1.0, 1.5] * 24,
+        k_spec={"kind": "random-rank", "rank": 12, "seed": 5},
+        trials=3,
+        seed=29,
+    ),
 }
 
 PROPERTIES: Dict[str, Sequence[str]] = {"random-bessel": ("l3",)}
