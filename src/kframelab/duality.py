@@ -12,15 +12,13 @@ false without it, and returning numbers anyway would fake the
 verification. The routines are methods of that stack and run on all its
 members at once through stacked linear algebra; branches run on the
 members that take them. The stack serves the suite runner and is left
-out of ``__all__``; :class:`ParsevalKFrame` is the stack of one for a
-single instance, and each public ``(frame, k, ...)`` function builds it
-and delegates. The boolean checks pass when every residual the suites
-report is within the tolerance.
+out of ``__all__``; :class:`ParsevalKFrame`, its stack of one, is the
+API for a single instance.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,26 +53,15 @@ __all__ = [
     "ParsevalKFrame",
     "DualityReport",
     "ResidualOperator",
-    "IndependenceTransfer",
-    "canonical_dual",
     "is_dual_k_bessel",
-    "residual_operator",
-    "build_dual_from_phi",
-    "sample_kernel_field",
     "field_norm",
-    "minimality_check",
-    "canonical_characterization",
-    "uniqueness_test",
-    "construct_alternative_dual",
-    "complement_parseval_check",
-    "kdaggerk_frame_check",
-    "l2_independence_transfer",
-    "unique_dual_transfer",
-    "pythagorean_decomposition",
-    "dual_coefficient_family",
 ]
 
 Check = Tuple[str, float]
+
+# A kernel field's norm is 10**u times the analysis norm of its canonical
+# dual (or 1 when that is smaller), u uniform over these decades.
+_KERNEL_FIELD_DECADES = (-1.0, 1.0)
 
 
 class HypothesisError(ValueError):
@@ -85,11 +72,6 @@ def _require_dual_pair(g: SampledFrame, f: SampledFrame) -> None:
     _require_same_space(g.space, f.space)
     if g.dim != f.dim:
         raise ValueError(f"frame dimensions differ: {g.dim} and {f.dim}")
-
-
-def _within(checks: Iterable[Check], tol: float) -> bool:
-    # Written as "<=" so that a NaN residual fails.
-    return all(residual <= tol for _, residual in checks)
 
 
 def _positive_part(x: np.ndarray) -> np.ndarray:
@@ -180,12 +162,6 @@ class ResidualOperator:
     phi: np.ndarray
 
 
-class IndependenceTransfer(NamedTuple):
-    frame_independent: bool
-    dual_independent: bool
-    reconstruction_holds: Optional[bool]
-
-
 class _KernelBases:
     """Synthesis kernel bases of the members of a stack, kept as one stack
     (n, m, width) per width, since the width varies with the rank."""
@@ -210,51 +186,6 @@ class _KernelBases:
                 idx, stack = self._groups[w]
                 chosen = members[pos]
                 yield w, pos, stack if np.array_equal(chosen, idx) else stack[np.searchsorted(idx, chosen)]
-
-
-def _kernel_fields(
-    kernel: _KernelBases,
-    members: Optional[np.ndarray],
-    space: MeasureSpace,
-    dim: int,
-    rngs: Sequence,
-    reference_norms: Sequence[float],
-    norm_band: Tuple[float, float] = (0.1, 10.0),
-) -> np.ndarray:
-    """Kernel fields (len(rngs), m, d), one per member of ``members`` (all
-    for None); see :func:`sample_kernel_field`. Position j draws from
-    ``rngs[j]``; members with a trivial kernel get the zero field and draw
-    nothing."""
-    phi = np.zeros((len(rngs), space.atom_count, dim), dtype=np.complex128)
-    lo, hi = np.log10(norm_band[0]), np.log10(norm_band[1])
-    for w, pos, bases in kernel.of(members):
-        draws = bases @ complex_normal_stack([rngs[j] for j in pos], w, dim)
-        scale = np.ones(len(pos))
-        for i, (j, norm) in enumerate(zip(pos.tolist(), field_norm(space, draws).tolist())):
-            if norm != 0.0:
-                target = max(reference_norms[j], 1.0) * 10.0 ** rngs[j].uniform(lo, hi)
-                scale[i] = target / norm
-        if len(pos) == len(rngs):
-            return draws * scale[:, None, None]
-        phi[pos] = draws * scale[:, None, None]
-    return phi
-
-
-def sample_kernel_field(
-    frame: SampledFrame,
-    rng: np.random.Generator,
-    reference_norm: float,
-    norm_band: Tuple[float, float] = (0.1, 10.0),
-) -> np.ndarray:
-    """Random field with synthesis(frame) @ phi = 0, scaled into a norm band
-    relative to ``reference_norm``. Zero when the kernel is trivial.
-
-    The draw is a complex Gaussian pushed through the kernel projector,
-    so both small and dominant perturbations are exercised as the band
-    endpoints spread.
-    """
-    kernel = _KernelBases([synthesis_kernel_basis(frame)])
-    return _kernel_fields(kernel, None, frame.space, frame.dim, [rng], [reference_norm], norm_band)[0]
 
 
 def _still_holding(active: Optional[np.ndarray], broken: np.ndarray, holds: np.ndarray) -> Optional[np.ndarray]:
@@ -342,10 +273,31 @@ class ParsevalKFrames:
         return analysis_norm(self.frames)
 
     def sample_kernel_fields(self, rngs: Sequence, idx: Optional[np.ndarray] = None) -> np.ndarray:
-        """Kernel fields scaled against the canonical duals' analysis norms,
-        see :func:`sample_kernel_field`."""
-        norms = _take(self.dual_norms, idx).tolist()
-        return _kernel_fields(self.kernel, idx, self.space, self.frames.dim, rngs, norms)
+        """Random fields (len(rngs), m, d) that the synthesis maps of the
+        members ``idx`` (all for None) annihilate, scaled into a band of
+        norms around the canonical duals' analysis norms. Position j draws
+        from ``rngs[j]``; members with a trivial kernel get the zero field
+        and draw nothing.
+
+        The draw is a complex Gaussian pushed through the kernel basis, so
+        both small and dominant perturbations are exercised as the band
+        endpoints spread.
+        """
+        space, dim = self.space, self.frames.dim
+        reference_norms = _take(self.dual_norms, idx).tolist()
+        phi = np.zeros((len(rngs), space.atom_count, dim), dtype=np.complex128)
+        lo, hi = _KERNEL_FIELD_DECADES
+        for w, pos, bases in self.kernel.of(idx):
+            draws = bases @ complex_normal_stack([rngs[j] for j in pos], w, dim)
+            scale = np.ones(len(pos))
+            for i, (j, norm) in enumerate(zip(pos.tolist(), field_norm(space, draws).tolist())):
+                if norm != 0.0:
+                    target = max(reference_norms[j], 1.0) * 10.0 ** rngs[j].uniform(lo, hi)
+                    scale[i] = target / norm
+            if len(pos) == len(rngs):
+                return draws * scale[:, None, None]
+            phi[pos] = draws * scale[:, None, None]
+        return phi
 
     def build_duals(self, phi: np.ndarray, idx: Optional[np.ndarray] = None) -> FrameStack:
         """Rebuild duals from fields annihilated by the synthesis maps.
@@ -621,16 +573,6 @@ class ParsevalKFrame:
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "dual", SampledFrame(frame.space, stack.duals.samples[0]))
 
-    @property
-    def kernel_basis(self) -> np.ndarray:
-        """Null space basis of the synthesis map, see :func:`synthesis_kernel_basis`."""
-        return self.stack.kernel.basis(0)
-
-    @property
-    def dual_norm(self) -> float:
-        """Analysis norm of the canonical dual."""
-        return float(self.stack.dual_norms[0])
-
     def _one(self, g: SampledFrame) -> FrameStack:
         _require_dual_pair(g, self.frame)
         return FrameStack(self.frame.space, g.samples[None])
@@ -650,9 +592,9 @@ class ParsevalKFrame:
             )
         return SampledFrame(frame.space, self.stack.build_duals(phi[None]).samples[0])
 
-    def sample_kernel_field(self, rng: np.random.Generator, reference_norm: float) -> np.ndarray:
-        """:func:`sample_kernel_field` on the cached kernel basis, default norm band."""
-        return _kernel_fields(self.stack.kernel, None, self.frame.space, self.frame.dim, [rng], [reference_norm])[0]
+    def sample_kernel_field(self, rng: np.random.Generator) -> np.ndarray:
+        """See :meth:`ParsevalKFrames.sample_kernel_fields`."""
+        return self.stack.sample_kernel_fields([rng])[0]
 
     def minimality_residuals(self, rng: np.random.Generator, probes: int = 20) -> List[Check]:
         """See :meth:`ParsevalKFrames.minimality_residuals`."""
@@ -665,6 +607,14 @@ class ParsevalKFrame:
     def is_unique(self) -> bool:
         """See :meth:`ParsevalKFrames.is_unique`."""
         return bool(self.stack.is_unique()[0])
+
+    def unique_dual_transfer(self) -> bool:
+        """When the dual of the frame is unique, the canonical dual must admit a
+        unique dual with respect to the adjoint operator; verified by the rank
+        of its analysis map."""
+        if not self.is_unique():
+            raise HypothesisError("the frame does not have a unique dual family")
+        return svd(analysis(self.dual)).rank == self.frame.space.atom_count
 
     def alternative_dual(self, seed: int) -> SampledFrame:
         """See :meth:`ParsevalKFrames.alternative_duals`."""
@@ -710,108 +660,3 @@ class ParsevalKFrame:
         f = self._require_vector(f)
         families = self.stack.coefficient_families(f[None], count, [seed])[0]
         return [L2Coefficients(self.frame.space, values) for values in families]
-
-
-def canonical_dual(frame: SampledFrame, k: KOperator, tol: float = DEFAULT_TOL) -> SampledFrame:
-    """Apply the pseudo-inverse of K to every sample.
-
-    For the identity operator this collapses to the classical canonical
-    dual of a Parseval frame, which is the frame itself.
-    """
-    return ParsevalKFrame(frame, k, tol).dual
-
-
-def residual_operator(
-    g: SampledFrame, f: SampledFrame, k: KOperator, tol: float = DEFAULT_TOL
-) -> ResidualOperator:
-    """See :meth:`ParsevalKFrame.residual_field`."""
-    return ParsevalKFrame(f, k, tol).residual_field(g)
-
-
-def build_dual_from_phi(
-    frame: SampledFrame, k: KOperator, phi: np.ndarray, tol: float = DEFAULT_TOL
-) -> SampledFrame:
-    """See :meth:`ParsevalKFrame.build_dual`."""
-    return ParsevalKFrame(frame, k, tol).build_dual(phi)
-
-
-def minimality_check(
-    frame: SampledFrame,
-    k: KOperator,
-    trials: int,
-    seed: int,
-    tol: float = DEFAULT_TOL,
-    probes_per_trial: int = 20,
-) -> bool:
-    """Whether :meth:`ParsevalKFrame.minimality_residuals` stay within
-    ``tol`` on every trial, trial t drawing from ``stream(seed, t)``. Zero
-    trials pass vacuously."""
-    pk = ParsevalKFrame(frame, k, tol)
-    return all(
-        _within(pk.minimality_residuals(stream(seed, t), probes_per_trial), tol)
-        for t in range(int(trials))
-    )
-
-
-def canonical_characterization(
-    g: SampledFrame, f: SampledFrame, k: KOperator, trials: int, seed: int, tol: float = DEFAULT_TOL
-) -> bool:
-    """See :meth:`ParsevalKFrame.characterizes`."""
-    return ParsevalKFrame(f, k, tol).characterizes(g, trials, seed)
-
-
-def uniqueness_test(frame: SampledFrame, k: KOperator, tol: float = DEFAULT_TOL) -> bool:
-    """See :meth:`ParsevalKFrame.is_unique`."""
-    return ParsevalKFrame(frame, k, tol).is_unique()
-
-
-def construct_alternative_dual(
-    frame: SampledFrame, k: KOperator, seed: int, tol: float = DEFAULT_TOL
-) -> SampledFrame:
-    """See :meth:`ParsevalKFrame.alternative_dual`."""
-    return ParsevalKFrame(frame, k, tol).alternative_dual(seed)
-
-
-def complement_parseval_check(
-    frame: SampledFrame, k: KOperator, trials: int, seed: int, tol: float = DEFAULT_TOL
-) -> bool:
-    """See :meth:`ParsevalKFrame.complement_parseval_holds`."""
-    return ParsevalKFrame(frame, k, tol).complement_parseval_holds(trials, seed)
-
-
-def kdaggerk_frame_check(frame: SampledFrame, k: KOperator, tol: float = DEFAULT_TOL) -> bool:
-    """Whether both :meth:`ParsevalKFrame.kdaggerk_residuals` are within ``tol``."""
-    return _within(ParsevalKFrame(frame, k, tol).kdaggerk_residuals(), tol)
-
-
-def l2_independence_transfer(
-    frame: SampledFrame, k: KOperator, tol: float = DEFAULT_TOL
-) -> IndependenceTransfer:
-    """:meth:`ParsevalKFrame.independence_transfer` with the push-forward gap
-    turned into a verdict against ``tol``."""
-    frame_indep, dual_indep, gap = ParsevalKFrame(frame, k, tol).independence_transfer()
-    return IndependenceTransfer(frame_indep, dual_indep, None if gap is None else gap <= tol)
-
-
-def unique_dual_transfer(frame: SampledFrame, k: KOperator, tol: float = DEFAULT_TOL) -> bool:
-    """When the dual of the frame is unique, the canonical dual must admit a
-    unique dual with respect to the adjoint operator; verified by the rank
-    of its analysis map."""
-    pk = ParsevalKFrame(frame, k, tol)
-    if not pk.is_unique():
-        raise HypothesisError("the frame does not have a unique dual family")
-    return svd(analysis(pk.dual)).rank == frame.space.atom_count
-
-
-def pythagorean_decomposition(
-    frame: SampledFrame, k: KOperator, f, c: L2Coefficients, tol: float = DEFAULT_TOL
-) -> Tuple[float, float, float]:
-    """See :meth:`ParsevalKFrame.norm_split`."""
-    return ParsevalKFrame(frame, k, tol).norm_split(f, c)
-
-
-def dual_coefficient_family(
-    frame: SampledFrame, k: KOperator, f, count: int, seed: int, tol: float = DEFAULT_TOL
-) -> List[L2Coefficients]:
-    """See :meth:`ParsevalKFrame.coefficient_family`."""
-    return ParsevalKFrame(frame, k, tol).coefficient_family(f, count, seed)

@@ -8,20 +8,7 @@ import json
 
 import numpy as np
 
-from kframelab.duality import (
-    build_dual_from_phi,
-    canonical_characterization,
-    canonical_dual,
-    construct_alternative_dual,
-    dual_coefficient_family,
-    field_norm,
-    is_dual_k_bessel,
-    l2_independence_transfer,
-    pythagorean_decomposition,
-    residual_operator,
-    sample_kernel_field,
-    uniqueness_test,
-)
+from kframelab.duality import ParsevalKFrame, field_norm, is_dual_k_bessel
 from kframelab.fixtures import fixture_scenario, fixture_w1_prime
 from kframelab.frames import (
     SampledFrame,
@@ -161,7 +148,7 @@ def test_criterion_04_canonical_dual_duality():
         space = random_space(rng, m, mixed=bool(rng.integers(0, 2)))
         k = conditioned_operator(rng, d, r)
         frame = generate_parseval_k_frame(k, m, space, derive_seed(1004, i, 1))
-        dual = canonical_dual(frame, k)
+        dual = ParsevalKFrame(frame, k).dual
         worst_duality = max(
             worst_duality,
             op_norm(synthesis(frame) @ analysis(dual) - k.op) / (1.0 + k.norm),
@@ -188,9 +175,10 @@ def test_criterion_05_residual_field_round_trip():
     for i in range(100):
         space, k, frame = parseval_instance(derive_seed(1005, i))
         rng = stream(1005, i, 2)
-        phi = sample_kernel_field(frame, rng, analysis_norm(canonical_dual(frame, k)))
-        g = build_dual_from_phi(frame, k, phi)
-        recovered = residual_operator(g, frame, k)
+        pk = ParsevalKFrame(frame, k)
+        phi = pk.sample_kernel_field(rng)
+        g = pk.build_dual(phi)
+        recovered = pk.residual_field(g)
         phi_norm = field_norm(space, phi)
         worst_recovery = max(
             worst_recovery, field_norm(space, recovered.phi - phi) / (1.0 + phi_norm)
@@ -215,10 +203,11 @@ def test_criterion_06_minimal_analysis_norm():
     for i in range(200):
         space, k, frame = parseval_instance(derive_seed(1006, i))
         rng = stream(1006, i, 2)
-        dual = canonical_dual(frame, k)
+        pk = ParsevalKFrame(frame, k)
+        dual = pk.dual
         dual_norm = analysis_norm(dual)
-        phi = sample_kernel_field(frame, rng, dual_norm)
-        g = build_dual_from_phi(frame, k, phi)
+        phi = pk.sample_kernel_field(rng)
+        g = pk.build_dual(phi)
         worst_minimality = max(worst_minimality, dual_norm - analysis_norm(g))
         an_g = analysis(g)
         an_dual = analysis(dual)
@@ -245,21 +234,22 @@ def test_criterion_07_gram_identity_characterization():
     checked_perturbed = 0
     for i in range(20):
         space, k, frame = parseval_instance(derive_seed(1007, i))
-        dual = canonical_dual(frame, k)
-        if not canonical_characterization(dual, frame, k, trials=50, seed=derive_seed(1007, i, 1)):
+        pk = ParsevalKFrame(frame, k)
+        dual = pk.dual
+        if not pk.characterizes(dual, trials=50, seed=derive_seed(1007, i, 1)):
             forward_ok = False
         rng = stream(1007, i, 2)
         for _ in range(3):
-            phi = sample_kernel_field(frame, rng, analysis_norm(dual))
+            phi = pk.sample_kernel_field(rng)
             if field_norm(space, phi) == 0.0:
                 continue
-            g = build_dual_from_phi(frame, k, phi)
+            g = pk.build_dual(phi)
             gap = float(np.max(np.linalg.norm(g.samples - dual.samples, axis=1)))
             if gap <= 1e-6:
                 continue
             checked_perturbed += 1
             # One trial probes the canonical dual itself: the required witness.
-            if canonical_characterization(g, frame, k, trials=1, seed=0):
+            if pk.characterizes(g, trials=1, seed=0):
                 adversarial_ok = False
     ok = forward_ok and adversarial_ok and checked_perturbed > 0
     report(
@@ -281,8 +271,9 @@ def test_criterion_08_uniqueness_dichotomy():
         space = random_space(rng, d, mixed=bool(rng.integers(0, 2)))
         k = conditioned_operator(rng, d, d)
         frame = generate_parseval_k_frame(k, d, space, derive_seed(1008, i, 1))
-        assert uniqueness_test(frame, k)
-        dual = canonical_dual(frame, k)
+        pk = ParsevalKFrame(frame, k)
+        assert pk.is_unique()
+        dual = pk.dual
         # Independent second construction: minimal-norm solve against the
         # weighted synthesis matrix.
         x_weighted = pinv(weighted_synthesis(frame)) @ k.op
@@ -298,9 +289,10 @@ def test_criterion_08_uniqueness_dichotomy():
         space = random_space(rng, m, mixed=bool(rng.integers(0, 2)))
         k = conditioned_operator(rng, d, r)
         frame = generate_parseval_k_frame(k, m, space, derive_seed(1008, i, 2))
-        assert not uniqueness_test(frame, k)
-        q = construct_alternative_dual(frame, k, seed=derive_seed(1008, i, 3))
-        dual = canonical_dual(frame, k)
+        pk = ParsevalKFrame(frame, k)
+        assert not pk.is_unique()
+        q = pk.alternative_dual(seed=derive_seed(1008, i, 3))
+        dual = pk.dual
         if not is_dual_k_bessel(q, frame, k).is_dual:
             alternative_ok = False
         if float(np.max(np.linalg.norm(q.samples - dual.samples, axis=1))) <= 1e-6:
@@ -327,12 +319,13 @@ def test_criterion_09_independence_transfer():
         space = random_space(rng, m, mixed=bool(rng.integers(0, 2)))
         k = conditioned_operator(rng, d, r)
         frame = generate_parseval_k_frame(k, m, space, derive_seed(1009, i, 1))
-        result = l2_independence_transfer(frame, k)
-        if result.frame_independent != result.dual_independent:
+        pk = ParsevalKFrame(frame, k)
+        frame_independent, dual_independent, _ = pk.independence_transfer()
+        if frame_independent != dual_independent:
             agree = False
-        if result.frame_independent:
+        if frame_independent:
             independent_count += 1
-            dual = canonical_dual(frame, k)
+            dual = pk.dual
             gap = float(
                 np.max(np.linalg.norm(frame.samples - dual.samples @ k.op.T, axis=1))
             )
@@ -355,9 +348,10 @@ def test_criterion_10_coefficient_norm_split():
         space, k, frame = parseval_instance(derive_seed(1010, i))
         rng = stream(1010, i, 2)
         f = complex_normal(rng, frame.dim)
-        canonical_values = analysis(canonical_dual(frame, k)) @ f
-        for c in dual_coefficient_family(frame, k, f, count=10, seed=derive_seed(1010, i, 3)):
-            total, residual, canonical = pythagorean_decomposition(frame, k, f, c)
+        pk = ParsevalKFrame(frame, k)
+        canonical_values = analysis(pk.dual) @ f
+        for c in pk.coefficient_family(f, count=10, seed=derive_seed(1010, i, 3)):
+            total, residual, canonical = pk.norm_split(f, c)
             worst_split = max(worst_split, abs(total - residual - canonical) / (1.0 + total))
             cross = np.sum(
                 space.weights * (c.values - canonical_values) * np.conj(canonical_values)
@@ -367,7 +361,7 @@ def test_criterion_10_coefficient_norm_split():
     space, k, frame = fixture_w1_prime()
     f = np.array([1.0, 0.0], dtype=complex)
     c = L2Coefficients(space, np.array([np.sqrt(2.0), 0.0, 0.0]))
-    total, residual, canonical = pythagorean_decomposition(frame, k, f, c)
+    total, residual, canonical = ParsevalKFrame(frame, k).norm_split(f, c)
     fixture_ok = (
         abs(total - 2.0) <= 1e-12 and abs(residual - 1.0) <= 1e-12 and abs(canonical - 1.0) <= 1e-12
     )
@@ -387,7 +381,7 @@ def test_criterion_11_dual_frame_operator_identities():
     worst_pushforward = 0.0
     for i in range(200):
         space, k, frame = parseval_instance(derive_seed(1011, i))
-        dual = canonical_dual(frame, k)
+        dual = ParsevalKFrame(frame, k).dual
         p = k.adjoint_range_projector
         scale = 1.0 + k.norm**2
         worst_projector = max(

@@ -1,0 +1,112 @@
+"""The public API: the README tour runs as written, and the package's
+public names are the ones listed here."""
+
+import os
+import types
+
+import kframelab
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+PUBLIC_NAMES = [
+    "DEFAULT_TOL",
+    "DEFAULT_TOLERANCES",
+    "DualityReport",
+    "FIXTURE_NAMES",
+    "FrameBounds",
+    "FrameClassification",
+    "FrameVerdict",
+    "HypothesisError",
+    "InfeasibleError",
+    "KOperator",
+    "L2Coefficients",
+    "MeasureSpace",
+    "PROPERTY_IDS",
+    "ParsevalKFrame",
+    "PropertyRecord",
+    "RANK_EPS",
+    "RangeInclusion",
+    "RangeInclusionError",
+    "ResidualOperator",
+    "SampledFrame",
+    "Scenario",
+    "ScenarioError",
+    "SpaceMismatchError",
+    "SuiteReport",
+    "SvdFactorization",
+    "UnknownPropertyError",
+    "adjoint",
+    "analysis",
+    "analysis_norm",
+    "as_operator",
+    "as_vector",
+    "bochner_integrate",
+    "classify",
+    "complex_normal",
+    "complex_normal_stack",
+    "corange_projector",
+    "derive_seed",
+    "douglas_factor",
+    "emit_report",
+    "field_norm",
+    "fixture",
+    "fixture_scenario",
+    "fixture_w1",
+    "fixture_w1_prime",
+    "frame_bounds",
+    "frame_operator",
+    "frames_allclose",
+    "generate_parseval_k_frame",
+    "generate_random_bessel",
+    "is_dual_k_bessel",
+    "is_l2_independent",
+    "k_lower_bound",
+    "l2_inner",
+    "l2_norm_sq",
+    "load_scenario",
+    "loewner_leq",
+    "op_norm",
+    "parseval_residual",
+    "pinv",
+    "range_inclusion",
+    "range_projector",
+    "rank",
+    "render_text",
+    "report_to_dict",
+    "run_suite",
+    "scenario_from_dict",
+    "stream",
+    "svd",
+    "synthesis",
+    "synthesis_kernel_basis",
+    "weighted_analysis",
+    "weighted_norm_sq",
+    "weighted_synthesis",
+]
+
+
+def quick_tour() -> str:
+    """The first python block under the README's "## Quick tour" heading."""
+    with open(README, encoding="utf-8") as handle:
+        text = handle.read()
+    start = text.index("```python\n", text.index("\n## Quick tour\n")) + len("```python\n")
+    return text[start : text.index("```", start)]
+
+
+def test_readme_quick_tour_runs_as_its_comments_say():
+    ns = {}
+    exec(compile(quick_tour(), README, "exec"), ns)
+    kl, frame, k, pk, q = ns["kl"], ns["frame"], ns["k"], ns["pk"], ns["q"]
+    assert kl.classify(frame, k).verdict is kl.FrameVerdict.PARSEVAL_K_FRAME
+    assert pk.is_unique() is False
+    assert kl.is_dual_k_bessel(pk.dual, frame, k).is_dual
+    assert kl.is_dual_k_bessel(q, frame, k).is_dual
+
+
+def test_public_names_are_the_listed_ones():
+    public = [
+        name
+        for name in dir(kframelab)
+        if not name.startswith("_") and not isinstance(getattr(kframelab, name), types.ModuleType)
+    ]
+    assert sorted(public) == PUBLIC_NAMES

@@ -8,22 +8,8 @@ from kframelab.duality import (
     HypothesisError,
     ParsevalKFrame,
     ParsevalKFrames,
-    build_dual_from_phi,
-    canonical_characterization,
-    canonical_dual,
-    complement_parseval_check,
-    construct_alternative_dual,
-    dual_coefficient_family,
     field_norm,
     is_dual_k_bessel,
-    kdaggerk_frame_check,
-    l2_independence_transfer,
-    minimality_check,
-    pythagorean_decomposition,
-    residual_operator,
-    sample_kernel_field,
-    unique_dual_transfer,
-    uniqueness_test,
 )
 from kframelab.fixtures import fixture_w1, fixture_w1_prime
 from kframelab.frames import (
@@ -39,7 +25,7 @@ from kframelab.frames import (
     parseval_k_samples,
     synthesis,
 )
-from kframelab.hilbert import op_norm
+from kframelab.hilbert import DEFAULT_TOL, op_norm
 from kframelab.measure import L2Coefficients, MeasureSpace, bochner_integrate, l2_inner, l2_norm_sq
 from kframelab.rng import complex_normal, stream
 
@@ -55,7 +41,7 @@ def w1_alternative_pair():
     """The hand-checkable alternative dual of W1: alpha = (1,-1,0)/sqrt2 in
     the complement of the analysis range, h = e2."""
     space, k, frame = fixture_w1()
-    dual = canonical_dual(frame, k)
+    dual = ParsevalKFrame(frame, k).dual
     s = 1.0 / np.sqrt(2.0)
     alpha = np.array([s, -s, 0.0], dtype=complex)
     h = np.array([0.0, 1.0], dtype=complex)
@@ -67,12 +53,12 @@ def w1_alternative_pair():
 class TestCanonicalDual:
     def test_identity_operator_returns_frame(self):
         space, k, frame = orthonormal_instance()
-        dual = canonical_dual(frame, k)
+        dual = ParsevalKFrame(frame, k).dual
         np.testing.assert_allclose(dual.samples, frame.samples, atol=1e-14)
 
     def test_w1_prime_samples(self):
         _, k, frame = fixture_w1_prime()
-        dual = canonical_dual(frame, k)
+        dual = ParsevalKFrame(frame, k).dual
         s = 1.0 / np.sqrt(2.0)
         np.testing.assert_allclose(
             dual.samples, [[s, 0.0], [s, 0.0], [0.0, 0.0]], atol=1e-14
@@ -80,14 +66,14 @@ class TestCanonicalDual:
 
     def test_w1_samples_unchanged(self):
         _, k, frame = fixture_w1()
-        dual = canonical_dual(frame, k)
+        dual = ParsevalKFrame(frame, k).dual
         np.testing.assert_allclose(dual.samples, frame.samples, atol=1e-14)
 
     def test_rejects_non_parseval(self):
         space = MeasureSpace.uniform(2)
         frame = SampledFrame(space, 2.0 * np.eye(2))
         with pytest.raises(HypothesisError, match="Parseval"):
-            canonical_dual(frame, KOperator.identity(2))
+            ParsevalKFrame(frame, KOperator.identity(2))
 
 
 class TestParsevalKFrame:
@@ -120,7 +106,7 @@ class TestParsevalKFrame:
 class TestIsDualKBessel:
     def test_w1_prime_hand_sum(self):
         _, k, frame = fixture_w1_prime()
-        dual = canonical_dual(frame, k)
+        dual = ParsevalKFrame(frame, k).dual
         report = is_dual_k_bessel(dual, frame, k)
         assert report.is_dual
         assert report.duality_residual <= 1e-12
@@ -135,7 +121,7 @@ class TestIsDualKBessel:
     def test_generated_instances(self):
         for seed in range(8):
             _, k, frame = parseval_instance(seed)
-            dual = canonical_dual(frame, k)
+            dual = ParsevalKFrame(frame, k).dual
             report = is_dual_k_bessel(dual, frame, k)
             assert report.is_dual
             assert report.duality_residual <= 1e-9 * (1.0 + k.norm)
@@ -144,13 +130,13 @@ class TestIsDualKBessel:
 class TestResidualOperator:
     def test_canonical_dual_gives_zero_field(self):
         _, k, frame = fixture_w1_prime()
-        dual = canonical_dual(frame, k)
-        rep = residual_operator(dual, frame, k)
+        pk = ParsevalKFrame(frame, k)
+        rep = pk.residual_field(pk.dual)
         assert field_norm(frame.space, rep.phi) <= 1e-12
 
     def test_w1_alternative_field(self):
         space, k, frame, dual, q, g_alpha = w1_alternative_pair()
-        rep = residual_operator(q, frame, k)
+        rep = ParsevalKFrame(frame, k).residual_field(q)
         np.testing.assert_allclose(rep.phi, np.conj(g_alpha), atol=1e-12)
         assert op_norm(synthesis(frame) @ rep.phi) <= 1e-12
 
@@ -158,24 +144,25 @@ class TestResidualOperator:
         _, k, frame = fixture_w1_prime()
         bad = SampledFrame(frame.space, frame.samples)  # frame itself is not dual here
         with pytest.raises(HypothesisError, match="dual"):
-            residual_operator(bad, frame, k)
+            ParsevalKFrame(frame, k).residual_field(bad)
 
 
 class TestBuildDualFromPhi:
     def test_zero_field_returns_canonical(self):
         _, k, frame = fixture_w1_prime()
-        dual = canonical_dual(frame, k)
-        rebuilt = build_dual_from_phi(frame, k, np.zeros((3, 2)))
-        assert frames_allclose(rebuilt, dual)
+        pk = ParsevalKFrame(frame, k)
+        rebuilt = pk.build_dual(np.zeros((3, 2)))
+        assert frames_allclose(rebuilt, pk.dual)
 
     def test_round_trip_on_generated_instances(self):
         for seed in range(8):
             _, k, frame = parseval_instance(seed)
+            pk = ParsevalKFrame(frame, k)
             rng = stream(seed, 500)
-            phi = sample_kernel_field(frame, rng, analysis_norm(canonical_dual(frame, k)))
-            g = build_dual_from_phi(frame, k, phi)
+            phi = pk.sample_kernel_field(rng)
+            g = pk.build_dual(phi)
             assert is_dual_k_bessel(g, frame, k).is_dual
-            recovered = residual_operator(g, frame, k)
+            recovered = pk.residual_field(g)
             assert field_norm(frame.space, recovered.phi - phi) <= 1e-9 * (
                 1.0 + field_norm(frame.space, phi)
             )
@@ -184,14 +171,10 @@ class TestBuildDualFromPhi:
         _, k, frame = fixture_w1_prime()
         phi = analysis(frame)  # synthesis(frame) @ analysis(frame) = S != 0
         with pytest.raises(HypothesisError, match="annihilate"):
-            build_dual_from_phi(frame, k, phi)
+            ParsevalKFrame(frame, k).build_dual(phi)
 
 
 class TestMinimality:
-    def test_zero_trials_vacuous(self):
-        _, k, frame = fixture_w1()
-        assert minimality_check(frame, k, trials=0, seed=1)
-
     def test_w1_alternative_dual_norms(self):
         space, k, frame, dual, q, g_alpha = w1_alternative_pair()
         # By direct computation both analysis norms are 1 here, and the
@@ -210,26 +193,28 @@ class TestMinimality:
     def test_generated_instances(self):
         for seed in range(6):
             _, k, frame = parseval_instance(seed)
-            assert minimality_check(frame, k, trials=5, seed=seed + 100)
+            pk = ParsevalKFrame(frame, k)
+            for t in range(5):
+                assert max(r for _, r in pk.minimality_residuals(stream(seed + 100, t))) <= DEFAULT_TOL
 
 
 class TestCanonicalCharacterization:
     def test_zero_trials_vacuous(self):
         _, k, frame = fixture_w1()
-        dual = canonical_dual(frame, k)
-        assert canonical_characterization(dual, frame, k, trials=0, seed=1)
+        pk = ParsevalKFrame(frame, k)
+        assert pk.characterizes(pk.dual, trials=0, seed=1)
 
     def test_canonical_passes(self):
         for seed in range(5):
             _, k, frame = parseval_instance(seed)
-            dual = canonical_dual(frame, k)
-            assert canonical_characterization(dual, frame, k, trials=6, seed=seed)
+            pk = ParsevalKFrame(frame, k)
+            assert pk.characterizes(pk.dual, trials=6, seed=seed)
 
     def test_perturbed_fails_with_canonical_witness(self):
         space, k, frame, dual, q, g_alpha = w1_alternative_pair()
         # One trial probes the canonical dual itself, which is the witness:
         # the Gram gap equals the squared field norm of the perturbation.
-        assert not canonical_characterization(q, frame, k, trials=1, seed=2)
+        assert not ParsevalKFrame(frame, k).characterizes(q, trials=1, seed=2)
         phi = np.conj(g_alpha)
         gap = op_norm(synthesis(q) @ analysis(q) - synthesis(q) @ analysis(dual))
         assert gap == pytest.approx(field_norm(space, phi) ** 2, rel=1e-12)
@@ -237,50 +222,51 @@ class TestCanonicalCharacterization:
     def test_rejects_non_dual(self):
         _, k, frame = fixture_w1_prime()
         with pytest.raises(HypothesisError, match="dual"):
-            canonical_characterization(frame, frame, k, trials=1, seed=0)
+            ParsevalKFrame(frame, k).characterizes(frame, trials=1, seed=0)
 
 
 class TestUniqueness:
     def test_orthonormal_basis_unique(self):
         space, k, frame = orthonormal_instance()
-        assert uniqueness_test(frame, k)
+        assert ParsevalKFrame(frame, k).is_unique()
 
     def test_w1_not_unique(self):
         _, k, frame = fixture_w1()
-        assert not uniqueness_test(frame, k)
+        assert not ParsevalKFrame(frame, k).is_unique()
 
     def test_more_atoms_than_dimensions_never_unique(self):
         for seed in range(5):
             _, k, frame = parseval_instance(seed, dim=3, rank=2, atoms=7)
-            assert not uniqueness_test(frame, k)
+            assert not ParsevalKFrame(frame, k).is_unique()
 
 
 class TestConstructAlternativeDual:
     def test_w1_alternative(self):
         _, k, frame = fixture_w1()
-        dual = canonical_dual(frame, k)
-        q = construct_alternative_dual(frame, k, seed=5)
+        pk = ParsevalKFrame(frame, k)
+        q = pk.alternative_dual(seed=5)
         assert is_dual_k_bessel(q, frame, k).is_dual
-        assert not frames_allclose(q, dual)
-        gap = float(np.max(np.linalg.norm(q.samples - dual.samples, axis=1)))
+        assert not frames_allclose(q, pk.dual)
+        gap = float(np.max(np.linalg.norm(q.samples - pk.dual.samples, axis=1)))
         assert gap > 1e-6
 
     def test_seed_variation_still_dual(self):
         _, k, frame = fixture_w1()
+        pk = ParsevalKFrame(frame, k)
         for seed in (1, 2, 3):
-            q = construct_alternative_dual(frame, k, seed=seed)
+            q = pk.alternative_dual(seed=seed)
             assert is_dual_k_bessel(q, frame, k).is_dual
 
     def test_infeasible_when_unique(self):
         space, k, frame = orthonormal_instance()
         with pytest.raises(InfeasibleError):
-            construct_alternative_dual(frame, k, seed=1)
+            ParsevalKFrame(frame, k).alternative_dual(seed=1)
 
 
 class TestComplementParseval:
     def test_w1_prime_hand_values(self):
         space, k, frame = fixture_w1_prime()
-        dual = canonical_dual(frame, k)
+        dual = ParsevalKFrame(frame, k).dual
         an = analysis(dual)
         f = np.array([1.0, 0.0], dtype=complex)  # in the complement of N(K)
         total = float(np.sum(space.weights * np.abs(an @ f) ** 2))
@@ -292,70 +278,74 @@ class TestComplementParseval:
     def test_generated_instances(self):
         for seed in range(6):
             _, k, frame = parseval_instance(seed)
-            assert complement_parseval_check(frame, k, trials=5, seed=seed)
+            assert ParsevalKFrame(frame, k).complement_parseval_holds(trials=5, seed=seed)
+
+
+def kdaggerk_worst(frame, k):
+    return max(r for _, r in ParsevalKFrame(frame, k).kdaggerk_residuals())
 
 
 class TestKDaggerK:
     def test_identity_reduces_to_parseval(self):
         space, k, frame = orthonormal_instance()
-        assert kdaggerk_frame_check(frame, k)
+        assert kdaggerk_worst(frame, k) <= DEFAULT_TOL
 
     def test_w1_prime_diagonal_values(self):
         _, k, frame = fixture_w1_prime()
-        dual = canonical_dual(frame, k)
+        dual = ParsevalKFrame(frame, k).dual
         np.testing.assert_allclose(frame_operator(dual), np.diag([1.0, 0.0]), atol=1e-14)
         pushed = SampledFrame(frame.space, dual.samples @ k.op.T)
         np.testing.assert_allclose(frame_operator(pushed), np.diag([4.0, 0.0]), atol=1e-14)
-        assert kdaggerk_frame_check(frame, k)
+        assert kdaggerk_worst(frame, k) <= DEFAULT_TOL
 
     def test_generated_instances(self):
         for seed in range(8):
             _, k, frame = parseval_instance(seed)
-            assert kdaggerk_frame_check(frame, k)
+            assert kdaggerk_worst(frame, k) <= DEFAULT_TOL
 
 
 class TestIndependenceTransfer:
     def test_orthonormal_basis(self):
         space, k, frame = orthonormal_instance()
-        result = l2_independence_transfer(frame, k)
-        assert result == (True, True, True)
+        frame_indep, dual_indep, gap = ParsevalKFrame(frame, k).independence_transfer()
+        assert frame_indep is True and dual_indep is True and gap <= DEFAULT_TOL
 
     def test_w1_dependent(self):
         _, k, frame = fixture_w1()
-        result = l2_independence_transfer(frame, k)
-        assert result.frame_independent is False
-        assert result.dual_independent is False
-        assert result.reconstruction_holds is None
+        frame_indep, dual_indep, gap = ParsevalKFrame(frame, k).independence_transfer()
+        assert frame_indep is False
+        assert dual_indep is False
+        assert gap is None
 
     def test_full_rank_small_family(self):
         _, k, frame = parseval_instance(3, dim=4, rank=3, atoms=3)
-        result = l2_independence_transfer(frame, k)
-        assert result == (True, True, True)
+        frame_indep, dual_indep, gap = ParsevalKFrame(frame, k).independence_transfer()
+        assert frame_indep is True and dual_indep is True and gap <= DEFAULT_TOL
 
 
 class TestUniqueDualTransfer:
     def test_orthonormal_basis(self):
         space, k, frame = orthonormal_instance()
-        assert unique_dual_transfer(frame, k)
+        assert ParsevalKFrame(frame, k).unique_dual_transfer()
 
     def test_square_invertible_instances(self):
         for seed in range(5):
             _, k, frame = parseval_instance(seed, dim=4, rank=4, atoms=4)
-            assert unique_dual_transfer(frame, k)
+            assert ParsevalKFrame(frame, k).unique_dual_transfer()
 
     def test_precondition_violation(self):
         _, k, frame = fixture_w1()
         with pytest.raises(HypothesisError, match="unique"):
-            unique_dual_transfer(frame, k)
+            ParsevalKFrame(frame, k).unique_dual_transfer()
 
 
 class TestPythagoreanDecomposition:
     def test_canonical_coefficients_have_zero_residual(self):
         _, k, frame = fixture_w1_prime()
-        dual = canonical_dual(frame, k)
+        pk = ParsevalKFrame(frame, k)
         f = np.array([1.0, 0.0], dtype=complex)
-        c = L2Coefficients(frame.space, analysis(dual) @ f)
-        total, residual, canonical = pythagorean_decomposition(frame, k, f, c)
+        c = L2Coefficients(frame.space, analysis(pk.dual) @ f)
+        total, residual, canonical = pk.norm_split(f, c)
         assert residual <= 1e-15
         assert total == pytest.approx(canonical, rel=1e-12)
 
@@ -363,20 +353,20 @@ class TestPythagoreanDecomposition:
         space, k, frame = fixture_w1_prime()
         f = np.array([1.0, 0.0], dtype=complex)
         c = L2Coefficients(space, np.array([np.sqrt(2.0), 0.0, 0.0]))
-        total, residual, canonical = pythagorean_decomposition(frame, k, f, c)
+        total, residual, canonical = ParsevalKFrame(frame, k).norm_split(f, c)
         assert total == pytest.approx(2.0, abs=1e-12)
         assert residual == pytest.approx(1.0, abs=1e-12)
         assert canonical == pytest.approx(1.0, abs=1e-12)
 
     def test_kernel_perturbation_adds_its_norm(self):
         space, k, frame = fixture_w1()
-        dual = canonical_dual(frame, k)
+        pk = ParsevalKFrame(frame, k)
         f = np.array([0.5, -2.0], dtype=complex)
-        c_values = analysis(dual) @ f
+        c_values = analysis(pk.dual) @ f
         kernel = np.array([1.0, -1.0, 3.0], dtype=complex)  # synthesis kills it
         assert np.linalg.norm(synthesis(frame) @ kernel) <= 1e-14
         c = L2Coefficients(space, c_values + kernel)
-        total, residual, canonical = pythagorean_decomposition(frame, k, f, c)
+        total, residual, canonical = pk.norm_split(f, c)
         kernel_norm = l2_norm_sq(L2Coefficients(space, kernel))
         assert residual == pytest.approx(kernel_norm, rel=1e-12)
         assert total == pytest.approx(canonical + kernel_norm, rel=1e-12)
@@ -391,31 +381,31 @@ class TestPythagoreanDecomposition:
         f = np.array([1.0, 0.0], dtype=complex)
         c = L2Coefficients(space, np.array([5.0, 0.0, 0.0]))
         with pytest.raises(HypothesisError, match="synthesize"):
-            pythagorean_decomposition(frame, k, f, c)
+            ParsevalKFrame(frame, k).norm_split(f, c)
 
 
 class TestDualCoefficientFamily:
     def test_first_family_is_canonical(self):
         _, k, frame = fixture_w1_prime()
-        dual = canonical_dual(frame, k)
+        pk = ParsevalKFrame(frame, k)
         f = np.array([1.0, 2.0], dtype=complex)
-        families = dual_coefficient_family(frame, k, f, count=1, seed=4)
+        families = pk.coefficient_family(f, count=1, seed=4)
         assert len(families) == 1
-        np.testing.assert_allclose(families[0].values, analysis(dual) @ f, atol=1e-14)
+        np.testing.assert_allclose(families[0].values, analysis(pk.dual) @ f, atol=1e-14)
 
     def test_all_families_satisfy_the_precondition(self):
         for seed in range(5):
             _, k, frame = parseval_instance(seed)
             rng = stream(seed, 900)
             f = complex_normal(rng, frame.dim)
-            for c in dual_coefficient_family(frame, k, f, count=6, seed=seed):
+            for c in ParsevalKFrame(frame, k).coefficient_family(f, count=6, seed=seed):
                 defect = np.linalg.norm(bochner_integrate(frame, c) - k.op @ f)
                 assert defect <= 1e-9 * (1.0 + k.norm * np.linalg.norm(f))
 
     def test_w1_kernel_span(self):
         space, k, frame = fixture_w1()
         f = np.array([1.0, 0.0], dtype=complex)
-        families = dual_coefficient_family(frame, k, f, count=8, seed=9)
+        families = ParsevalKFrame(frame, k).coefficient_family(f, count=8, seed=9)
         canonical_values = families[0].values
         for c in families[1:]:
             kernel_part = c.values - canonical_values
@@ -456,7 +446,7 @@ class TestParsevalKFramesStack:
             syn_g = synthesis(g)
             gram, scale = syn_g @ analysis(g), 1.0 + analysis_norm(g) ** 2
             for t in range(trials):
-                partner = pk.dual if t == 0 else pk.build_dual(pk.sample_kernel_field(stream(seed, t), pk.dual_norm))
+                partner = pk.dual if t == 0 else pk.build_dual(pk.sample_kernel_field(stream(seed, t)))
                 if op_norm(gram - syn_g @ analysis(partner)) > pk.tol * scale:
                     return False
             return True
@@ -499,7 +489,7 @@ class TestParsevalKFramesStack:
         assert stack.kdaggerk_residuals() == [pk.kdaggerk_residuals() for pk in singles]
         fields = stack.sample_kernel_fields([stream(seed, 2) for seed in seeds])
         for t, pk in enumerate(singles):
-            assert np.array_equal(fields[t], pk.sample_kernel_field(stream(seeds[t], 2), pk.dual_norm))
+            assert np.array_equal(fields[t], pk.sample_kernel_field(stream(seeds[t], 2)))
         assert stack.characterizes(stack.duals, 4, seeds).tolist() == [
             pk.characterizes(pk.dual, 4, seed) for pk, seed in zip(singles, seeds)
         ]
