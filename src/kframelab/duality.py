@@ -59,6 +59,9 @@ __all__ = [
 
 Check = Tuple[str, float]
 
+# Probe vectors per member of the pointwise norm split of minimality_residuals.
+_MINIMALITY_PROBES = 20
+
 # A kernel field's norm is 10**u times the analysis norm of its canonical
 # dual (or 1 when that is smaller), u uniform over these decades.
 _KERNEL_FIELD_DECADES = (-1.0, 1.0)
@@ -119,10 +122,10 @@ def _duality_residual(f, g, k_op: np.ndarray):
     return op_norm(synthesis(f) @ analysis(g) - k_op)
 
 
-def _is_dual(residual, k_norm, tol: float):
+def _is_dual(residual, k_norm):
     """The duality verdict on a residual of :func:`_duality_residual`
     (per member for stacks); a NaN residual fails."""
-    return residual <= tol * (1.0 + k_norm)
+    return residual <= DEFAULT_TOL * (1.0 + k_norm)
 
 
 @dataclass(frozen=True)
@@ -136,9 +139,7 @@ class DualityReport:
     analysis_norm_of_g: float
 
 
-def is_dual_k_bessel(
-    g: SampledFrame, f: SampledFrame, k: KOperator, tol: float = DEFAULT_TOL
-) -> DualityReport:
+def is_dual_k_bessel(g: SampledFrame, f: SampledFrame, k: KOperator) -> DualityReport:
     """Test whether G reproduces K through F, with the residual norm."""
     _require_dual_pair(g, f)
     if k.dim != f.dim:
@@ -146,7 +147,7 @@ def is_dual_k_bessel(
     residual = _duality_residual(f, g, k.op)
     norm_g = analysis_norm(g)
     return DualityReport(
-        is_dual=_is_dual(residual, k.norm, tol),
+        is_dual=_is_dual(residual, k.norm),
         duality_residual=residual,
         bessel_bound_of_g=norm_g**2,
         analysis_norm_of_g=norm_g,
@@ -215,29 +216,28 @@ class ParsevalKFrames:
     :func:`classify`, and raises :class:`HypothesisError` for the first
     member that fails it. The stack holds the canonical duals, which apply
     the pseudo-inverse of K to every sample; the synthesis kernel bases
-    are computed on first use. Every routine runs with the stack's
-    tolerance and returns one result per member. Routines that draw take
+    are computed on first use. Every routine compares at ``DEFAULT_TOL``
+    and returns one result per member. Routines that draw take
     one generator or seed per member; ``idx`` restricts a routine to some
     members, and its per-member arguments and results follow ``idx``.
     Probe loops run as one stacked product over members and probes, which
     is one matrix-vector product per probe, as the per-instance loop.
     """
 
-    def __init__(self, frames: FrameStack, k: KStack, tol: float = DEFAULT_TOL):
+    def __init__(self, frames: FrameStack, k: KStack):
         if k.dim != frames.dim:
             raise HypothesisError(
                 f"operator dimension {k.dim} does not match frame dimension {frames.dim}"
             )
         residual = parseval_residual(frames, k)
-        failed = _first(~(residual <= tol))
+        failed = _first(~(residual <= DEFAULT_TOL))
         if failed is not None:
             raise HypothesisError(
                 "the family must be a Parseval K-frame; operator identity residual "
-                f"{residual[failed]:.3e} exceeds {tol:.1e}"
+                f"{residual[failed]:.3e} exceeds {DEFAULT_TOL:.1e}"
             )
         self.frames = frames
         self.k = k
-        self.tol = tol
         self.duals = FrameStack(frames.space, frames.samples @ k.pinv.swapaxes(-1, -2))
 
     def __len__(self) -> int:
@@ -308,7 +308,7 @@ class ParsevalKFrames:
         """
         leak = op_norm(synthesis(self.frames.subset(idx)) @ phi)
         scale = 1.0 + _take(self.frame_norms, idx) * field_norm(self.space, phi)
-        failed = _first(leak > self.tol * scale)
+        failed = _first(leak > DEFAULT_TOL * scale)
         if failed is not None:
             raise HypothesisError(
                 f"the synthesis map does not annihilate phi (residual {leak[failed]:.3e})"
@@ -325,7 +325,7 @@ class ParsevalKFrames:
 
     def _required(self, residual: np.ndarray, idx: Optional[np.ndarray]) -> np.ndarray:
         """``residual``, the duality residuals of G; raises unless every G is dual."""
-        failed = _first(~_is_dual(residual, _take(self.k.norm, idx), self.tol))
+        failed = _first(~_is_dual(residual, _take(self.k.norm, idx)))
         if failed is not None:
             raise HypothesisError(
                 f"G is not a dual K-Bessel family (residual {residual[failed]:.3e})"
@@ -345,25 +345,25 @@ class ParsevalKFrames:
         """Weighted squared norms of an @ f for probes f (members, count, d)."""
         return weighted_norm_sq(self.space, (an[:, None] @ f[..., None])[..., 0])
 
-    def minimality_residuals(self, rngs: Sequence, probes: int = 20) -> List[List[Check]]:
+    def minimality_residuals(self, rngs: Sequence) -> List[List[Check]]:
         """Canonical dual has the smallest analysis norm among sampled duals.
 
         One dual is built from a kernel field drawn from each member's
         generator. Then the pointwise split is checked: the squared
         coefficient norm of its analysis equals the canonical part plus
-        the field part, for ``probes`` probe vectors.
+        the field part, for 20 probe vectors (``_MINIMALITY_PROBES``).
         """
         phi = self.sample_kernel_fields(rngs)
         g = self.build_duals(phi)
         g_norm = analysis_norm(g)
         minimality = _positive_part(self.dual_norms - g_norm) / (1.0 + g_norm)
-        f = self._probes(rngs, probes)
+        f = self._probes(rngs, _MINIMALITY_PROBES)
         total = self._coefficient_norms(analysis(g), f)
         canonical = self._coefficient_norms(self.dual_analysis, f)
         residual = self._coefficient_norms(phi, f)
         f_sq = vdots(f, f).real
         split = abs(total - canonical - residual) / np.where(f_sq > 1e-12, f_sq, 1e-12)
-        return check_rows(["minimality"] + ["norm-split"] * int(probes), [minimality, *split.T])
+        return check_rows(["minimality"] + ["norm-split"] * _MINIMALITY_PROBES, [minimality, *split.T])
 
     def characterizes(
         self, g: FrameStack, trials: int, seeds: Sequence[int], idx: Optional[np.ndarray] = None
@@ -398,7 +398,7 @@ class ParsevalKFrames:
                 rngs = [stream(seed, t) for seed in _take(seeds, active)]
                 partner = self.build_duals(self.sample_kernel_fields(rngs, chosen), chosen)
             gap = op_norm(_take(gram, active) - _take(syn_g, active) @ analysis(partner))
-            active = _still_holding(active, gap > self.tol * _take(scale, active), holds)
+            active = _still_holding(active, gap > DEFAULT_TOL * _take(scale, active), holds)
             if t == 0 and trials > 1:
                 nontrivial = _take(self.kernel.widths, _positions(active, idx)) > 0
                 if not nontrivial.all():
@@ -447,8 +447,8 @@ class ParsevalKFrames:
         dual = self.duals.subset(idx)
         q = FrameStack(space, dual.samples + np.conj(alpha)[:, :, None] * h[:, None, :])
         residual = self.duality_residuals(q, idx)
-        is_dual = _is_dual(residual, _take(self.k.norm, idx), self.tol)
-        if not is_dual.all() or frames_allclose(q, dual, self.tol).any():
+        is_dual = _is_dual(residual, _take(self.k.norm, idx))
+        if not is_dual.all() or frames_allclose(q, dual).any():
             raise ArithmeticError("alternative dual construction violated its guarantee")
         return q, residual
 
@@ -473,7 +473,7 @@ class ParsevalKFrames:
         for t in range(int(trials)):
             rngs = [stream(seed, t) for seed in _take(seeds, active)]
             residual = self.corange_parseval_residuals(rngs, 1, active)[:, 0]
-            active = _still_holding(active, ~(residual <= self.tol), holds)
+            active = _still_holding(active, ~(residual <= DEFAULT_TOL), holds)
             if active is not None and not active.size:
                 break
         return holds
@@ -519,7 +519,7 @@ class ParsevalKFrames:
         space, k = self.space, self.k
         image = (k.op @ f[..., None])[..., None, :, 0]
         defect = vector_norms(weighted_sums(space, self.frames.samples[:, None], values) - image)
-        bound = self.tol * (1.0 + k.norm * vector_norms(f))
+        bound = DEFAULT_TOL * (1.0 + k.norm * vector_norms(f))
         failed = np.argwhere(defect > bound[:, None])
         if failed.size:
             raise HypothesisError(
@@ -556,20 +556,19 @@ class ParsevalKFrame:
     the expression of the Parseval verdict of :func:`classify`, and raises
     :class:`HypothesisError` otherwise. The value holds the canonical dual,
     which applies the pseudo-inverse of K to every sample; the synthesis
-    kernel basis is computed on first use. Every routine below runs with
-    the value's tolerance, as the :class:`ParsevalKFrames` stack of one
-    held as ``stack``.
+    kernel basis is computed on first use. Every routine below compares at
+    ``DEFAULT_TOL``, as the :class:`ParsevalKFrames` stack of one held as
+    ``stack``.
     """
 
     frame: SampledFrame
     k: KOperator
-    tol: float = DEFAULT_TOL
     dual: SampledFrame = field(init=False, repr=False)
     stack: ParsevalKFrames = field(init=False, repr=False)
 
     def __post_init__(self):
         frame = self.frame
-        stack = ParsevalKFrames(FrameStack(frame.space, frame.samples[None]), self.k.stack, self.tol)
+        stack = ParsevalKFrames(FrameStack(frame.space, frame.samples[None]), self.k.stack)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "dual", SampledFrame(frame.space, stack.duals.samples[0]))
 
@@ -596,9 +595,9 @@ class ParsevalKFrame:
         """See :meth:`ParsevalKFrames.sample_kernel_fields`."""
         return self.stack.sample_kernel_fields([rng])[0]
 
-    def minimality_residuals(self, rng: np.random.Generator, probes: int = 20) -> List[Check]:
+    def minimality_residuals(self, rng: np.random.Generator) -> List[Check]:
         """See :meth:`ParsevalKFrames.minimality_residuals`."""
-        return self.stack.minimality_residuals([rng], probes)[0]
+        return self.stack.minimality_residuals([rng])[0]
 
     def characterizes(self, g: SampledFrame, trials: int, seed: int) -> bool:
         """See :meth:`ParsevalKFrames.characterizes`."""

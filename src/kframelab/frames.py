@@ -24,7 +24,6 @@ import numpy as np
 
 from .hilbert import (
     DEFAULT_TOL,
-    RANK_EPS,
     _as_stack,
     _cut_ranks,
     _groups,
@@ -124,16 +123,16 @@ class KStack:
 
     Finite dimension makes the range closed automatically, so the
     pseudo-inverse always exists and the projectors are exact up to the
-    rank tolerance.
+    rank cut.
     """
 
-    def __init__(self, ops, rank_tol: float = RANK_EPS):
+    def __init__(self, ops):
         mat = _as_stack(ops)
         if mat.ndim != 3 or mat.shape[1] != mat.shape[2]:
             raise ValueError(f"expected a stack of square operators (n, d, d), got shape {mat.shape}")
         self.op = mat
         u, s, vh = np.linalg.svd(mat, full_matrices=False)
-        self.rank = _cut_ranks(s, mat.shape, rank_tol)
+        self.rank = _cut_ranks(s, mat.shape)
         self.norm = np.where(self.rank > 0, s[:, 0], 0.0)
         self.adjoint = np.ascontiguousarray(mat.conj().swapaxes(-1, -2))
         self.pinv = _pinv_groups(u, s, vh, self.rank)
@@ -158,11 +157,11 @@ class KOperator:
     """Square operator on H with pseudo-inverse and projector data precomputed,
     as a :class:`KStack` of one (held as ``stack``)."""
 
-    def __init__(self, op, rank_tol: float = RANK_EPS):
+    def __init__(self, op):
         mat = as_operator(op)
         if mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator must be square, got shape {mat.shape}")
-        self.stack = KStack(mat[None], rank_tol)
+        self.stack = KStack(mat[None])
         self.op = mat
         self.rank = int(self.stack.rank[0])
         self.norm = float(self.stack.norm[0])
@@ -265,7 +264,7 @@ def frame_bounds(frame: SampledFrame) -> FrameBounds:
     return FrameBounds(lower=max(float(eigs[0]), 0.0), upper=max(float(eigs[-1]), 0.0))
 
 
-def k_lower_bound(frame: SampledFrame, k: KOperator, rank_tol: float = RANK_EPS) -> Optional[float]:
+def k_lower_bound(frame: SampledFrame, k: KOperator) -> Optional[float]:
     """Optimal lower K-frame bound, or None when no such bound exists.
 
     The bound exists exactly when R(K) lies inside the range of the
@@ -277,7 +276,7 @@ def k_lower_bound(frame: SampledFrame, k: KOperator, rank_tol: float = RANK_EPS)
     """
     if k.dim != frame.dim:
         raise ValueError(f"operator dimension {k.dim} does not match frame dimension {frame.dim}")
-    inc = range_inclusion(k.op, weighted_synthesis(frame), rank_tol)
+    inc = range_inclusion(k.op, weighted_synthesis(frame))
     return lower_bound_from_scale(inc.included, inc.lambda_star)
 
 
@@ -298,7 +297,7 @@ def parseval_residual(frame: SampledFrame, k: KOperator) -> float:
     return op_norm(frame_operator(frame) - kk) / (1.0 + op_norm(kk))
 
 
-def classify(frame: SampledFrame, k: KOperator, tol: float = DEFAULT_TOL) -> FrameClassification:
+def classify(frame: SampledFrame, k: KOperator) -> FrameClassification:
     """Classify the field relative to K with optimal bounds and residuals.
 
     The Parseval verdict is the operator identity S = K K* (checked in
@@ -318,9 +317,9 @@ def classify(frame: SampledFrame, k: KOperator, tol: float = DEFAULT_TOL) -> Fra
         residuals["tight_gap"] = abs(a_opt - b_opt) / (1.0 + b_opt)
         residuals["unit_lower_gap"] = abs(a_opt - 1.0)
 
-    if residual <= tol:
+    if residual <= DEFAULT_TOL:
         verdict = FrameVerdict.PARSEVAL_K_FRAME
-    elif a_opt is not None and abs(a_report - b_opt) <= tol * (1.0 + b_opt):
+    elif a_opt is not None and abs(a_report - b_opt) <= DEFAULT_TOL * (1.0 + b_opt):
         verdict = FrameVerdict.TIGHT_K_FRAME
     elif svd(s).rank == frame.dim:
         verdict = FrameVerdict.FRAME
@@ -335,23 +334,23 @@ def classify(frame: SampledFrame, k: KOperator, tol: float = DEFAULT_TOL) -> Fra
     )
 
 
-def is_l2_independent(frame: SampledFrame, rank_tol: float = RANK_EPS):
+def is_l2_independent(frame: SampledFrame):
     """Whether only the zero coefficient function synthesizes to zero.
 
     Positive weights cannot mask a dependence, so this is linear
     independence of the sample vectors: the sample matrix has full row
     rank. One verdict per member for a :class:`FrameStack`.
     """
-    return ranks(frame.samples, rank_tol) == frame.space.atom_count
+    return ranks(frame.samples) == frame.space.atom_count
 
 
-def synthesis_kernel_basis(frame: SampledFrame, rank_tol: float = RANK_EPS):
+def synthesis_kernel_basis(frame: SampledFrame):
     """Columns form a basis of the null space of the synthesis map,
     orthonormal in the weighted inner product. Shape (m, m - rank); for a
     :class:`FrameStack`, a list with one such basis per member."""
     b = weighted_synthesis(frame)
     u, s, vh = np.linalg.svd(b, full_matrices=True)
-    r = _cut_ranks(s, b.shape, rank_tol)
+    r = _cut_ranks(s, b.shape)
     sqrt_w = frame.space.sqrt_weights[:, None]
     if b.ndim == 2:
         return vh[r:].conj().T / sqrt_w
@@ -362,15 +361,15 @@ def _max_row_norm(samples: np.ndarray):
     return np.max(np.linalg.norm(samples, axis=-1), axis=-1)
 
 
-def frames_allclose(f: SampledFrame, g: SampledFrame, tol: float = DEFAULT_TOL):
-    """Samplewise equality up to the relative tolerance; one verdict per
+def frames_allclose(f: SampledFrame, g: SampledFrame):
+    """Samplewise equality up to ``DEFAULT_TOL``, relative; one verdict per
     member for two stacks of equal length."""
     _require_same_space(f.space, g.space)
     if f.dim != g.dim:
         raise ValueError(f"frame dimensions differ: {f.dim} and {g.dim}")
     gap = _max_row_norm(f.samples - g.samples)
     scale = np.maximum(_max_row_norm(f.samples), _max_row_norm(g.samples))
-    out = gap <= tol * (1.0 + scale)
+    out = gap <= DEFAULT_TOL * (1.0 + scale)
     return bool(out) if out.ndim == 0 else out
 
 

@@ -1,9 +1,11 @@
-"""Dense complex linear algebra with an explicit rank and tolerance policy.
+"""Dense complex linear algebra with one rank cut and one tolerance.
 
 Vectors are 1-D complex numpy arrays, operators are 2-D complex arrays.
 Every spectral routine shares one notion of numerical rank: a singular
 value counts only if it exceeds ``RANK_EPS * smax * max(rows, cols)``.
-Comparisons are relative, scaled by the largest norm among the operands.
+Comparisons are relative, scaled by the largest norm among the operands,
+at ``DEFAULT_TOL``. Neither can be set per call: the identities checked
+are exact in theory, so one cut and one tolerance serve every caller.
 
 ``op_norm`` and the stacked routines that serve the suite runner
 (``ranks``, ``pinvs``, ``op_norms``, ``range_inclusions``,
@@ -34,8 +36,6 @@ __all__ = [
     "rank",
     "pinv",
     "op_norm",
-    "range_projector",
-    "corange_projector",
     "loewner_leq",
     "range_inclusion",
     "douglas_factor",
@@ -137,21 +137,19 @@ class SvdFactorization:
         return self.right @ self.right.conj().T
 
 
-def _cut_ranks(s: np.ndarray, shape, rank_tol: float):
+def _cut_ranks(s: np.ndarray, shape):
     """Rank under the rank cut of a descending singular value row, or of
-    each row of a stack of them."""
-    if rank_tol < 0:
-        raise ValueError("rank_tol must be nonnegative")
+    each row of a stack of them; the one reader of ``RANK_EPS``."""
     if s.ndim == 1:
-        return int(np.count_nonzero(s > rank_tol * s[0] * max(shape[-2:])))
-    return np.add.reduce(s > rank_tol * s[..., :1] * max(shape[-2:]), axis=-1, dtype=np.intp)
+        return int(np.count_nonzero(s > RANK_EPS * s[0] * max(shape[-2:])))
+    return np.add.reduce(s > RANK_EPS * s[..., :1] * max(shape[-2:]), axis=-1, dtype=np.intp)
 
 
-def svd(a, rank_tol: float = RANK_EPS) -> SvdFactorization:
+def svd(a) -> SvdFactorization:
     """Singular value decomposition truncated at the numerical rank."""
     arr = as_operator(a)
     u, s, vh = np.linalg.svd(arr, full_matrices=False)
-    r = _cut_ranks(s, arr.shape, rank_tol)
+    r = _cut_ranks(s, arr.shape)
     return SvdFactorization(
         left=u[:, :r].copy(),
         singulars=s[:r].copy(),
@@ -160,16 +158,16 @@ def svd(a, rank_tol: float = RANK_EPS) -> SvdFactorization:
     )
 
 
-def rank(a, rank_tol: float = RANK_EPS) -> int:
+def rank(a) -> int:
     """Numerical rank under the module's rank cut, as a stack of one for
     :func:`ranks`."""
-    return int(ranks(as_operator(a)[None], rank_tol)[0])
+    return int(ranks(as_operator(a)[None])[0])
 
 
-def ranks(a, rank_tol: float = RANK_EPS) -> np.ndarray:
+def ranks(a) -> np.ndarray:
     """:func:`rank` of an operator, or of every operator of a stack (..., rows, cols)."""
     arr = _as_stack(a)
-    return _cut_ranks(np.linalg.svd(arr, full_matrices=False)[1], arr.shape, rank_tol)
+    return _cut_ranks(np.linalg.svd(arr, full_matrices=False)[1], arr.shape)
 
 
 def _groups(keys: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
@@ -201,17 +199,17 @@ def _pinv_groups(u: np.ndarray, s: np.ndarray, vh: np.ndarray, r: np.ndarray) ->
     return out
 
 
-def pinvs(a, rank_tol: float = RANK_EPS) -> np.ndarray:
+def pinvs(a) -> np.ndarray:
     """:func:`pinv` of every operator of a stack (n, rows, cols)."""
     arr = _as_stack(a)
     u, s, vh = np.linalg.svd(arr, full_matrices=False)
-    return _pinv_groups(u, s, vh, _cut_ranks(s, arr.shape, rank_tol))
+    return _pinv_groups(u, s, vh, _cut_ranks(s, arr.shape))
 
 
-def pinv(a, rank_tol: float = RANK_EPS) -> np.ndarray:
+def pinv(a) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via the truncated SVD, as a stack of one
     for :func:`pinvs`."""
-    return pinvs(as_operator(a)[None], rank_tol)[0]
+    return pinvs(as_operator(a)[None])[0]
 
 
 def op_norm(a):
@@ -234,23 +232,12 @@ def op_norms(operators: Sequence[np.ndarray]) -> List[float]:
     return out
 
 
-def range_projector(a, rank_tol: float = RANK_EPS) -> np.ndarray:
-    """Orthogonal projector onto the column space of ``a``."""
-    return svd(a, rank_tol).range_projector()
-
-
-def corange_projector(a, rank_tol: float = RANK_EPS) -> np.ndarray:
-    """Orthogonal projector onto the row space of ``a``, i.e. the
-    orthogonal complement of its null space."""
-    return svd(a, rank_tol).corange_projector()
-
-
-def _require_hermitian(arr: np.ndarray, tol: float, which: str) -> Tuple[np.ndarray, float]:
+def _require_hermitian(arr: np.ndarray, which: str) -> Tuple[np.ndarray, float]:
     """The Hermitian part of ``arr`` and its norm, once ``arr`` is checked
-    Hermitian up to ``tol``; the three norms share one stacked call."""
+    Hermitian up to ``DEFAULT_TOL``; the three norms share one stacked call."""
     herm = (arr + arr.conj().T) / 2.0
     gap, norm, norm_herm = op_norm(np.stack([arr - arr.conj().T, arr, herm])).tolist()
-    if gap > tol * (1.0 + norm):
+    if gap > DEFAULT_TOL * (1.0 + norm):
         raise ValueError(f"{which} operand is not Hermitian (asymmetry {gap:.3e})")
     return herm, norm_herm
 
@@ -258,11 +245,11 @@ def _require_hermitian(arr: np.ndarray, tol: float, which: str) -> Tuple[np.ndar
 class _LoewnerTest:
     """The Loewner decisions ``aa <= bb`` against a fixed stack (k, n, n) of
     operands ``aa``, already checked and symmetrized, given ``op_norm(aa)``:
-    per member, ``eigvalsh(bb - aa)[0] >= -tol * max(1, |aa|, |bb|)``, for
-    each stack ``bb`` of checked, symmetrized operands it is called on.
+    per member, ``eigvalsh(bb - aa)[0] >= -DEFAULT_TOL * max(1, |aa|, |bb|)``,
+    for each stack ``bb`` of checked, symmetrized operands it is called on.
 
     ``op_norm(bb)`` is computed only for the members whose verdict it can
-    change. For tol >= 0, ``norm_b = (low, high)`` narrows those down further:
+    change. When given, ``norm_b = (low, high)`` narrows those down further:
     bounds per member with ``scale * low <= op_norm(bb) <= scale * high``
     for the ``scale`` each call passes, by a relative margin of at least
     8 eps, which covers the rounding of the products that scale them. This
@@ -270,16 +257,16 @@ class _LoewnerTest:
     and the minimal-scale bisection of the suites.
     """
 
-    def __init__(self, aa: np.ndarray, norm_a, tol: float, norm_b=None):
-        self.aa, self.tol = aa, tol
+    def __init__(self, aa: np.ndarray, norm_a, norm_b=None):
+        self.aa = aa
         self.limit = np.maximum(1.0, norm_a)
-        # For tol >= 0 the slack only grows with the max, so a verdict that
-        # holds without the norm of bb holds with it.
-        self.short = -tol * self.limit if tol >= 0.0 else np.inf
+        # The slack only grows with the max, so a verdict that holds
+        # without the norm of bb holds with it.
+        self.short = -DEFAULT_TOL * self.limit
         # Rounding is monotone, so the slack of |bb| lies between the slacks
         # of its bounds in floating point too: a verdict that holds at the
         # lower bound holds, and one that fails at the upper bound fails.
-        self.slacks = None if norm_b is None or tol < 0.0 else [-tol * bound for bound in norm_b]
+        self.slacks = None if norm_b is None else [-DEFAULT_TOL * bound for bound in norm_b]
 
     def __call__(self, bb: np.ndarray, scale=1.0) -> np.ndarray:
         lam_min = np.linalg.eigvalsh(bb - self.aa)[:, 0]
@@ -296,25 +283,26 @@ class _LoewnerTest:
                 open_ &= ~settled
         idx = open_.nonzero()[0]
         if idx.size:
-            holds[idx] = lam_min[idx] >= -self.tol * np.maximum(self.limit[idx], op_norm(bb[idx]))
+            holds[idx] = lam_min[idx] >= -DEFAULT_TOL * np.maximum(self.limit[idx], op_norm(bb[idx]))
         return holds
 
 
-def loewner_leq(a, b, tol: float = DEFAULT_TOL) -> bool:
-    """Whether ``a <= b`` in the Loewner (positive semidefinite) order.
+def loewner_leq(a, b) -> bool:
+    """Whether ``a <= b`` in the Loewner (positive semidefinite) order, up
+    to ``DEFAULT_TOL * max(1, |a|, |b|)``.
 
     Both operands must be Hermitian and of the same square size; inputs are
     typically computed products, so Hermitian-ness is only required up to the
-    default tolerance. Every call checks both operands here, then decides on
+    same tolerance. Every call checks both operands here, then decides on
     their Hermitian parts.
     """
     aa = as_operator(a)
     bb = as_operator(b)
     if aa.shape != bb.shape or aa.shape[0] != aa.shape[1]:
         raise ValueError(f"operands must be square and of equal size, got {aa.shape} and {bb.shape}")
-    aa, norm_a = _require_hermitian(aa, DEFAULT_TOL, "first")
-    bb, _ = _require_hermitian(bb, DEFAULT_TOL, "second")
-    return bool(_LoewnerTest(aa[None], np.array([norm_a]), tol)(bb[None])[0])
+    aa, norm_a = _require_hermitian(aa, "first")
+    bb, _ = _require_hermitian(bb, "second")
+    return bool(_LoewnerTest(aa[None], np.array([norm_a]))(bb[None])[0])
 
 
 class RangeInclusion(NamedTuple):
@@ -334,7 +322,7 @@ class RangeInclusions(NamedTuple):
     rank_t: np.ndarray
 
 
-def range_inclusions(s, t, rank_tol: float = RANK_EPS) -> RangeInclusions:
+def range_inclusions(s, t) -> RangeInclusions:
     """:func:`range_inclusion` of every pair of two stacks (n, rows, .);
     the factor and its norm are computed on the included pairs only."""
     ss = _as_stack(s)
@@ -344,9 +332,9 @@ def range_inclusions(s, t, rank_tol: float = RANK_EPS) -> RangeInclusions:
             f"operands must share their codomain, got {ss.shape[-2]} and {tt.shape[-2]} rows"
         )
     u, sv, vh = np.linalg.svd(tt, full_matrices=False)
-    rank_t = _cut_ranks(sv, tt.shape, rank_tol)
+    rank_t = _cut_ranks(sv, tt.shape)
     aug = np.concatenate([tt, ss], axis=-1)
-    rank_aug = _cut_ranks(np.linalg.svd(aug, full_matrices=False)[1], aug.shape, rank_tol)
+    rank_aug = _cut_ranks(np.linalg.svd(aug, full_matrices=False)[1], aug.shape)
     included = rank_aug <= rank_t
     t_pinv = np.zeros(tt.shape[:-2] + tt.shape[:-3:-1], dtype=np.complex128)
     factor = np.zeros(tt.shape[:-2] + (tt.shape[-1], ss.shape[-1]), dtype=np.complex128)
@@ -359,7 +347,7 @@ def range_inclusions(s, t, rank_tol: float = RANK_EPS) -> RangeInclusions:
     return RangeInclusions(included, lam, t_pinv, factor, rank_t)
 
 
-def range_inclusion(s, t, rank_tol: float = RANK_EPS) -> RangeInclusion:
+def range_inclusion(s, t) -> RangeInclusion:
     """Test R(S) subseteq R(T) and, when it holds, the minimal scale lambda
     with S S* <= lambda T T*.
 
@@ -367,23 +355,23 @@ def range_inclusion(s, t, rank_tol: float = RANK_EPS) -> RangeInclusion:
     the minimal scale equals the squared norm of the unique factor pinv(T) @ S.
     A zero ``s`` yields lambda_star = 0, the infimum of the admissible set.
     """
-    inc = range_inclusions(as_operator(s)[None], as_operator(t)[None], rank_tol)
+    inc = range_inclusions(as_operator(s)[None], as_operator(t)[None])
     if not inc.included[0]:
         return RangeInclusion(False, None)
     return RangeInclusion(True, float(inc.lambda_star[0]))
 
 
-def douglas_factors(s, t, rank_tol: float = RANK_EPS) -> RangeInclusions:
+def douglas_factors(s, t) -> RangeInclusions:
     """:func:`range_inclusions` of two stacks whose every pair is included,
     holding the factors of :func:`douglas_factor` with their squared norms
     and the ranks of T; raises :class:`RangeInclusionError` otherwise."""
-    inc = range_inclusions(s, t, rank_tol)
+    inc = range_inclusions(s, t)
     if not inc.included.all():
         raise RangeInclusionError("R(S) is not contained in R(T); no factor exists")
     return inc
 
 
-def douglas_factor(s, t, rank_tol: float = RANK_EPS) -> np.ndarray:
+def douglas_factor(s, t) -> np.ndarray:
     """The unique theta with S = T theta, minimal norm, N(theta) = N(S) and
     R(theta) inside R(T*).
 
@@ -391,4 +379,4 @@ def douglas_factor(s, t, rank_tol: float = RANK_EPS) -> np.ndarray:
     in which case no bounded factor exists. A stack of one for
     :func:`douglas_factors`.
     """
-    return douglas_factors(as_operator(s)[None], as_operator(t)[None], rank_tol).factor[0]
+    return douglas_factors(as_operator(s)[None], as_operator(t)[None]).factor[0]

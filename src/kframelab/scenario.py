@@ -12,14 +12,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .frames import (
-    FrameStack,
-    KOperator,
-    KStack,
-    SampledFrame,
-    parseval_k_samples,
-    random_bessel_samples,
-)
+from .frames import FrameStack, KStack, parseval_k_samples, random_bessel_samples
 from .measure import MeasureSpace
 from .rng import complex_normal_stack, derive_seeds, stacked, stream, streams
 
@@ -29,8 +22,6 @@ __all__ = [
     "scenario_from_dict",
     "load_scenario",
     "build_space",
-    "build_k",
-    "build_frame",
 ]
 
 K_KINDS = ("identity", "diagonal", "random-rank", "explicit")
@@ -317,11 +308,6 @@ def build_ks(scenario: Scenario, trials: Sequence[int]) -> KStack:
     return KStack(_k_ops(scenario, trials))
 
 
-def build_k(scenario: Scenario, trial: int) -> KOperator:
-    """Realize the operator for one trial; see :func:`build_ks`."""
-    return KOperator(_k_ops(scenario, [trial])[0])
-
-
 def build_frames(scenario: Scenario, space: MeasureSpace, ks: KStack, trials: Sequence[int]) -> FrameStack:
     """Realize the frames of the given trials, with their operators ``ks``,
     as one stack; generated kinds vary with the trial."""
@@ -334,8 +320,3 @@ def build_frames(scenario: Scenario, space: MeasureSpace, ks: KStack, trials: Se
     if kind == "generate-parseval-k":
         return FrameStack(space, parseval_k_samples(ks, space, rngs))
     return FrameStack(space, random_bessel_samples(scenario.dim, space, rngs))
-
-
-def build_frame(scenario: Scenario, space: MeasureSpace, k: KOperator, trial: int) -> SampledFrame:
-    """Realize the frame for one trial; see :func:`build_frames`."""
-    return SampledFrame(space, build_frames(scenario, space, k.stack, [trial]).samples[0])

@@ -161,10 +161,10 @@ class _Chunk:
         return ParsevalKFrames(frames, ks)
 
 
-def loewner_inclusion_exists(s_op: np.ndarray, t_op: np.ndarray, cap: float = 1e12):
-    """Whether some scale puts S S* under the cone of T T*, by doubling;
-    one verdict per pair for stacks (n, rows, .), each pair leaving the
-    doubling at its first success.
+def loewner_inclusion_exists(s_op: np.ndarray, t_op: np.ndarray):
+    """Whether some scale up to 1e12 puts S S* under the cone of T T*, by
+    doubling; one verdict per pair for stacks (n, rows, .), each pair
+    leaving the doubling at its first success.
 
     The slack here is fixed at the scale of S S* instead of growing with
     the trial scale: a growing slack would eventually absorb the strictly
@@ -178,11 +178,11 @@ def loewner_inclusion_exists(s_op: np.ndarray, t_op: np.ndarray, cap: float = 1e
     single = ss.ndim == 2
     if single:
         ss, tt = ss[None], tt[None]
-    slack = 1e-9 * np.maximum(1.0, op_norm(ss))
+    slack = DEFAULT_TOL * np.maximum(1.0, op_norm(ss))
     holds = np.zeros(len(ss), dtype=bool)
     active = np.arange(len(ss))
     lam = 1.0
-    while lam <= cap and active.size:
+    while lam <= 1e12 and active.size:
         lowest = np.linalg.eigvalsh(lam * tt[active] - ss[active])[:, 0]
         found = lowest >= -slack[active]
         holds[active[found]] = True
@@ -215,9 +215,9 @@ def _loewner_operands(s_op: np.ndarray, t_op: np.ndarray) -> Optional[_LoewnerOp
     tt = t_op @ t_op.conj().T
     if ss.shape != tt.shape:
         raise ValueError(f"operands must be square and of equal size, got {ss.shape} and {tt.shape}")
-    aa, norm_a = _require_hermitian(as_operator(ss), DEFAULT_TOL, "first")
+    aa, norm_a = _require_hermitian(as_operator(ss), "first")
     # The zero operand's norm is 0, known without an SVD.
-    if _LoewnerTest(aa[None], np.array([norm_a]), DEFAULT_TOL, (0.0, 0.0))(np.zeros_like(aa[None]))[0]:
+    if _LoewnerTest(aa[None], np.array([norm_a]), (0.0, 0.0))(np.zeros_like(aa[None]))[0]:
         return None
     tt = as_operator(tt)
     gap, norm_t = op_norm(np.stack([tt - tt.conj().T, tt])).tolist()
@@ -227,7 +227,7 @@ def _loewner_operands(s_op: np.ndarray, t_op: np.ndarray) -> Optional[_LoewnerOp
 
 
 def _bisect_loewner_lambdas(
-    operands: Sequence[Optional[_LoewnerOperands]], iters: int = 60, cap: float = 1e18
+    operands: Sequence[Optional[_LoewnerOperands]], cap: float = 1e18
 ) -> List[Optional[float]]:
     """:func:`bisect_loewner_lambda` of each member's checked operands (0.0
     for None), all bisections in lockstep.
@@ -274,7 +274,7 @@ def _bisect_loewner_lambdas(
         runs = []
         for n, pos in _groups(sizes[members]):
             m = members[pos]
-            test = _LoewnerTest(aa[m, :n, :n], norm_a[m], DEFAULT_TOL, (low[m], high[m]))
+            test = _LoewnerTest(aa[m, :n, :n], norm_a[m], (low[m], high[m]))
             runs.append((slice(pos[0], pos[-1] + 1), n, test))
         whole = len(runs) == 1 and runs[0][1] == n_max
 
@@ -310,7 +310,7 @@ def _bisect_loewner_lambdas(
     # The halving runs on Python floats, which round as numpy's doubles do;
     # on a stack of one they cost less than array calls.
     lo, hi = [0.0] * live.size, hi[live].tolist()
-    for step in range(1, int(iters) + 1):
+    for step in range(1, 61):
         mid = [(a + b) / 2.0 for a, b in zip(lo, hi)]
         # Once every mid is a bound already decided (hi, or a lo > 0 that a
         # failed decision set), each later step repeats that decision and
@@ -328,11 +328,10 @@ def _bisect_loewner_lambdas(
     return out
 
 
-def bisect_loewner_lambda(
-    s_op: np.ndarray, t_op: np.ndarray, iters: int = 60, cap: float = 1e18
-) -> Optional[float]:
-    """Minimal scale putting S S* under the cone of T T*, found by bisection
-    over the Loewner test alone; None when no scale below the cap works.
+def bisect_loewner_lambda(s_op: np.ndarray, t_op: np.ndarray, cap: float = 1e18) -> Optional[float]:
+    """Minimal scale putting S S* under the cone of T T*, found by 60 steps
+    of bisection over the Loewner test alone; None when no scale below the
+    cap works.
 
     This is the slow, eigenvalue-only route kept deliberately separate from
     the pseudo-inverse factor, so the two can check each other. Only
@@ -347,7 +346,7 @@ def bisect_loewner_lambda(
     ``ValueError``. The suites bisect a chunk's pairs in lockstep; this is
     a stack of one over the same routine.
     """
-    return _bisect_loewner_lambdas([_loewner_operands(s_op, t_op)], iters, cap)[0]
+    return _bisect_loewner_lambdas([_loewner_operands(s_op, t_op)], cap)[0]
 
 
 def _conditioned_matrix(rng: np.random.Generator, rows: int, cols: int, r: int) -> np.ndarray:
@@ -526,7 +525,7 @@ def _prop_l5(chunk: _Chunk) -> List[List[Check]]:
 def _prop_l6(chunk: _Chunk) -> List[List[Check]]:
     """Minimality of the canonical dual's analysis norm among sampled duals,
     with the pointwise squared-norm split as the reason."""
-    return chunk.parseval.minimality_residuals(chunk.rngs("l6"), probes=20)
+    return chunk.parseval.minimality_residuals(chunk.rngs("l6"))
 
 
 def _prop_canonical_char(chunk: _Chunk) -> List[List[Check]]:

@@ -1,12 +1,21 @@
 """The public API: the README tour runs as written, and the package's
 public names are the ones listed here."""
 
+import importlib
+import inspect
 import os
+import pkgutil
 import types
 
 import kframelab
 
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README = os.path.join(ROOT, "README.md")
+
+# The rank cut and the comparison tolerance are module constants
+# (RANK_EPS, DEFAULT_TOL), and loop sizes that no caller varies are
+# literals: no routine takes them as parameters.
+KNOBS = {"rank_tol", "tol", "iters", "probes"}
 
 PUBLIC_NAMES = [
     "DEFAULT_TOL",
@@ -44,7 +53,6 @@ PUBLIC_NAMES = [
     "classify",
     "complex_normal",
     "complex_normal_stack",
-    "corange_projector",
     "derive_seed",
     "douglas_factor",
     "emit_report",
@@ -69,7 +77,6 @@ PUBLIC_NAMES = [
     "parseval_residual",
     "pinv",
     "range_inclusion",
-    "range_projector",
     "rank",
     "render_text",
     "report_to_dict",
@@ -110,3 +117,43 @@ def test_public_names_are_the_listed_ones():
         if not name.startswith("_") and not isinstance(getattr(kframelab, name), types.ModuleType)
     ]
     assert sorted(public) == PUBLIC_NAMES
+
+
+def _routines():
+    """Every function and class defined in the package's modules, public
+    or not, with the methods of each class, as (qualified name, object)."""
+    for info in pkgutil.iter_modules(kframelab.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"kframelab.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{info.name}.{name}", obj
+            elif inspect.isclass(obj):
+                yield f"{info.name}.{name}", obj
+                for attr, member in vars(obj).items():
+                    if inspect.isfunction(member):
+                        yield f"{info.name}.{name}.{attr}", member
+
+
+def test_no_routine_takes_a_numerical_knob():
+    found = []
+    for name, obj in _routines():
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):
+            continue
+        found += [f"{name}({p})" for p in params if p in KNOBS]
+    assert found == []
+
+
+def test_rank_cut_has_one_name_in_the_source():
+    src = os.path.join(ROOT, "src", "kframelab")
+    hits = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as handle:
+                hits += [f"{name}:{i}" for i, line in enumerate(handle, 1) if "rank_tol" in line]
+    assert hits == []

@@ -447,7 +447,7 @@ class TestParsevalKFramesStack:
             gram, scale = syn_g @ analysis(g), 1.0 + analysis_norm(g) ** 2
             for t in range(trials):
                 partner = pk.dual if t == 0 else pk.build_dual(pk.sample_kernel_field(stream(seed, t)))
-                if op_norm(gram - syn_g @ analysis(partner)) > pk.tol * scale:
+                if op_norm(gram - syn_g @ analysis(partner)) > DEFAULT_TOL * scale:
                     return False
             return True
 

@@ -5,9 +5,11 @@ import pytest
 
 from kframelab.fixtures import fixture_w1, fixture_w1_prime
 from kframelab.frames import (
+    FrameStack,
     FrameVerdict,
     InfeasibleError,
     KOperator,
+    KStack,
     SampledFrame,
     analysis,
     analysis_norm,
@@ -23,7 +25,7 @@ from kframelab.frames import (
     synthesis_kernel_basis,
     weighted_synthesis,
 )
-from kframelab.hilbert import op_norm
+from kframelab.hilbert import RANK_EPS, op_norm, range_inclusions, rank, ranks, svd
 from kframelab.measure import MeasureSpace
 from kframelab.rng import complex_normal, stream
 
@@ -289,6 +291,28 @@ class TestKernelBasis:
                 assert op_norm(synthesis(frame) @ basis) <= 1e-12
 
 
+class TestRankCut:
+    def test_every_rank_consumer_applies_the_one_cut(self):
+        # With smax = 1 and three rows the cut is RANK_EPS * 1 * 3; the
+        # second singular value x sits one relative step above it (counts)
+        # and one below it (does not), in K = diag(1, x, 0) and in the
+        # 3 x 2 synthesis matrix of two unit-weight atoms in C^3.
+        cut = RANK_EPS * 1.0 * 3
+        xs = [cut * (1.0 + 1e-3), cut * (1.0 - 1e-3)]
+        expected = [2, 1]
+        ks = np.stack([np.diag([1.0, x, 0.0]) for x in xs])
+        assert KStack(ks).rank.tolist() == ranks(ks).tolist() == expected
+        assert [KOperator(k).rank for k in ks] == [rank(k) for k in ks] == [svd(k).rank for k in ks] == expected
+        frames = FrameStack(MeasureSpace.uniform(2), [[[1.0, 0.0, 0.0], [0.0, x, 0.0]] for x in xs])
+        singles = [SampledFrame(frames.space, samples) for samples in frames.samples]
+        widths = [2 - r for r in expected]
+        assert [basis.shape[1] for basis in synthesis_kernel_basis(frames)] == widths
+        assert [synthesis_kernel_basis(frame).shape[1] for frame in singles] == widths
+        independent = [r == 2 for r in expected]
+        assert is_l2_independent(frames).tolist() == [is_l2_independent(f) for f in singles] == independent
+        assert range_inclusions(ks, weighted_synthesis(frames)).rank_t.tolist() == expected
+
+
 class TestGenerators:
     def test_parseval_generator_soundness(self):
         rng = stream(71)
@@ -301,7 +325,7 @@ class TestGenerators:
             frame = generate_parseval_k_frame(k, m, space, seed)
             kk = k.op @ k.adjoint
             assert op_norm(frame_operator(frame) - kk) <= 1e-10 * (1.0 + op_norm(kk))
-            assert classify(frame, k, tol=1e-10).verdict is FrameVerdict.PARSEVAL_K_FRAME
+            assert classify(frame, k).verdict is FrameVerdict.PARSEVAL_K_FRAME
 
     def test_identity_generator_gives_unitary_rows(self):
         space = MeasureSpace.uniform(3)

@@ -6,16 +6,23 @@ import numpy as np
 import pytest
 
 from kframelab.fixtures import fixture_scenario, fixture_w1
-from kframelab.frames import classify, FrameVerdict
+from kframelab.frames import KOperator, SampledFrame, classify, FrameVerdict
 from kframelab.scenario import (
     Scenario,
     ScenarioError,
-    build_frame,
-    build_k,
+    build_frames,
+    build_ks,
     build_space,
     load_scenario,
     scenario_from_dict,
 )
+
+
+def instance(sc, space, trial):
+    """The operator and frame of one trial, as stacks of one."""
+    ks = build_ks(sc, [trial])
+    frame = SampledFrame(space, build_frames(sc, space, ks, [trial]).samples[0])
+    return KOperator(ks.op[0]), frame
 
 
 def minimal_doc(**overrides):
@@ -45,8 +52,7 @@ class TestParsing:
         doc = fixture_scenario("W1")
         sc = scenario_from_dict(doc)
         space = build_space(sc)
-        k = build_k(sc, trial=0)
-        frame = build_frame(sc, space, k, trial=0)
+        k, frame = instance(sc, space, trial=0)
         _, k_ref, frame_ref = fixture_w1()
         np.testing.assert_allclose(k.op, k_ref.op)
         np.testing.assert_allclose(frame.samples, frame_ref.samples)
@@ -139,13 +145,13 @@ class TestRealization:
         sc = scenario_from_dict(
             minimal_doc(k_spec={"kind": "random-rank", "rank": 2, "seed": 3})
         )
-        k0a = build_k(sc, trial=0)
-        k0b = build_k(sc, trial=0)
-        k1 = build_k(sc, trial=1)
+        k0a = build_ks(sc, [0])
+        k0b = build_ks(sc, [0])
+        k1 = build_ks(sc, [1])
         np.testing.assert_array_equal(k0a.op, k0b.op)
         assert np.linalg.norm(k0a.op - k1.op) > 1e-6
-        assert k0a.rank == 2
-        singulars = np.linalg.svd(k0a.op, compute_uv=False)
+        assert k0a.rank[0] == 2
+        singulars = np.linalg.svd(k0a.op[0], compute_uv=False)
         assert singulars[0] <= 2.0 + 1e-12
         assert singulars[1] >= 0.5 - 1e-12
 
@@ -153,8 +159,7 @@ class TestRealization:
         sc = scenario_from_dict(minimal_doc())
         space = build_space(sc)
         for trial in range(3):
-            k = build_k(sc, trial)
-            frame = build_frame(sc, space, k, trial)
+            k, frame = instance(sc, space, trial)
             assert classify(frame, k).verdict is FrameVerdict.PARSEVAL_K_FRAME
 
     def test_replay_restricts_to_one_trial(self):

@@ -10,7 +10,7 @@ import pytest
 
 from kframelab import duality, frames, suites
 from kframelab.fixtures import fixture_scenario
-from kframelab.hilbert import DEFAULT_TOL, _LoewnerTest, loewner_leq, op_norm
+from kframelab.hilbert import _LoewnerTest, loewner_leq, op_norm
 from kframelab.report import emit_report, report_to_dict
 from kframelab.rng import complex_normal, stream
 from kframelab.scenario import ScenarioError, scenario_from_dict
@@ -303,7 +303,7 @@ class TestLoewnerBisection:
             calls["svd"] += 1
             return svd(*args, **kwargs)
 
-        test = _LoewnerTest(aa[None], op_norm(aa[None]), DEFAULT_TOL, (np.array([10 - 1e-11]), np.array([10 + 1e-11])))
+        test = _LoewnerTest(aa[None], op_norm(aa[None]), (np.array([10 - 1e-11]), np.array([10 + 1e-11])))
         monkeypatch.setattr(np.linalg, "svd", counted)
         verdict = bool(test(bb[None])[0])
         monkeypatch.setattr(np.linalg, "svd", svd)
