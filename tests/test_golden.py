@@ -59,3 +59,24 @@ def test_regenerate_refuses_another_fingerprint(monkeypatch, capsys):
     assert '"blas_threads": -1' in err and f'"blas_threads": {GOLDEN["fingerprint"]["blas_threads"]}' in err
     with open(golden.GOLDEN_PATH, "rb") as handle:
         assert handle.read() == before
+
+
+def test_regenerate_names_each_digest(monkeypatch, tmp_path, capsys):
+    from golden import regenerate
+
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(GOLDEN), encoding="utf-8")
+    monkeypatch.setattr(golden, "GOLDEN_PATH", str(path))
+    monkeypatch.setattr(golden, "build_fingerprint", lambda: GOLDEN["fingerprint"])
+    computed = json.loads(json.dumps(GOLDEN))
+    scenarios = computed["scenarios"]
+    changed = scenarios["readme-seed-42"]["properties"]["l6"]
+    changed["sha256"] = changed["sha256"][::-1]
+    scenarios["added-scenario"] = scenarios.pop("zero-k")
+    monkeypatch.setattr(golden, "compute", lambda: computed)
+    assert regenerate.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "readme-seed-42 l6: changed" in lines
+    assert "readme-seed-42 l1: kept" in lines and "readme-seed-42 report: kept" in lines
+    assert "added-scenario l6: added" in lines and "zero-k: removed" in lines
+    assert json.loads(path.read_text(encoding="utf-8")) == computed
