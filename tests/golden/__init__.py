@@ -86,6 +86,9 @@ SCENARIOS: Dict[str, dict] = {
         "trials": 10,
         "seed": 11,
     },
+    # K's second singular value sits 5% above the rank cut: l6,
+    # canonical-char and t4 fail with witnesses, and l5 cannot run.
+    "near-cut-k": _readme(k_spec={"kind": "diagonal", "values": [1, 3.1622776601683795e-10, 0]}, trials=10),
     "w1": fixture_scenario("W1", trials=20),
     "w1p": fixture_scenario("W1p", trials=20),
     "d24-m96": _readme(
@@ -98,7 +101,12 @@ SCENARIOS: Dict[str, dict] = {
     ),
 }
 
-PROPERTIES: Dict[str, Sequence[str]] = {"random-bessel": ("l3",)}
+PROPERTIES: Dict[str, Sequence[str]] = {
+    "random-bessel": ("l3",),
+    # l5 stops the run with exit 2 here: the dual it builds from a kernel
+    # field fails require_duals (ROADMAP item 1).
+    "near-cut-k": tuple(pid for pid in suites.PROPERTY_IDS if pid != "l5"),
+}
 
 
 def build_fingerprint() -> dict:
