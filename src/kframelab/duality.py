@@ -171,10 +171,6 @@ class _KernelBases:
         self.widths = np.array([b.shape[1] for b in bases], dtype=int)
         self._groups = {w: (idx, stacked([bases[i] for i in idx])) for w, idx in _groups(self.widths)}
 
-    def basis(self, member: int) -> np.ndarray:
-        idx, stack = self._groups[int(self.widths[member])]
-        return stack[int(np.searchsorted(idx, member))]
-
     def of(self, members: Optional[np.ndarray]) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
         """Per nonzero width among ``members`` (all for None): the width,
         the positions in ``members`` that have it, and their bases
@@ -187,23 +183,6 @@ class _KernelBases:
                 idx, stack = self._groups[w]
                 chosen = members[pos]
                 yield w, pos, stack if np.array_equal(chosen, idx) else stack[np.searchsorted(idx, chosen)]
-
-
-def _still_holding(active: Optional[np.ndarray], broken: np.ndarray, holds: np.ndarray) -> Optional[np.ndarray]:
-    """Marks the ``broken`` members of ``active`` (all for None) as failed
-    in ``holds`` and returns the members that go on."""
-    if not broken.any():
-        return active
-    active = np.arange(len(holds)) if active is None else active
-    holds[active[broken]] = False
-    return active[~broken]
-
-
-def _positions(active: Optional[np.ndarray], idx: Optional[np.ndarray]) -> Optional[np.ndarray]:
-    """Members chosen by ``active`` within the members ``idx`` (None: all)."""
-    if active is None:
-        return idx
-    return active if idx is None else idx[active]
 
 
 class ParsevalKFrames:
@@ -289,11 +268,8 @@ class ParsevalKFrames:
         lo, hi = _KERNEL_FIELD_DECADES
         for w, pos, bases in self.kernel.of(idx):
             draws = bases @ complex_normal_stack([rngs[j] for j in pos], w, dim)
-            scale = np.ones(len(pos))
-            for i, (j, norm) in enumerate(zip(pos.tolist(), field_norm(space, draws).tolist())):
-                if norm != 0.0:
-                    target = max(reference_norms[j], 1.0) * 10.0 ** rngs[j].uniform(lo, hi)
-                    scale[i] = target / norm
+            target = [max(reference_norms[j], 1.0) * 10.0 ** rngs[j].uniform(lo, hi) for j in pos.tolist()]
+            scale = np.array(target) / field_norm(space, draws)
             if len(pos) == len(rngs):
                 return draws * scale[:, None, None]
             phi[pos] = draws * scale[:, None, None]
@@ -372,12 +348,12 @@ class ParsevalKFrames:
 
         True exactly when G is the canonical dual (up to tolerance): the
         first sampled partner is the canonical dual itself, which is the
-        witness that breaks the identity for any other dual. A member
-        stops at its first broken identity, and after partner 0 when its
-        synthesis kernel is trivial: the canonical dual is then its only
-        dual, so every later partner would repeat partner 0's comparison.
-        Zero trials pass vacuously. Partner t of member j draws from
-        ``stream(seeds[j], t)``.
+        witness that breaks the identity for any other dual. The later
+        partners run on the members that held against it and whose
+        synthesis kernel is nontrivial: otherwise the canonical dual is the
+        only dual, and every later partner would repeat partner 0's
+        comparison. Zero trials pass vacuously. Partner t of member j draws
+        from ``stream(seeds[j], t)``.
         """
         if g is self.duals and idx is None:  # the stack's canonical duals: their cached measures
             self._required(self.dual_residuals, idx)
@@ -388,23 +364,22 @@ class ParsevalKFrames:
         syn_g = synthesis(g)
         gram = syn_g @ analysis(g)
         scale = 1.0 + _squares(norms)
-        holds = np.ones(len(g), dtype=bool)
-        active = None  # positions in g still holding; None: all of them
-        for t in range(int(trials)):
-            chosen = _positions(active, idx)
-            if t == 0:
-                partner = self.duals.subset(chosen)
-            else:
-                rngs = [stream(seed, t) for seed in _take(seeds, active)]
-                partner = self.build_duals(self.sample_kernel_fields(rngs, chosen), chosen)
-            gap = op_norm(_take(gram, active) - _take(syn_g, active) @ analysis(partner))
-            active = _still_holding(active, gap > DEFAULT_TOL * _take(scale, active), holds)
-            if t == 0 and trials > 1:
-                nontrivial = _take(self.kernel.widths, _positions(active, idx)) > 0
-                if not nontrivial.all():
-                    active = (np.arange(len(g)) if active is None else active)[nontrivial]
-            if active is not None and not active.size:
-                break
+        if trials < 1:
+            return np.ones(len(g), dtype=bool)
+        holds = ~(op_norm(gram - syn_g @ _take(self.dual_analysis, idx)) > DEFAULT_TOL * scale)
+        if trials == 1:
+            return holds
+        rest = holds & (_take(self.kernel.widths, idx) > 0)
+        if not rest.any():
+            return holds
+        active = _where(rest)  # positions in g; None: all of them
+        chosen = active if idx is None else _take(idx, active)
+        gram, syn_g, scale, seeds = (_take(a, active) for a in (gram, syn_g, scale, seeds))
+        for t in range(1, int(trials)):
+            rngs = [stream(seed, t) for seed in seeds]
+            partner = self.build_duals(self.sample_kernel_fields(rngs, chosen), chosen)
+            gap = op_norm(gram - syn_g @ analysis(partner))
+            holds[slice(None) if active is None else active] &= ~(gap > DEFAULT_TOL * scale)
         return holds
 
     def is_unique(self) -> np.ndarray:
@@ -424,26 +399,17 @@ class ParsevalKFrames:
         result dual; infeasible when the dual is unique.
         """
         space, dim = self.space, self.frames.dim
-        members = np.arange(len(self)) if idx is None else idx
-        if (self.kernel.widths[members] == 0).any():
+        widths = _take(self.kernel.widths, idx)
+        if (widths == 0).any():
             raise InfeasibleError("the dual family is unique; no alternative exists")
         rngs = [stream(seed) for seed in seeds]
-        alpha = np.empty((len(members), space.atom_count), dtype=np.complex128)
+        alpha = np.empty((len(widths), space.atom_count), dtype=np.complex128)
         for w, pos, bases in self.kernel.of(idx):
             coeffs = complex_normal_stack([rngs[j] for j in pos], w)
             alpha[pos] = (bases @ coeffs[..., None])[..., 0]
-        alpha_norm = np.sqrt(weighted_norm_sq(space, alpha))
-        for j in np.flatnonzero(alpha_norm == 0.0):  # measure-zero draw; fall back to a basis column
-            alpha[j] = self.kernel.basis(members[j])[:, 0]
-            alpha_norm[j] = np.sqrt(weighted_norm_sq(space, alpha[j]))
-        alpha = alpha / alpha_norm[:, None]
+        alpha = alpha / np.sqrt(weighted_norm_sq(space, alpha))[:, None]
         h = complex_normal_stack(rngs, dim)
-        h_norm = vector_norms(h)
-        for j in np.flatnonzero(h_norm == 0.0):
-            h[j] = 0.0
-            h[j, 0] = 1.0
-            h_norm[j] = 1.0
-        h = h / h_norm[:, None]
+        h = h / vector_norms(h)[:, None]
         dual = self.duals.subset(idx)
         q = FrameStack(space, dual.samples + np.conj(alpha)[:, :, None] * h[:, None, :])
         residual = self.duality_residuals(q, idx)
@@ -452,31 +418,29 @@ class ParsevalKFrames:
             raise ArithmeticError("alternative dual construction violated its guarantee")
         return q, residual
 
-    def corange_parseval_residuals(
-        self, rngs: Sequence, count: int, idx: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def _corange_gaps(self, vectors: np.ndarray) -> np.ndarray:
+        """Relative gaps (members, count) between the squared canonical
+        coefficient norm and the squared norm of the projections of vectors
+        (members, count, d) onto the orthogonal complement of N(K)."""
+        f = (self.k.adjoint_range_projector[:, None] @ vectors[..., None])[..., 0]
+        rhs = vdots(f, f).real
+        return abs(self._coefficient_norms(self.dual_analysis, f) - rhs) / (1.0 + rhs)
+
+    def corange_parseval_residuals(self, rngs: Sequence, count: int) -> np.ndarray:
         """Canonical dual acts as a Parseval frame on the orthogonal complement
         of the null space of K: relative gaps (members, count) between the
         squared coefficient norm and the squared norm of ``count`` random
         vectors from that subspace."""
-        projector = _take(self.k.adjoint_range_projector, idx)
-        f = (projector[:, None] @ self._probes(rngs, count)[..., None])[..., 0]
-        rhs = vdots(f, f).real
-        return abs(self._coefficient_norms(_take(self.dual_analysis, idx), f) - rhs) / (1.0 + rhs)
+        return self._corange_gaps(self._probes(rngs, count))
 
     def complement_parseval_holds(self, trials: int, seeds: Sequence[int]) -> np.ndarray:
         """One corange probe per trial, trial t of member j drawing from
-        ``stream(seeds[j], t)``, all within the tolerance; a member stops at
-        its first failing probe."""
-        holds = np.ones(len(self), dtype=bool)
-        active = None
-        for t in range(int(trials)):
-            rngs = [stream(seed, t) for seed in _take(seeds, active)]
-            residual = self.corange_parseval_residuals(rngs, 1, active)[:, 0]
-            active = _still_holding(active, ~(residual <= DEFAULT_TOL), holds)
-            if active is not None and not active.size:
-                break
-        return holds
+        ``stream(seeds[j], t)``, all within the tolerance. The probes of
+        every member and trial are drawn and compared in one pass."""
+        trials = int(trials)
+        rngs = [stream(seed, t) for seed in seeds for t in range(trials)]
+        probes = self._probes(rngs, 1).reshape(len(self), trials, self.frames.dim)
+        return (self._corange_gaps(probes) <= DEFAULT_TOL).all(axis=1)
 
     def kdaggerk_residuals(self) -> List[List[Check]]:
         """Canonical dual is Parseval for the projector pinv(K) K, and pushing it

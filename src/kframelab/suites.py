@@ -163,7 +163,7 @@ class _Chunk:
 
 def loewner_inclusion_exists(s_op: np.ndarray, t_op: np.ndarray):
     """Whether some scale up to 1e12 puts S S* under the cone of T T*, by
-    doubling; one verdict per pair for stacks (n, rows, .), each pair
+    doubling; one verdict per pair of the stacks (n, rows, .), each pair
     leaving the doubling at its first success.
 
     The slack here is fixed at the scale of S S* instead of growing with
@@ -175,9 +175,6 @@ def loewner_inclusion_exists(s_op: np.ndarray, t_op: np.ndarray):
     tt = t_op @ t_op.conj().swapaxes(-1, -2)
     ss = (ss + ss.conj().swapaxes(-1, -2)) / 2.0
     tt = (tt + tt.conj().swapaxes(-1, -2)) / 2.0
-    single = ss.ndim == 2
-    if single:
-        ss, tt = ss[None], tt[None]
     slack = DEFAULT_TOL * np.maximum(1.0, op_norm(ss))
     holds = np.zeros(len(ss), dtype=bool)
     active = np.arange(len(ss))
@@ -188,7 +185,7 @@ def loewner_inclusion_exists(s_op: np.ndarray, t_op: np.ndarray):
         holds[active[found]] = True
         active = active[~found]
         lam *= 2.0
-    return bool(holds[0]) if single else holds
+    return holds
 
 
 class _LoewnerOperands(NamedTuple):
