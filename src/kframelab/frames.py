@@ -118,11 +118,11 @@ class FrameStack:
 
 
 class KStack:
-    """Square operators (n, d, d) with the pseudo-inverse and projector data
-    of :class:`KOperator` for each, from one stacked SVD.
+    """Square operators (n, d, d) with the pseudo-inverse and the projector
+    onto R(K*) of each, from one stacked SVD.
 
     Finite dimension makes the range closed automatically, so the
-    pseudo-inverse always exists and the projectors are exact up to the
+    pseudo-inverse always exists and the projector is exact up to the
     rank cut.
     """
 
@@ -136,8 +136,7 @@ class KStack:
         self.norm = np.where(self.rank > 0, s[:, 0], 0.0)
         self.adjoint = np.ascontiguousarray(mat.conj().swapaxes(-1, -2))
         self.pinv = _pinv_groups(u, s, vh, self.rank)
-        # Orthogonal projectors onto R(K) and onto R(K*) = N(K)-perp.
-        self.range_projector = self.op @ self.pinv
+        # Orthogonal projector onto R(K*) = N(K)-perp.
         self.adjoint_range_projector = self.pinv @ self.op
         self._vh = vh
 
@@ -167,7 +166,8 @@ class KOperator:
         self.norm = float(self.stack.norm[0])
         self.adjoint = self.stack.adjoint[0]
         self.pinv = self.stack.pinv[0]
-        self.range_projector = self.stack.range_projector[0]
+        # Orthogonal projector onto R(K).
+        self.range_projector = self.op @ self.pinv
         self.adjoint_range_projector = self.stack.adjoint_range_projector[0]
 
     @property

@@ -280,6 +280,16 @@ class TestComplementParseval:
             _, k, frame = parseval_instance(seed)
             assert ParsevalKFrame(frame, k).complement_parseval_holds(trials=5, seed=seed)
 
+    def test_zero_trials_vacuous(self):
+        # The probes of a stack are drawn with a zero-width trial axis.
+        space = MeasureSpace(np.array([0.5, 2.0, 1.0, 1.5]))
+        ks = KStack(np.stack([np.diag([1.0, 0.5, 0.0]), np.eye(3)]))
+        samples = parseval_k_samples(ks, space, [stream(5, t) for t in range(2)])
+        stack = ParsevalKFrames(FrameStack(space, samples), ks)
+        assert stack.complement_parseval_holds(0, [1, 2]).tolist() == [True, True]
+        _, k, frame = fixture_w1()
+        assert ParsevalKFrame(frame, k).complement_parseval_holds(trials=0, seed=1)
+
 
 def kdaggerk_worst(frame, k):
     return max(r for _, r in ParsevalKFrame(frame, k).kdaggerk_residuals())
