@@ -361,11 +361,11 @@ class ParsevalKFrames:
         else:
             self.require_duals(g, idx)
             norms = analysis_norm(g)
+        if trials < 1:
+            return np.ones(len(g), dtype=bool)
         syn_g = synthesis(g)
         gram = syn_g @ analysis(g)
         scale = 1.0 + _squares(norms)
-        if trials < 1:
-            return np.ones(len(g), dtype=bool)
         holds = ~(op_norm(gram - syn_g @ _take(self.dual_analysis, idx)) > DEFAULT_TOL * scale)
         if trials == 1:
             return holds
