@@ -22,7 +22,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .hilbert import DEFAULT_TOL, _groups, as_operator, as_vector, op_norm, ranks, svd, vdots, vector_norms
+from .hilbert import DEFAULT_TOL, _groups, _norm_bounds, _norms_exceed, as_operator, as_vector, op_norm
+from .hilbert import ranks, svd, vdots, vector_norms
 from .frames import (
     FrameStack,
     InfeasibleError,
@@ -117,15 +118,22 @@ def field_norm(frame_space, phi: np.ndarray):
     return op_norm(frame_space.sqrt_weights[:, None] * phi)
 
 
-def _duality_residual(f, g, k_op: np.ndarray):
-    """Norm of synthesis(F) @ analysis(G) - K; per member for stacks."""
-    return op_norm(synthesis(f) @ analysis(g) - k_op)
+def _duality_gap(f, g, k_op: np.ndarray) -> np.ndarray:
+    """synthesis(F) @ analysis(G) - K; per member for stacks."""
+    return synthesis(f) @ analysis(g) - k_op
 
 
 def _is_dual(residual, k_norm):
-    """The duality verdict on a residual of :func:`_duality_residual`
-    (per member for stacks); a NaN residual fails."""
+    """The duality verdict on the norm of a :func:`_duality_gap` (per
+    member for stacks); a NaN residual fails."""
     return residual <= DEFAULT_TOL * (1.0 + k_norm)
+
+
+def _require_dual(fails: np.ndarray, residual: np.ndarray) -> None:
+    """Raises for the first member whose duality verdict fails."""
+    failed = _first(fails)
+    if failed is not None:
+        raise HypothesisError(f"G is not a dual K-Bessel family (residual {residual[failed]:.3e})")
 
 
 @dataclass(frozen=True)
@@ -144,7 +152,7 @@ def is_dual_k_bessel(g: SampledFrame, f: SampledFrame, k: KOperator) -> DualityR
     _require_dual_pair(g, f)
     if k.dim != f.dim:
         raise ValueError(f"operator dimension {k.dim} does not match frame dimension {f.dim}")
-    residual = _duality_residual(f, g, k.op)
+    residual = op_norm(_duality_gap(f, g, k.op))
     norm_g = analysis_norm(g)
     return DualityReport(
         is_dual=_is_dual(residual, k.norm),
@@ -239,7 +247,7 @@ class ParsevalKFrames:
     @cached_property
     def dual_residuals(self) -> np.ndarray:
         """Duality residuals of the canonical duals, see :meth:`duality_residuals`."""
-        return _duality_residual(self.frames, self.duals, self.k.op)
+        return op_norm(_duality_gap(self.frames, self.duals, self.k.op))
 
     @cached_property
     def dual_analysis(self) -> np.ndarray:
@@ -280,11 +288,19 @@ class ParsevalKFrames:
 
         Adding the conjugated rows of phi to the canonical dual leaves the
         duality identity intact exactly when synthesis(frame) @ phi = 0;
-        the zero field gives the canonical dual itself.
+        the zero field gives the canonical dual itself. The leak check
+        takes the norms of synthesis(frame) @ phi and of the field only
+        where a bound leaves its verdict open, see :func:`_norms_exceed`:
+        ``field_norm(phi)`` is at least phi's largest weighted column norm.
         """
-        leak = op_norm(synthesis(self.frames.subset(idx)) @ phi)
-        scale = 1.0 + _take(self.frame_norms, idx) * field_norm(self.space, phi)
-        failed = _first(leak > DEFAULT_TOL * scale)
+        frame_norms = _take(self.frame_norms, idx)
+        floor = DEFAULT_TOL * (1.0 + frame_norms * _norm_bounds(self.space.sqrt_weights[:, None] * phi)[0])
+        fails, leak = _norms_exceed(
+            synthesis(self.frames.subset(idx)) @ phi,
+            floor,
+            lambda norm, j: norm > DEFAULT_TOL * (1.0 + frame_norms[j] * field_norm(self.space, phi[j])),
+        )
+        failed = _first(fails)
         if failed is not None:
             raise HypothesisError(
                 f"the synthesis map does not annihilate phi (residual {leak[failed]:.3e})"
@@ -293,20 +309,15 @@ class ParsevalKFrames:
 
     def duality_residuals(self, g: FrameStack, idx: Optional[np.ndarray] = None) -> np.ndarray:
         """Norms of synthesis(frame) @ analysis(G) - K, see :func:`is_dual_k_bessel`."""
-        return _duality_residual(self.frames.subset(idx), g, _take(self.k.op, idx))
+        return op_norm(_duality_gap(self.frames.subset(idx), g, _take(self.k.op, idx)))
 
-    def require_duals(self, g: FrameStack, idx: Optional[np.ndarray] = None) -> np.ndarray:
-        """Duality residuals of G; raises unless every G is a dual K-Bessel family."""
-        return self._required(self.duality_residuals(g, idx), idx)
-
-    def _required(self, residual: np.ndarray, idx: Optional[np.ndarray]) -> np.ndarray:
-        """``residual``, the duality residuals of G; raises unless every G is dual."""
-        failed = _first(~_is_dual(residual, _take(self.k.norm, idx)))
-        if failed is not None:
-            raise HypothesisError(
-                f"G is not a dual K-Bessel family (residual {residual[failed]:.3e})"
-            )
-        return residual
+    def require_duals(self, g: FrameStack, idx: Optional[np.ndarray] = None) -> None:
+        """Raises unless every G is a dual K-Bessel family. The duality
+        residual, see :meth:`duality_residuals`, is taken only where a
+        bound leaves the verdict open, see :func:`_norms_exceed`."""
+        k_norm = _take(self.k.norm, idx)
+        gap = _duality_gap(self.frames.subset(idx), g, _take(self.k.op, idx))
+        _require_dual(*_norms_exceed(gap, DEFAULT_TOL * (1.0 + k_norm), lambda norm, j: ~_is_dual(norm, k_norm[j])))
 
     def residual_fields(self, g: FrameStack) -> np.ndarray:
         """Difference fields between duals G and the canonical duals."""
@@ -356,7 +367,7 @@ class ParsevalKFrames:
         from ``stream(seeds[j], t)``.
         """
         if g is self.duals and idx is None:  # the stack's canonical duals: their cached measures
-            self._required(self.dual_residuals, idx)
+            _require_dual(~_is_dual(self.dual_residuals, self.k.norm), self.dual_residuals)
             norms = self.dual_norms
         else:
             self.require_duals(g, idx)

@@ -9,8 +9,9 @@ are exact in theory, so one cut and one tolerance serve every caller.
 
 ``op_norm`` and the stacked routines that serve the suite runner
 (``ranks``, ``pinvs``, ``op_norms``, ``range_inclusions``,
-``douglas_factors``, ``vdots``, ``vector_norms``; internal, left out of
-``__all__``) take operators
+``douglas_factors``, ``vdots``, ``vector_norms``, and ``_norms_exceed``,
+which takes norms only where a bound leaves a verdict open; internal,
+left out of ``__all__``) take operators
 ``(..., rows, cols)`` or vectors ``(..., n)`` stacked along leading axes
 (``op_norms`` a list of operators) and work matrix by
 matrix through numpy's stacked routines, whose results equal the
@@ -285,6 +286,32 @@ class _LoewnerTest:
         if idx.size:
             holds[idx] = lam_min[idx] >= -DEFAULT_TOL * np.maximum(self.limit[idx], op_norm(bb[idx]))
         return holds
+
+
+def _norm_bounds(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Bounds (low, high) per member of a stack (n, rows, cols) on the
+    op_norm LAPACK returns for it: the largest column norm and the
+    Frobenius norm, widened by the band 64 N^2 eps, N = max(rows, cols),
+    as :func:`_bisect_loewner_lambdas` widens its bounds. It covers the
+    N^2 rounded terms of the sums and LAPACK's p(N) u, p <= 8 N^2."""
+    band = 64.0 * np.finfo(float).eps * max(a.shape[-2:]) ** 2.0
+    columns = (a.real**2 + a.imag**2).sum(axis=-2)
+    return np.sqrt(columns.max(axis=-1)) * (1.0 - band), np.sqrt(columns.sum(axis=-1)) * (1.0 + band)
+
+
+def _norms_exceed(a: np.ndarray, floor: np.ndarray, exceeds) -> Tuple[np.ndarray, np.ndarray]:
+    """Per member of a stack (n, rows, cols), whether ``op_norm(a)``
+    exceeds a limit of at least ``floor`` (far above underflow), and the
+    norms computed (NaN elsewhere): no where the Frobenius bound of
+    :func:`_norm_bounds` is at most a finite floor, with no SVD; elsewhere
+    ``exceeds(norms, idx)``, the caller's exact verdict on members idx."""
+    norms = np.full(len(a), np.nan)
+    verdicts = np.zeros(len(a), dtype=bool)
+    idx = np.flatnonzero(~(np.isfinite(floor) & (_norm_bounds(a)[1] <= floor)))
+    if idx.size:
+        norms[idx] = op_norm(a[idx])
+        verdicts[idx] = exceeds(norms[idx], idx)
+    return verdicts, norms
 
 
 def loewner_leq(a, b) -> bool:

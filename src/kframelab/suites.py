@@ -533,7 +533,7 @@ def _prop_canonical_char(chunk: _Chunk) -> List[List[Check]]:
     ok_forward = pk.characterizes(pk.duals, trials=8, seeds=chunk.sub_seeds("canonical-char", 1))
     out = [[("canonical-passes", 0.0 if ok else 1.0)] for ok in ok_forward.tolist()]
     phi = pk.sample_kernel_fields(chunk.rngs("canonical-char"))
-    nonzero = field_norm(pk.space, phi) > 0
+    nonzero = pk.kernel.widths > 0  # the members with a nonzero field
     if nonzero.any():
         idx = _where(nonzero)
         perturbed = pk.build_duals(_take(phi, idx), idx)

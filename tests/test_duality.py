@@ -1,9 +1,11 @@
 """Tests for canonical duals and the checks built on them."""
 
+import re
+
 import numpy as np
 import pytest
 
-from kframelab import duality
+from kframelab import duality, hilbert
 from kframelab.duality import (
     HypothesisError,
     ParsevalKFrame,
@@ -25,7 +27,7 @@ from kframelab.frames import (
     parseval_k_samples,
     synthesis,
 )
-from kframelab.hilbert import DEFAULT_TOL, op_norm
+from kframelab.hilbert import DEFAULT_TOL, op_norm, pinv
 from kframelab.measure import L2Coefficients, MeasureSpace, bochner_integrate, l2_inner, l2_norm_sq
 from kframelab.rng import complex_normal, stream
 
@@ -172,6 +174,139 @@ class TestBuildDualFromPhi:
         phi = analysis(frame)  # synthesis(frame) @ analysis(frame) = S != 0
         with pytest.raises(HypothesisError, match="annihilate"):
             ParsevalKFrame(frame, k).build_dual(phi)
+
+
+def _leak_verdict(frame, phi):
+    """The leak check of build_duals with every norm taken exactly."""
+    leak = op_norm(synthesis(frame) @ phi)
+    return leak, leak > DEFAULT_TOL * (1.0 + analysis_norm(frame) * field_norm(frame.space, phi))
+
+
+def _duality_verdict(frame, k, g):
+    """The check of require_duals with the duality residual taken exactly."""
+    residual = op_norm(synthesis(frame) @ analysis(g) - k.op)
+    return residual, not residual <= DEFAULT_TOL * (1.0 + k.norm)
+
+
+class TestGuardBands:
+    """The guards of built duals decide ``op_norm > limit`` from a Frobenius
+    bound where it settles the verdict, and from the exact norms elsewhere.
+    Their verdicts and messages must be those of the exact expressions for
+    residuals below the bound's band, inside it and above the limit."""
+
+    @pytest.fixture
+    def instance(self):
+        # Rank-2 K, so that the synthesis map of phi = kernel field +
+        # t pinv(synthesis) is t times a rank-2 projector: its Frobenius
+        # norm is sqrt(2) times its operator norm t, which opens a band.
+        _, k, frame = parseval_instance(3, dim=3, atoms=7, rank=2, mixed_weights=True)
+        pk = ParsevalKFrame(frame, k)
+        pk.stack.frame_norms  # cached, so it takes no SVD below
+        return pk, pk.sample_kernel_field(stream(3, 1)), pinv(synthesis(frame))
+
+    @staticmethod
+    def _svds(monkeypatch):
+        counts = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: counts.append(1) or svd(*a, **kw))
+        return counts
+
+    @staticmethod
+    def _classes(outcomes):
+        """Per outcome (svds, fails) in ascending t: the class below the
+        band, inside it or above the limit; each must occur, in order."""
+        assert all(svds for svds, fails in outcomes if fails), outcomes
+        classes = [2 if fails else int(svds > 0) for svds, fails in outcomes]
+        assert classes == sorted(classes) and set(classes) == {0, 1, 2}, outcomes
+
+    def test_leak_check(self, instance, monkeypatch):
+        pk, kernel_field, direction = instance
+        frame = pk.frame
+        limit = DEFAULT_TOL * (1.0 + analysis_norm(frame) * field_norm(frame.space, kernel_field))
+        counts = self._svds(monkeypatch)
+        outcomes = []
+        for t in limit * 2.0 ** np.linspace(-3.0, 1.0, 81):
+            phi = kernel_field + t * direction
+            leak, fails = _leak_verdict(frame, phi)
+            counts.clear()
+            if fails:
+                message = f"the synthesis map does not annihilate phi (residual {leak:.3e})"
+                with pytest.raises(HypothesisError, match=re.escape(message)):
+                    pk.build_dual(phi)
+            else:
+                np.testing.assert_array_equal(pk.build_dual(phi).samples, pk.dual.samples + np.conj(phi))
+            assert len(counts) in (0, 2)  # the leak and the field norm
+            outcomes.append((len(counts), fails))
+        self._classes(outcomes)
+
+    def test_duality_check(self, instance, monkeypatch):
+        pk, _, direction = instance
+        frame, k = pk.frame, pk.k
+        limit = DEFAULT_TOL * (1.0 + k.norm)
+        counts = self._svds(monkeypatch)
+        outcomes = []
+        for t in limit * 2.0 ** np.linspace(-2.0, 1.0, 61):
+            g = SampledFrame(frame.space, pk.dual.samples + np.conj(t * direction))
+            residual, fails = _duality_verdict(frame, k, g)
+            counts.clear()
+            if fails:
+                message = f"G is not a dual K-Bessel family (residual {residual:.3e})"
+                with pytest.raises(HypothesisError, match=re.escape(message)):
+                    pk.residual_field(g)
+            else:
+                pk.residual_field(g)
+            assert len(counts) in (0, 1)
+            outcomes.append((len(counts), fails))
+        self._classes(outcomes)
+
+    def test_stacked_members_report_the_first_failure(self, instance, monkeypatch):
+        # Each grid as one stack in shuffled order: settled and open members
+        # mix, and the message names the first failing member.
+        pk, kernel_field, direction = instance
+        frame, k = pk.frame, pk.k
+        steps = stream(3, 2).permutation(2.0 ** np.linspace(-3.0, 1.0, 41))
+        n = len(steps)
+        stack = ParsevalKFrames(
+            FrameStack(frame.space, np.repeat(frame.samples[None], n, 0)), KStack(np.repeat(k.op[None], n, 0))
+        )
+        stack.frame_norms
+        limit = DEFAULT_TOL * (1.0 + analysis_norm(frame) * field_norm(frame.space, kernel_field))
+        phi = kernel_field + (limit * steps)[:, None, None] * direction
+        first = next(leak for leak, fails in (_leak_verdict(frame, p) for p in phi) if fails)
+        counts = self._svds(monkeypatch)
+        with pytest.raises(HypothesisError, match=re.escape(f"(residual {first:.3e})")):
+            stack.build_duals(phi)
+        assert len(counts) == 2
+        limit = DEFAULT_TOL * (1.0 + k.norm)
+        g = stack.duals.samples + np.conj((limit * steps)[:, None, None] * direction)
+        verdicts = (_duality_verdict(frame, k, SampledFrame(frame.space, samples)) for samples in g)
+        first = next(residual for residual, fails in verdicts if fails)
+        counts.clear()
+        with pytest.raises(HypothesisError, match=re.escape(f"(residual {first:.3e})")):
+            stack.require_duals(FrameStack(frame.space, g))
+        assert len(counts) == 1
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_leak_takes_the_exact_path(self, instance, monkeypatch, value):
+        # The exact norm rejects a non-finite operator, as it always did;
+        # the bound must not settle a verdict on one.
+        pk, kernel_field, _ = instance
+        g = SampledFrame(pk.frame.space, pk.dual.samples)
+
+        def poisoned(frame):
+            out = synthesis(frame).copy()
+            out[..., 0, 0] = value
+            return out
+
+        monkeypatch.setattr(duality, "synthesis", poisoned)
+        exact = []
+        monkeypatch.setattr(hilbert, "op_norm", lambda a: exact.append(a) or op_norm(a))
+        with np.errstate(invalid="ignore"):  # inf times zero in the products
+            with pytest.raises(ValueError, match="operator entries must be finite"):
+                pk.build_dual(kernel_field)
+            with pytest.raises(ValueError, match="operator entries must be finite"):
+                pk.residual_field(g)
+        assert len(exact) == 2 and not any(np.isfinite(a).all() for a in exact)
 
 
 class TestMinimality:

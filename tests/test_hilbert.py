@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from kframelab.hilbert import (
     RangeInclusionError,
+    _norm_bounds,
+    _norms_exceed,
     adjoint,
     douglas_factor,
     loewner_leq,
@@ -147,6 +149,37 @@ class TestOpNorm:
 
     def test_ones_matrix(self):
         assert op_norm([[1.0, 1.0], [1.0, 1.0]]) == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (7, 3), (3, 7), (64, 8)])
+    def test_bounds_hold_the_computed_norm(self, shape):
+        # Rank one (column norm and Frobenius norm both equal the norm),
+        # full rank, a single column and a zero matrix.
+        rng = stream(31, *shape)
+        stack = np.stack(
+            [random_matrix(rng, *shape, forced_rank=1), random_matrix(rng, *shape), np.zeros(shape)]
+            + [random_matrix(rng, shape[0], 1) * np.eye(1, shape[1])]
+        )
+        low, high = _norm_bounds(stack)
+        norms = op_norm(stack)
+        assert (low <= norms).all() and (norms <= high).all()
+
+    def test_exceeds_runs_the_exact_verdict_only_where_open(self):
+        stack = np.stack([np.eye(2), 2.0 * np.eye(2), np.full((2, 2), np.nan)])
+        seen = []
+
+        def exceeds(norms, idx):
+            seen.append(idx.tolist())
+            return norms > 1.5
+
+        verdicts, norms = _norms_exceed(stack[:2], np.array([1.5, 1.5]), exceeds)
+        # |I|_F = sqrt(2) <= 1.5 settles the first; the second is open.
+        assert verdicts.tolist() == [False, True] and seen == [[1]]
+        assert np.isnan(norms[0]) and norms[1] == 2.0
+        with pytest.raises(ValueError, match="finite"):
+            _norms_exceed(stack, np.array([1.5, 1.5, 1.5]), exceeds)
+        assert seen[1:] == []  # a NaN member goes to op_norm, which rejects it
+        verdicts, _ = _norms_exceed(stack[:1], np.array([np.inf]), exceeds)
+        assert verdicts.tolist() == [False] and seen[1:] == [[0]]
 
 
 class TestLoewner:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import sys
 from collections import Counter
 
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 from kframelab import duality, frames, suites
+from kframelab.duality import ParsevalKFrame
 from kframelab.fixtures import fixture_scenario
+from kframelab.frames import KOperator, SampledFrame
 from kframelab.hilbert import _LoewnerTest, loewner_leq, op_norm
 from kframelab.report import emit_report, report_to_dict
 from kframelab.rng import complex_normal, stream
@@ -473,10 +476,12 @@ def test_large_diagonal_k_is_verified_or_rejected(exponent):
     assert run_suite(sc).all_passed
 
 
-@pytest.mark.parametrize("pid, bound", [("l1", 10), ("l2", 15)])
+@pytest.mark.parametrize("pid, bound", [("l1", 10), ("l2", 15), ("l5", 10), ("l6", 8), ("canonical-char", 25)])
 def test_svds_per_trial(monkeypatch, pid, bound):
     # l1 takes pinv(a) and both projectors of a from one SVD; l2 takes
-    # its factor, scale and rank of T from the inclusion test's SVDs.
+    # its factor, scale and rank of T from the inclusion test's SVDs. The
+    # guards of built duals in l5, l6 and canonical-char take no SVD where
+    # a Frobenius bound settles them.
     counts = Counter()
     svd = np.linalg.svd
 
@@ -492,3 +497,17 @@ def test_svds_per_trial(monkeypatch, pid, bound):
         assert run_suite(sc.replay(trial), [pid]).all_passed
         per_trial.append(counts["svd"])
     assert max(per_trial) <= bound, per_trial
+
+
+def test_near_cut_k_dual_guard_keeps_its_exact_message():
+    # K = diag(1, 3.16e-10, 0): l5's kernel field on trial 1 leaks
+    # 2.120e-09 through the synthesis map. The leak check, whose limit
+    # grows with the field's norm, passes it; the duality check of the
+    # built dual fails it on its exact residual.
+    k_spec = {"kind": "diagonal", "values": [1.0, 3.1622776601683795e-10, 0.0]}
+    chunk = suites._Chunk(scenario_from_dict(generated_doc(k_spec=k_spec)), [1])
+    space, ks, frames = chunk.instance
+    pk = ParsevalKFrame(SampledFrame(space, frames.samples[0]), KOperator(ks.op[0]))
+    g = pk.build_dual(chunk.parseval.sample_kernel_fields(chunk.rngs("l5"))[0])
+    with pytest.raises(duality.HypothesisError, match=re.escape("G is not a dual K-Bessel family (residual 2.120e-09)")):
+        pk.residual_field(g)
