@@ -18,7 +18,7 @@ API for a single instance.
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,10 +89,33 @@ def _squares(x: np.ndarray) -> np.ndarray:
     return np.array([v**2 for v in x.tolist()])
 
 
-def check_rows(names: Sequence[str], columns: Sequence[np.ndarray]) -> List[List[Check]]:
-    """Per member, the named checks whose values are the member's entries of
-    the columns (one array per check, one entry per member)."""
-    return [list(zip(names, row)) for row in np.stack(columns, axis=1).tolist()]
+class CheckTable(NamedTuple):
+    """Named checks of a stack's members: ``residuals[i, c]`` is member i's
+    residual of check ``names[c]``; ``present`` marks the entries of checks
+    that run only on some branch, None when every member takes every check.
+    Every member takes at least one check."""
+
+    names: Sequence[str]
+    residuals: np.ndarray
+    present: Optional[np.ndarray] = None
+
+    def row(self, i: int) -> List[Check]:
+        """Member i's present checks, in column order."""
+        present = [True] * len(self.names) if self.present is None else self.present[i].tolist()
+        return [(name, v) for name, v, p in zip(self.names, self.residuals[i].tolist(), present) if p]
+
+    def worst(self) -> Tuple[float, str, int]:
+        """(residual, check, member) of the first non-finite present entry in
+        (member, check) order, else of the first largest present one. Folding
+        the entries in that order by the runner's rule ends there."""
+        res, bad = self.residuals, ~np.isfinite(self.residuals)
+        if self.present is not None:
+            bad &= self.present
+            res = np.where(self.present, res, -np.inf)  # below every finite entry
+        k = bad.argmax()  # the first True, or a False when there is none
+        flat = k if bad.flat[k] else res.argmax()
+        i, c = divmod(int(flat), res.shape[1])
+        return float(res[i, c]), self.names[c], i
 
 
 def _take(arr, idx: Optional[np.ndarray]):
@@ -332,7 +355,7 @@ class ParsevalKFrames:
         """Weighted squared norms of an @ f for probes f (members, count, d)."""
         return weighted_norm_sq(self.space, (an[:, None] @ f[..., None])[..., 0])
 
-    def minimality_residuals(self, rngs: Sequence) -> List[List[Check]]:
+    def minimality_residuals(self, rngs: Sequence) -> CheckTable:
         """Canonical dual has the smallest analysis norm among sampled duals.
 
         One dual is built from a kernel field drawn from each member's
@@ -350,7 +373,7 @@ class ParsevalKFrames:
         residual = self._coefficient_norms(phi, f)
         f_sq = vdots(f, f).real
         split = abs(total - canonical - residual) / np.where(f_sq > 1e-12, f_sq, 1e-12)
-        return check_rows(["minimality"] + ["norm-split"] * _MINIMALITY_PROBES, [minimality, *split.T])
+        return CheckTable(["minimality"] + ["norm-split"] * _MINIMALITY_PROBES, np.column_stack([minimality, split]))
 
     def characterizes(
         self, g: FrameStack, trials: int, seeds: Sequence[int], idx: Optional[np.ndarray] = None
@@ -453,7 +476,7 @@ class ParsevalKFrames:
         probes = self._probes(rngs, 1).reshape(len(self), trials, self.frames.dim)
         return (self._corange_gaps(probes) <= DEFAULT_TOL).all(axis=1)
 
-    def kdaggerk_residuals(self) -> List[List[Check]]:
+    def kdaggerk_residuals(self) -> CheckTable:
         """Canonical dual is Parseval for the projector pinv(K) K, and pushing it
         forward through K regenerates a Parseval K-frame."""
         k = self.k
@@ -462,7 +485,8 @@ class ParsevalKFrames:
         pushed = FrameStack(self.space, self.duals.samples @ k.op.swapaxes(-1, -2))
         projector = op_norm(frame_operator(self.duals) - p @ p.conj().swapaxes(-1, -2)) / scale
         pushforward = op_norm(frame_operator(pushed) - k.op @ k.adjoint) / scale
-        return check_rows(["dual-projector-parseval", "pushforward-parseval"], [projector, pushforward])
+        names = ["dual-projector-parseval", "pushforward-parseval"]
+        return CheckTable(names, np.column_stack([projector, pushforward]))
 
     def independence_transfer(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Independence verdicts of the frames and their canonical duals, plus
@@ -572,7 +596,7 @@ class ParsevalKFrame:
 
     def minimality_residuals(self, rng: np.random.Generator) -> List[Check]:
         """See :meth:`ParsevalKFrames.minimality_residuals`."""
-        return self.stack.minimality_residuals([rng])[0]
+        return self.stack.minimality_residuals([rng]).row(0)
 
     def characterizes(self, g: SampledFrame, trials: int, seed: int) -> bool:
         """See :meth:`ParsevalKFrames.characterizes`."""
@@ -605,7 +629,7 @@ class ParsevalKFrame:
 
     def kdaggerk_residuals(self) -> List[Check]:
         """See :meth:`ParsevalKFrames.kdaggerk_residuals`."""
-        return self.stack.kdaggerk_residuals()[0]
+        return self.stack.kdaggerk_residuals().row(0)
 
     def independence_transfer(self) -> Tuple[bool, bool, Optional[float]]:
         """Independence verdicts of the frame and its canonical dual, plus the

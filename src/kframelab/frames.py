@@ -230,7 +230,7 @@ class FrameBounds:
     upper: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+        if not np.isfinite([self.lower, self.upper]).all():
             raise ValueError("bounds must be finite")
         if self.lower < 0 or self.upper < 0:
             raise ValueError("bounds must be nonnegative")
@@ -310,10 +310,10 @@ def classify(frame: SampledFrame, k: KOperator) -> FrameClassification:
     a_opt = k_lower_bound(frame, k)
     b_opt = frame_bounds(frame).upper
     # Rank-zero K admits every lower constant; report 0 to keep bounds finite.
-    a_report = 0.0 if a_opt is None or not math.isfinite(a_opt) else a_opt
+    a_report = 0.0 if a_opt is None or not np.isfinite(a_opt) else a_opt
 
     residuals = {"parseval_identity": residual}
-    if a_opt is not None and math.isfinite(a_opt):
+    if a_opt is not None and np.isfinite(a_opt):
         residuals["tight_gap"] = abs(a_opt - b_opt) / (1.0 + b_opt)
         residuals["unit_lower_gap"] = abs(a_opt - 1.0)
 

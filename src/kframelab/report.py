@@ -42,7 +42,7 @@ class SuiteReport:
 def _json_residual(value: float):
     """A residual as valid JSON: a non-finite one becomes the string "nan",
     "inf" or "-inf", which JSON has no number for."""
-    return value if math.isfinite(value) else repr(float(value))
+    return value if -math.inf < value < math.inf else repr(float(value))
 
 
 def report_to_dict(report: SuiteReport) -> dict:

@@ -8,14 +8,14 @@ derive from (seed, property, trial index), so execution order does not
 matter and a witness replays by restricting the scenario to one trial.
 
 Trials run in chunks: every property takes a chunk of consecutive
-trials and returns one check list per trial, in trial order. The draws
+trials and returns one check table (``duality.CheckTable``), a row per
+trial in order, which the runner folds with array operations. The draws
 loop over the chunk's trials, each from its own stream, and the
 arithmetic runs once per chunk on numpy's stacked routines, which give
 each trial the bits its own per-matrix calls would. A one-trial replay
 is a chunk of one and so reproduces every residual exactly.
 """
 
-import math
 import platform
 import time
 from functools import cached_property
@@ -23,16 +23,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .duality import (
-    Check,
-    HypothesisError,
-    ParsevalKFrames,
-    _positive_part,
-    _take,
-    _where,
-    check_rows,
-    field_norm,
-)
+from .duality import CheckTable, HypothesisError, ParsevalKFrames, _positive_part, _take, _where, field_norm
 from .frames import (
     FrameStack,
     InfeasibleError,
@@ -365,7 +356,7 @@ _PINV_CHECKS = (
 )
 
 
-def _pinv_checks(rng: np.random.Generator, index: int) -> List[Check]:
+def _pinv_checks(rng: np.random.Generator, index: int) -> List[float]:
     """Pseudo-inverse identity suite on random matrices up to 16 x 16;
     every other trial forces a rank-deficient input."""
     n = int(rng.integers(1, 17))
@@ -392,13 +383,13 @@ def _pinv_checks(rng: np.random.Generator, index: int) -> List[Check]:
             f.corange_projector() - right,
         ]
     )
-    scale = 1.0 + norm_a
-    return [(name, gap / scale) for name, gap in zip(_PINV_CHECKS, gaps)]
+    return [gap / (1.0 + norm_a) for gap in gaps]
 
 
-def _prop_l1(chunk: _Chunk) -> List[List[Check]]:
+def _prop_l1(chunk: _Chunk) -> CheckTable:
     """Matrix sizes are drawn per trial, so each trial runs on its own."""
-    return [_pinv_checks(rng, i) for rng, i in zip(chunk.rngs("l1"), chunk.indices)]
+    rows = [_pinv_checks(rng, i) for rng, i in zip(chunk.rngs("l1"), chunk.indices)]
+    return CheckTable(_PINV_CHECKS, np.array(rows))
 
 
 def _factorization_pair(rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
@@ -415,7 +406,7 @@ def _factorization_pair(rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarra
     return t_op @ theta0, t_op
 
 
-def _prop_l2(chunk: _Chunk) -> List[List[Check]]:
+def _prop_l2(chunk: _Chunk) -> CheckTable:
     """Factorization suite on random included pairs: the factor's squared
     norm must match the bisection scale, and kernel/range nesting must hold.
 
@@ -431,24 +422,17 @@ def _prop_l2(chunk: _Chunk) -> List[List[Check]]:
         lam, rank_t = float(inc.lambda_star[0]), int(inc.rank_t[0])
         trials.append((s_op, t_op, inc.factor[0], lam, rank_t, _loewner_operands(s_op, t_op)))
     scales = _bisect_loewner_lambdas([operands for *_, operands in trials])
-    out = []
+    rows = []
     for (s_op, t_op, theta, lam, rank_t, _), lam_b in zip(trials, scales):
         gap, norm_s = op_norm(np.stack([t_op @ theta - s_op, s_op])).tolist()
-        out.append(
-            [
-                ("factorization", gap / (1.0 + norm_s)),
-                ("min-scale", 1.0 if lam_b is None else abs(lam - lam_b) / (1.0 + lam_b)),
-                (
-                    "kernel-match",
-                    0.0 if rank(s_op) == rank(theta) == rank(np.vstack([s_op, theta])) else 1.0,
-                ),
-                ("range-in-adjoint", 0.0 if rank(np.hstack([t_op.conj().T, theta])) == rank_t else 1.0),
-            ]
-        )
-    return out
+        min_scale = 1.0 if lam_b is None else abs(lam - lam_b) / (1.0 + lam_b)
+        kernel_match = rank(s_op) == rank(theta) == rank(np.vstack([s_op, theta]))
+        range_in_adjoint = rank(np.hstack([t_op.conj().T, theta])) == rank_t
+        rows.append([gap / (1.0 + norm_s), min_scale, 0.0 if kernel_match else 1.0, 0.0 if range_in_adjoint else 1.0])
+    return CheckTable(("factorization", "min-scale", "kernel-match", "range-in-adjoint"), np.array(rows))
 
 
-def _prop_l3(chunk: _Chunk) -> List[List[Check]]:
+def _prop_l3(chunk: _Chunk) -> CheckTable:
     """Equivalence of the K-frame verdict with range inclusion, decided by
     two disjoint routes (rank test versus Loewner doubling), plus tightness
     of the optimal lower bound when it exists. Runs on any frame, not only
@@ -458,14 +442,16 @@ def _prop_l3(chunk: _Chunk) -> List[List[Check]]:
     inc = range_inclusions(ks.op, b)
     # The optimal lower bound from the one inclusion test, as k_lower_bound derives it.
     a_opt = [lower_bound_from_scale(*pair) for pair in zip(inc.included.tolist(), inc.lambda_star.tolist())]
-    loewner = loewner_inclusion_exists(ks.op, b)
-    out = [
-        [("inclusion-agreement", 0.0 if included == (a is not None) == route else 1.0)]
-        for included, a, route in zip(inc.included.tolist(), a_opt, loewner.tolist())
-    ]
+    has_bound = np.array([a is not None for a in a_opt])
+    agree = (inc.included == has_bound) & (has_bound == loewner_inclusion_exists(ks.op, b))
+    # Check 0 runs on every trial, 1-5 on bounded ones, 6 where the extremal probe is nonzero.
+    names = ["inclusion-agreement"] + ["lower-bound-holds"] * 5 + ["optimality-tight"]
+    residuals = np.zeros((len(a_opt), len(names)))
+    present = np.zeros(residuals.shape, dtype=bool)
+    residuals[:, 0], present[:, 0] = np.where(agree, 0.0, 1.0), True
     bounded = np.array([a is not None and np.isfinite(a) for a in a_opt])
     if not bounded.any():
-        return out
+        return CheckTable(names, residuals, present)
     idx, positions = _where(bounded), np.flatnonzero(bounded)
     a = np.array([a_opt[j] for j in positions])
     b = weighted_synthesis(frames.subset(idx))
@@ -475,8 +461,7 @@ def _prop_l3(chunk: _Chunk) -> List[List[Check]]:
     kf = (k_adjoint[:, None] @ f[..., None])[..., 0]
     lhs = a[:, None] * vdots(kf, kf).real
     rhs = vdots(f, (s_mat[:, None] @ f[..., None])[..., 0]).real
-    for j, row in zip(positions, (_positive_part(lhs - rhs) / (1.0 + rhs)).tolist()):
-        out[j] += [("lower-bound-holds", value) for value in row]
+    residuals[positions, 1:6], present[positions, 1:6] = _positive_part(lhs - rhs) / (1.0 + rhs), True
     # Extremal probe: the lower bound must be unimprovable by 0.1 percent.
     # Only the top left singular vector of theta is read, so its thin SVD suffices.
     t_pinv = _take(inc.t_pinv, idx)
@@ -488,21 +473,20 @@ def _prop_l3(chunk: _Chunk) -> List[List[Check]]:
     if sub.size:
         lhs = a[sub] * 1.001 * kf_sq[sub]
         rhs = vdots(f_star[sub], (s_mat[sub] @ f_star[sub, :, None])[..., 0]).real
-        for j, tight in zip(positions[sub], (lhs > rhs).tolist()):
-            out[j].append(("optimality-tight", 0.0 if tight else 1.0))
-    return out
+        residuals[positions[sub], 6], present[positions[sub], 6] = np.where(lhs > rhs, 0.0, 1.0), True
+    return CheckTable(names, residuals, present)
 
 
-def _prop_l4(chunk: _Chunk) -> List[List[Check]]:
+def _prop_l4(chunk: _Chunk) -> CheckTable:
     """Canonical dual reproduces K through the frame, and is Parseval on the
     range of the adjoint operator."""
     pk = chunk.parseval
     duality = pk.dual_residuals / (1.0 + pk.k.norm)
     probes = pk.corange_parseval_residuals(chunk.rngs("l4"), 5)
-    return check_rows(["duality"] + ["corange-parseval"] * 5, [duality] + list(probes.T))
+    return CheckTable(["duality"] + ["corange-parseval"] * 5, np.column_stack([duality, probes]))
 
 
-def _prop_l5(chunk: _Chunk) -> List[List[Check]]:
+def _prop_l5(chunk: _Chunk) -> CheckTable:
     """Round trip between kernel fields and duals: building a dual from a
     kernel field and extracting its residual field recovers the field."""
     pk = chunk.parseval
@@ -510,46 +494,44 @@ def _prop_l5(chunk: _Chunk) -> List[List[Check]]:
     phi = pk.sample_kernel_fields(chunk.rngs("l5"))
     recovered = pk.residual_fields(pk.build_duals(phi))
     phi_norm = field_norm(space, phi)
-    return check_rows(
-        ["field-roundtrip", "synthesis-annihilates"],
-        [
-            field_norm(space, recovered - phi) / (1.0 + phi_norm),
-            op_norm(synthesis(pk.frames) @ recovered) / (1.0 + pk.frame_norms * phi_norm),
-        ],
-    )
+    roundtrip = field_norm(space, recovered - phi) / (1.0 + phi_norm)
+    annihilates = op_norm(synthesis(pk.frames) @ recovered) / (1.0 + pk.frame_norms * phi_norm)
+    return CheckTable(["field-roundtrip", "synthesis-annihilates"], np.column_stack([roundtrip, annihilates]))
 
 
-def _prop_l6(chunk: _Chunk) -> List[List[Check]]:
+def _prop_l6(chunk: _Chunk) -> CheckTable:
     """Minimality of the canonical dual's analysis norm among sampled duals,
     with the pointwise squared-norm split as the reason."""
     return chunk.parseval.minimality_residuals(chunk.rngs("l6"))
 
 
-def _prop_canonical_char(chunk: _Chunk) -> List[List[Check]]:
+def _prop_canonical_char(chunk: _Chunk) -> CheckTable:
     """Gram identity characterizes the canonical dual: it passes against
     sampled partners, while any sampled perturbation fails with the canonical
     dual itself as witness."""
     pk = chunk.parseval
     ok_forward = pk.characterizes(pk.duals, trials=8, seeds=chunk.sub_seeds("canonical-char", 1))
-    out = [[("canonical-passes", 0.0 if ok else 1.0)] for ok in ok_forward.tolist()]
     phi = pk.sample_kernel_fields(chunk.rngs("canonical-char"))
-    nonzero = pk.kernel.widths > 0  # the members with a nonzero field
+    nonzero = pk.kernel.widths > 0  # the members with a nonzero field, which take perturbed-fails
+    ok_perturbed = np.zeros(len(pk), dtype=bool)
     if nonzero.any():
         idx = _where(nonzero)
         perturbed = pk.build_duals(_take(phi, idx), idx)
-        ok_perturbed = pk.characterizes(perturbed, trials=1, seeds=chunk.sub_seeds("canonical-char", 2, idx), idx=idx)
-        for j, ok in zip(np.flatnonzero(nonzero), ok_perturbed.tolist()):
-            out[j].append(("perturbed-fails", 0.0 if not ok else 1.0))
-    return out
+        seeds = chunk.sub_seeds("canonical-char", 2, idx)
+        ok_perturbed[nonzero] = pk.characterizes(perturbed, trials=1, seeds=seeds, idx=idx)
+    residuals = np.column_stack([~ok_forward, ok_perturbed]).astype(float)
+    present = np.column_stack([np.ones_like(nonzero), nonzero])
+    return CheckTable(["canonical-passes", "perturbed-fails"], residuals, present)
 
 
-def _prop_t1(chunk: _Chunk) -> List[List[Check]]:
+def _prop_t1(chunk: _Chunk) -> CheckTable:
     """Uniqueness dichotomy: full-rank analysis forces independently built
     duals to coincide, otherwise a verified distinct dual exists."""
     pk = chunk.parseval
     space, k = pk.space, pk.k
-    out: List[List[Check]] = [[] for _ in chunk.indices]
     unique = pk.is_unique()
+    # The unique members take the first two checks, the others the last two.
+    residuals = np.zeros((len(pk), 4))
     if unique.any():
         idx = _where(unique)
         # Independent construction: minimal-norm solve against the weighted
@@ -559,32 +541,27 @@ def _prop_t1(chunk: _Chunk) -> List[List[Check]]:
         dual = _take(pk.duals.samples, idx)
         residual = pk.duality_residuals(g2, idx) / (1.0 + _take(k.norm, idx))
         gap = _max_row_norm(g2.samples - dual) / (1.0 + _max_row_norm(dual))
-        for j, r, g in zip(np.flatnonzero(unique), residual.tolist(), gap.tolist()):
-            out[j] += [("minnorm-dual", r), ("constructions-agree", g)]
+        residuals[unique, 0], residuals[unique, 1] = residual, gap
     if not unique.all():
         idx = _where(~unique)
         q, residual = pk.alternative_duals(chunk.sub_seeds("t1", 1, idx), idx)
         gap = _max_row_norm(q.samples - _take(pk.duals.samples, idx))
-        residual = residual / (1.0 + _take(k.norm, idx))
-        for j, r, g in zip(np.flatnonzero(~unique), residual.tolist(), gap.tolist()):
-            out[j] += [("alternative-dual", r), ("alternative-differs", 0.0 if g > 1e-6 else 1.0)]
-    return out
+        residuals[~unique, 2] = residual / (1.0 + _take(k.norm, idx))
+        residuals[~unique, 3] = np.where(gap > 1e-6, 0.0, 1.0)
+    names = ["minnorm-dual", "constructions-agree", "alternative-dual", "alternative-differs"]
+    return CheckTable(names, residuals, np.column_stack([unique, unique, ~unique, ~unique]))
 
 
-def _prop_t2(chunk: _Chunk) -> List[List[Check]]:
+def _prop_t2(chunk: _Chunk) -> CheckTable:
     """Independence transfers between the frame and its canonical dual; when
     independent, the frame is the push-forward of its dual through K."""
     frame_indep, dual_indep, gaps = chunk.parseval.independence_transfer()
-    out = []
-    for fi, di, gap in zip(frame_indep.tolist(), dual_indep.tolist(), gaps.tolist()):
-        checks: List[Check] = [("independence-agreement", 0.0 if fi == di else 1.0)]
-        if fi:
-            checks.append(("pushforward-identity", gap))
-        out.append(checks)
-    return out
+    residuals = np.column_stack([np.where(frame_indep == dual_indep, 0.0, 1.0), gaps])
+    present = np.column_stack([np.ones_like(frame_indep), frame_indep])
+    return CheckTable(["independence-agreement", "pushforward-identity"], residuals, present)
 
 
-def _prop_t4(chunk: _Chunk) -> List[List[Check]]:
+def _prop_t4(chunk: _Chunk) -> CheckTable:
     """Coefficient norm split: total equals residual plus canonical, because
     the residual is orthogonal to the canonical coefficients."""
     pk = chunk.parseval
@@ -597,18 +574,18 @@ def _prop_t4(chunk: _Chunk) -> List[List[Check]]:
     cross = np.array([[abs(z) for z in row] for row in cross.tolist()])
     # Per family, the norm split and then the cross term.
     columns = np.stack([abs(total - residual - canonical), cross], axis=-1) / (1.0 + total)[..., None]
-    return check_rows(["norm-split", "cross-term"] * 10, list(columns.reshape(len(f), -1).T))
+    return CheckTable(["norm-split", "cross-term"] * 10, columns.reshape(len(f), -1))
 
 
-def _prop_complement(chunk: _Chunk) -> List[List[Check]]:
+def _prop_complement(chunk: _Chunk) -> CheckTable:
     """Canonical dual is Parseval on the orthogonal complement of N(K)."""
     pk = chunk.parseval
     ok = pk.complement_parseval_holds(trials=5, seeds=chunk.sub_seeds("complement-parseval", 1))
     probe = pk.corange_parseval_residuals(chunk.rngs("complement-parseval"), 1)[:, 0]
-    return check_rows(["complement-parseval", "probe-residual"], [np.where(ok, 0.0, 1.0), probe])
+    return CheckTable(["complement-parseval", "probe-residual"], np.column_stack([np.where(ok, 0.0, 1.0), probe]))
 
 
-def _prop_kdaggerk(chunk: _Chunk) -> List[List[Check]]:
+def _prop_kdaggerk(chunk: _Chunk) -> CheckTable:
     """Frame operator identities for the canonical dual and its push-forward
     through K."""
     return chunk.parseval.kdaggerk_residuals()
@@ -630,7 +607,7 @@ _PROPERTY_FUNCS = {
 }
 
 
-def _run_chunk(chunk: _Chunk, props: Sequence[str]) -> List[List[List[Check]]]:
+def _run_chunk(chunk: _Chunk, props: Sequence[str]) -> List[CheckTable]:
     results = []
     for pid in props:
         try:
@@ -676,21 +653,17 @@ def run_suite(scenario: Scenario, properties: Optional[Iterable[str]] = None) ->
             for index in chunk.indices:
                 _run_chunk(_Chunk(scenario, [index]), props)
             raise
-        for j, per_trial in enumerate(results):
-            for index, checks in zip(chunk.indices, per_trial):
-                for name, residual in checks:
-                    # The first check always becomes the worst, a non-finite one is
-                    # never replaced, and one replaces any finite worst: a NaN fails
-                    # every comparison, so ">" alone would skip it and pass.
-                    value, _, seen = worst[j]
-                    if seen < 0 or (
-                        math.isfinite(value) and (residual > value or not math.isfinite(residual))
-                    ):
-                        worst[j] = (residual, name, index)
+        for j, table in enumerate(results):
+            residual, name, row = table.worst()
+            # A non-finite worst stays; a finite one gives way to any larger or
+            # non-finite residual (a NaN fails every comparison, so ">" alone would pass it).
+            value, _, seen = worst[j]
+            if seen < 0 or (np.isfinite(value) and (residual > value or not np.isfinite(residual))):
+                worst[j] = (residual, name, chunk.indices[row])
     records: List[PropertyRecord] = []
     for pid, (worst_residual, worst_check, worst_trial) in zip(props, worst):
         tolerance = scenario.tolerances.get(pid, DEFAULT_TOLERANCES[pid])
-        passed = math.isfinite(worst_residual) and worst_residual <= tolerance
+        passed = bool(np.isfinite(worst_residual)) and worst_residual <= tolerance
         witness = None
         if not passed:
             witness = {

@@ -1,8 +1,9 @@
 """Golden digests of the verifier's output bits.
 
 For each scenario of :data:`SCENARIOS` and each property, one SHA-256
-over the per-trial check lists the runner folds into the report (trial
-index, check name and ``float.hex`` of the residual, in order), plus one
+over the check tables the runner folds into the report (one line of
+trial index, check name and ``float.hex`` of the residual per present
+entry, in trial and then check order), plus one
 SHA-256 over the report without its timing and environment fields, so
 witnesses are covered too. The digests hold for one build fingerprint,
 the one ``perfbench/envinfo.py`` computes (numpy, BLAS and its threads);
@@ -123,16 +124,18 @@ def build_fingerprint() -> dict:
     return envinfo.fingerprint(envinfo.environment(os.path.join(ROOT, "src")))
 
 
-def _check_lists(sc: Scenario, props: Sequence[str]) -> List[list]:
-    """Per property, the (trial, check list) pairs of every trial, chunked
-    as :func:`kframelab.suites.run_suite` chunks them."""
+def _check_lines(sc: Scenario, props: Sequence[str]) -> List[List[str]]:
+    """Per property, one ``index\tname\thex`` line per present entry of the
+    check tables of every trial, chunked as :func:`kframelab.suites.run_suite`
+    chunks them."""
     size = max(1, suites._CHUNK_BYTES // suites._trial_bytes(sc))
-    out: List[list] = [[] for _ in props]
+    out: List[List[str]] = [[] for _ in props]
     for first in range(0, sc.trials, size):
         indices = range(sc.trial_offset + first, sc.trial_offset + min(first + size, sc.trials))
         chunk = suites._Chunk(sc, indices)
-        for j, per_trial in enumerate(suites._run_chunk(chunk, props)):
-            out[j].extend(zip(chunk.indices, per_trial))
+        for j, table in enumerate(suites._run_chunk(chunk, props)):
+            for row, index in enumerate(chunk.indices):
+                out[j].extend(f"{index}\t{name}\t{value.hex()}" for name, value in table.row(row))
     return out
 
 
@@ -150,8 +153,7 @@ def scenario_record(doc: dict, props: Sequence[str] = suites.PROPERTY_IDS) -> di
     report.pop("wall_time_ms")
     report.pop("meta")
     checks = {}
-    for pid, trials in zip(props, _check_lists(sc, props)):
-        lines = [f"{index}\t{name}\t{float(value).hex()}" for index, per_trial in trials for name, value in per_trial]
+    for pid, lines in zip(props, _check_lines(sc, props)):
         checks[pid] = {
             "pass": records[pid].passed,
             "worst_check": records[pid].worst_check,

@@ -1,9 +1,10 @@
 """Bit identity of the verifier's output against tests/golden/golden.json.
 
 Under the recorded build fingerprint, every (scenario, property) digest of
-the per-trial check lists and every report digest must match. Under any
-other fingerprint the bits of a float may legitimately differ, so only
-the verdicts and worst-check names are compared, and the test says so.
+the check tables (one line per present entry) and every report digest
+must match. Under any other fingerprint the bits of a float may
+legitimately differ, so only the verdicts and worst-check names are
+compared, and the test says so.
 """
 
 import json

@@ -132,6 +132,9 @@ class TestWitnessReplay:
         assert not rec.passed
         assert rec.witness is not None
         assert rec.witness["seed"] == sc.seed
+        # Built-in types, so no numpy scalar reaches the replay or the JSON.
+        assert type(rec.max_residual) is float and type(rec.witness["residual"]) is float
+        assert type(rec.witness["trial_index"]) is int
         replay_doc = rec.witness["scenario"]
         assert replay_doc["trials"] == 1
         assert replay_doc["trial_offset"] == rec.witness["trial_index"]
@@ -152,15 +155,17 @@ class TestWitnessReplay:
 class TestNonFiniteResiduals:
     @pytest.fixture
     def nan_scenario(self, monkeypatch):
-        """The README scenario, with a NaN check appended to l4 at trial 3."""
+        """The README scenario, with a NaN check appended to l4 and present at trial 3 only."""
         original = suites._PROPERTY_FUNCS["l4"]
 
         def with_nan(chunk):
-            per_trial = original(chunk)
-            return [
-                checks + [("nan", math.nan)] if index == 3 else checks
-                for index, checks in zip(chunk.indices, per_trial)
-            ]
+            table = original(chunk)
+            at_3 = np.array([index == 3 for index in chunk.indices])
+            return duality.CheckTable(
+                [*table.names, "nan"],
+                np.column_stack([table.residuals, np.full(len(at_3), math.nan)]),
+                np.column_stack([np.ones(table.residuals.shape, dtype=bool), at_3]),
+            )
 
         monkeypatch.setitem(suites._PROPERTY_FUNCS, "l4", with_nan)
         return scenario_from_dict(generated_doc())
@@ -285,7 +290,8 @@ class TestLoewnerBisection:
         def checks():
             size = max(1, suites._CHUNK_BYTES // suites._trial_bytes(sc))
             chunks = [suites._Chunk(sc, range(i, min(i + size, sc.trials))) for i in range(0, sc.trials, size)]
-            return [[(name, value.hex()) for name, value in trial] for c in chunks for trial in suites._prop_l2(c)]
+            tables = [suites._prop_l2(c) for c in chunks]
+            return [[(name, value.hex()) for name, value in t.row(i)] for t in tables for i in range(len(t.residuals))]
 
         default = checks()
         for trials in (1, 3):
@@ -388,6 +394,79 @@ def _tight(doc):
 
 def _set_chunk_trials(monkeypatch, scenario, trials):
     monkeypatch.setattr(suites, "_CHUNK_BYTES", trials * suites._trial_bytes(scenario))
+
+
+def _one_at_a_time(names, residuals, present=None):
+    """The reference fold: (worst, check, trial) over the present checks one
+    at a time, in trial and then check order, by the runner's rule."""
+    present = np.ones(residuals.shape, dtype=bool) if present is None else present
+    worst = (0.0, "", -1)
+    for index, (row, mask) in enumerate(zip(residuals.tolist(), present.tolist())):
+        for name, residual, taken in zip(names, row, mask):
+            value, _, seen = worst
+            if taken and (seen < 0 or (math.isfinite(value) and (residual > value or not math.isfinite(residual)))):
+                worst = (residual, name, index)
+    return worst
+
+
+class TestCheckTableFold:
+    """Hand-built check tables, cut into chunks, fold to the entry the fold
+    over one check at a time ends on."""
+
+    T, F, nan, inf = True, False, math.nan, math.inf
+    CASES = {
+        # (rows of checks "a" and "b", present mask or None, (worst, check, trial))
+        "nan-in-a-later-chunk": ([[0.5, 0.2], [0.1, 0.3], [0.4, nan], [inf, 0.9]], None, (nan, "b", 2)),
+        "inf-in-a-later-chunk": ([[0.5, 0.2], [0.1, 0.3], [inf, nan]], None, (inf, "a", 2)),
+        "nan-as-the-first-check": ([[nan, 2.0], [inf, 5.0]], None, (nan, "a", 0)),
+        "tie-across-a-chunk-boundary": ([[0.1, 0.2], [0.3, 0.7], [0.7, 0.1]], None, (0.7, "b", 1)),
+        "masked-nan-and-1e300": ([[0.1, nan], [1e300, 0.4], [0.2, 0.3]], [[T, F], [F, T], [T, T]], (0.4, "b", 1)),
+    }
+
+    @staticmethod
+    def fold(monkeypatch, names, residuals, mask, chunk_trials):
+        """(worst as float.hex, check, witness trial or None) of run_suite
+        over the table, in chunks of ``chunk_trials`` trials (None leaves the
+        chunk budget as it is)."""
+
+        def table(chunk):
+            at = list(chunk.indices)
+            return duality.CheckTable(names, residuals[at], None if mask is None else mask[at])
+
+        monkeypatch.setitem(suites._PROPERTY_FUNCS, "l1", table)
+        sc = scenario_from_dict(generated_doc(trials=len(residuals), tolerances={"l1": 1e-300}))
+        if chunk_trials is not None:
+            _set_chunk_trials(monkeypatch, sc, chunk_trials)
+        (rec,) = run_suite(sc, ["l1"]).properties
+        return rec.max_residual.hex(), rec.worst_check, rec.witness and rec.witness["trial_index"]
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_worst_does_not_depend_on_the_chunk_size(self, monkeypatch, name):
+        rows, present, (value, check, trial) = self.CASES[name]
+        residuals = np.array(rows)
+        mask = None if present is None else np.array(present)
+        reference = _one_at_a_time("ab", residuals, mask)
+        assert (reference[0].hex(), *reference[1:]) == (value.hex(), check, trial)
+        # The default chunks first, before the budget shrinks.
+        for trials in (None, 1, 2, 3):
+            assert self.fold(monkeypatch, "ab", residuals, mask, trials) == (value.hex(), check, trial), trials
+
+    def test_random_tables_fold_as_one_check_at_a_time(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        values = np.array([0.0, 0.5, 1.0, math.nan, math.inf, -math.inf])
+        for case in range(300):
+            trials, checks = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            names = [f"c{c}" for c in range(checks)]
+            residuals = rng.choice(values, (trials, checks), p=[0.2, 0.3, 0.3, 0.08, 0.08, 0.04])
+            mask = None
+            if case % 2:
+                # Every trial takes at least one check, as a table requires.
+                mask = rng.random((trials, checks)) < 0.5
+                mask[np.arange(trials), rng.integers(0, checks, trials)] = True
+            value, check, trial = _one_at_a_time(names, residuals, mask)
+            got = self.fold(monkeypatch, names, residuals, mask, int(rng.integers(1, trials + 1)))
+            # A worst of 0.0 passes, and a passing property has no witness.
+            assert got == (value.hex(), check, None if value == 0.0 else trial), case
 
 
 class TestChunkedTrials:
