@@ -23,7 +23,7 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .hilbert import DEFAULT_TOL, _groups, _norm_bounds, _norms_exceed, as_operator, as_vector, op_norm
-from .hilbert import ranks, svd, vdots, vector_norms
+from .hilbert import full_row_ranks, vdots, vector_norms
 from .frames import (
     FrameStack,
     InfeasibleError,
@@ -259,7 +259,11 @@ class ParsevalKFrames:
 
     @cached_property
     def kernel(self) -> _KernelBases:
-        """Null space bases of the synthesis maps, see :func:`synthesis_kernel_basis`."""
+        """Null space bases of the synthesis maps, see :func:`synthesis_kernel_basis`.
+
+        A width group of several members is stacked into one array; the
+        basis of a member alone in its group stays a view of the SVD's V*
+        rows and keeps the whole V* stack of the build alive."""
         return _KernelBases(synthesis_kernel_basis(self.frames))
 
     @cached_property
@@ -418,8 +422,9 @@ class ParsevalKFrames:
 
     def is_unique(self) -> np.ndarray:
         """Whether the dual family is unique: the analysis map must fill the
-        whole coefficient space, i.e. have rank equal to the atom count."""
-        return ranks(analysis(self.frames)) == self.space.atom_count
+        whole coefficient space, i.e. have rank equal to the atom count,
+        which more atoms than dimensions rule out without an SVD."""
+        return full_row_ranks(analysis(self.frames))
 
     def alternative_duals(
         self, seeds: Sequence[int], idx: Optional[np.ndarray] = None
@@ -612,7 +617,7 @@ class ParsevalKFrame:
         of its analysis map."""
         if not self.is_unique():
             raise HypothesisError("the frame does not have a unique dual family")
-        return svd(analysis(self.dual)).rank == self.frame.space.atom_count
+        return full_row_ranks(analysis(self.dual))
 
     def alternative_dual(self, seed: int) -> SampledFrame:
         """See :meth:`ParsevalKFrames.alternative_duals`."""

@@ -29,9 +29,9 @@ from .hilbert import (
     _groups,
     _pinv_groups,
     as_operator,
+    full_row_ranks,
     op_norm,
     range_inclusion,
-    ranks,
     svd,
 )
 from .measure import MeasureSpace, _require_same_space
@@ -339,22 +339,31 @@ def is_l2_independent(frame: SampledFrame):
 
     Positive weights cannot mask a dependence, so this is linear
     independence of the sample vectors: the sample matrix has full row
-    rank. One verdict per member for a :class:`FrameStack`.
+    rank, which more atoms than dimensions rule out without an SVD. One
+    verdict per member for a :class:`FrameStack`.
     """
-    return ranks(frame.samples) == frame.space.atom_count
+    return full_row_ranks(frame.samples)
 
 
 def synthesis_kernel_basis(frame: SampledFrame):
     """Columns form a basis of the null space of the synthesis map,
     orthonormal in the weighted inner product. Shape (m, m - rank); for a
-    :class:`FrameStack`, a list with one such basis per member."""
+    :class:`FrameStack`, a list with one such basis per member.
+
+    A basis is a transposed view of the kept rows of the full SVD's V*,
+    conjugated and divided by the square-root weights in place, so no
+    basis-sized temporary is made; it keeps the whole V* (for a stack,
+    the whole V* stack) alive as long as it lives."""
     b = weighted_synthesis(frame)
-    u, s, vh = np.linalg.svd(b, full_matrices=True)
+    _, s, vh = np.linalg.svd(b, full_matrices=True)
     r = _cut_ranks(s, b.shape)
-    sqrt_w = frame.space.sqrt_weights[:, None]
+    kept = vh[..., int(np.min(r, initial=b.shape[-1])):, :]
+    np.conjugate(kept, out=kept)
+    kept /= frame.space.sqrt_weights
+    bases = vh.swapaxes(-1, -2)
     if b.ndim == 2:
-        return vh[r:].conj().T / sqrt_w
-    return [vh[t, r[t]:].conj().T / sqrt_w for t in range(b.shape[0])]
+        return bases[:, r:]
+    return [bases[t, :, r[t]:] for t in range(b.shape[0])]
 
 
 def _max_row_norm(samples: np.ndarray):

@@ -8,10 +8,10 @@ at ``DEFAULT_TOL``. Neither can be set per call: the identities checked
 are exact in theory, so one cut and one tolerance serve every caller.
 
 ``op_norm`` and the stacked routines that serve the suite runner
-(``ranks``, ``pinvs``, ``op_norms``, ``range_inclusions``,
-``douglas_factors``, ``vdots``, ``vector_norms``, and ``_norms_exceed``,
-which takes norms only where a bound leaves a verdict open; internal,
-left out of ``__all__``) take operators
+(``ranks``, ``full_row_ranks``, ``pinvs``, ``op_norms``,
+``range_inclusions``, ``douglas_factors``, ``vdots``, ``vector_norms``,
+and ``_norms_exceed``, which takes norms only where a bound leaves a
+verdict open; internal, left out of ``__all__``) take operators
 ``(..., rows, cols)`` or vectors ``(..., n)`` stacked along leading axes
 (``op_norms`` a list of operators) and work matrix by
 matrix through numpy's stacked routines, whose results equal the
@@ -169,6 +169,17 @@ def ranks(a) -> np.ndarray:
     """:func:`rank` of an operator, or of every operator of a stack (..., rows, cols)."""
     arr = _as_stack(a)
     return _cut_ranks(np.linalg.svd(arr, full_matrices=False)[1], arr.shape)
+
+
+def full_row_ranks(a):
+    """Whether :func:`ranks` equals the row count, for an operator or each
+    operator of a stack (..., rows, cols). With more rows than columns the
+    verdict is no from the shape alone, and no SVD runs."""
+    arr = _as_stack(a)
+    rows, cols = arr.shape[-2:]
+    if rows > cols:
+        return np.zeros(arr.shape[:-2], dtype=bool) if arr.ndim > 2 else False
+    return ranks(arr) == rows
 
 
 def _groups(keys: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:

@@ -107,7 +107,9 @@ _CHUNK_BYTES = 1 << 22
 
 def _trial_bytes(scenario: Scenario) -> int:
     """Bytes of one trial's largest stacked arrays: kernel bases (m x m),
-    frame-sized and operator-sized arrays."""
+    frame-sized and operator-sized arrays. The m x m term also budgets the
+    V* stack of the kernel build (m x m per trial), which a member alone in
+    its width group keeps alive whole (see ``ParsevalKFrames.kernel``)."""
     m, d = scenario.atoms, scenario.dim
     return 16 * (m * m + 8 * m * d + 8 * d * d)
 

@@ -110,17 +110,23 @@ PROPERTIES: Dict[str, Sequence[str]] = {
 }
 
 
-def build_fingerprint() -> dict:
-    """The fingerprint of ``perfbench/envinfo.py``, loaded from its file
-    without writing bytecode next to it."""
-    spec = importlib.util.spec_from_file_location("_golden_envinfo", os.path.join(ROOT, "perfbench", "envinfo.py"))
-    envinfo = importlib.util.module_from_spec(spec)
+def perfbench_module(name: str):
+    """The module ``perfbench/<name>.py``, loaded from its file without
+    writing bytecode next to it."""
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", os.path.join(ROOT, "perfbench", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
     dont_write = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
     try:
-        spec.loader.exec_module(envinfo)
+        spec.loader.exec_module(module)
     finally:
         sys.dont_write_bytecode = dont_write
+    return module
+
+
+def build_fingerprint() -> dict:
+    """The fingerprint of ``perfbench/envinfo.py``."""
+    envinfo = perfbench_module("envinfo")
     return envinfo.fingerprint(envinfo.environment(os.path.join(ROOT, "src")))
 
 

@@ -1,6 +1,7 @@
 """Tests for canonical duals and the checks built on them."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,29 @@ class TestParsevalKFrame:
         pk.minimality_residuals(stream(3))
         assert pk.characterizes(pk.dual, trials=3, seed=4)
         assert len(calls) == 1
+
+
+def test_kernel_build_holds_at_most_two_basis_sized_arrays():
+    # d = 64, m = 512, rank 32: the sizes where building the kernel bases
+    # sets a verify run's memory high-water mark. The bases are views of
+    # the SVD's V* (one basis plus the rank's rows), so the traced peak
+    # stays below two basis-sized arrays; conjugating and dividing into
+    # fresh arrays traces about three.
+    m, d, r = 512, 64, 32
+    space = MeasureSpace(0.25 + 0.25 * ((7 * np.arange(m)) % 12))
+    rng = stream(64)
+    op = complex_normal(rng, d, r) @ complex_normal(rng, r, d)
+    ks = KStack((op / op_norm(op))[None])
+    stack = ParsevalKFrames(FrameStack(space, parseval_k_samples(ks, space, [stream(65)])), ks)
+    tracemalloc.start()
+    try:
+        kernel = stack.kernel
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kernel.widths.tolist() == [m - r]
+    basis_bytes = np.dtype(np.complex128).itemsize * m * (m - r)
+    assert peak < 2 * basis_bytes, f"traced peak {peak / 1e6:.2f} MB"
 
 
 class TestIsDualKBessel:

@@ -25,10 +25,13 @@ from kframelab.frames import (
     synthesis_kernel_basis,
     weighted_synthesis,
 )
-from kframelab.hilbert import RANK_EPS, op_norm, range_inclusions, rank, ranks, svd
+from kframelab.hilbert import RANK_EPS, _cut_ranks, op_norm, range_inclusions, rank, ranks, svd
 from kframelab.measure import MeasureSpace
 from kframelab.rng import complex_normal, stream
+from kframelab.scenario import scenario_from_dict
+from kframelab.suites import _Chunk
 
+import golden
 from helpers import bisect_loewner, loop_frame_operator, random_space
 
 
@@ -289,6 +292,70 @@ class TestKernelBasis:
             np.testing.assert_allclose(gram, np.eye(basis.shape[1]), atol=1e-12)
             if basis.shape[1]:
                 assert op_norm(synthesis(frame) @ basis) <= 1e-12
+
+
+def reference_kernel_bases(frame):
+    """The bases as built before they were built in place over V*: one
+    basis-sized copy for the conjugate and one for the quotient."""
+    b = weighted_synthesis(frame)
+    _, s, vh = np.linalg.svd(b, full_matrices=True)
+    r = _cut_ranks(s, b.shape)
+    sqrt_w = frame.space.sqrt_weights[:, None]
+    if b.ndim == 2:
+        return [vh[r:].conj().T / sqrt_w]
+    return [vh[t, r[t]:].conj().T / sqrt_w for t in range(b.shape[0])]
+
+
+class TestKernelBasisInPlace:
+    """The in-place build must give the reference expression's bases bit for
+    bit, in the same memory layout, since matrix products over them can
+    depend on the layout. Strides of length-1 axes address nothing and may
+    differ: a one-column reference is allocated C-ordered, while the view
+    keeps V*'s row stride there; products over both must agree."""
+
+    @staticmethod
+    def assert_same_bits(frame):
+        built = synthesis_kernel_basis(frame)
+        built = [built] if isinstance(frame, SampledFrame) else built
+        reference = reference_kernel_bases(frame)
+        assert len(built) == len(reference)
+        coeffs = complex_normal(stream(60), frame.space.atom_count, 3)
+        for got, want in zip(built, reference):
+            assert got.shape == want.shape
+            long_axes = [n > 1 for n in want.shape]
+            if want.size:
+                assert np.compress(long_axes, got.strides).tolist() == np.compress(long_axes, want.strides).tolist()
+            assert got.tobytes() == want.tobytes()
+            assert (got @ coeffs[: got.shape[1]]).tobytes() == (want @ coeffs[: want.shape[1]]).tobytes()
+            assert not got.flags.owndata  # a view of V*
+        return [basis.shape[1] for basis in built]
+
+    def test_single_frame(self):
+        rng = stream(58)
+        space = random_space(rng, 9)
+        assert self.assert_same_bits(SampledFrame(space, complex_normal(rng, 9, 4))) == [5]
+
+    def test_stack_with_empty_and_mixed_widths(self):
+        rng = stream(59)
+        space = random_space(rng, 4)
+        full = complex_normal(rng, 4, 4)
+        rank_two = complex_normal(rng, 4, 2) @ complex_normal(rng, 2, 4)
+        rank_three = complex_normal(rng, 4, 3) @ complex_normal(rng, 3, 4)
+        samples = np.stack([full, rank_two, full, rank_three, np.zeros((4, 4))])
+        frames = FrameStack(space, samples)
+        assert self.assert_same_bits(frames) == [0, 2, 0, 1, 4]
+        for member in samples:
+            self.assert_same_bits(SampledFrame(space, member))
+        # Only empty bases.
+        self.assert_same_bits(FrameStack(space, samples[[0, 2]]))
+
+    def test_near_cut_k(self):
+        sc = scenario_from_dict(golden.SCENARIOS["near-cut-k"])
+        space, _, frames = _Chunk(sc, range(sc.trials)).instance
+        # The synthesis cut drops K's 3.16e-10 direction: width 6 of 7.
+        assert self.assert_same_bits(frames) == [6] * sc.trials
+        for member in frames.samples:
+            self.assert_same_bits(SampledFrame(space, member))
 
 
 class TestRankCut:

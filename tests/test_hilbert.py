@@ -11,6 +11,7 @@ from kframelab.hilbert import (
     _norms_exceed,
     adjoint,
     douglas_factor,
+    full_row_ranks,
     loewner_leq,
     op_norm,
     op_norms,
@@ -295,6 +296,41 @@ def test_pinv_identities_hypothesis(singulars, seed):
     tol = 1e-10 * (1.0 + op_norm(a))
     assert op_norm(a @ a_pinv @ a - a) <= tol
     assert op_norm(a_pinv @ a @ a_pinv - a_pinv) <= tol * (1.0 + op_norm(a_pinv))
+
+
+class TestFullRowRanks:
+    @pytest.mark.parametrize("shape", [(7, 3), (3, 3), (4, 6)], ids=["tall", "square", "wide"])
+    def test_verdicts_equal_the_rank_test(self, monkeypatch, shape):
+        rows, cols = shape
+        a = complex_normal(stream(90), 5, rows, cols)
+        a[1] = 0.0
+        a[2, 0] = a[2, 1]  # a repeated row: rank below the row count
+        expected = (ranks(a) == rows).tolist()
+        expected_singles = [rank(m) == rows for m in a]
+        calls = []
+        original = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        verdicts = full_row_ranks(a)
+        singles = [full_row_ranks(m) for m in a]
+        assert verdicts.dtype == bool and verdicts.shape == (5,)
+        assert verdicts.tolist() == expected
+        assert singles == expected_singles == expected
+        assert all(type(v) is bool for v in singles)
+        # More rows than columns settles the verdict without an SVD.
+        assert len(calls) == (0 if rows > cols else 1 + len(a))
+        if rows <= cols:
+            assert expected == [True, False, False, True, True]
+
+    def test_tall_stack_is_still_checked_finite(self):
+        a = np.zeros((2, 4, 3), dtype=np.complex128)
+        a[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            full_row_ranks(a)
 
 
 class TestStackedLinalg:

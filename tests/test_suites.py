@@ -19,6 +19,7 @@ from kframelab.rng import complex_normal, stream
 from kframelab.scenario import ScenarioError, scenario_from_dict
 from kframelab.suites import PROPERTY_IDS, UnknownPropertyError, bisect_loewner_lambda, run_suite
 
+import golden
 from helpers import bisect_loewner
 
 
@@ -555,12 +556,8 @@ def test_large_diagonal_k_is_verified_or_rejected(exponent):
     assert run_suite(sc).all_passed
 
 
-@pytest.mark.parametrize("pid, bound", [("l1", 10), ("l2", 15), ("l5", 10), ("l6", 8), ("canonical-char", 25)])
-def test_svds_per_trial(monkeypatch, pid, bound):
-    # l1 takes pinv(a) and both projectors of a from one SVD; l2 takes
-    # its factor, scale and rank of T from the inclusion test's SVDs. The
-    # guards of built duals in l5, l6 and canonical-char take no SVD where
-    # a Frobenius bound settles them.
+def count_svds(monkeypatch) -> Counter:
+    """Counts ``np.linalg.svd`` calls under the key "svd" from here on."""
     counts = Counter()
     svd = np.linalg.svd
 
@@ -569,6 +566,19 @@ def test_svds_per_trial(monkeypatch, pid, bound):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "pid, bound", [("l1", 10), ("l2", 15), ("l5", 10), ("l6", 8), ("canonical-char", 25), ("t1", 5), ("t2", 3)]
+)
+def test_svds_per_trial(monkeypatch, pid, bound):
+    # l1 takes pinv(a) and both projectors of a from one SVD; l2 takes
+    # its factor, scale and rank of T from the inclusion test's SVDs. The
+    # guards of built duals in l5, l6 and canonical-char take no SVD where
+    # a Frobenius bound settles them. With more atoms than dimensions, t1's
+    # uniqueness and t2's two independence verdicts are no without an SVD.
+    counts = count_svds(monkeypatch)
     sc = scenario_from_dict(generated_doc(trials=20))
     per_trial = []
     for trial in range(sc.trials):
@@ -576,6 +586,20 @@ def test_svds_per_trial(monkeypatch, pid, bound):
         assert run_suite(sc.replay(trial), [pid]).all_passed
         per_trial.append(counts["svd"])
     assert max(per_trial) <= bound, per_trial
+
+
+def test_svds_per_benchmark_verify_call(monkeypatch):
+    # The run_suite call behind one verify call of each workload of
+    # perfbench/workloads.py, at seed 42. Counts do not depend on the
+    # machine, so they are pinned exactly.
+    counts = count_svds(monkeypatch)
+    per_call = {}
+    for name, workload in sorted(golden.perfbench_module("workloads").WORKLOADS.items()):
+        sc = scenario_from_dict(workload.scenario_doc(42))
+        counts.clear()
+        assert run_suite(sc, workload.properties).all_passed
+        per_call[name] = counts["svd"]
+    assert per_call == {"large-lapack": 39, "small-dense": 376, "unique-dual": 24}
 
 
 def test_near_cut_k_dual_guard_keeps_its_exact_message():
