@@ -90,6 +90,20 @@ SCENARIOS: Dict[str, dict] = {
     # K's second singular value sits 5% above the rank cut: l6,
     # canonical-char and t4 fail with witnesses, and l5 cannot run.
     "near-cut-k": _readme(k_spec={"kind": "diagonal", "values": [1, 3.1622776601683795e-10, 0]}, trials=10),
+    # S = diag(1, 1e-12) passes the Parseval check against K K* = diag(1, 0),
+    # but rank B = 2 > rank K = 1 (ROADMAP item 2's risk).
+    "loose-parseval-explicit": {
+        "dim": 2,
+        "atoms": 3,
+        "weights": [1.0, 1.0, 1.0],
+        "k_spec": {"kind": "explicit", "matrix": [[1.0, 0.0], [0.0, 0.0]]},
+        "frame_spec": {
+            "kind": "explicit",
+            "samples": [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0], [0.0, 1e-6]],
+        },
+        "trials": 10,
+        "seed": 42,
+    },
     "w1": fixture_scenario("W1", trials=20),
     "w1p": fixture_scenario("W1p", trials=20),
     "d24-m96": _readme(
