@@ -393,12 +393,8 @@ class ParsevalKFrames:
         comparison. Zero trials pass vacuously. Partner t of member j draws
         from ``stream(seeds[j], t)``.
         """
-        if g is self.duals and idx is None:  # the stack's canonical duals: their cached measures
-            _require_dual(~_is_dual(self.dual_residuals, self.k.norm), self.dual_residuals)
-            norms = self.dual_norms
-        else:
-            self.require_duals(g, idx)
-            norms = analysis_norm(g)
+        self.require_duals(g, idx)
+        norms = self.dual_norms if g is self.duals else analysis_norm(g)
         if trials < 1:
             return np.ones(len(g), dtype=bool)
         syn_g = synthesis(g)

@@ -277,17 +277,9 @@ def k_lower_bound(frame: SampledFrame, k: KOperator) -> Optional[float]:
     if k.dim != frame.dim:
         raise ValueError(f"operator dimension {k.dim} does not match frame dimension {frame.dim}")
     inc = range_inclusion(k.op, weighted_synthesis(frame))
-    return lower_bound_from_scale(inc.included, inc.lambda_star)
-
-
-def lower_bound_from_scale(included: bool, lambda_star: float) -> Optional[float]:
-    """The optimal lower K-bound given the range inclusion verdict of K in
-    the synthesis map and its minimal scale, as :func:`k_lower_bound`."""
-    if not included:
+    if not inc.included:
         return None
-    if lambda_star == 0.0:
-        return math.inf
-    return 1.0 / lambda_star
+    return math.inf if inc.lambda_star == 0.0 else 1.0 / inc.lambda_star
 
 
 def parseval_residual(frame: SampledFrame, k: KOperator) -> float:

@@ -13,7 +13,13 @@ trial in order, which the runner folds with array operations. The draws
 loop over the chunk's trials, each from its own stream, and the
 arithmetic runs once per chunk on numpy's stacked routines, which give
 each trial the bits its own per-matrix calls would. A one-trial replay
-is a chunk of one and so reproduces every residual exactly.
+is a chunk of one and so reproduces every residual exactly. Where a
+property draws its matrix sizes per trial (``l1``, ``l2``), it runs trial
+by trial, except that ``l2``'s Loewner bisections run in lockstep over the
+chunk's trials of each size.
+
+One table, ``_PROPERTIES``, registers each property with its function and
+default tolerance; its order is the report order and keys the streams.
 """
 
 import platform
@@ -29,7 +35,6 @@ from .frames import (
     InfeasibleError,
     KStack,
     _max_row_norm,
-    lower_bound_from_scale,
     synthesis,
     weighted_synthesis,
 )
@@ -62,38 +67,6 @@ __all__ = [
     "loewner_inclusion_exists",
     "run_suite",
 ]
-
-PROPERTY_IDS = (
-    "l1",
-    "l2",
-    "l3",
-    "l4",
-    "l5",
-    "l6",
-    "canonical-char",
-    "t1",
-    "t2",
-    "t4",
-    "complement-parseval",
-    "kdaggerk",
-)
-
-DEFAULT_TOLERANCES: Dict[str, float] = {
-    "l1": 1e-10,
-    "l2": 1e-6,
-    "l3": 1e-6,
-    "l4": 1e-9,
-    "l5": 1e-9,
-    "l6": 1e-9,
-    "canonical-char": 1e-9,
-    "t1": 1e-9,
-    "t2": 1e-9,
-    "t4": 1e-9,
-    "complement-parseval": 1e-9,
-    "kdaggerk": 1e-9,
-}
-
-_PROPERTY_TAG = {pid: 1000 + i for i, pid in enumerate(PROPERTY_IDS)}
 
 
 class UnknownPropertyError(ScenarioError):
@@ -220,28 +193,28 @@ def _bisect_loewner_lambdas(
     operands: Sequence[Optional[_LoewnerOperands]], cap: float = 1e18
 ) -> List[Optional[float]]:
     """:func:`bisect_loewner_lambda` of each member's checked operands (0.0
-    for None), all bisections in lockstep.
+    for None), the members of each matrix size bisected in lockstep on
+    their own (k, n, n) stack.
 
-    The members' ``aa`` and ``tt`` are zero-padded to one stack, ordered by
-    size, so every elementwise step runs once for all of them; the Loewner
-    decisions run once per size on each member's own n x n block, so each
-    member sees exactly its own matrices. Members double their upper scale
-    on a shrinking active set (None above the cap), then halve in lockstep.
-    A decision computes op_norm(bb) only when bounds on it from |tt| and
-    |tt - tt*| leave the decision open.
+    Each member's decisions read only its own matrices, so grouping does
+    not change its scale. Members double their upper scale on a shrinking
+    active set (None above the cap), then halve in lockstep. A decision
+    computes op_norm(bb) only when bounds on it from |tt| and |tt - tt*|
+    leave the decision open.
     """
     out: List[Optional[float]] = [0.0 if ops is None else None for ops in operands]
-    order = sorted((j for j, ops in enumerate(operands) if ops is not None), key=lambda j: len(operands[j].tt))
-    if not order:
-        return out
-    pairs = [operands[j] for j in order]
-    sizes = np.array([len(pair.tt) for pair in pairs])
-    count, n_max = len(pairs), int(sizes[-1])
-    aa = np.zeros((count, n_max, n_max), dtype=np.complex128)
-    tt = np.zeros_like(aa)
-    for j, pair in enumerate(pairs):
-        aa[j, : sizes[j], : sizes[j]] = pair.aa
-        tt[j, : sizes[j], : sizes[j]] = pair.tt
+    members = [j for j, ops in enumerate(operands) if ops is not None]
+    for n, pos in _groups(np.array([len(operands[j].tt) for j in members], dtype=int)):
+        group = [members[p] for p in pos.tolist()]
+        for j, scale in zip(group, _bisect_stack([operands[j] for j in group], n, cap)):
+            out[j] = scale
+    return out
+
+
+def _bisect_stack(pairs: Sequence[_LoewnerOperands], n: int, cap: float) -> List[Optional[float]]:
+    """The minimal scales of n x n operand pairs, bisected in lockstep."""
+    aa = np.stack([pair.aa for pair in pairs])
+    tt = np.stack([pair.tt for pair in pairs])
     norm_a, norm_t, gap = np.array([(pair.norm_a, pair.norm_t, pair.gap) for pair in pairs]).T
     # Bounds on op_norm(bb), bb the Hermitian part of scale * tt, per unit
     # of scale. The exact Hermitian part H of tt has | |H| - |tt| | <=
@@ -254,19 +227,13 @@ def _bisect_loewner_lambdas(
     # 64 n^2 eps (about 1e-12 for n = 8) leaves a factor of four over
     # p(n) <= 8 n^2 and the four products that form and scale the bounds; a
     # wider band only sends more decisions to the SVD.
-    band = 64.0 * np.finfo(float).eps * sizes**2.0
+    band = 64.0 * np.finfo(float).eps * n**2.0
     low, high = (norm_t - gap / 2.0) * (1.0 - band), (norm_t + gap / 2.0) * (1.0 + band)
 
     def stepper(members: np.ndarray):
-        """The members' decisions, each at its own scale; the members are
-        ascending, so those of one size are a run of them."""
+        """The members' decisions, each at its own scale."""
         t = tt[members]
-        runs = []
-        for n, pos in _groups(sizes[members]):
-            m = members[pos]
-            test = _LoewnerTest(aa[m, :n, :n], norm_a[m], (low[m], high[m]))
-            runs.append((slice(pos[0], pos[-1] + 1), n, test))
-        whole = len(runs) == 1 and runs[0][1] == n_max
+        test = _LoewnerTest(aa[members], norm_a[members], (low[members], high[members]))
 
         def holds(scale: np.ndarray, check: bool = True) -> np.ndarray:
             bb = scale[:, None, None] * t
@@ -275,12 +242,11 @@ def _bisect_loewner_lambdas(
             # Both the scaled operand and its symmetrized sum can overflow.
             if check and not np.isfinite(bb).all():
                 raise ValueError("operator entries must be finite")
-            if whole:
-                return runs[0][2](bb, scale)
-            return np.concatenate([test(bb[run, :n, :n], scale[run]) for run, n, test in runs])
+            return test(bb, scale)
 
         return holds
 
+    count = len(pairs)
     hi = np.ones(count)
     found = np.zeros(count, dtype=bool)
     active, holds = np.arange(count), None
@@ -293,6 +259,7 @@ def _bisect_loewner_lambdas(
         if done.any():
             found[active[ok]] = True
             active, holds = active[~done], None
+    out: List[Optional[float]] = [None] * count
     live = np.flatnonzero(found)
     if not live.size:
         return out
@@ -314,7 +281,7 @@ def _bisect_loewner_lambdas(
         lo = [a if k else m for a, m, k in zip(lo, mid, ok)]
         hi = [m if k else b for m, b, k in zip(mid, hi, ok)]
     for j, scale in zip(live.tolist(), hi):
-        out[order[j]] = scale
+        out[j] = scale
     return out
 
 
@@ -414,7 +381,7 @@ def _prop_l2(chunk: _Chunk) -> CheckTable:
 
     Matrix sizes are drawn per trial, so the draws, the factor, the
     bisection operands and the checks run trial by trial; the bisections
-    of the chunk's trials run in one lockstep.
+    of the chunk's trials run in one lockstep per matrix size.
     """
     trials = []
     for rng in chunk.rngs("l2"):
@@ -442,20 +409,21 @@ def _prop_l3(chunk: _Chunk) -> CheckTable:
     _, ks, frames = chunk.instance
     b = weighted_synthesis(frames)
     inc = range_inclusions(ks.op, b)
-    # The optimal lower bound from the one inclusion test, as k_lower_bound derives it.
-    a_opt = [lower_bound_from_scale(*pair) for pair in zip(inc.included.tolist(), inc.lambda_star.tolist())]
-    has_bound = np.array([a is not None for a in a_opt])
-    agree = (inc.included == has_bound) & (has_bound == loewner_inclusion_exists(ks.op, b))
+    # The optimal lower bound from the one inclusion test, as k_lower_bound
+    # derives it: NaN where excluded, infinite for a zero K.
+    with np.errstate(divide="ignore", over="ignore"):
+        a_opt = 1.0 / inc.lambda_star
+    agree = inc.included == loewner_inclusion_exists(ks.op, b)
     # Check 0 runs on every trial, 1-5 on bounded ones, 6 where the extremal probe is nonzero.
     names = ["inclusion-agreement"] + ["lower-bound-holds"] * 5 + ["optimality-tight"]
     residuals = np.zeros((len(a_opt), len(names)))
     present = np.zeros(residuals.shape, dtype=bool)
     residuals[:, 0], present[:, 0] = np.where(agree, 0.0, 1.0), True
-    bounded = np.array([a is not None and np.isfinite(a) for a in a_opt])
+    bounded = np.isfinite(a_opt)
     if not bounded.any():
         return CheckTable(names, residuals, present)
     idx, positions = _where(bounded), np.flatnonzero(bounded)
-    a = np.array([a_opt[j] for j in positions])
+    a = a_opt[positions]
     b = weighted_synthesis(frames.subset(idx))
     s_mat = b @ b.conj().swapaxes(-1, -2)
     k_adjoint = _take(ks.adjoint, idx)
@@ -593,20 +561,27 @@ def _prop_kdaggerk(chunk: _Chunk) -> CheckTable:
     return chunk.parseval.kdaggerk_residuals()
 
 
-_PROPERTY_FUNCS = {
-    "l1": _prop_l1,
-    "l2": _prop_l2,
-    "l3": _prop_l3,
-    "l4": _prop_l4,
-    "l5": _prop_l5,
-    "l6": _prop_l6,
-    "canonical-char": _prop_canonical_char,
-    "t1": _prop_t1,
-    "t2": _prop_t2,
-    "t4": _prop_t4,
-    "complement-parseval": _prop_complement,
-    "kdaggerk": _prop_kdaggerk,
-}
+# Each property's id, function and default tolerance, in report order. A
+# property's streams are keyed by its tag, 1000 plus its position here.
+_PROPERTIES = (
+    ("l1", _prop_l1, 1e-10),
+    ("l2", _prop_l2, 1e-6),
+    ("l3", _prop_l3, 1e-6),
+    ("l4", _prop_l4, 1e-9),
+    ("l5", _prop_l5, 1e-9),
+    ("l6", _prop_l6, 1e-9),
+    ("canonical-char", _prop_canonical_char, 1e-9),
+    ("t1", _prop_t1, 1e-9),
+    ("t2", _prop_t2, 1e-9),
+    ("t4", _prop_t4, 1e-9),
+    ("complement-parseval", _prop_complement, 1e-9),
+    ("kdaggerk", _prop_kdaggerk, 1e-9),
+)
+PROPERTY_IDS = tuple(pid for pid, _, _ in _PROPERTIES)
+DEFAULT_TOLERANCES: Dict[str, float] = {pid: tol for pid, _, tol in _PROPERTIES}
+# _run_chunk reads this at call time, so a replaced entry takes effect.
+_PROPERTY_FUNCS = {pid: func for pid, func, _ in _PROPERTIES}
+_PROPERTY_TAG = {pid: 1000 + i for i, pid in enumerate(PROPERTY_IDS)}
 
 
 def _run_chunk(chunk: _Chunk, props: Sequence[str]) -> List[CheckTable]:
