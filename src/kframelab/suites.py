@@ -204,7 +204,7 @@ def _bisect_loewner_lambdas(
     """
     out: List[Optional[float]] = [0.0 if ops is None else None for ops in operands]
     members = [j for j, ops in enumerate(operands) if ops is not None]
-    for n, pos in _groups(np.array([len(operands[j].tt) for j in members], dtype=int)):
+    for n, pos in _groups(np.array([len(operands[j].tt) for j in members])):
         group = [members[p] for p in pos.tolist()]
         for j, scale in zip(group, _bisect_stack([operands[j] for j in group], n, cap)):
             out[j] = scale
