@@ -104,6 +104,17 @@ SCENARIOS: Dict[str, dict] = {
         "trials": 10,
         "seed": 42,
     },
+    # ||K K* - S|| = 1e-18 passes the Parseval check, but rank K = 2 > m = 1,
+    # so m - rank K < 0: the kernel width is clamped at 0.
+    "k-rank-above-atoms": {
+        "dim": 2,
+        "atoms": 1,
+        "weights": "uniform",
+        "k_spec": {"kind": "diagonal", "values": [1.0, 1e-9]},
+        "frame_spec": {"kind": "explicit", "samples": [[1.0, 0.0]]},
+        "trials": 10,
+        "seed": 42,
+    },
     "w1": fixture_scenario("W1", trials=20),
     "w1p": fixture_scenario("W1p", trials=20),
     "d24-m96": _readme(
