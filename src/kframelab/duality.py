@@ -259,12 +259,16 @@ class ParsevalKFrames:
 
     @cached_property
     def kernel(self) -> _KernelBases:
-        """Null space bases of the synthesis maps, see :func:`synthesis_kernel_basis`.
+        """Null space bases of the synthesis maps B, see :func:`synthesis_kernel_basis`,
+        each cut to its last m - max(rank B, rank K) columns (none below 0), the
+        one kernel width a member is checked with. B B* = K K*, so the ranks
+        differ only near the rank cut, where the dropped columns are directions K keeps.
 
         A width group of several members is stacked into one array; the
         basis of a member alone in its group stays a view of the SVD's V*
         rows and keeps the whole V* stack of the build alive."""
-        return _KernelBases(synthesis_kernel_basis(self.frames))
+        caps = np.maximum(self.space.atom_count - self.k.rank, 0).tolist()  # m - rank K, at least 0
+        return _KernelBases([b[:, max(b.shape[1] - c, 0) :] for b, c in zip(synthesis_kernel_basis(self.frames), caps)])
 
     @cached_property
     def dual_norms(self) -> np.ndarray:
@@ -417,10 +421,9 @@ class ParsevalKFrames:
         return holds
 
     def is_unique(self) -> np.ndarray:
-        """Whether the dual family is unique: the analysis map must fill the
-        whole coefficient space, i.e. have rank equal to the atom count,
-        which more atoms than dimensions rule out without an SVD."""
-        return full_row_ranks(analysis(self.frames))
+        """Whether the dual family is unique: every other dual adds a nonzero
+        field the synthesis map annihilates, so the width of :attr:`kernel` is 0."""
+        return self.kernel.widths == 0
 
     def alternative_duals(
         self, seeds: Sequence[int], idx: Optional[np.ndarray] = None

@@ -12,7 +12,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .frames import FrameStack, KStack, parseval_k_samples, random_bessel_samples
+from .frames import FrameStack, InfeasibleError, KStack, parseval_k_samples, random_bessel_samples
 from .measure import MeasureSpace
 from .rng import complex_normal_stack, derive_seeds, stacked, stream, streams
 
@@ -318,5 +318,8 @@ def build_frames(scenario: Scenario, space: MeasureSpace, ks: KStack, trials: Se
         return FrameStack(space, np.broadcast_to(samples, (len(trials),) + samples.shape))
     rngs = [stream(seed) for seed in derive_seeds(spec["seed"], (_FRAME_STREAM,), [(trial,) for trial in trials])]
     if kind == "generate-parseval-k":
-        return FrameStack(space, parseval_k_samples(ks, space, rngs))
+        try:
+            return FrameStack(space, parseval_k_samples(ks, space, rngs))
+        except InfeasibleError as exc:
+            raise ScenarioError(str(exc), "frame_spec") from exc
     return FrameStack(space, random_bessel_samples(scenario.dim, space, rngs))

@@ -32,7 +32,6 @@ import numpy as np
 from .duality import CheckTable, HypothesisError, ParsevalKFrames, _positive_part, _take, _where, field_norm
 from .frames import (
     FrameStack,
-    InfeasibleError,
     KStack,
     _max_row_norm,
     synthesis,
@@ -495,8 +494,8 @@ def _prop_canonical_char(chunk: _Chunk) -> CheckTable:
 
 
 def _prop_t1(chunk: _Chunk) -> CheckTable:
-    """Uniqueness dichotomy: full-rank analysis forces independently built
-    duals to coincide, otherwise a verified distinct dual exists."""
+    """Uniqueness dichotomy: a trivial synthesis kernel forces independently
+    built duals to coincide, otherwise a verified distinct dual exists."""
     pk = chunk.parseval
     space, k = pk.space, pk.k
     unique = pk.is_unique()
@@ -589,7 +588,7 @@ def _run_chunk(chunk: _Chunk, props: Sequence[str]) -> List[CheckTable]:
     for pid in props:
         try:
             results.append(_PROPERTY_FUNCS[pid](chunk))
-        except (HypothesisError, InfeasibleError) as exc:
+        except HypothesisError as exc:
             raise ScenarioError(f"property {pid} cannot run on this scenario: {exc}")
     return results
 

@@ -87,8 +87,8 @@ SCENARIOS: Dict[str, dict] = {
         "trials": 10,
         "seed": 11,
     },
-    # K's second singular value sits 5% above the rank cut: l6,
-    # canonical-char and t4 fail with witnesses, and l5 cannot run.
+    # K's second singular value sits 5% above K's rank cut and below the
+    # synthesis map's wider one: the kernel is cut at the larger rank.
     "near-cut-k": _readme(k_spec={"kind": "diagonal", "values": [1, 3.1622776601683795e-10, 0]}, trials=10),
     # S = diag(1, 1e-12) passes the Parseval check against K K* = diag(1, 0),
     # but rank B = 2 > rank K = 1 (ROADMAP item 2's risk).
@@ -129,9 +129,6 @@ SCENARIOS: Dict[str, dict] = {
 
 PROPERTIES: Dict[str, Sequence[str]] = {
     "random-bessel": ("l3",),
-    # l5 stops the run with exit 2 here: the dual it builds from a kernel
-    # field fails require_duals (ROADMAP item 1).
-    "near-cut-k": tuple(pid for pid in suites.PROPERTY_IDS if pid != "l5"),
 }
 
 

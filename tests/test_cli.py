@@ -175,6 +175,32 @@ class TestVerifyCommand:
         assert "frame_spec.samples" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_generator_with_fewer_atoms_than_rank_names_frame_spec(self, tmp_path):
+        # Whichever property runs first, the fault is the generated frame's.
+        doc = generated_doc(dim=3, atoms=1, weights="uniform", k_spec={"kind": "random-rank", "rank": 2, "seed": 5})
+        result = run_cli("verify", "--config", write_scenario(tmp_path, doc))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: frame_spec: cannot reach the lower bound with 1 atoms and rank 2")
+
+    def test_weights_alone_do_not_split_the_uniqueness_verdict(self, tmp_path):
+        # rank K = rank B = m = 3, so the synthesis kernel is trivial and the
+        # dual unique, while the unweighted samples, with singular values
+        # (2.4e-2, 3.4e-8, 6.2e-13), have rank 2 under their own cut.
+        doc = {
+            "dim": 4,
+            "atoms": 3,
+            "weights": [0.00023521690066121863, 0.0003835803857297119, 14272256.029908078],
+            "k_spec": {
+                "kind": "diagonal",
+                "values": [0.0, 3.761486725389326e-09, 2.1646597342327553e-10, 0.0006834821769942471],
+            },
+            "frame_spec": {"kind": "generate-parseval-k", "seed": 35},
+            "trials": 5,
+            "seed": 552,
+        }
+        result = run_cli("verify", "--config", write_scenario(tmp_path, doc), "--properties", "t1")
+        assert result.returncode == 0, result.stderr
+
     def test_unknown_property_exits_two(self, tmp_path):
         path = write_scenario(tmp_path, generated_doc())
         result = run_cli("verify", "--config", path, "--properties", "bogus")

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kframelab import duality, hilbert
+from kframelab import duality, hilbert, suites
 from kframelab.duality import (
     HypothesisError,
     ParsevalKFrame,
@@ -27,11 +27,14 @@ from kframelab.frames import (
     frames_allclose,
     parseval_k_samples,
     synthesis,
+    weighted_synthesis,
 )
-from kframelab.hilbert import DEFAULT_TOL, op_norm, pinv
+from kframelab.hilbert import DEFAULT_TOL, op_norm, pinv, ranks
 from kframelab.measure import L2Coefficients, MeasureSpace, bochner_integrate, l2_inner, l2_norm_sq
 from kframelab.rng import complex_normal, stream
+from kframelab.scenario import scenario_from_dict
 
+import golden
 from helpers import parseval_instance
 
 
@@ -397,6 +400,22 @@ class TestUniqueness:
         for seed in range(5):
             _, k, frame = parseval_instance(seed, dim=3, rank=2, atoms=7)
             assert not ParsevalKFrame(frame, k).is_unique()
+
+    @pytest.mark.parametrize(
+        "name, rank_b, rank_k, width",
+        [("loose-parseval-explicit", 2, 1, 1), ("near-cut-k", 1, 2, 5), ("k-rank-above-atoms", 1, 2, 0)],
+    )
+    def test_kernel_width_reads_the_larger_rank(self, name, rank_b, rank_k, width):
+        # rank B, of the weighted synthesis map, and rank K disagree both
+        # ways on these golden scenarios; the width is m - max(rank B,
+        # rank K), at least 0, and uniqueness reads it.
+        sc = scenario_from_dict(golden.SCENARIOS[name])
+        pk = suites._Chunk(sc, range(sc.trials)).parseval
+        assert ranks(weighted_synthesis(pk.frames)).tolist() == [rank_b] * sc.trials
+        assert pk.k.rank.tolist() == [rank_k] * sc.trials
+        assert width == max(sc.atoms - max(rank_b, rank_k), 0)
+        assert pk.kernel.widths.tolist() == [width] * sc.trials
+        assert pk.is_unique().tolist() == [width == 0] * sc.trials
 
 
 class TestConstructAlternativeDual:

@@ -638,18 +638,28 @@ def test_svds_per_benchmark_verify_call(monkeypatch):
         counts.clear()
         assert run_suite(sc, workload.properties).all_passed
         per_call[name] = counts["svd"]
-    assert per_call == {"large-lapack": 39, "small-dense": 376, "unique-dual": 24}
+    assert per_call == {"large-lapack": 39, "small-dense": 376, "unique-dual": 23}
 
 
-def test_near_cut_k_dual_guard_keeps_its_exact_message():
-    # K = diag(1, 3.16e-10, 0): l5's kernel field on trial 1 leaks
-    # 2.120e-09 through the synthesis map. The leak check, whose limit
-    # grows with the field's norm, passes it; the duality check of the
-    # built dual fails it on its exact residual.
-    k_spec = {"kind": "diagonal", "values": [1.0, 3.1622776601683795e-10, 0.0]}
-    chunk = suites._Chunk(scenario_from_dict(generated_doc(k_spec=k_spec)), [1])
+@pytest.mark.parametrize("v", [3.3e-10, 6e-10])
+def test_near_cut_k_derived_duals_pass(v):
+    # K keeps its singular value v, which the synthesis map's wider cut
+    # drops; the kernel is cut at the larger rank, so kernel fields do not
+    # leak through the synthesis map and the duals built from them pass.
+    sc = scenario_from_dict(generated_doc(k_spec={"kind": "diagonal", "values": [1.0, v, 0.0]}, trials=10))
+    for pid in ("l5", "l6", "canonical-char", "t4"):
+        assert run_suite(sc, [pid]).all_passed, pid
+
+
+def test_rotated_k_dual_guard_keeps_its_exact_message():
+    # K = Q diag(1, 3e-8, 0) Q^T with cond(K) = 3.3e7 on its range: l5's
+    # kernel field on trial 0 makes a dual that the leak check passes and
+    # the duality check of the built dual fails on its exact residual.
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
+    k_spec = {"kind": "explicit", "matrix": (q @ np.diag([1.0, 3e-8, 0.0]) @ q.T).tolist()}
+    chunk = suites._Chunk(scenario_from_dict(generated_doc(weights="uniform", k_spec=k_spec)), [0])
     space, ks, frames = chunk.instance
     pk = ParsevalKFrame(SampledFrame(space, frames.samples[0]), KOperator(ks.op[0]))
     g = pk.build_dual(chunk.parseval.sample_kernel_fields(chunk.rngs("l5"))[0])
-    with pytest.raises(duality.HypothesisError, match=re.escape("G is not a dual K-Bessel family (residual 2.120e-09)")):
+    with pytest.raises(duality.HypothesisError, match=re.escape("G is not a dual K-Bessel family (residual 2.005e-09)")):
         pk.residual_field(g)
