@@ -267,7 +267,7 @@ class ParsevalKFrames:
         A width group of several members is stacked into one array; the
         basis of a member alone in its group stays a view of the SVD's V*
         rows and keeps the whole V* stack of the build alive."""
-        caps = np.maximum(self.space.atom_count - self.k.rank, 0).tolist()  # m - rank K, at least 0
+        caps = np.maximum(self.space.atom_count - self.k.rank, 0).tolist()
         return _KernelBases([b[:, max(b.shape[1] - c, 0) :] for b, c in zip(synthesis_kernel_basis(self.frames), caps)])
 
     @cached_property
