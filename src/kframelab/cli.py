@@ -7,11 +7,10 @@ Exit codes: 0 when every selected property passes, 1 when any fails,
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from .fixtures import FIXTURE_NAMES, fixture_scenario
 from .report import emit_report, render_text
-from .scenario import ScenarioError, load_scenario
+from .scenario import ScenarioError, load_scenario, scenario_from_dict
 from .suites import run_suite
 
 EXIT_OK = 0
@@ -46,14 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_verify(args) -> int:
     try:
         scenario = load_scenario(args.config)
-        if args.trials is not None:
-            if args.trials < 0:
-                raise ScenarioError("must be >= 0", "trials")
-            scenario = replace(scenario, trials=args.trials)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ScenarioError("must be >= 0", "seed")
-            scenario = replace(scenario, seed=args.seed)
+        overrides = {key: value for key, value in (("trials", args.trials), ("seed", args.seed)) if value is not None}
+        if overrides:
+            scenario = scenario_from_dict({**scenario.to_dict(), **overrides})
         properties = None
         if args.properties is not None:
             properties = [p.strip() for p in args.properties.split(",") if p.strip()]

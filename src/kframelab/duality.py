@@ -9,11 +9,12 @@ uniqueness, independence transfer and the coefficient norm split.
 The Parseval hypothesis is checked once, when a :class:`ParsevalKFrames`
 stack is built, and fails loudly: the statements being verified are
 false without it, and returning numbers anyway would fake the
-verification. The routines are methods of that stack and run on all its
-members at once through stacked linear algebra; branches run on the
-members that take them. The stack serves the suite runner and is left
-out of ``__all__``; :class:`ParsevalKFrame`, its stack of one, is the
-API for a single instance.
+verification. Every guard of the stack raises through :func:`_require`,
+for the first failing member. The routines are methods of that stack and
+run on all its members at once through stacked linear algebra; branches
+run on the members that take them. The stack serves the suite runner and
+is left out of ``__all__``; :class:`ParsevalKFrame`, its stack of one, is
+the API for a single instance.
 """
 
 from dataclasses import dataclass, field
@@ -130,9 +131,11 @@ def _where(mask: np.ndarray) -> Optional[np.ndarray]:
     return None if mask.all() else np.flatnonzero(mask)
 
 
-def _first(mask: np.ndarray) -> Optional[int]:
-    """Position of the first entry where ``mask`` holds, or None."""
-    return int(mask.argmax()) if mask.any() else None
+def _require(fails: np.ndarray, values: np.ndarray, message: str) -> None:
+    """Raises :class:`HypothesisError` for the first entry, in row-major
+    order, where ``fails`` holds: ``message`` formatted with its value."""
+    if fails.any():
+        raise HypothesisError(message.format(values.flat[fails.argmax()]))
 
 
 def field_norm(frame_space, phi: np.ndarray):
@@ -150,13 +153,6 @@ def _is_dual(residual, k_norm):
     """The duality verdict on the norm of a :func:`_duality_gap` (per
     member for stacks); a NaN residual fails."""
     return residual <= DEFAULT_TOL * (1.0 + k_norm)
-
-
-def _require_dual(fails: np.ndarray, residual: np.ndarray) -> None:
-    """Raises for the first member whose duality verdict fails."""
-    failed = _first(fails)
-    if failed is not None:
-        raise HypothesisError(f"G is not a dual K-Bessel family (residual {residual[failed]:.3e})")
 
 
 @dataclass(frozen=True)
@@ -240,12 +236,11 @@ class ParsevalKFrames:
                 f"operator dimension {k.dim} does not match frame dimension {frames.dim}"
             )
         residual = parseval_residual(frames, k)
-        failed = _first(~(residual <= DEFAULT_TOL))
-        if failed is not None:
-            raise HypothesisError(
-                "the family must be a Parseval K-frame; operator identity residual "
-                f"{residual[failed]:.3e} exceeds {DEFAULT_TOL:.1e}"
-            )
+        _require(
+            ~(residual <= DEFAULT_TOL),
+            residual,
+            f"the family must be a Parseval K-frame; operator identity residual {{:.3e}} exceeds {DEFAULT_TOL:.1e}",
+        )
         self.frames = frames
         self.k = k
         self.duals = FrameStack(frames.space, frames.samples @ k.pinv.swapaxes(-1, -2))
@@ -331,11 +326,7 @@ class ParsevalKFrames:
             floor,
             lambda norm, j: norm > DEFAULT_TOL * (1.0 + frame_norms[j] * field_norm(self.space, phi[j])),
         )
-        failed = _first(fails)
-        if failed is not None:
-            raise HypothesisError(
-                f"the synthesis map does not annihilate phi (residual {leak[failed]:.3e})"
-            )
+        _require(fails, leak, "the synthesis map does not annihilate phi (residual {:.3e})")
         return FrameStack(self.space, self.duals.subset(idx).samples + np.conj(phi))
 
     def duality_residuals(self, g: FrameStack, idx: Optional[np.ndarray] = None) -> np.ndarray:
@@ -348,7 +339,8 @@ class ParsevalKFrames:
         bound leaves the verdict open, see :func:`_norms_exceed`."""
         k_norm = _take(self.k.norm, idx)
         gap = _duality_gap(self.frames.subset(idx), g, _take(self.k.op, idx))
-        _require_dual(*_norms_exceed(gap, DEFAULT_TOL * (1.0 + k_norm), lambda norm, j: ~_is_dual(norm, k_norm[j])))
+        fails, residual = _norms_exceed(gap, DEFAULT_TOL * (1.0 + k_norm), lambda norm, j: ~_is_dual(norm, k_norm[j]))
+        _require(fails, residual, "G is not a dual K-Bessel family (residual {:.3e})")
 
     def residual_fields(self, g: FrameStack) -> np.ndarray:
         """Difference fields between duals G and the canonical duals."""
@@ -523,12 +515,7 @@ class ParsevalKFrames:
         image = (k.op @ f[..., None])[..., None, :, 0]
         defect = vector_norms(weighted_sums(space, self.frames.samples[:, None], values) - image)
         bound = DEFAULT_TOL * (1.0 + k.norm * vector_norms(f))
-        failed = np.argwhere(defect > bound[:, None])
-        if failed.size:
-            raise HypothesisError(
-                "coefficients do not synthesize the operator image of f "
-                f"(defect {defect[tuple(failed[0])]:.3e})"
-            )
+        _require(defect > bound[:, None], defect, "coefficients do not synthesize the operator image of f (defect {:.3e})")
         canonical_values = self.canonical_values(f)[:, None]
         total = weighted_norm_sq(space, values)
         residual = weighted_norm_sq(space, values - canonical_values)

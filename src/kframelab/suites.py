@@ -613,6 +613,8 @@ def run_suite(scenario: Scenario, properties: Optional[Iterable[str]] = None) ->
             raise UnknownPropertyError(
                 f"unknown property id(s) {', '.join(unknown)}; valid ids: {', '.join(PROPERTY_IDS)}"
             )
+        if not props:
+            raise ScenarioError(f"selects no property; valid ids: {', '.join(PROPERTY_IDS)}", "properties")
     start = time.perf_counter()
     # Per selected property: (worst residual, its check, its trial index).
     worst: List[Tuple[float, str, int]] = [(0.0, "", -1)] * len(props)

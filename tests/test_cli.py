@@ -5,13 +5,20 @@ import json
 import pytest
 
 from kframelab.fixtures import fixture_scenario
+from kframelab.scenario import ScenarioError, scenario_from_dict
+from kframelab.suites import run_suite
 
 from helpers import run_cli
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
+    return write_text(tmp_path, json.dumps(doc), name)
+
+
+def write_text(tmp_path, text, name="scenario.json"):
+    """A config file with raw text, for literals json.dumps cannot emit."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(text)
     return str(path)
 
 
@@ -206,6 +213,39 @@ class TestVerifyCommand:
         result = run_cli("verify", "--config", path, "--properties", "bogus")
         assert result.returncode == 2
         assert "bogus" in result.stderr
+
+    def test_empty_property_selection_exits_two(self, tmp_path):
+        path = write_scenario(tmp_path, generated_doc())
+        result = run_cli("verify", "--config", path, "--properties", ",")
+        assert result.returncode == 2
+        assert "properties" in result.stderr
+
+    def test_run_suite_rejects_an_empty_selection(self):
+        with pytest.raises(ScenarioError, match="properties"):
+            run_suite(scenario_from_dict(generated_doc()), [])
+
+    def test_integer_past_the_double_range_exits_two(self, tmp_path):
+        text = json.dumps(generated_doc(weights=["W", 2.0, 1.0, 1.5])).replace('"W"', "1" + "0" * 400)
+        result = run_cli("verify", "--config", write_text(tmp_path, text))
+        assert result.returncode == 2
+        assert "weights[0]" in result.stderr and "finite" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_literal_past_the_digit_limit_exits_two(self, tmp_path):
+        # json.loads refuses integer literals of more than 4300 digits.
+        text = json.dumps(generated_doc(seed="S")).replace('"S"', "1" * 5000)
+        path = write_text(tmp_path, text)
+        result = run_cli("verify", "--config", path)
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: {path}: ")
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("option", ["trials", "seed"])
+    def test_negative_override_names_the_field(self, tmp_path, option):
+        path = write_scenario(tmp_path, generated_doc())
+        result = run_cli("verify", "--config", path, f"--{option}", "-1")
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: {option}: must be >= 0")
 
     def test_seed_override_changes_report(self, tmp_path):
         path = write_scenario(tmp_path, generated_doc())

@@ -39,6 +39,31 @@ def minimal_doc(**overrides):
     return doc
 
 
+# Every kind of numeric field: the path its first entry is reported at,
+# and the document overrides that put a value there.
+NUMBER_FIELDS = {
+    "weights": ("weights[0]", lambda v: {"weights": [v, 1.0, 1.0]}),
+    "tolerances": ("tolerances.l4", lambda v: {"tolerances": {"l4": v}}),
+    "k-values": ("k_spec.values[0]", lambda v: {"k_spec": {"kind": "diagonal", "values": [v, 0.0]}}),
+    "k-values-pair": ("k_spec.values[0]", lambda v: {"k_spec": {"kind": "diagonal", "values": [[1.0, v], 0.0]}}),
+    "k-matrix": ("k_spec.matrix[0][0]", lambda v: {"k_spec": {"kind": "explicit", "matrix": [[v, 0.0], [0.0, 1.0]]}}),
+    "samples": (
+        "frame_spec.samples[0][0]",
+        lambda v: {"frame_spec": {"kind": "explicit", "samples": [[v, 0.0], [0.0, 1.0], [0.0, 0.0]]}},
+    ),
+}
+
+# Values no numeric field accepts; 10**400 overflows float().
+BAD_NUMBERS = {
+    "bool": True,
+    "string": "x",
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "minus-inf": -float("inf"),
+    "int-past-double": 10**400,
+}
+
+
 class TestParsing:
     def test_minimal_round_trip(self):
         sc = scenario_from_dict(minimal_doc())
@@ -82,9 +107,14 @@ class TestParsing:
                 minimal_doc(k_spec={"kind": "random-rank", "rank": 3, "seed": 1})
             )
 
-    def test_bad_complex_entry_names_the_path(self):
-        with pytest.raises(ScenarioError, match=r"k_spec.values\[0\]"):
-            scenario_from_dict(minimal_doc(k_spec={"kind": "diagonal", "values": ["x", 0.0]}))
+    @pytest.mark.parametrize("value", BAD_NUMBERS.values(), ids=BAD_NUMBERS.keys())
+    @pytest.mark.parametrize("path, overrides", NUMBER_FIELDS.values(), ids=NUMBER_FIELDS.keys())
+    def test_bad_complex_entry_names_the_path(self, path, overrides, value):
+        with pytest.raises(ScenarioError) as raised:
+            scenario_from_dict(minimal_doc(**overrides(value)))
+        assert raised.value.field_path == path
+        if not isinstance(value, (bool, str)):
+            assert "finite" in str(raised.value)
 
     def test_explicit_matrix_shape(self):
         with pytest.raises(ScenarioError, match="k_spec.matrix"):
