@@ -15,7 +15,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .frames import FrameStack, InfeasibleError, KStack, parseval_k_samples, random_bessel_samples
+from .frames import FrameStack, KStack, parseval_k_samples, random_bessel_samples
 from .measure import MeasureSpace
 from .rng import complex_normal_stack, derive_seeds, stacked, stream, streams
 
@@ -128,7 +128,10 @@ def _parse_matrix(value, rows: int, cols: int, path: str) -> np.ndarray:
 
 def _parse_weights(value, atoms: int) -> Tuple[float, ...]:
     if value == "uniform":
-        return (1.0,) * atoms
+        try:
+            return (1.0,) * atoms
+        except (OverflowError, MemoryError):
+            raise ScenarioError("too many atoms to fit in memory", "atoms") from None
     if not isinstance(value, list) or len(value) != atoms:
         raise ScenarioError(f'expected "uniform" or a list of {atoms} numbers', "weights")
     out = []
@@ -303,22 +306,25 @@ def _k_ops(scenario: Scenario, trials: Sequence[int]) -> np.ndarray:
 
 
 def build_ks(scenario: Scenario, trials: Sequence[int]) -> KStack:
-    """Realize the operators of the given trials as one stack."""
-    return KStack(_k_ops(scenario, trials))
+    """Realize the operators of the given trials as one stack, or say at ``k_spec`` why not."""
+    try:
+        return KStack(_k_ops(scenario, trials))
+    except ValueError as exc:
+        raise ScenarioError(str(exc), "k_spec") from exc
 
 
 def build_frames(scenario: Scenario, space: MeasureSpace, ks: KStack, trials: Sequence[int]) -> FrameStack:
     """Realize the frames of the given trials, with their operators ``ks``,
-    as one stack; generated kinds vary with the trial."""
+    as one stack, or say at ``frame_spec`` why not; generated kinds vary
+    with the trial."""
     spec = scenario.frame_spec
-    kind = spec["kind"]
-    if kind == "explicit":
-        samples = np.array([_complex_list(row) for row in spec["samples"]])
-        return FrameStack(space, np.broadcast_to(samples, (len(trials),) + samples.shape))
-    rngs = [stream(seed) for seed in derive_seeds(spec["seed"], (_FRAME_STREAM,), [(trial,) for trial in trials])]
-    if kind == "generate-parseval-k":
-        try:
+    try:
+        if spec["kind"] == "explicit":
+            samples = np.array([_complex_list(row) for row in spec["samples"]])
+            return FrameStack(space, np.broadcast_to(samples, (len(trials),) + samples.shape))
+        rngs = [stream(seed) for seed in derive_seeds(spec["seed"], (_FRAME_STREAM,), [(trial,) for trial in trials])]
+        if spec["kind"] == "generate-parseval-k":
             return FrameStack(space, parseval_k_samples(ks, space, rngs))
-        except InfeasibleError as exc:
-            raise ScenarioError(str(exc), "frame_spec") from exc
-    return FrameStack(space, random_bessel_samples(scenario.dim, space, rngs))
+        return FrameStack(space, random_bessel_samples(scenario.dim, space, rngs))
+    except ValueError as exc:
+        raise ScenarioError(str(exc), "frame_spec") from exc

@@ -25,7 +25,7 @@ default tolerance; its order is the report order and keys the streams.
 import platform
 import time
 from functools import cached_property
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,6 +86,10 @@ def _trial_bytes(scenario: Scenario) -> int:
     return 16 * (m * m + 8 * m * d + 8 * d * d)
 
 
+class _NotParseval(Exception):
+    """The chunk's instances are not Parseval K-frames, a scenario error."""
+
+
 class _Chunk:
     """Consecutive trials of a scenario, shared by every property that runs on them.
 
@@ -121,9 +125,12 @@ class _Chunk:
 
     @cached_property
     def parseval(self) -> ParsevalKFrames:
-        """The instances as Parseval K-frames; raises HypothesisError when one is not."""
+        """The instances as Parseval K-frames; raises _NotParseval when one is not."""
         _, ks, frames = self.instance
-        return ParsevalKFrames(frames, ks)
+        try:
+            return ParsevalKFrames(frames, ks)
+        except HypothesisError as exc:
+            raise _NotParseval(str(exc)) from None
 
 
 def loewner_inclusion_exists(s_op: np.ndarray, t_op: np.ndarray):
@@ -583,14 +590,35 @@ _PROPERTY_FUNCS = {pid: func for pid, func, _ in _PROPERTIES}
 _PROPERTY_TAG = {pid: 1000 + i for i, pid in enumerate(PROPERTY_IDS)}
 
 
-def _run_chunk(chunk: _Chunk, props: Sequence[str]) -> List[CheckTable]:
-    results = []
+def _run_chunk(chunk: _Chunk, props: Sequence[str]) -> List[Tuple[_Chunk, List[CheckTable]]]:
+    """[(chunk, each property's check table on it)]. The scenario's errors raise
+    ``ScenarioError``: a failed build (at ``k_spec`` or ``frame_spec``), frames
+    that are not Parseval K-frames, a run too large for memory. Any other error
+    breaks the property down: the chunk is rerun trial by trial, and on a trial
+    alone the property's table is its one check ``breakdown``, at inf."""
+    tables = []
     for pid in props:
         try:
-            results.append(_PROPERTY_FUNCS[pid](chunk))
-        except HypothesisError as exc:
-            raise ScenarioError(f"property {pid} cannot run on this scenario: {exc}")
-    return results
+            tables.append(_PROPERTY_FUNCS[pid](chunk))
+        except (_NotParseval, MemoryError) as exc:
+            reason = "it does not fit in memory" if isinstance(exc, MemoryError) else exc
+            raise ScenarioError(f"property {pid} cannot run on this scenario: {reason}") from None
+        except ScenarioError:  # a failed build; a ValueError, but the scenario's
+            raise
+        except (ValueError, ArithmeticError):
+            if len(chunk.indices) > 1:
+                return [pair for i in chunk.indices for pair in _run_chunk(_Chunk(chunk.scenario, [i]), props)]
+            tables.append(CheckTable(["breakdown"], np.array([[np.inf]])))
+    return [(chunk, tables)]
+
+
+def _chunk_tables(scenario: Scenario, props: Sequence[str]) -> Iterator[Tuple[_Chunk, List[CheckTable]]]:
+    """Each chunk of the scenario's trials, in order, with the check table of
+    each selected property on it."""
+    size = max(1, _CHUNK_BYTES // _trial_bytes(scenario))
+    stop = scenario.trial_offset + scenario.trials
+    for first in range(scenario.trial_offset, stop, size):
+        yield from _run_chunk(_Chunk(scenario, range(first, min(first + size, stop))), props)
 
 
 def run_suite(scenario: Scenario, properties: Optional[Iterable[str]] = None) -> SuiteReport:
@@ -600,9 +628,9 @@ def run_suite(scenario: Scenario, properties: Optional[Iterable[str]] = None) ->
     run in order on one shared stack of instances. Output is a pure
     function of (scenario, properties), whatever the chunk size: residuals
     agree to the last bit between repeated runs in one floating point
-    environment, and verdicts agree regardless. When a trial cannot run,
-    the error is the one a trial-by-trial run meets first. Zero trials
-    pass vacuously.
+    environment, and verdicts agree regardless. Only the scenario's own
+    errors raise, as ``ScenarioError`` (see :func:`_run_chunk`); a trial that
+    breaks down fails with check ``breakdown``. Zero trials pass vacuously.
     """
     if properties is None:
         props = list(PROPERTY_IDS)
@@ -618,20 +646,8 @@ def run_suite(scenario: Scenario, properties: Optional[Iterable[str]] = None) ->
     start = time.perf_counter()
     # Per selected property: (worst residual, its check, its trial index).
     worst: List[Tuple[float, str, int]] = [(0.0, "", -1)] * len(props)
-    size = max(1, _CHUNK_BYTES // _trial_bytes(scenario))
-    for first in range(0, scenario.trials, size):
-        chunk = _Chunk(
-            scenario, range(scenario.trial_offset + first, scenario.trial_offset + min(first + size, scenario.trials))
-        )
-        try:
-            results = _run_chunk(chunk, props)
-        except Exception:
-            # Raise what the trial-major order meets first: run the chunk's
-            # trials one at a time, each with every property.
-            for index in chunk.indices:
-                _run_chunk(_Chunk(scenario, [index]), props)
-            raise
-        for j, table in enumerate(results):
+    for chunk, tables in _chunk_tables(scenario, props):
+        for j, table in enumerate(tables):
             residual, name, row = table.worst()
             # A non-finite worst stays; a finite one gives way to any larger or
             # non-finite residual (a NaN fails every comparison, so ">" alone would pass it).
@@ -663,15 +679,10 @@ def run_suite(scenario: Scenario, properties: Optional[Iterable[str]] = None) ->
             )
         )
     wall_ms = (time.perf_counter() - start) * 1000.0
-    meta = {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "platform": platform.platform(),
-    }
     return SuiteReport(
         version=REPORT_VERSION,
         scenario=scenario.to_dict(),
         properties=records,
         wall_time_ms=wall_ms,
-        meta=meta,
+        meta={"python": platform.python_version(), "numpy": np.__version__, "platform": platform.platform()},
     )

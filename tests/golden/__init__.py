@@ -115,6 +115,22 @@ SCENARIOS: Dict[str, dict] = {
         "trials": 10,
         "seed": 42,
     },
+    # K = Q diag(1, 3e-8, 0) Q^T, Q from the QR of a seeded 3 x 3 normal
+    # draw: cond(K) = 3.3e7 on its range, past what the checks resolve, so
+    # built duals break down (l5, canonical-char, t1, t4) and fail with a
+    # breakdown witness.
+    "rotated-k": _readme(
+        weights="uniform",
+        k_spec={
+            "kind": "explicit",
+            "matrix": [
+                [0.009152290314399748, 0.007636009442415298, 0.0949221465028468],
+                [0.007636009442415298, 0.006370947239936205, 0.07919610683404696],
+                [0.0949221465028468, 0.07919610683404696, 0.9844767924456636],
+            ],
+        },
+        trials=10,
+    ),
     "w1": fixture_scenario("W1", trials=20),
     "w1p": fixture_scenario("W1p", trials=20),
     "d24-m96": _readme(
@@ -156,12 +172,9 @@ def _check_lines(sc: Scenario, props: Sequence[str]) -> List[List[str]]:
     """Per property, one ``index\tname\thex`` line per present entry of the
     check tables of every trial, chunked as :func:`kframelab.suites.run_suite`
     chunks them."""
-    size = max(1, suites._CHUNK_BYTES // suites._trial_bytes(sc))
     out: List[List[str]] = [[] for _ in props]
-    for first in range(0, sc.trials, size):
-        indices = range(sc.trial_offset + first, sc.trial_offset + min(first + size, sc.trials))
-        chunk = suites._Chunk(sc, indices)
-        for j, table in enumerate(suites._run_chunk(chunk, props)):
+    for chunk, tables in suites._chunk_tables(sc, props):
+        for j, table in enumerate(tables):
             for row, index in enumerate(chunk.indices):
                 out[j].extend(f"{index}\t{name}\t{value.hex()}" for name, value in table.row(row))
     return out

@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from kframelab import cli, suites
 from kframelab.fixtures import fixture_scenario
 from kframelab.scenario import ScenarioError, scenario_from_dict
 from kframelab.suites import run_suite
@@ -270,3 +272,70 @@ class TestVerifyCommand:
         )
         assert result.returncode == 2
         assert "cannot write report" in result.stderr
+
+
+def rotated_k_doc():
+    """The README shape with uniform weights and K = Q diag(1, 3e-8, 0) Q^T,
+    Q from the QR of a seeded normal draw: cond(K) = 3.3e7 on its range."""
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
+    return {
+        "dim": 3,
+        "atoms": 7,
+        "weights": "uniform",
+        "k_spec": {"kind": "explicit", "matrix": (q @ np.diag([1.0, 3e-8, 0.0]) @ q.T).tolist()},
+        "frame_spec": {"kind": "generate-parseval-k", "seed": 9},
+        "trials": 50,
+        "seed": 42,
+    }
+
+
+class TestBreakdowns:
+    """A property that breaks down on an object it built fails with a
+    witness; only the scenario's own errors exit 2."""
+
+    @pytest.mark.parametrize("prop, trial", [("l5", 0), ("canonical-char", 0), ("t1", 0), ("t4", 3)])
+    def test_rotated_k_breakdown_fails_with_a_witness_that_replays(self, tmp_path, prop, trial):
+        report_path = tmp_path / "report.json"
+        result = run_cli(
+            "verify", "--config", write_scenario(tmp_path, rotated_k_doc()), "--properties", prop,
+            "--report", str(report_path),
+        )
+        assert result.returncode == 1, result.stderr
+        assert "Traceback" not in result.stderr
+        (rec,) = json.loads(report_path.read_text())["properties"]
+        witness = rec["witness"]
+        assert (witness["trial_index"], witness["check"]) == (trial, "breakdown")
+        (replay,) = run_suite(scenario_from_dict(witness["scenario"]), [prop]).properties
+        assert (replay.witness["trial_index"], replay.worst_check) == (trial, "breakdown")
+
+    def test_generated_samples_that_overflow_name_frame_spec(self, tmp_path):
+        doc = {
+            "dim": 3,
+            "atoms": 3,
+            "weights": [1e-320, 1, 1],
+            "k_spec": {"kind": "diagonal", "values": [1e150, 1, 1]},
+            "frame_spec": {"kind": "generate-parseval-k", "seed": 9},
+            "trials": 2,
+            "seed": 42,
+        }
+        result = run_cli("verify", "--config", write_scenario(tmp_path, doc))
+        assert result.returncode == 2
+        assert "error: frame_spec: sample entries must be finite" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_operator_too_large_to_build_names_k_spec(self, tmp_path):
+        # numpy refuses the 10**12 x 10**12 identity before allocating it.
+        doc = generated_doc(dim=10**12, k_spec={"kind": "identity"})
+        result = run_cli("verify", "--config", write_scenario(tmp_path, doc))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: k_spec: ")
+        assert "Traceback" not in result.stderr
+
+    def test_memory_error_exits_two(self, tmp_path, monkeypatch, capsys):
+        def exhausted(chunk):
+            raise MemoryError
+
+        monkeypatch.setitem(suites._PROPERTY_FUNCS, "l4", exhausted)
+        path = write_scenario(tmp_path, generated_doc())
+        assert cli.main(["verify", "--config", path, "--properties", "l1,l4"]) == 2
+        assert capsys.readouterr().err == "error: property l4 cannot run on this scenario: it does not fit in memory\n"

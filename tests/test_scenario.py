@@ -134,6 +134,13 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="frame_spec.samples"):
             scenario_from_dict(minimal_doc(frame_spec=frame_spec, weights=[1e10, 1.0, 1.0]))
 
+    @pytest.mark.parametrize("atoms", [10**400, 2**62], ids=["past-index-range", "past-memory"])
+    def test_too_many_uniform_atoms_name_atoms(self, atoms):
+        # Both sizes fail before anything is allocated.
+        with pytest.raises(ScenarioError, match="fit in memory") as raised:
+            scenario_from_dict(minimal_doc(atoms=atoms))
+        assert raised.value.field_path == "atoms"
+
     def test_unknown_tolerance_property(self):
         with pytest.raises(ScenarioError, match="tolerances.nope"):
             scenario_from_dict(minimal_doc(tolerances={"nope": 1e-9}))

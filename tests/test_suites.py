@@ -328,9 +328,7 @@ class TestLoewnerBisection:
         sc = scenario_from_dict(generated_doc(trials=10))
 
         def checks():
-            size = max(1, suites._CHUNK_BYTES // suites._trial_bytes(sc))
-            chunks = [suites._Chunk(sc, range(i, min(i + size, sc.trials))) for i in range(0, sc.trials, size)]
-            tables = [suites._prop_l2(c) for c in chunks]
+            tables = [table for _, (table,) in suites._chunk_tables(sc, ["l2"])]
             return [[(name, value.hex()) for name, value in t.row(i)] for t in tables for i in range(len(t.residuals))]
 
         default = checks()
@@ -359,11 +357,11 @@ class TestLoewnerBisection:
         assert verdict == loewner_leq(aa, bb) == (x <= 1e-8)
         assert calls["svd"] == (1 if x in (1e-8, np.nextafter(1e-8, 1.0)) else 0)
 
-    def test_overflow_in_a_chunk_raises_the_first_error_of_the_trials(self, monkeypatch):
+    def test_overflow_in_a_chunk_fails_its_trial_with_a_breakdown(self, monkeypatch):
         # Trial 2's T T* = 1e308 I overflows once the bisection symmetrizes
         # it; trial 4's pair is not nested, so its factor fails earlier in
-        # the chunk, before the lockstep. Trial by trial, trial 2's error
-        # comes first, and so it must in the chunk.
+        # the chunk, before the lockstep. Each breaks down on its own trial,
+        # and the witness is the first of them.
         sc = scenario_from_dict(generated_doc(trials=6))
         states = {
             str(stream(sc.seed, suites._PROPERTY_TAG["l2"], i).bit_generator.state): i for i in range(sc.trials)
@@ -378,11 +376,13 @@ class TestLoewnerBisection:
 
         monkeypatch.setattr(suites, "_factorization_pair", pair)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(Exception) as first:
+            with pytest.raises(ValueError, match="finite"):
                 bisect_loewner_lambda(*replaced[2])
-            with pytest.raises(type(first.value)) as raised:
-                run_suite(sc, ["l2"])
-        assert str(raised.value) == str(first.value)
+            tables = list(suites._chunk_tables(sc, ["l2"]))
+            (rec,) = run_suite(sc, ["l2"]).properties
+        rows = [(index, table.row(i)) for chunk, (table,) in tables for i, index in enumerate(chunk.indices)]
+        assert [index for index, row in rows if row == [("breakdown", math.inf)]] == [2, 4]
+        assert (rec.witness["trial_index"], rec.witness["check"], rec.max_residual) == (2, "breakdown", math.inf)
 
 
 class TestSharedInstance:
@@ -556,15 +556,15 @@ class TestChunkedTrials:
             counts.append(calls["svd"])
         assert counts[0] == counts[1]
 
-    def test_first_error_of_the_trial_major_order_is_raised(self, monkeypatch):
+    def test_hypothesis_raises_and_breakdowns_fail_their_trials(self, monkeypatch):
         # Non-Parseval frames: l1 to l3 run on every trial, then l4 raises on
         # the first trial; the error names l4 whatever the chunking.
         sc = scenario_from_dict(generated_doc(frame_spec={"kind": "random-bessel", "seed": 3}))
         with pytest.raises(ScenarioError, match="property l4 cannot run.*Parseval"):
             run_suite(sc, ["l1", "l3", "l4", "l1"])
-        # l4 fails on trial 2 and l5 on trial 1: a stacked l4 meets its
-        # failure first, but trial by trial l5 fails on trial 1 before l4
-        # reaches trial 2.
+        # l4 breaks down on trial 2 and l5 on trial 1: each fails with a
+        # breakdown witness on its own trial, whatever the chunking, and the
+        # witness replays.
         for pid, bad in (("l4", 2), ("l5", 1)):
             original = suites._PROPERTY_FUNCS[pid]
 
@@ -574,8 +574,16 @@ class TestChunkedTrials:
                 return original(chunk)
 
             monkeypatch.setitem(suites._PROPERTY_FUNCS, pid, failing)
-        with pytest.raises(ScenarioError, match="property l5 cannot run.*trial 1"):
-            run_suite(scenario_from_dict(generated_doc()), ["l4", "l5"])
+        sc = scenario_from_dict(generated_doc())
+        for trials in (None, 1, 3):
+            if trials is not None:
+                _set_chunk_trials(monkeypatch, sc, trials)
+            report = run_suite(sc, ["l4", "l5"])
+            witnesses = [(r.witness["trial_index"], r.witness["check"], r.max_residual) for r in report.properties]
+            assert witnesses == [(2, "breakdown", math.inf), (1, "breakdown", math.inf)], trials
+            for rec in report.properties:
+                (replay,) = run_suite(scenario_from_dict(rec.witness["scenario"]), [rec.prop_id]).properties
+                assert replay.witness == rec.witness
 
 
 @pytest.mark.parametrize(
