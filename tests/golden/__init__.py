@@ -131,6 +131,26 @@ SCENARIOS: Dict[str, dict] = {
         },
         trials=10,
     ),
+    # K's singular values are about 4.2e5, 1.9, 0.13 and 2.3e-11: the frames
+    # are independent on trials 1, 2 and 4 and dependent on trials 0 and 3,
+    # where t2's independence verdicts disagree.
+    "split-t2": {
+        "dim": 4,
+        "atoms": 3,
+        "weights": [1.1198843077094625, 45400.36743302504, 0.001612737014173891],
+        "k_spec": {
+            "kind": "explicit",
+            "matrix": [
+                [311562.58613845706, 171524.1776510849, -13417.44761158461, 53317.452121558184],
+                [171524.1776510849, 94429.44713768456, -7387.249502543868, 29352.213367184697],
+                [-13417.447611584612, -7387.249502543869, 578.7290775528389, -2295.4003150683347],
+                [53317.452121558184, 29352.2133671847, -2295.4003150683347, 9124.92455448449],
+            ],
+        },
+        "frame_spec": {"kind": "generate-parseval-k", "seed": 996},
+        "trials": 5,
+        "seed": 216,
+    },
     "w1": fixture_scenario("W1", trials=20),
     "w1p": fixture_scenario("W1p", trials=20),
     "d24-m96": _readme(
