@@ -11,19 +11,22 @@ stack is built, and fails loudly: the statements being verified are
 false without it, and returning numbers anyway would fake the
 verification. Every guard of the stack raises through :func:`_require`,
 for the first failing member. The routines are methods of that stack and
-run on all its members at once through stacked linear algebra; branches
-run on the members that take them. The stack serves the suite runner and
-is left out of ``__all__``; :class:`ParsevalKFrame`, its stack of one, is
-the API for a single instance.
+run on all its members at once through stacked linear algebra. A routine
+takes one branch for the whole stack: where its members would take
+different ones (kernel widths, independence), it raises :class:`Split`,
+and the suite runner reruns the property on each member alone; a stack
+of one never splits. The stack serves the suite runner and is left out
+of ``__all__``; :class:`ParsevalKFrame`, its stack of one, is the API for
+a single instance.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .hilbert import DEFAULT_TOL, _groups, _norm_bounds, _norms_exceed, as_operator, as_vector, op_norm
+from .hilbert import DEFAULT_TOL, _norm_bounds, _norms_exceed, as_operator, as_vector, op_norm
 from .hilbert import full_row_ranks, vdots, vector_norms
 from .frames import (
     FrameStack,
@@ -73,6 +76,20 @@ class HypothesisError(ValueError):
     """A verification routine was called outside its validity domain."""
 
 
+class Split(Exception):
+    """The members of a stack would take different branches of a routine."""
+
+
+def _branch(mask: np.ndarray) -> bool:
+    """The branch every member of the stack takes: the common value of
+    ``mask``; raises :class:`Split` when the members disagree."""
+    if mask.all():
+        return True
+    if mask.any():
+        raise Split
+    return False
+
+
 def _require_dual_pair(g: SampledFrame, f: SampledFrame) -> None:
     _require_same_space(g.space, f.space)
     if g.dim != f.dim:
@@ -92,43 +109,25 @@ def _squares(x: np.ndarray) -> np.ndarray:
 
 class CheckTable(NamedTuple):
     """Named checks of a stack's members: ``residuals[i, c]`` is member i's
-    residual of check ``names[c]``; ``present`` marks the entries of checks
-    that run only on some branch, None when every member takes every check.
-    Every member takes at least one check."""
+    residual of check ``names[c]``. The members take one branch, so every
+    member takes every check of the table."""
 
     names: Sequence[str]
     residuals: np.ndarray
-    present: Optional[np.ndarray] = None
 
     def row(self, i: int) -> List[Check]:
-        """Member i's present checks, in column order."""
-        present = [True] * len(self.names) if self.present is None else self.present[i].tolist()
-        return [(name, v) for name, v, p in zip(self.names, self.residuals[i].tolist(), present) if p]
+        """Member i's checks, in column order."""
+        return list(zip(self.names, self.residuals[i].tolist()))
 
     def worst(self) -> Tuple[float, str, int]:
-        """(residual, check, member) of the first non-finite present entry in
-        (member, check) order, else of the first largest present one. Folding
-        the entries in that order by the runner's rule ends there."""
+        """(residual, check, member) of the first non-finite entry in
+        (member, check) order, else of the first largest one. Folding the
+        entries in that order by the runner's rule ends there."""
         res, bad = self.residuals, ~np.isfinite(self.residuals)
-        if self.present is not None:
-            bad &= self.present
-            res = np.where(self.present, res, -np.inf)  # below every finite entry
         k = bad.argmax()  # the first True, or a False when there is none
         flat = k if bad.flat[k] else res.argmax()
         i, c = divmod(int(flat), res.shape[1])
         return float(res[i, c]), self.names[c], i
-
-
-def _take(arr, idx: Optional[np.ndarray]):
-    """The entries ``idx`` of an array or a list (all of them for None)."""
-    if idx is None:
-        return arr
-    return arr[idx] if isinstance(arr, np.ndarray) else [arr[j] for j in idx]
-
-
-def _where(mask: np.ndarray) -> Optional[np.ndarray]:
-    """Positions where ``mask`` holds; None when it holds everywhere."""
-    return None if mask.all() else np.flatnonzero(mask)
 
 
 def _require(fails: np.ndarray, values: np.ndarray, message: str) -> None:
@@ -190,28 +189,6 @@ class ResidualOperator:
     phi: np.ndarray
 
 
-class _KernelBases:
-    """Synthesis kernel bases of the members of a stack, kept as one stack
-    (n, m, width) per width, since the width varies with the rank."""
-
-    def __init__(self, bases: Sequence[np.ndarray]):
-        self.widths = np.array([b.shape[1] for b in bases], dtype=int)
-        self._groups = {w: (idx, stacked([bases[i] for i in idx])) for w, idx in _groups(self.widths)}
-
-    def of(self, members: Optional[np.ndarray]) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-        """Per nonzero width among ``members`` (all for None): the width,
-        the positions in ``members`` that have it, and their bases
-        (len(positions), m, width)."""
-        if members is None:
-            yield from ((w, idx, stack) for w, (idx, stack) in self._groups.items() if w)
-            return
-        for w, pos in _groups(self.widths[members]):
-            if w:
-                idx, stack = self._groups[w]
-                chosen = members[pos]
-                yield w, pos, stack if np.array_equal(chosen, idx) else stack[np.searchsorted(idx, chosen)]
-
-
 class ParsevalKFrames:
     """Sampled frames whose frame operators are K K*, checked once, as a
     stack: member t is the frame ``frames.samples[t]`` with the operator
@@ -223,10 +200,9 @@ class ParsevalKFrames:
     member that fails it. The stack holds the canonical duals, which apply
     the pseudo-inverse of K to every sample; the synthesis kernel bases
     are computed on first use. Every routine compares at ``DEFAULT_TOL``
-    and returns one result per member. Routines that draw take
-    one generator or seed per member; ``idx`` restricts a routine to some
-    members, and its per-member arguments and results follow ``idx``.
-    Probe loops run as one stacked product over members and probes, which
+    and returns one result per member, and raises :class:`Split` where the
+    members would take different branches. Routines that draw take one
+    generator or seed per member. Probe loops run as one stacked product over members and probes, which
     is one matrix-vector product per probe, as the per-instance loop.
     """
 
@@ -253,17 +229,27 @@ class ParsevalKFrames:
         return self.frames.space
 
     @cached_property
-    def kernel(self) -> _KernelBases:
-        """Null space bases of the synthesis maps B, see :func:`synthesis_kernel_basis`,
-        each cut to its last m - max(rank B, rank K) columns (none below 0), the
-        one kernel width a member is checked with. B B* = K K*, so the ranks
-        differ only near the rank cut, where the dropped columns are directions K keeps.
+    def kernel(self) -> np.ndarray:
+        """Null space bases (n, m, width) of the synthesis maps B, see
+        :func:`synthesis_kernel_basis`, each cut to its last m - max(rank B,
+        rank K) columns (none below 0), the one kernel width a member is
+        checked with. B B* = K K*, so the ranks differ only near the rank
+        cut, where the dropped columns are directions K keeps. Members of
+        different widths raise :class:`Split`.
 
-        A width group of several members is stacked into one array; the
-        basis of a member alone in its group stays a view of the SVD's V*
-        rows and keeps the whole V* stack of the build alive."""
+        The bases of several members are stacked into one array; the basis
+        of a stack of one stays a view of the SVD's V* rows and keeps the
+        whole V* of the build alive."""
         caps = np.maximum(self.space.atom_count - self.k.rank, 0).tolist()
-        return _KernelBases([b[:, max(b.shape[1] - c, 0) :] for b, c in zip(synthesis_kernel_basis(self.frames), caps)])
+        bases = [b[:, max(b.shape[1] - c, 0) :] for b, c in zip(synthesis_kernel_basis(self.frames), caps)]
+        if len({b.shape[1] for b in bases}) > 1:
+            raise Split
+        return stacked(bases)
+
+    @property
+    def width(self) -> int:
+        """The members' one kernel width, see :attr:`kernel`."""
+        return self.kernel.shape[2]
 
     @cached_property
     def dual_norms(self) -> np.ndarray:
@@ -285,31 +271,26 @@ class ParsevalKFrames:
         """Analysis norms of the frames."""
         return analysis_norm(self.frames)
 
-    def sample_kernel_fields(self, rngs: Sequence, idx: Optional[np.ndarray] = None) -> np.ndarray:
-        """Random fields (len(rngs), m, d) that the synthesis maps of the
-        members ``idx`` (all for None) annihilate, scaled into a band of
-        norms around the canonical duals' analysis norms. Position j draws
-        from ``rngs[j]``; members with a trivial kernel get the zero field
-        and draw nothing.
+    def sample_kernel_fields(self, rngs: Sequence) -> np.ndarray:
+        """Random fields (n, m, d) that the synthesis maps annihilate, scaled
+        into a band of norms around the canonical duals' analysis norms.
+        Member j draws from ``rngs[j]``; a trivial kernel gives the zero
+        fields and draws nothing.
 
         The draw is a complex Gaussian pushed through the kernel basis, so
         both small and dominant perturbations are exercised as the band
         endpoints spread.
         """
-        space, dim = self.space, self.frames.dim
-        reference_norms = _take(self.dual_norms, idx).tolist()
-        phi = np.zeros((len(rngs), space.atom_count, dim), dtype=np.complex128)
+        space, dim, w = self.space, self.frames.dim, self.width
+        if not w:
+            return np.zeros((len(self), space.atom_count, dim), dtype=np.complex128)
+        draws = self.kernel @ complex_normal_stack(rngs, w, dim)
         lo, hi = _KERNEL_FIELD_DECADES
-        for w, pos, bases in self.kernel.of(idx):
-            draws = bases @ complex_normal_stack([rngs[j] for j in pos], w, dim)
-            target = [max(reference_norms[j], 1.0) * 10.0 ** rngs[j].uniform(lo, hi) for j in pos.tolist()]
-            scale = np.array(target) / field_norm(space, draws)
-            if len(pos) == len(rngs):
-                return draws * scale[:, None, None]
-            phi[pos] = draws * scale[:, None, None]
-        return phi
+        target = [max(norm, 1.0) * 10.0 ** rng.uniform(lo, hi) for norm, rng in zip(self.dual_norms.tolist(), rngs)]
+        scale = np.array(target) / field_norm(space, draws)
+        return draws * scale[:, None, None]
 
-    def build_duals(self, phi: np.ndarray, idx: Optional[np.ndarray] = None) -> FrameStack:
+    def build_duals(self, phi: np.ndarray) -> FrameStack:
         """Rebuild duals from fields annihilated by the synthesis maps.
 
         Adding the conjugated rows of phi to the canonical dual leaves the
@@ -319,26 +300,26 @@ class ParsevalKFrames:
         where a bound leaves its verdict open, see :func:`_norms_exceed`:
         ``field_norm(phi)`` is at least phi's largest weighted column norm.
         """
-        frame_norms = _take(self.frame_norms, idx)
+        frame_norms = self.frame_norms
         floor = DEFAULT_TOL * (1.0 + frame_norms * _norm_bounds(self.space.sqrt_weights[:, None] * phi)[0])
         fails, leak = _norms_exceed(
-            synthesis(self.frames.subset(idx)) @ phi,
+            synthesis(self.frames) @ phi,
             floor,
             lambda norm, j: norm > DEFAULT_TOL * (1.0 + frame_norms[j] * field_norm(self.space, phi[j])),
         )
         _require(fails, leak, "the synthesis map does not annihilate phi (residual {:.3e})")
-        return FrameStack(self.space, self.duals.subset(idx).samples + np.conj(phi))
+        return FrameStack(self.space, self.duals.samples + np.conj(phi))
 
-    def duality_residuals(self, g: FrameStack, idx: Optional[np.ndarray] = None) -> np.ndarray:
+    def duality_residuals(self, g: FrameStack) -> np.ndarray:
         """Norms of synthesis(frame) @ analysis(G) - K, see :func:`is_dual_k_bessel`."""
-        return op_norm(_duality_gap(self.frames.subset(idx), g, _take(self.k.op, idx)))
+        return op_norm(_duality_gap(self.frames, g, self.k.op))
 
-    def require_duals(self, g: FrameStack, idx: Optional[np.ndarray] = None) -> None:
+    def require_duals(self, g: FrameStack) -> None:
         """Raises unless every G is a dual K-Bessel family. The duality
         residual, see :meth:`duality_residuals`, is taken only where a
         bound leaves the verdict open, see :func:`_norms_exceed`."""
-        k_norm = _take(self.k.norm, idx)
-        gap = _duality_gap(self.frames.subset(idx), g, _take(self.k.op, idx))
+        k_norm = self.k.norm
+        gap = _duality_gap(self.frames, g, self.k.op)
         fails, residual = _norms_exceed(gap, DEFAULT_TOL * (1.0 + k_norm), lambda norm, j: ~_is_dual(norm, k_norm[j]))
         _require(fails, residual, "G is not a dual K-Bessel family (residual {:.3e})")
 
@@ -375,51 +356,41 @@ class ParsevalKFrames:
         split = abs(total - canonical - residual) / np.where(f_sq > 1e-12, f_sq, 1e-12)
         return CheckTable(["minimality"] + ["norm-split"] * _MINIMALITY_PROBES, np.column_stack([minimality, split]))
 
-    def characterizes(
-        self, g: FrameStack, trials: int, seeds: Sequence[int], idx: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def characterizes(self, g: FrameStack, trials: int, seeds: Sequence[int]) -> np.ndarray:
         """Whether the Gram identity against every sampled dual holds for G.
 
         True exactly when G is the canonical dual (up to tolerance): the
         first sampled partner is the canonical dual itself, which is the
         witness that breaks the identity for any other dual. The later
-        partners run on the members that held against it and whose
-        synthesis kernel is nontrivial: otherwise the canonical dual is the
-        only dual, and every later partner would repeat partner 0's
-        comparison. Zero trials pass vacuously. Partner t of member j draws
-        from ``stream(seeds[j], t)``.
+        partners run when every member held against it and the synthesis
+        kernel is nontrivial: otherwise the canonical dual is the only
+        dual, and every later partner would repeat partner 0's comparison.
+        Members that disagree on partner 0 raise :class:`Split`. Zero
+        trials pass vacuously. Partner t of member j draws from
+        ``stream(seeds[j], t)``.
         """
-        self.require_duals(g, idx)
+        self.require_duals(g)
         norms = self.dual_norms if g is self.duals else analysis_norm(g)
         if trials < 1:
             return np.ones(len(g), dtype=bool)
         syn_g = synthesis(g)
         gram = syn_g @ analysis(g)
         scale = 1.0 + _squares(norms)
-        holds = ~(op_norm(gram - syn_g @ _take(self.dual_analysis, idx)) > DEFAULT_TOL * scale)
-        if trials == 1:
+        holds = ~(op_norm(gram - syn_g @ self.dual_analysis) > DEFAULT_TOL * scale)
+        if trials == 1 or not self.width or not _branch(holds):
             return holds
-        rest = holds & (_take(self.kernel.widths, idx) > 0)
-        if not rest.any():
-            return holds
-        active = _where(rest)  # positions in g; None: all of them
-        chosen = active if idx is None else _take(idx, active)
-        gram, syn_g, scale, seeds = (_take(a, active) for a in (gram, syn_g, scale, seeds))
         for t in range(1, int(trials)):
             rngs = [stream(seed, t) for seed in seeds]
-            partner = self.build_duals(self.sample_kernel_fields(rngs, chosen), chosen)
-            gap = op_norm(gram - syn_g @ analysis(partner))
-            holds[slice(None) if active is None else active] &= ~(gap > DEFAULT_TOL * scale)
+            partner = self.build_duals(self.sample_kernel_fields(rngs))
+            holds &= ~(op_norm(gram - syn_g @ analysis(partner)) > DEFAULT_TOL * scale)
         return holds
 
     def is_unique(self) -> np.ndarray:
         """Whether the dual family is unique: every other dual adds a nonzero
         field the synthesis map annihilates, so the width of :attr:`kernel` is 0."""
-        return self.kernel.widths == 0
+        return np.full(len(self), self.width == 0)
 
-    def alternative_duals(
-        self, seeds: Sequence[int], idx: Optional[np.ndarray] = None
-    ) -> Tuple[FrameStack, np.ndarray]:
+    def alternative_duals(self, seeds: Sequence[int]) -> Tuple[FrameStack, np.ndarray]:
         """Verified duals different from the canonical ones, with their
         duality residuals.
 
@@ -428,23 +399,17 @@ class ParsevalKFrames:
         conj(alpha_i) h to the canonical dual. Orthogonality alone makes the
         result dual; infeasible when the dual is unique.
         """
-        space, dim = self.space, self.frames.dim
-        widths = _take(self.kernel.widths, idx)
-        if (widths == 0).any():
+        space, w = self.space, self.width
+        if not w:
             raise InfeasibleError("the dual family is unique; no alternative exists")
         rngs = [stream(seed) for seed in seeds]
-        alpha = np.empty((len(widths), space.atom_count), dtype=np.complex128)
-        for w, pos, bases in self.kernel.of(idx):
-            coeffs = complex_normal_stack([rngs[j] for j in pos], w)
-            alpha[pos] = (bases @ coeffs[..., None])[..., 0]
+        alpha = (self.kernel @ complex_normal_stack(rngs, w)[..., None])[..., 0]
         alpha = alpha / np.sqrt(weighted_norm_sq(space, alpha))[:, None]
-        h = complex_normal_stack(rngs, dim)
+        h = complex_normal_stack(rngs, self.frames.dim)
         h = h / vector_norms(h)[:, None]
-        dual = self.duals.subset(idx)
-        q = FrameStack(space, dual.samples + np.conj(alpha)[:, :, None] * h[:, None, :])
-        residual = self.duality_residuals(q, idx)
-        is_dual = _is_dual(residual, _take(self.k.norm, idx))
-        if not is_dual.all() or frames_allclose(q, dual).any():
+        q = FrameStack(space, self.duals.samples + np.conj(alpha)[:, :, None] * h[:, None, :])
+        residual = self.duality_residuals(q)
+        if not _is_dual(residual, self.k.norm).all() or frames_allclose(q, self.duals).any():
             raise ArithmeticError("alternative dual construction violated its guarantee")
         return q, residual
 
@@ -484,19 +449,16 @@ class ParsevalKFrames:
         names = ["dual-projector-parseval", "pushforward-parseval"]
         return CheckTable(names, np.column_stack([projector, pushforward]))
 
-    def independence_transfer(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def independence_transfer(self) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """Independence verdicts of the frames and their canonical duals, plus
-        the relative gaps of the samplewise identity F = K dual, computed
-        where the frame is independent (NaN elsewhere)."""
+        the relative gaps of the samplewise identity F = K dual when the
+        frames are independent (None when they are dependent)."""
         frame_indep = is_l2_independent(self.frames)
         dual_indep = is_l2_independent(self.duals)
-        gaps = np.full(len(self), np.nan)
-        if frame_indep.any():
-            idx = _where(frame_indep)
-            rebuilt = _take(self.duals.samples, idx) @ _take(self.k.op, idx).swapaxes(-1, -2)
-            gap = _max_row_norm(_take(self.frames.samples, idx) - rebuilt) / (1.0 + _take(self.k.norm, idx))
-            gaps[slice(None) if idx is None else idx] = gap
-        return frame_indep, dual_indep, gaps
+        if not _branch(frame_indep):
+            return frame_indep, dual_indep, None
+        rebuilt = self.duals.samples @ self.k.op.swapaxes(-1, -2)
+        return frame_indep, dual_indep, _max_row_norm(self.frames.samples - rebuilt) / (1.0 + self.k.norm)
 
     def canonical_values(self, f: np.ndarray) -> np.ndarray:
         """Canonical coefficients (members, m) of vectors f (members, d)."""
@@ -530,11 +492,11 @@ class ParsevalKFrames:
         canonical_values = self.canonical_values(f)
         scale = 1.0 + np.sqrt(weighted_norm_sq(self.space, canonical_values))
         kernel_part = np.zeros((len(self), int(count), self.space.atom_count), dtype=np.complex128)
-        for w, pos, bases in self.kernel.of(None) if count > 1 else ():
+        if count > 1 and self.width:
             tails = [(t,) for t in range(1, count)]
-            rngs = [rng for j in pos for rng in streams(seeds[j], (), tails)]
-            draws = complex_normal_stack(rngs, w).reshape(len(pos), count - 1, w)
-            kernel_part[pos, 1:] = scale[pos, None, None] * (bases[:, None] @ draws[..., None])[..., 0]
+            rngs = [rng for seed in seeds for rng in streams(seed, (), tails)]
+            draws = complex_normal_stack(rngs, self.width).reshape(len(self), count - 1, self.width)
+            kernel_part[:, 1:] = scale[:, None, None] * (self.kernel[:, None] @ draws[..., None])[..., 0]
         return canonical_values[:, None] + kernel_part
 
 
@@ -627,7 +589,7 @@ class ParsevalKFrame:
         relative gap of the samplewise identity F = K dual when the frame is
         independent (None when the identity is not asserted)."""
         frame_indep, dual_indep, gaps = self.stack.independence_transfer()
-        return bool(frame_indep[0]), bool(dual_indep[0]), float(gaps[0]) if frame_indep[0] else None
+        return bool(frame_indep[0]), bool(dual_indep[0]), None if gaps is None else float(gaps[0])
 
     def _require_vector(self, f) -> np.ndarray:
         f = as_vector(f)

@@ -112,10 +112,6 @@ class FrameStack:
     def __len__(self) -> int:
         return int(self.samples.shape[0])
 
-    def subset(self, idx: Optional[np.ndarray]) -> "FrameStack":
-        """The members ``idx`` (all of them for None)."""
-        return self if idx is None else FrameStack(self.space, self.samples[idx])
-
 
 class KStack:
     """Square operators (n, d, d) with the pseudo-inverse and the projector

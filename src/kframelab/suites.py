@@ -29,7 +29,7 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequenc
 
 import numpy as np
 
-from .duality import CheckTable, HypothesisError, ParsevalKFrames, _positive_part, _take, _where, field_norm
+from .duality import CheckTable, HypothesisError, ParsevalKFrames, Split, _branch, _positive_part, field_norm
 from .frames import (
     FrameStack,
     KStack,
@@ -80,8 +80,8 @@ _CHUNK_BYTES = 1 << 22
 def _trial_bytes(scenario: Scenario) -> int:
     """Bytes of one trial's largest stacked arrays: kernel bases (m x m),
     frame-sized and operator-sized arrays. The m x m term also budgets the
-    V* stack of the kernel build (m x m per trial), which a member alone in
-    its width group keeps alive whole (see ``ParsevalKFrames.kernel``)."""
+    V* stack of the kernel build (m x m per trial), which the kernel basis
+    of a chunk of one keeps alive whole (see ``ParsevalKFrames.kernel``)."""
     m, d = scenario.atoms, scenario.dim
     return 16 * (m * m + 8 * m * d + 8 * d * d)
 
@@ -104,18 +104,19 @@ class _Chunk:
         self.scenario = scenario
         self.indices = list(indices)
 
-    def _chosen(self, positions: Optional[np.ndarray]) -> List[int]:
-        return self.indices if positions is None else [self.indices[j] for j in positions]
+    def rngs(self, pid: str) -> Keyed:
+        """The property's stream of each trial, each built when it is first drawn from."""
+        return streams(self.scenario.seed, (_PROPERTY_TAG[pid],), [(i,) for i in self.indices])
 
-    def rngs(self, pid: str, positions: Optional[np.ndarray] = None) -> Keyed:
-        """The property's stream of each trial, or of the trials at
-        ``positions``, each built when it is first drawn from."""
-        return streams(self.scenario.seed, (_PROPERTY_TAG[pid],), [(i,) for i in self._chosen(positions)])
+    def sub_seeds(self, pid: str, slot: int) -> Keyed:
+        """The property's derived seed in ``slot`` of each trial, each
+        derived when it is first read."""
+        return derive_seeds(self.scenario.seed, (_PROPERTY_TAG[pid],), [(i, slot) for i in self.indices])
 
-    def sub_seeds(self, pid: str, slot: int, positions: Optional[np.ndarray] = None) -> Keyed:
-        """The property's derived seed in ``slot`` of each trial, or of the
-        trials at ``positions``, each derived when it is first read."""
-        return derive_seeds(self.scenario.seed, (_PROPERTY_TAG[pid],), [(i, slot) for i in self._chosen(positions)])
+    @cached_property
+    def trials(self) -> List["_Chunk"]:
+        """The chunk's one-trial chunks, shared by the properties that rerun on them."""
+        return [_Chunk(self.scenario, [i]) for i in self.indices]
 
     @cached_property
     def instance(self) -> Tuple[MeasureSpace, KStack, FrameStack]:
@@ -419,38 +420,29 @@ def _prop_l3(chunk: _Chunk) -> CheckTable:
     # derives it: NaN where excluded, infinite for a zero K.
     with np.errstate(divide="ignore", over="ignore"):
         a_opt = 1.0 / inc.lambda_star
-    agree = inc.included == loewner_inclusion_exists(ks.op, b)
-    # Check 0 runs on every trial, 1-5 on bounded ones, 6 where the extremal probe is nonzero.
-    names = ["inclusion-agreement"] + ["lower-bound-holds"] * 5 + ["optimality-tight"]
-    residuals = np.zeros((len(a_opt), len(names)))
-    present = np.zeros(residuals.shape, dtype=bool)
-    residuals[:, 0], present[:, 0] = np.where(agree, 0.0, 1.0), True
-    bounded = np.isfinite(a_opt)
-    if not bounded.any():
-        return CheckTable(names, residuals, present)
-    idx, positions = _where(bounded), np.flatnonzero(bounded)
-    a = a_opt[positions]
-    b = weighted_synthesis(frames.subset(idx))
+    agree = np.where(inc.included == loewner_inclusion_exists(ks.op, b), 0.0, 1.0)
+    # The agreement runs on every trial, the lower bound on bounded ones,
+    # the optimality where the extremal probe is nonzero.
+    if not _branch(np.isfinite(a_opt)):
+        return CheckTable(["inclusion-agreement"], agree[:, None])
     s_mat = b @ b.conj().swapaxes(-1, -2)
-    k_adjoint = _take(ks.adjoint, idx)
-    f = complex_normal_stack(chunk.rngs("l3", idx), frames.dim, count=5)
-    kf = (k_adjoint[:, None] @ f[..., None])[..., 0]
-    lhs = a[:, None] * vdots(kf, kf).real
+    f = complex_normal_stack(chunk.rngs("l3"), frames.dim, count=5)
+    kf = (ks.adjoint[:, None] @ f[..., None])[..., 0]
+    lhs = a_opt[:, None] * vdots(kf, kf).real
     rhs = vdots(f, (s_mat[:, None] @ f[..., None])[..., 0]).real
-    residuals[positions, 1:6], present[positions, 1:6] = _positive_part(lhs - rhs) / (1.0 + rhs), True
+    names = ["inclusion-agreement"] + ["lower-bound-holds"] * 5
+    columns = [agree[:, None], _positive_part(lhs - rhs) / (1.0 + rhs)]
     # Extremal probe: the lower bound must be unimprovable by 0.1 percent.
     # Only the top left singular vector of theta is read, so its thin SVD suffices.
-    t_pinv = _take(inc.t_pinv, idx)
-    top_left = np.linalg.svd(_take(inc.factor, idx), full_matrices=False)[0][..., :, 0]
-    f_star = (t_pinv.conj().swapaxes(-1, -2) @ top_left[..., None])[..., 0]
-    kf = (k_adjoint @ f_star[..., None])[..., 0]
+    top_left = np.linalg.svd(inc.factor, full_matrices=False)[0][..., :, 0]
+    f_star = (inc.t_pinv.conj().swapaxes(-1, -2) @ top_left[..., None])[..., 0]
+    kf = (ks.adjoint @ f_star[..., None])[..., 0]
     kf_sq = vdots(kf, kf).real
-    sub = np.flatnonzero(kf_sq > 0)
-    if sub.size:
-        lhs = a[sub] * 1.001 * kf_sq[sub]
-        rhs = vdots(f_star[sub], (s_mat[sub] @ f_star[sub, :, None])[..., 0]).real
-        residuals[positions[sub], 6], present[positions[sub], 6] = np.where(lhs > rhs, 0.0, 1.0), True
-    return CheckTable(names, residuals, present)
+    if _branch(kf_sq > 0):
+        rhs = vdots(f_star, (s_mat @ f_star[..., None])[..., 0]).real
+        names.append("optimality-tight")
+        columns.append(np.where(a_opt * 1.001 * kf_sq > rhs, 0.0, 1.0)[:, None])
+    return CheckTable(names, np.hstack(columns))
 
 
 def _prop_l4(chunk: _Chunk) -> CheckTable:
@@ -488,53 +480,39 @@ def _prop_canonical_char(chunk: _Chunk) -> CheckTable:
     pk = chunk.parseval
     ok_forward = pk.characterizes(pk.duals, trials=8, seeds=chunk.sub_seeds("canonical-char", 1))
     phi = pk.sample_kernel_fields(chunk.rngs("canonical-char"))
-    nonzero = pk.kernel.widths > 0  # the members with a nonzero field, which take perturbed-fails
-    ok_perturbed = np.zeros(len(pk), dtype=bool)
-    if nonzero.any():
-        idx = _where(nonzero)
-        perturbed = pk.build_duals(_take(phi, idx), idx)
-        seeds = chunk.sub_seeds("canonical-char", 2, idx)
-        ok_perturbed[nonzero] = pk.characterizes(perturbed, trials=1, seeds=seeds, idx=idx)
-    residuals = np.column_stack([~ok_forward, ok_perturbed]).astype(float)
-    present = np.column_stack([np.ones_like(nonzero), nonzero])
-    return CheckTable(["canonical-passes", "perturbed-fails"], residuals, present)
+    if not pk.width:  # the zero field perturbs nothing
+        return CheckTable(["canonical-passes"], (~ok_forward).astype(float)[:, None])
+    seeds = chunk.sub_seeds("canonical-char", 2)
+    ok_perturbed = pk.characterizes(pk.build_duals(phi), trials=1, seeds=seeds)
+    return CheckTable(["canonical-passes", "perturbed-fails"], np.column_stack([~ok_forward, ok_perturbed]).astype(float))
 
 
 def _prop_t1(chunk: _Chunk) -> CheckTable:
     """Uniqueness dichotomy: a trivial synthesis kernel forces independently
     built duals to coincide, otherwise a verified distinct dual exists."""
     pk = chunk.parseval
-    space, k = pk.space, pk.k
-    unique = pk.is_unique()
-    # The unique members take the first two checks, the others the last two.
-    residuals = np.zeros((len(pk), 4))
-    if unique.any():
-        idx = _where(unique)
-        # Independent construction: minimal-norm solve against the weighted
-        # synthesis matrix instead of applying pinv(K) to the samples.
-        x_weighted = pinvs(weighted_synthesis(pk.frames.subset(idx))) @ _take(k.op, idx)
-        g2 = FrameStack(space, np.conj(x_weighted / space.sqrt_weights[:, None]))
-        dual = _take(pk.duals.samples, idx)
-        residual = pk.duality_residuals(g2, idx) / (1.0 + _take(k.norm, idx))
-        gap = _max_row_norm(g2.samples - dual) / (1.0 + _max_row_norm(dual))
-        residuals[unique, 0], residuals[unique, 1] = residual, gap
-    if not unique.all():
-        idx = _where(~unique)
-        q, residual = pk.alternative_duals(chunk.sub_seeds("t1", 1, idx), idx)
-        gap = _max_row_norm(q.samples - _take(pk.duals.samples, idx))
-        residuals[~unique, 2] = residual / (1.0 + _take(k.norm, idx))
-        residuals[~unique, 3] = np.where(gap > 1e-6, 0.0, 1.0)
-    names = ["minnorm-dual", "constructions-agree", "alternative-dual", "alternative-differs"]
-    return CheckTable(names, residuals, np.column_stack([unique, unique, ~unique, ~unique]))
+    space, k, dual = pk.space, pk.k, pk.duals.samples
+    if pk.width:
+        q, residual = pk.alternative_duals(chunk.sub_seeds("t1", 1))
+        differs = np.where(_max_row_norm(q.samples - dual) > 1e-6, 0.0, 1.0)
+        return CheckTable(["alternative-dual", "alternative-differs"], np.column_stack([residual / (1.0 + k.norm), differs]))
+    # Independent construction: minimal-norm solve against the weighted
+    # synthesis matrix instead of applying pinv(K) to the samples.
+    x_weighted = pinvs(weighted_synthesis(pk.frames)) @ k.op
+    g2 = FrameStack(space, np.conj(x_weighted / space.sqrt_weights[:, None]))
+    residual = pk.duality_residuals(g2) / (1.0 + k.norm)
+    gap = _max_row_norm(g2.samples - dual) / (1.0 + _max_row_norm(dual))
+    return CheckTable(["minnorm-dual", "constructions-agree"], np.column_stack([residual, gap]))
 
 
 def _prop_t2(chunk: _Chunk) -> CheckTable:
     """Independence transfers between the frame and its canonical dual; when
     independent, the frame is the push-forward of its dual through K."""
     frame_indep, dual_indep, gaps = chunk.parseval.independence_transfer()
-    residuals = np.column_stack([np.where(frame_indep == dual_indep, 0.0, 1.0), gaps])
-    present = np.column_stack([np.ones_like(frame_indep), frame_indep])
-    return CheckTable(["independence-agreement", "pushforward-identity"], residuals, present)
+    agreement = np.where(frame_indep == dual_indep, 0.0, 1.0)
+    if gaps is None:
+        return CheckTable(["independence-agreement"], agreement[:, None])
+    return CheckTable(["independence-agreement", "pushforward-identity"], np.column_stack([agreement, gaps]))
 
 
 def _prop_t4(chunk: _Chunk) -> CheckTable:
@@ -585,40 +563,41 @@ _PROPERTIES = (
 )
 PROPERTY_IDS = tuple(pid for pid, _, _ in _PROPERTIES)
 DEFAULT_TOLERANCES: Dict[str, float] = {pid: tol for pid, _, tol in _PROPERTIES}
-# _run_chunk reads this at call time, so a replaced entry takes effect.
+# _tables reads this at call time, so a replaced entry takes effect.
 _PROPERTY_FUNCS = {pid: func for pid, func, _ in _PROPERTIES}
 _PROPERTY_TAG = {pid: 1000 + i for i, pid in enumerate(PROPERTY_IDS)}
 
 
-def _run_chunk(chunk: _Chunk, props: Sequence[str]) -> List[Tuple[_Chunk, List[CheckTable]]]:
-    """[(chunk, each property's check table on it)]. The scenario's errors raise
+def _tables(chunk: _Chunk, pid: str) -> List[Tuple[_Chunk, CheckTable]]:
+    """[(chunk, the property's check table on it)]. The scenario's errors raise
     ``ScenarioError``: a failed build (at ``k_spec`` or ``frame_spec``), frames
-    that are not Parseval K-frames, a run too large for memory. Any other error
-    breaks the property down: the chunk is rerun trial by trial, and on a trial
-    alone the property's table is its one check ``breakdown``, at inf."""
-    tables = []
-    for pid in props:
-        try:
-            tables.append(_PROPERTY_FUNCS[pid](chunk))
-        except (_NotParseval, MemoryError) as exc:
-            reason = "it does not fit in memory" if isinstance(exc, MemoryError) else exc
-            raise ScenarioError(f"property {pid} cannot run on this scenario: {reason}") from None
-        except ScenarioError:  # a failed build; a ValueError, but the scenario's
-            raise
-        except (ValueError, ArithmeticError):
-            if len(chunk.indices) > 1:
-                return [pair for i in chunk.indices for pair in _run_chunk(_Chunk(chunk.scenario, [i]), props)]
-            tables.append(CheckTable(["breakdown"], np.array([[np.inf]])))
-    return [(chunk, tables)]
+    that are not Parseval K-frames, a run too large for memory. Trials that
+    take different branches (``Split``) or any other error rerun the property
+    on each trial alone, in order; on a trial alone, an error breaks the
+    property down, and its table is its one check ``breakdown``, at inf."""
+    try:
+        return [(chunk, _PROPERTY_FUNCS[pid](chunk))]
+    except (_NotParseval, MemoryError) as exc:
+        reason = "it does not fit in memory" if isinstance(exc, MemoryError) else exc
+        raise ScenarioError(f"property {pid} cannot run on this scenario: {reason}") from None
+    except ScenarioError:  # a failed build; a ValueError, but the scenario's
+        raise
+    except (Split, ValueError, ArithmeticError):
+        if len(chunk.indices) == 1:
+            return [(chunk, CheckTable(["breakdown"], np.array([[np.inf]])))]
+    return [pair for one in chunk.trials for pair in _tables(one, pid)]
 
 
-def _chunk_tables(scenario: Scenario, props: Sequence[str]) -> Iterator[Tuple[_Chunk, List[CheckTable]]]:
-    """Each chunk of the scenario's trials, in order, with the check table of
-    each selected property on it."""
+def _chunk_tables(scenario: Scenario, props: Sequence[str]) -> Iterator[Tuple[int, _Chunk, CheckTable]]:
+    """(position in ``props``, chunk, the property's check table on it) for
+    each chunk of the scenario's trials, in order, and each selected property."""
     size = max(1, _CHUNK_BYTES // _trial_bytes(scenario))
     stop = scenario.trial_offset + scenario.trials
     for first in range(scenario.trial_offset, stop, size):
-        yield from _run_chunk(_Chunk(scenario, range(first, min(first + size, stop))), props)
+        chunk = _Chunk(scenario, range(first, min(first + size, stop)))
+        for j, pid in enumerate(props):
+            for one, table in _tables(chunk, pid):
+                yield j, one, table
 
 
 def run_suite(scenario: Scenario, properties: Optional[Iterable[str]] = None) -> SuiteReport:
@@ -629,7 +608,7 @@ def run_suite(scenario: Scenario, properties: Optional[Iterable[str]] = None) ->
     function of (scenario, properties), whatever the chunk size: residuals
     agree to the last bit between repeated runs in one floating point
     environment, and verdicts agree regardless. Only the scenario's own
-    errors raise, as ``ScenarioError`` (see :func:`_run_chunk`); a trial that
+    errors raise, as ``ScenarioError`` (see :func:`_tables`); a trial that
     breaks down fails with check ``breakdown``. Zero trials pass vacuously.
     """
     if properties is None:
@@ -646,14 +625,13 @@ def run_suite(scenario: Scenario, properties: Optional[Iterable[str]] = None) ->
     start = time.perf_counter()
     # Per selected property: (worst residual, its check, its trial index).
     worst: List[Tuple[float, str, int]] = [(0.0, "", -1)] * len(props)
-    for chunk, tables in _chunk_tables(scenario, props):
-        for j, table in enumerate(tables):
-            residual, name, row = table.worst()
-            # A non-finite worst stays; a finite one gives way to any larger or
-            # non-finite residual (a NaN fails every comparison, so ">" alone would pass it).
-            value, _, seen = worst[j]
-            if seen < 0 or (np.isfinite(value) and (residual > value or not np.isfinite(residual))):
-                worst[j] = (residual, name, chunk.indices[row])
+    for j, chunk, table in _chunk_tables(scenario, props):
+        residual, name, row = table.worst()
+        # A non-finite worst stays; a finite one gives way to any larger or
+        # non-finite residual (a NaN fails every comparison, so ">" alone would pass it).
+        value, _, seen = worst[j]
+        if seen < 0 or (np.isfinite(value) and (residual > value or not np.isfinite(residual))):
+            worst[j] = (residual, name, chunk.indices[row])
     records: List[PropertyRecord] = []
     for pid, (worst_residual, worst_check, worst_trial) in zip(props, worst):
         tolerance = scenario.tolerances.get(pid, DEFAULT_TOLERANCES[pid])

@@ -2,8 +2,8 @@
 
 For each scenario of :data:`SCENARIOS` and each property, one SHA-256
 over the check tables the runner folds into the report (one line of
-trial index, check name and ``float.hex`` of the residual per present
-entry, in trial and then check order), plus one
+trial index, check name and ``float.hex`` of the residual per entry, in
+trial and then check order), plus one
 SHA-256 over the report without its timing and environment fields, so
 witnesses are covered too. The digests hold for one build fingerprint,
 the one ``perfbench/envinfo.py`` computes (numpy, BLAS and its threads);
@@ -189,14 +189,13 @@ def build_fingerprint() -> dict:
 
 
 def _check_lines(sc: Scenario, props: Sequence[str]) -> List[List[str]]:
-    """Per property, one ``index\tname\thex`` line per present entry of the
-    check tables of every trial, chunked as :func:`kframelab.suites.run_suite`
+    """Per property, one ``index\tname\thex`` line per entry of the check
+    tables of every trial, chunked as :func:`kframelab.suites.run_suite`
     chunks them."""
     out: List[List[str]] = [[] for _ in props]
-    for chunk, tables in suites._chunk_tables(sc, props):
-        for j, table in enumerate(tables):
-            for row, index in enumerate(chunk.indices):
-                out[j].extend(f"{index}\t{name}\t{value.hex()}" for name, value in table.row(row))
+    for j, chunk, table in suites._chunk_tables(sc, props):
+        for row, index in enumerate(chunk.indices):
+            out[j].extend(f"{index}\t{name}\t{value.hex()}" for name, value in table.row(row))
     return out
 
 

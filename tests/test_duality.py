@@ -11,6 +11,7 @@ from kframelab.duality import (
     HypothesisError,
     ParsevalKFrame,
     ParsevalKFrames,
+    Split,
     field_norm,
     is_dual_k_bessel,
 )
@@ -127,7 +128,7 @@ def test_kernel_build_holds_at_most_two_basis_sized_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert kernel.widths.tolist() == [m - r]
+    assert kernel.shape == (1, m, m - r)
     basis_bytes = np.dtype(np.complex128).itemsize * m * (m - r)
     assert peak < 2 * basis_bytes, f"traced peak {peak / 1e6:.2f} MB"
 
@@ -414,7 +415,7 @@ class TestUniqueness:
         assert ranks(weighted_synthesis(pk.frames)).tolist() == [rank_b] * sc.trials
         assert pk.k.rank.tolist() == [rank_k] * sc.trials
         assert width == max(sc.atoms - max(rank_b, rank_k), 0)
-        assert pk.kernel.widths.tolist() == [width] * sc.trials
+        assert pk.kernel.shape == (sc.trials, sc.atoms, width)
         assert pk.is_unique().tolist() == [width == 0] * sc.trials
 
 
@@ -604,31 +605,40 @@ class TestDualCoefficientFamily:
 
 
 class TestParsevalKFramesStack:
-    """A stack whose members differ in rank, so that every routine splits
-    it into groups (kernel widths 0, 2, 3 and 2; unique and non-unique
-    duals), must give each member what the member gives alone."""
+    """A stack of several Ks of one rank takes one branch, so every routine
+    runs on all its members at once and must give each member what the
+    member gives alone; members that would take different branches raise
+    ``Split``."""
 
-    @pytest.fixture
-    def members(self):
+    SEEDS = [11, 12, 13, 14]
+
+    @staticmethod
+    def build(ranks):
         space = MeasureSpace(np.array([0.5, 2.0, 1.0, 1.5, 0.75]))
         rng = stream(77)
         ops = []
-        for r in (5, 3, 2, 3):
+        for r in ranks:
             a = complex_normal(rng, 5, r) @ complex_normal(rng, r, 5)
             ops.append(a / op_norm(a))
         ks = KStack(np.stack(ops))
-        samples = parseval_k_samples(ks, space, [stream(5, t) for t in range(4)])
+        samples = parseval_k_samples(ks, space, [stream(5, t) for t in range(len(ranks))])
         stack = ParsevalKFrames(FrameStack(space, samples), ks)
-        singles = [ParsevalKFrame(SampledFrame(space, samples[t]), KOperator(ops[t])) for t in range(4)]
-        assert stack.kernel.widths.tolist() == [0, 2, 3, 2]
+        singles = [ParsevalKFrame(SampledFrame(space, samples[t]), KOperator(ops[t])) for t in range(len(ranks))]
         return stack, singles
 
-    def test_characterizes_stops_trivial_kernels_after_the_canonical_dual(self, members, monkeypatch):
-        # Member 0's kernel is trivial, so every later partner would be its
-        # canonical dual again: it stops after partner 0, with the verdict
-        # a loop over every partner gives.
+    @pytest.fixture
+    def members(self):
+        stack, singles = self.build((3, 3, 3, 3))
+        assert stack.kernel.shape == (4, 5, 2)
+        return stack, singles
+
+    def test_characterizes_builds_partners_only_past_a_trivial_kernel(self, members, monkeypatch):
+        # Width 0 makes the canonical dual the only dual, so every later
+        # partner would repeat partner 0's comparison: none is built. Width
+        # 2 builds the 7 later partners of 8 when partner 0 holds, with the
+        # verdicts a loop over every partner gives.
         stack, singles = members
-        seeds = [11, 12, 13, 14]
+        seeds = self.SEEDS
 
         def every_partner(pk, g, trials, seed):
             syn_g = synthesis(g)
@@ -640,19 +650,25 @@ class TestParsevalKFramesStack:
             return True
 
         perturbed = stack.build_duals(stack.sample_kernel_fields([stream(seed, 2) for seed in seeds]))
-        built, build_duals = [], stack.build_duals
-        monkeypatch.setattr(stack, "build_duals", lambda phi, idx=None: built.append(idx) or build_duals(phi, idx))
-        for g in (stack.duals, perturbed):
+        unique, _ = self.build((5, 5))
+        assert unique.kernel.shape == (2, 5, 0)
+        built = []
+        for pk in (stack, unique):
+            build_duals = pk.build_duals
+            monkeypatch.setattr(pk, "build_duals", lambda phi, f=build_duals: built.append(len(phi)) or f(phi))
+        for g, count in ((stack.duals, 7), (perturbed, 0)):
+            built.clear()
             assert stack.characterizes(g, 8, seeds).tolist() == [
                 every_partner(pk, SampledFrame(pk.frame.space, g.samples[t]), 8, seed)
                 for t, (pk, seed) in enumerate(zip(singles, seeds))
             ]
-        assert len(built) == 7 and all(0 not in idx for idx in built)
+            assert built == [len(seeds)] * count
+        built.clear()
+        assert unique.characterizes(unique.duals, 8, seeds[:2]).tolist() == [True, True]
+        assert built == []
         # A stack of trivial kernels makes the SVD of partner 0's gap alone:
         # the duality residuals and analysis norms of the canonical duals
         # are the stack's cached ones.
-        unique = ParsevalKFrames(stack.frames.subset(np.array([0])), KStack(stack.k.op[:1]))
-        unique.kernel
         unique.dual_norms
         unique.dual_residuals
         svd, counts = np.linalg.svd, []
@@ -664,13 +680,13 @@ class TestParsevalKFramesStack:
         monkeypatch.setattr(np.linalg, "svd", counted)
         for trials in (1, 8):
             counts.append(0)
-            assert unique.characterizes(unique.duals, trials, [11]).tolist() == [True]
+            assert unique.characterizes(unique.duals, trials, seeds[:2]).tolist() == [True, True]
         assert counts[0] == counts[1] == 1
 
     def test_members_agree_with_their_single_runs(self, members):
         stack, singles = members
-        seeds = [11, 12, 13, 14]
-        assert stack.is_unique().tolist() == [pk.is_unique() for pk in singles] == [True, False, False, False]
+        seeds = self.SEEDS
+        assert stack.is_unique().tolist() == [pk.is_unique() for pk in singles] == [False] * 4
         minimality = stack.minimality_residuals([stream(seed, 1) for seed in seeds])
         assert [minimality.row(i) for i in range(len(seeds))] == [
             pk.minimality_residuals(stream(seed, 1)) for pk, seed in zip(singles, seeds)
@@ -691,13 +707,9 @@ class TestParsevalKFramesStack:
         assert stack.complement_parseval_holds(3, seeds).tolist() == [
             pk.complement_parseval_holds(3, seed) for pk, seed in zip(singles, seeds)
         ]
-        # Members 1 and 2 out of the width groups {1, 3} and {2}.
-        idx = np.array([1, 2])
-        alternatives, _ = stack.alternative_duals(seeds[1:3], idx)
-        for j, t in enumerate(idx):
-            assert np.array_equal(alternatives.samples[j], singles[t].alternative_dual(seeds[t]).samples)
-        with pytest.raises(InfeasibleError):
-            stack.alternative_duals(seeds)
+        alternatives, _ = stack.alternative_duals(seeds)
+        for t, pk in enumerate(singles):
+            assert np.array_equal(alternatives.samples[t], pk.alternative_dual(seeds[t]).samples)
         f = complex_normal(stream(3), 4, 5)
         families = stack.coefficient_families(f, 4, seeds)
         splits = np.stack(stack.norm_splits(f, families), axis=-1)
@@ -705,8 +717,29 @@ class TestParsevalKFramesStack:
             single = pk.coefficient_family(f[t], 4, seeds[t])
             assert np.array_equal(families[t], [c.values for c in single])
             assert splits[t].tolist() == [list(pk.norm_split(f[t], c)) for c in single]
-        frame_indep, dual_indep, gaps = stack.independence_transfer()
-        for t, pk in enumerate(singles):
-            single = pk.independence_transfer()
-            assert (frame_indep[t], dual_indep[t]) == single[:2]
-            assert (single[2] is None) if not frame_indep[t] else gaps[t] == single[2]
+        # Rank 3 of 5 atoms: the frames are dependent, so no gap is asserted.
+        assert stack.independence_transfer()[2] is None
+        unique, unique_singles = self.build((5, 5))
+        assert unique.is_unique().tolist() == [True, True]
+        with pytest.raises(InfeasibleError):
+            unique.alternative_duals(seeds[:2])
+        frame_indep, dual_indep, gaps = unique.independence_transfer()
+        assert frame_indep.all() and dual_indep.all()
+        assert [pk.independence_transfer() for pk in unique_singles] == [(True, True, gap) for gap in gaps.tolist()]
+
+    def test_members_of_different_branches_split(self):
+        # Kernel widths 0, 2, 3 and 2; member 0's frame is independent, the
+        # others are dependent.
+        stack, singles = self.build((5, 3, 2, 3))
+        assert [pk.stack.width for pk in singles] == [0, 2, 3, 2]
+        rngs = [stream(seed, 2) for seed in self.SEEDS]
+        for call in (
+            lambda: stack.kernel,
+            stack.is_unique,
+            lambda: stack.sample_kernel_fields(rngs),
+            lambda: stack.alternative_duals(self.SEEDS),
+            lambda: stack.characterizes(stack.duals, 2, self.SEEDS),
+            stack.independence_transfer,
+        ):
+            with pytest.raises(Split):
+                call()

@@ -191,16 +191,14 @@ class TestWitnessReplay:
 class TestNonFiniteResiduals:
     @pytest.fixture
     def nan_scenario(self, monkeypatch):
-        """The README scenario, with a NaN check appended to l4 and present at trial 3 only."""
+        """The README scenario, with a check appended to l4 that is NaN at trial 3 and 0.0 elsewhere."""
         original = suites._PROPERTY_FUNCS["l4"]
 
         def with_nan(chunk):
             table = original(chunk)
             at_3 = np.array([index == 3 for index in chunk.indices])
             return duality.CheckTable(
-                [*table.names, "nan"],
-                np.column_stack([table.residuals, np.full(len(at_3), math.nan)]),
-                np.column_stack([np.ones(table.residuals.shape, dtype=bool), at_3]),
+                [*table.names, "nan"], np.column_stack([table.residuals, np.where(at_3, math.nan, 0.0)])
             )
 
         monkeypatch.setitem(suites._PROPERTY_FUNCS, "l4", with_nan)
@@ -328,7 +326,7 @@ class TestLoewnerBisection:
         sc = scenario_from_dict(generated_doc(trials=10))
 
         def checks():
-            tables = [table for _, (table,) in suites._chunk_tables(sc, ["l2"])]
+            tables = [table for _, _, table in suites._chunk_tables(sc, ["l2"])]
             return [[(name, value.hex()) for name, value in t.row(i)] for t in tables for i in range(len(t.residuals))]
 
         default = checks()
@@ -380,7 +378,7 @@ class TestLoewnerBisection:
                 bisect_loewner_lambda(*replaced[2])
             tables = list(suites._chunk_tables(sc, ["l2"]))
             (rec,) = run_suite(sc, ["l2"]).properties
-        rows = [(index, table.row(i)) for chunk, (table,) in tables for i, index in enumerate(chunk.indices)]
+        rows = [(index, table.row(i)) for _, chunk, table in tables for i, index in enumerate(chunk.indices)]
         assert [index for index, row in rows if row == [("breakdown", math.inf)]] == [2, 4]
         assert (rec.witness["trial_index"], rec.witness["check"], rec.max_residual) == (2, "breakdown", math.inf)
 
@@ -451,7 +449,9 @@ def _one_at_a_time(names, residuals, present=None):
 
 class TestCheckTableFold:
     """Hand-built check tables, cut into chunks, fold to the entry the fold
-    over one check at a time ends on."""
+    over one check at a time ends on. Where a mask marks the checks each
+    trial takes, a chunk's table holds the checks of its trials' one branch,
+    and a chunk whose trials take different ones raises ``Split``."""
 
     T, F, nan, inf = True, False, math.nan, math.inf
     CASES = {
@@ -471,7 +471,12 @@ class TestCheckTableFold:
 
         def table(chunk):
             at = list(chunk.indices)
-            return duality.CheckTable(names, residuals[at], None if mask is None else mask[at])
+            if mask is None:
+                return duality.CheckTable(names, residuals[at])
+            taken = mask[at[0]]
+            if (mask[at] != taken).any():
+                raise duality.Split
+            return duality.CheckTable([n for n, t in zip(names, taken) if t], residuals[at][:, taken])
 
         monkeypatch.setitem(suites._PROPERTY_FUNCS, "l1", table)
         sc = scenario_from_dict(generated_doc(trials=len(residuals), tolerances={"l1": 1e-300}))
@@ -584,6 +589,26 @@ class TestChunkedTrials:
             for rec in report.properties:
                 (replay,) = run_suite(scenario_from_dict(rec.witness["scenario"]), [rec.prop_id]).properties
                 assert replay.witness == rec.witness
+
+    @pytest.mark.parametrize(
+        "name, reruns",
+        [("rotated-k", {"l5", "canonical-char", "t1", "t4"}), ("split-t2", {"t2"})],
+    )
+    def test_only_the_property_that_breaks_down_or_splits_reruns(self, monkeypatch, name, reruns):
+        # Each golden scenario is one chunk. On rotated-k four properties
+        # break down, on split-t2 t2's trials take different branches: each
+        # of them reruns once per trial, and the others run once.
+        calls = Counter()
+        for pid, func in list(suites._PROPERTY_FUNCS.items()):
+
+            def counted(chunk, pid=pid, func=func):
+                calls[pid] += 1
+                return func(chunk)
+
+            monkeypatch.setitem(suites._PROPERTY_FUNCS, pid, counted)
+        sc = scenario_from_dict(golden.SCENARIOS[name])
+        run_suite(sc)
+        assert calls == {pid: 1 + sc.trials * (pid in reruns) for pid in PROPERTY_IDS}
 
 
 @pytest.mark.parametrize(
