@@ -389,7 +389,9 @@ def parseval_k_samples(ks: KStack, space: MeasureSpace, rngs: Sequence) -> np.nd
         q, _ = np.linalg.qr(complex_normal_stack([rngs[t] for t in idx], m, r))
         # w_i = basis @ conj(q[i]) / sqrt(weight_i) gives sum_i weight_i w_i w_i* = basis basis*.
         w_rows = np.conj(q) / space.sqrt_weights[:, None]
-        out[idx] = w_rows @ (ks.op[idx] @ basis).swapaxes(-1, -2)
+        # Samples that overflow are rejected by FrameStack, not warned about.
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[idx] = w_rows @ (ks.op[idx] @ basis).swapaxes(-1, -2)
     return out
 
 

@@ -13,10 +13,14 @@ trial in order, which the runner folds with array operations. The draws
 loop over the chunk's trials, each from its own stream, and the
 arithmetic runs once per chunk on numpy's stacked routines, which give
 each trial the bits its own per-matrix calls would. A one-trial replay
-is a chunk of one and so reproduces every residual exactly. Where a
-property draws its matrix sizes per trial (``l1``, ``l2``), it runs trial
-by trial, except that ``l2``'s Loewner bisections run in lockstep over the
-chunk's trials of each size.
+is a chunk of one and so reproduces every residual exactly. A property
+takes one branch for the whole chunk, and its table holds the checks of
+that branch. Where the chunk's trials would take different branches
+(``duality.Split``), or the property breaks down on the chunk, that one
+property reruns on each trial alone. Where a property draws its matrix
+sizes per trial (``l1``, ``l2``), it runs trial by trial, except that
+``l2``'s Loewner bisections run in lockstep over the chunk's trials of
+each size.
 
 One table, ``_PROPERTIES``, registers each property with its function and
 default tolerance; its order is the report order and keys the streams.

@@ -241,6 +241,14 @@ class TestVerifyCommand:
         assert result.returncode == 2
         assert result.stderr.startswith(f"error: {path}: ")
         assert "Traceback" not in result.stderr
+        assert "5000 digits" in result.stderr and "set_int_max_str_digits" not in result.stderr
+
+    def test_document_nested_too_deeply_exits_two(self, tmp_path):
+        # json.loads recurses once per level and gives up with a RecursionError.
+        path = write_text(tmp_path, "[" * 100000 + "]" * 100000)
+        result = run_cli("verify", "--config", path)
+        assert result.returncode == 2
+        assert result.stderr == f"error: {path}: the document is nested too deeply to parse\n"
 
     @pytest.mark.parametrize("option", ["trials", "seed"])
     def test_negative_override_names_the_field(self, tmp_path, option):
@@ -321,7 +329,11 @@ class TestBreakdowns:
         result = run_cli("verify", "--config", write_scenario(tmp_path, doc))
         assert result.returncode == 2
         assert "error: frame_spec: sample entries must be finite" in result.stderr
-        assert "Traceback" not in result.stderr
+        assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+        # In process, where warnings are errors, the overflow is not warned about either.
+        with pytest.raises(ScenarioError, match="sample entries must be finite") as exc:
+            run_suite(scenario_from_dict(doc))
+        assert exc.value.field_path == "frame_spec"
 
     def test_operator_too_large_to_build_names_k_spec(self, tmp_path):
         # numpy refuses the 10**12 x 10**12 identity before allocating it.
