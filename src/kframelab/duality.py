@@ -81,13 +81,11 @@ class Split(Exception):
 
 
 def _branch(mask: np.ndarray) -> bool:
-    """The branch every member of the stack takes: the common value of
+    """The branch every member of the stack takes, the common value of
     ``mask``; raises :class:`Split` when the members disagree."""
-    if mask.all():
-        return True
-    if mask.any():
+    if mask.any() != mask.all():
         raise Split
-    return False
+    return bool(mask.all())
 
 
 def _require_dual_pair(g: SampledFrame, f: SampledFrame) -> None:
@@ -202,8 +200,9 @@ class ParsevalKFrames:
     are computed on first use. Every routine compares at ``DEFAULT_TOL``
     and returns one result per member, and raises :class:`Split` where the
     members would take different branches. Routines that draw take one
-    generator or seed per member. Probe loops run as one stacked product over members and probes, which
-    is one matrix-vector product per probe, as the per-instance loop.
+    generator or seed per member. Probe loops run as one stacked product
+    over members and probes, which is one matrix-vector product per probe,
+    as the per-instance loop.
     """
 
     def __init__(self, frames: FrameStack, k: KStack):

@@ -268,7 +268,6 @@ def load_scenario(path: str) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
     except ValueError as exc:  # an integer literal past the interpreter's digit limit
-        # Python's advice to raise the limit is for programs, not for a scenario file.
         raise ScenarioError(f"{path}: {str(exc).partition('; use sys.set_int_max_str_digits()')[0]}")
     except RecursionError:
         raise ScenarioError(f"{path}: the document is nested too deeply to parse") from None

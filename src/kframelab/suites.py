@@ -113,8 +113,7 @@ class _Chunk:
         return streams(self.scenario.seed, (_PROPERTY_TAG[pid],), [(i,) for i in self.indices])
 
     def sub_seeds(self, pid: str, slot: int) -> Keyed:
-        """The property's derived seed in ``slot`` of each trial, each
-        derived when it is first read."""
+        """The property's derived seed in ``slot`` of each trial, each derived when first read."""
         return derive_seeds(self.scenario.seed, (_PROPERTY_TAG[pid],), [(i, slot) for i in self.indices])
 
     @cached_property
@@ -425,8 +424,7 @@ def _prop_l3(chunk: _Chunk) -> CheckTable:
     with np.errstate(divide="ignore", over="ignore"):
         a_opt = 1.0 / inc.lambda_star
     agree = np.where(inc.included == loewner_inclusion_exists(ks.op, b), 0.0, 1.0)
-    # The agreement runs on every trial, the lower bound on bounded ones,
-    # the optimality where the extremal probe is nonzero.
+    # Bounded trials add the lower bound, nonzero extremal probes the optimality.
     if not _branch(np.isfinite(a_opt)):
         return CheckTable(["inclusion-agreement"], agree[:, None])
     s_mat = b @ b.conj().swapaxes(-1, -2)
@@ -486,9 +484,9 @@ def _prop_canonical_char(chunk: _Chunk) -> CheckTable:
     phi = pk.sample_kernel_fields(chunk.rngs("canonical-char"))
     if not pk.width:  # the zero field perturbs nothing
         return CheckTable(["canonical-passes"], (~ok_forward).astype(float)[:, None])
-    seeds = chunk.sub_seeds("canonical-char", 2)
-    ok_perturbed = pk.characterizes(pk.build_duals(phi), trials=1, seeds=seeds)
-    return CheckTable(["canonical-passes", "perturbed-fails"], np.column_stack([~ok_forward, ok_perturbed]).astype(float))
+    ok_perturbed = pk.characterizes(pk.build_duals(phi), trials=1, seeds=chunk.sub_seeds("canonical-char", 2))
+    residuals = np.column_stack([~ok_forward, ok_perturbed]).astype(float)
+    return CheckTable(["canonical-passes", "perturbed-fails"], residuals)
 
 
 def _prop_t1(chunk: _Chunk) -> CheckTable:
@@ -499,7 +497,8 @@ def _prop_t1(chunk: _Chunk) -> CheckTable:
     if pk.width:
         q, residual = pk.alternative_duals(chunk.sub_seeds("t1", 1))
         differs = np.where(_max_row_norm(q.samples - dual) > 1e-6, 0.0, 1.0)
-        return CheckTable(["alternative-dual", "alternative-differs"], np.column_stack([residual / (1.0 + k.norm), differs]))
+        residuals = np.column_stack([residual / (1.0 + k.norm), differs])
+        return CheckTable(["alternative-dual", "alternative-differs"], residuals)
     # Independent construction: minimal-norm solve against the weighted
     # synthesis matrix instead of applying pinv(K) to the samples.
     x_weighted = pinvs(weighted_synthesis(pk.frames)) @ k.op
@@ -575,10 +574,9 @@ _PROPERTY_TAG = {pid: 1000 + i for i, pid in enumerate(PROPERTY_IDS)}
 def _tables(chunk: _Chunk, pid: str) -> List[Tuple[_Chunk, CheckTable]]:
     """[(chunk, the property's check table on it)]. The scenario's errors raise
     ``ScenarioError``: a failed build (at ``k_spec`` or ``frame_spec``), frames
-    that are not Parseval K-frames, a run too large for memory. Trials that
-    take different branches (``Split``) or any other error rerun the property
-    on each trial alone, in order; on a trial alone, an error breaks the
-    property down, and its table is its one check ``breakdown``, at inf."""
+    that are not Parseval K-frames, a run too large for memory. On a ``Split``
+    or any other error, the property reruns on each trial alone, in order; a
+    trial alone that raises breaks down: its table is one check ``breakdown``, at inf."""
     try:
         return [(chunk, _PROPERTY_FUNCS[pid](chunk))]
     except (_NotParseval, MemoryError) as exc:
