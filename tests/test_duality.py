@@ -632,7 +632,7 @@ class TestParsevalKFramesStack:
         assert stack.kernel.shape == (4, 5, 2)
         return stack, singles
 
-    def test_characterizes_builds_partners_only_past_a_trivial_kernel(self, members, monkeypatch):
+    def test_characterizes_stops_trivial_kernels_after_the_canonical_dual(self, members, monkeypatch):
         # Width 0 makes the canonical dual the only dual, so every later
         # partner would repeat partner 0's comparison: none is built. Width
         # 2 builds the 7 later partners of 8 when partner 0 holds, with the

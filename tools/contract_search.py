@@ -53,26 +53,28 @@ def main(argv=None) -> int:
     suites._tables = watched
     outcomes = Counter()
     rng = np.random.default_rng(args.seed)
-    for case in range(args.count):
-        try:
-            scenario = scenario_from_dict(scenario_doc(rng))
-        except ScenarioError:
-            outcomes["invalid"] += 1
-            continue
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+    try:
+        for case in range(args.count):
             try:
-                report = suites.run_suite(scenario)
+                scenario = scenario_from_dict(scenario_doc(rng))
             except ScenarioError:
-                outcomes["exit 2"] += 1
-            except Exception:
-                outcomes["tracebacks"] += 1
-                print(f"case {case}: traceback", file=sys.stderr)
-                traceback.print_exc()
-            else:
-                outcomes["exit 0" if report.all_passed else "exit 1"] += 1
-        outcomes["warned"] += bool(caught)
-    suites._tables = tables
+                outcomes["invalid"] += 1
+                continue
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    report = suites.run_suite(scenario)
+                except ScenarioError:
+                    outcomes["exit 2"] += 1
+                except Exception:  # the contract's breach: count it, show it, go on
+                    outcomes["tracebacks"] += 1
+                    print(f"case {case}: traceback", file=sys.stderr)
+                    traceback.print_exc()
+                else:
+                    outcomes["exit 0" if report.all_passed else "exit 1"] += 1
+            outcomes["warned"] += bool(caught)
+    finally:
+        suites._tables = tables
 
     print(f"documents: {args.count}, seed {args.seed}")
     for key in ("invalid", "exit 0", "exit 1", "exit 2", "warned", "tracebacks"):
