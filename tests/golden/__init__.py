@@ -90,6 +90,10 @@ SCENARIOS: Dict[str, dict] = {
     # K's second singular value sits 5% above K's rank cut and below the
     # synthesis map's wider one: the kernel is cut at the larger rank.
     "near-cut-k": _readme(k_spec={"kind": "diagonal", "values": [1, 3.1622776601683795e-10, 0]}, trials=10),
+    # K's second singular value, 7e-10, sits above K's rank cut and near
+    # the synthesis map's: rank B is 1 on 16 trials and 2 on the other 4,
+    # so l3's chunk holds trials of both ranks of B.
+    "mixed-rank-b": _readme(k_spec={"kind": "diagonal", "values": [1.0, 7e-10, 0.0]}),
     # S = diag(1, 1e-12) passes the Parseval check against K K* = diag(1, 0),
     # but rank B = 2 > rank K = 1 (ROADMAP item 2's risk).
     "loose-parseval-explicit": {
