@@ -13,11 +13,13 @@ verification. Every guard of the stack raises through :func:`_require`,
 for the first failing member. The routines are methods of that stack and
 run on all its members at once through stacked linear algebra. A routine
 takes one branch for the whole stack: where its members would take
-different ones (kernel widths, independence), it raises :class:`Split`,
-and the suite runner reruns the property on each member alone; a stack
-of one never splits. The stack serves the suite runner and is left out
-of ``__all__``; :class:`ParsevalKFrame`, its stack of one, is the API for
-a single instance.
+different ones (kernel widths, independence), it raises
+:class:`~kframelab.hilbert.Split`, as the stacked routines of
+``hilbert`` and ``frames`` do where ranks differ, and the suite runner
+reruns the property on each member alone; a stack of one never splits.
+The stack serves the suite runner and is left out of ``__all__``;
+:class:`ParsevalKFrame`, its stack of one, is the API for a single
+instance.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +28,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .hilbert import DEFAULT_TOL, _norm_bounds, _norms_exceed, as_operator, as_vector, op_norm
+from .hilbert import DEFAULT_TOL, _common, _norm_bounds, _norms_exceed, as_operator, as_vector, op_norm
 from .hilbert import full_row_ranks, vdots, vector_norms
 from .frames import (
     FrameStack,
@@ -34,6 +36,7 @@ from .frames import (
     KOperator,
     KStack,
     SampledFrame,
+    _kernel_bases,
     _max_row_norm,
     analysis,
     analysis_norm,
@@ -42,7 +45,6 @@ from .frames import (
     is_l2_independent,
     parseval_residual,
     synthesis,
-    synthesis_kernel_basis,
 )
 from .measure import (
     L2Coefficients,
@@ -51,7 +53,7 @@ from .measure import (
     weighted_norm_sq,
     weighted_sums,
 )
-from .rng import complex_normal_stack, stacked, stream, streams
+from .rng import complex_normal_stack, stream, streams
 
 __all__ = [
     "HypothesisError",
@@ -74,18 +76,6 @@ _KERNEL_FIELD_DECADES = (-1.0, 1.0)
 
 class HypothesisError(ValueError):
     """A verification routine was called outside its validity domain."""
-
-
-class Split(Exception):
-    """The members of a stack would take different branches of a routine."""
-
-
-def _branch(mask: np.ndarray) -> bool:
-    """The branch every member of the stack takes, the common value of
-    ``mask``; raises :class:`Split` when the members disagree."""
-    if mask.any() != mask.all():
-        raise Split
-    return bool(mask.all())
 
 
 def _require_dual_pair(g: SampledFrame, f: SampledFrame) -> None:
@@ -198,8 +188,9 @@ class ParsevalKFrames:
     member that fails it. The stack holds the canonical duals, which apply
     the pseudo-inverse of K to every sample; the synthesis kernel bases
     are computed on first use. Every routine compares at ``DEFAULT_TOL``
-    and returns one result per member, and raises :class:`Split` where the
-    members would take different branches. Routines that draw take one
+    and returns one result per member, and raises
+    :class:`~kframelab.hilbert.Split` where the members would take
+    different branches. Routines that draw take one
     generator or seed per member. Probe loops run as one stacked product
     over members and probes, which is one matrix-vector product per probe,
     as the per-instance loop.
@@ -230,20 +221,15 @@ class ParsevalKFrames:
     @cached_property
     def kernel(self) -> np.ndarray:
         """Null space bases (n, m, width) of the synthesis maps B, see
-        :func:`synthesis_kernel_basis`, each cut to its last m - max(rank B,
-        rank K) columns (none below 0), the one kernel width a member is
-        checked with. B B* = K K*, so the ranks differ only near the rank
-        cut, where the dropped columns are directions K keeps. Members of
-        different widths raise :class:`Split`.
+        :func:`synthesis_kernel_basis`, cut to their last m - max(rank B,
+        rank K) columns (none below 0), the one kernel width of the stack.
+        B B* = K K*, so the ranks differ only near the rank cut, where the
+        dropped columns are directions K keeps. Members of different widths
+        raise :class:`~kframelab.hilbert.Split`.
 
-        The bases of several members are stacked into one array; the basis
-        of a stack of one stays a view of the SVD's V* rows and keeps the
-        whole V* of the build alive."""
-        caps = np.maximum(self.space.atom_count - self.k.rank, 0).tolist()
-        bases = [b[:, max(b.shape[1] - c, 0) :] for b, c in zip(synthesis_kernel_basis(self.frames), caps)]
-        if len({b.shape[1] for b in bases}) > 1:
-            raise Split
-        return stacked(bases)
+        The bases are one view of the rows of the SVD's V* stack and keep
+        the whole V* of the build alive."""
+        return _kernel_bases(self.frames, self.k.rank)
 
     @property
     def width(self) -> int:
@@ -254,11 +240,6 @@ class ParsevalKFrames:
     def dual_norms(self) -> np.ndarray:
         """Analysis norms of the canonical duals."""
         return analysis_norm(self.duals)
-
-    @cached_property
-    def dual_residuals(self) -> np.ndarray:
-        """Duality residuals of the canonical duals, see :meth:`duality_residuals`."""
-        return op_norm(_duality_gap(self.frames, self.duals, self.k.op))
 
     @cached_property
     def dual_analysis(self) -> np.ndarray:
@@ -364,7 +345,7 @@ class ParsevalKFrames:
         partners run when every member held against it and the synthesis
         kernel is nontrivial: otherwise the canonical dual is the only
         dual, and every later partner would repeat partner 0's comparison.
-        Members that disagree on partner 0 raise :class:`Split`. Zero
+        Members that disagree on partner 0 raise ``Split``. Zero
         trials pass vacuously. Partner t of member j draws from
         ``stream(seeds[j], t)``.
         """
@@ -376,7 +357,7 @@ class ParsevalKFrames:
         gram = syn_g @ analysis(g)
         scale = 1.0 + _squares(norms)
         holds = ~(op_norm(gram - syn_g @ self.dual_analysis) > DEFAULT_TOL * scale)
-        if trials == 1 or not self.width or not _branch(holds):
+        if trials == 1 or not self.width or not _common(holds):
             return holds
         for t in range(1, int(trials)):
             rngs = [stream(seed, t) for seed in seeds]
@@ -454,7 +435,7 @@ class ParsevalKFrames:
         frames are independent (None when they are dependent)."""
         frame_indep = is_l2_independent(self.frames)
         dual_indep = is_l2_independent(self.duals)
-        if not _branch(frame_indep):
+        if not _common(frame_indep):
             return frame_indep, dual_indep, None
         rebuilt = self.duals.samples @ self.k.op.swapaxes(-1, -2)
         return frame_indep, dual_indep, _max_row_norm(self.frames.samples - rebuilt) / (1.0 + self.k.norm)

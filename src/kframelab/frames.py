@@ -25,9 +25,9 @@ import numpy as np
 from .hilbert import (
     DEFAULT_TOL,
     _as_stack,
+    _common,
     _cut_ranks,
-    _groups,
-    _pinv_groups,
+    _pinv_of_rank,
     as_operator,
     full_row_ranks,
     op_norm,
@@ -114,8 +114,9 @@ class FrameStack:
 
 
 class KStack:
-    """Square operators (n, d, d) with the pseudo-inverse and the projector
-    onto R(K*) of each, from one stacked SVD.
+    """Square operators (n, d, d) of one rank with the pseudo-inverse and
+    the projector onto R(K*) of each, from one stacked SVD; raises
+    :class:`~kframelab.hilbert.Split` where the ranks differ.
 
     Finite dimension makes the range closed automatically, so the
     pseudo-inverse always exists and the projector is exact up to the
@@ -131,7 +132,7 @@ class KStack:
         self.rank = _cut_ranks(s, mat.shape)
         self.norm = np.where(self.rank > 0, s[:, 0], 0.0)
         self.adjoint = np.ascontiguousarray(mat.conj().swapaxes(-1, -2))
-        self.pinv = _pinv_groups(u, s, vh, self.rank)
+        self.pinv = _pinv_of_rank(u, s, vh, _common(self.rank))
         # Orthogonal projector onto R(K*) = N(K)-perp.
         self.adjoint_range_projector = self.pinv @ self.op
         self._vh = vh
@@ -143,9 +144,9 @@ class KStack:
     def __len__(self) -> int:
         return int(self.op.shape[0])
 
-    def corange_bases(self, idx: np.ndarray, r: int) -> np.ndarray:
-        """Orthonormal bases (len(idx), d, r) of R(K*) for members of rank r."""
-        return np.ascontiguousarray(self._vh[idx, :r].conj().swapaxes(-1, -2))
+    def corange_bases(self) -> np.ndarray:
+        """Orthonormal bases (n, d, rank) of R(K*)."""
+        return np.ascontiguousarray(self._vh[:, : self.rank[0]].conj().swapaxes(-1, -2))
 
 
 class KOperator:
@@ -333,25 +334,31 @@ def is_l2_independent(frame: SampledFrame):
     return full_row_ranks(frame.samples)
 
 
-def synthesis_kernel_basis(frame: SampledFrame):
-    """Columns form a basis of the null space of the synthesis map,
-    orthonormal in the weighted inner product. Shape (m, m - rank); for a
-    :class:`FrameStack`, a list with one such basis per member.
+def _kernel_bases(frame: SampledFrame, rank_k=0) -> np.ndarray:
+    """Bases (..., m, width) of the null space of the synthesis maps B,
+    width = m - max(rank B, rank_k) and at least 0, orthonormal in the
+    weighted inner product: the last columns of a basis of N(B). A stack
+    takes one width, and raises :class:`~kframelab.hilbert.Split` where
+    its members' widths differ.
 
-    A basis is a transposed view of the kept rows of the full SVD's V*,
-    conjugated and divided by the square-root weights in place, so no
-    basis-sized temporary is made; it keeps the whole V* (for a stack,
-    the whole V* stack) alive as long as it lives."""
+    The bases are a transposed view of the kept rows of the full SVD's
+    V*, conjugated and divided by the square-root weights in place, so no
+    basis-sized temporary is made; they keep the whole V* alive as long
+    as they live."""
     b = weighted_synthesis(frame)
     _, s, vh = np.linalg.svd(b, full_matrices=True)
-    r = _cut_ranks(s, b.shape)
-    kept = vh[..., int(np.min(r, initial=b.shape[-1])):, :]
+    kept = vh[..., _common(np.maximum(_cut_ranks(s, b.shape), rank_k)) :, :]
     np.conjugate(kept, out=kept)
     kept /= frame.space.sqrt_weights
-    bases = vh.swapaxes(-1, -2)
-    if b.ndim == 2:
-        return bases[:, r:]
-    return [bases[t, :, r[t]:] for t in range(b.shape[0])]
+    return kept.swapaxes(-1, -2)
+
+
+def synthesis_kernel_basis(frame: SampledFrame) -> np.ndarray:
+    """Columns form a basis of the null space of the synthesis map,
+    orthonormal in the weighted inner product, shape (m, m - rank); a
+    view of the SVD's V*, see :func:`_kernel_bases`. One (n, m, width)
+    view for a :class:`FrameStack` of one rank."""
+    return _kernel_bases(frame)
 
 
 def _max_row_norm(samples: np.ndarray):
@@ -372,27 +379,20 @@ def frames_allclose(f: SampledFrame, g: SampledFrame):
 
 def parseval_k_samples(ks: KStack, space: MeasureSpace, rngs: Sequence) -> np.ndarray:
     """Samples (n, m, d) of the seeded Parseval K-frames of
-    :func:`generate_parseval_k_frame`, member t drawing from ``rngs[t]``;
-    members of equal rank share one stacked QR and product."""
-    m = space.atom_count
-    too_few = np.flatnonzero(ks.rank > m)
-    if too_few.size:
-        raise InfeasibleError(
-            f"cannot reach the lower bound with {m} atoms and rank {ks.rank[too_few[0]]}; "
-            "need m >= rank(K)"
-        )
-    out = np.zeros((len(ks), m, ks.dim), dtype=np.complex128)
-    for r, idx in _groups(ks.rank):
-        if r == 0:
-            continue
-        basis = ks.corange_bases(idx, r)  # orthonormal basis of R(K*), (n, d, r)
-        q, _ = np.linalg.qr(complex_normal_stack([rngs[t] for t in idx], m, r))
-        # w_i = basis @ conj(q[i]) / sqrt(weight_i) gives sum_i weight_i w_i w_i* = basis basis*.
-        w_rows = np.conj(q) / space.sqrt_weights[:, None]
-        # Samples that overflow are rejected by FrameStack, not warned about.
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[idx] = w_rows @ (ks.op[idx] @ basis).swapaxes(-1, -2)
-    return out
+    :func:`generate_parseval_k_frame`, member t drawing from ``rngs[t]``,
+    from one stacked QR and product over the stack's one rank."""
+    m, r = space.atom_count, _common(ks.rank)
+    if r > m:
+        raise InfeasibleError(f"cannot reach the lower bound with {m} atoms and rank {r}; need m >= rank(K)")
+    if r == 0:
+        return np.zeros((len(ks), m, ks.dim), dtype=np.complex128)
+    basis = ks.corange_bases()  # orthonormal basis of R(K*), (n, d, r)
+    q, _ = np.linalg.qr(complex_normal_stack(rngs, m, r))
+    # w_i = basis @ conj(q[i]) / sqrt(weight_i) gives sum_i weight_i w_i w_i* = basis basis*.
+    w_rows = np.conj(q) / space.sqrt_weights[:, None]
+    # Samples that overflow are rejected by FrameStack, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return w_rows @ (ks.op @ basis).swapaxes(-1, -2)
 
 
 def random_bessel_samples(d: int, space: MeasureSpace, rngs: Sequence) -> np.ndarray:

@@ -17,10 +17,13 @@ verdict open; internal, left out of ``__all__``) take operators
 matrix through numpy's stacked routines, whose results equal the
 per-matrix calls bit for bit on the builds where ``tests/test_hilbert.py``
 passes; the per-matrix routines are stacks of one over the same code.
+A stacked routine takes one rank or verdict for the whole stack, and
+raises the internal :class:`Split` where its members would differ; the
+suite runner then reruns the property on each member alone.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -182,40 +185,35 @@ def full_row_ranks(a):
     return ranks(arr) == rows
 
 
-def _groups(keys: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
-    """Each distinct key of a 1-D integer array, ascending, with its positions."""
-    if len(keys) and (keys == keys[0]).all():
-        yield int(keys[0]), np.arange(len(keys))
-        return
-    for key in sorted(set(keys.tolist())):
-        yield key, np.flatnonzero(keys == key)
+class Split(Exception):
+    """The members of a stack would take different branches of a routine."""
+
+
+def _common(values: np.ndarray):
+    """The one value (a rank, width or verdict) that every member of a
+    stack shares, as a Python scalar; raises :class:`Split` where the
+    members disagree. A stack of one never splits."""
+    first = values.flat[0]
+    if (values != first).any():
+        raise Split
+    return first.item()
 
 
 def _pinv_of_rank(u: np.ndarray, s: np.ndarray, vh: np.ndarray, r: int) -> np.ndarray:
-    """Pseudo-inverses of a stack of operators of rank r > 0 from their thin
-    SVD factors, with the truncated factors laid out as :func:`svd` lays
-    them out, so a stacked product is the per-matrix one."""
+    """Pseudo-inverses of a stack of operators of one rank r from their
+    thin SVD factors, with the truncated factors laid out as :func:`svd`
+    lays them out, so a stacked product is the per-matrix one; zero for
+    r = 0."""
     right = np.ascontiguousarray(vh[..., :r, :].conj().swapaxes(-1, -2))
     return (right / s[..., None, :r]) @ u[..., :r].conj().swapaxes(-1, -2)
 
 
-def _pinv_groups(u: np.ndarray, s: np.ndarray, vh: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Pseudo-inverses of a stack from its thin SVD factors and ranks;
-    members of equal rank share one stacked product."""
-    out = np.zeros(u.shape[:-2] + (vh.shape[-1], u.shape[-2]), dtype=np.complex128)
-    for k, idx in _groups(r):
-        if k and len(idx) == len(r):
-            return _pinv_of_rank(u, s, vh, k)
-        if k:
-            out[idx] = _pinv_of_rank(u[idx], s[idx], vh[idx], k)
-    return out
-
-
 def pinvs(a) -> np.ndarray:
-    """:func:`pinv` of every operator of a stack (n, rows, cols)."""
+    """:func:`pinv` of every operator of a stack (n, rows, cols) of one
+    rank; raises :class:`Split` where the ranks differ."""
     arr = _as_stack(a)
     u, s, vh = np.linalg.svd(arr, full_matrices=False)
-    return _pinv_groups(u, s, vh, _cut_ranks(s, arr.shape))
+    return _pinv_of_rank(u, s, vh, _common(_cut_ranks(s, arr.shape)))
 
 
 def pinv(a) -> np.ndarray:
@@ -351,18 +349,19 @@ class RangeInclusion(NamedTuple):
 class RangeInclusions(NamedTuple):
     """:func:`range_inclusions` of a stack: per trial the verdict, the
     minimal scale (NaN where excluded), pinv(T) with the factor
-    pinv(T) @ S (zero where excluded), and the rank of T."""
+    pinv(T) @ S (None where excluded), and the rank of T."""
 
     included: np.ndarray
     lambda_star: np.ndarray
-    t_pinv: np.ndarray
-    factor: np.ndarray
+    t_pinv: Optional[np.ndarray]
+    factor: Optional[np.ndarray]
     rank_t: np.ndarray
 
 
 def range_inclusions(s, t) -> RangeInclusions:
-    """:func:`range_inclusion` of every pair of two stacks (n, rows, .);
-    the factor and its norm are computed on the included pairs only."""
+    """:func:`range_inclusion` of every pair of two stacks (n, rows, .),
+    with one verdict, and where included, one rank of T; raises
+    :class:`Split` where the pairs differ in either."""
     ss = _as_stack(s)
     tt = _as_stack(t)
     if ss.shape[-2] != tt.shape[-2]:
@@ -372,16 +371,12 @@ def range_inclusions(s, t) -> RangeInclusions:
     u, sv, vh = np.linalg.svd(tt, full_matrices=False)
     rank_t = _cut_ranks(sv, tt.shape)
     aug = np.concatenate([tt, ss], axis=-1)
-    rank_aug = _cut_ranks(np.linalg.svd(aug, full_matrices=False)[1], aug.shape)
-    included = rank_aug <= rank_t
-    t_pinv = np.zeros(tt.shape[:-2] + tt.shape[:-3:-1], dtype=np.complex128)
-    factor = np.zeros(tt.shape[:-2] + (tt.shape[-1], ss.shape[-1]), dtype=np.complex128)
-    lam = np.full(tt.shape[:-2], np.nan)
-    if included.any():
-        idx = slice(None) if included.all() else np.flatnonzero(included)
-        t_pinv[idx] = _pinv_groups(u[idx], sv[idx], vh[idx], rank_t[idx])
-        factor[idx] = t_pinv[idx] @ ss[idx]
-        lam[idx] = [norm**2 for norm in op_norm(factor[idx]).tolist()]
+    included = _cut_ranks(np.linalg.svd(aug, full_matrices=False)[1], aug.shape) <= rank_t
+    if not _common(included):
+        return RangeInclusions(included, np.full(tt.shape[:-2], np.nan), None, None, rank_t)
+    t_pinv = _pinv_of_rank(u, sv, vh, _common(rank_t))
+    factor = t_pinv @ ss
+    lam = np.array([norm**2 for norm in op_norm(factor).tolist()])
     return RangeInclusions(included, lam, t_pinv, factor, rank_t)
 
 

@@ -16,7 +16,7 @@ each trial the bits its own per-matrix calls would. A one-trial replay
 is a chunk of one and so reproduces every residual exactly. A property
 takes one branch for the whole chunk, and its table holds the checks of
 that branch. Where the chunk's trials would take different branches
-(``duality.Split``), or the property breaks down on the chunk, that one
+(``hilbert.Split``), or the property breaks down on the chunk, that one
 property reruns on each trial alone. Where a property draws its matrix
 sizes per trial (``l1``, ``l2``), it runs trial by trial, except that
 ``l2``'s Loewner bisections run in lockstep over the chunk's trials of
@@ -33,7 +33,7 @@ from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequenc
 
 import numpy as np
 
-from .duality import CheckTable, HypothesisError, ParsevalKFrames, Split, _branch, _positive_part, field_norm
+from .duality import CheckTable, HypothesisError, ParsevalKFrames, _positive_part, field_norm
 from .frames import (
     FrameStack,
     KStack,
@@ -43,7 +43,8 @@ from .frames import (
 )
 from .hilbert import (
     DEFAULT_TOL,
-    _groups,
+    Split,
+    _common,
     _LoewnerTest,
     _require_hermitian,
     as_operator,
@@ -83,9 +84,9 @@ _CHUNK_BYTES = 1 << 22
 
 def _trial_bytes(scenario: Scenario) -> int:
     """Bytes of one trial's largest stacked arrays: kernel bases (m x m),
-    frame-sized and operator-sized arrays. The m x m term also budgets the
-    V* stack of the kernel build (m x m per trial), which the kernel basis
-    of a chunk of one keeps alive whole (see ``ParsevalKFrames.kernel``)."""
+    frame-sized and operator-sized arrays. The m x m term is the V* stack
+    of the kernel build (m x m per trial): the kernel bases of every chunk
+    are a view of it and keep it alive whole (see ``ParsevalKFrames.kernel``)."""
     m, d = scenario.atoms, scenario.dim
     return 16 * (m * m + 8 * m * d + 8 * d * d)
 
@@ -213,9 +214,9 @@ def _bisect_loewner_lambdas(
     leave the decision open.
     """
     out: List[Optional[float]] = [0.0 if ops is None else None for ops in operands]
-    members = [j for j, ops in enumerate(operands) if ops is not None]
-    for n, pos in _groups(np.array([len(operands[j].tt) for j in members])):
-        group = [members[p] for p in pos.tolist()]
+    sizes = {j: len(ops.tt) for j, ops in enumerate(operands) if ops is not None}
+    for n in sorted(set(sizes.values())):
+        group = [j for j, size in sizes.items() if size == n]
         for j, scale in zip(group, _bisect_stack([operands[j] for j in group], n, cap)):
             out[j] = scale
     return out
@@ -425,7 +426,7 @@ def _prop_l3(chunk: _Chunk) -> CheckTable:
         a_opt = 1.0 / inc.lambda_star
     agree = np.where(inc.included == loewner_inclusion_exists(ks.op, b), 0.0, 1.0)
     # Bounded trials add the lower bound, nonzero extremal probes the optimality.
-    if not _branch(np.isfinite(a_opt)):
+    if not _common(np.isfinite(a_opt)):
         return CheckTable(["inclusion-agreement"], agree[:, None])
     s_mat = b @ b.conj().swapaxes(-1, -2)
     f = complex_normal_stack(chunk.rngs("l3"), frames.dim, count=5)
@@ -440,7 +441,7 @@ def _prop_l3(chunk: _Chunk) -> CheckTable:
     f_star = (inc.t_pinv.conj().swapaxes(-1, -2) @ top_left[..., None])[..., 0]
     kf = (ks.adjoint @ f_star[..., None])[..., 0]
     kf_sq = vdots(kf, kf).real
-    if _branch(kf_sq > 0):
+    if _common(kf_sq > 0):
         rhs = vdots(f_star, (s_mat @ f_star[..., None])[..., 0]).real
         names.append("optimality-tight")
         columns.append(np.where(a_opt * 1.001 * kf_sq > rhs, 0.0, 1.0)[:, None])
@@ -451,7 +452,7 @@ def _prop_l4(chunk: _Chunk) -> CheckTable:
     """Canonical dual reproduces K through the frame, and is Parseval on the
     range of the adjoint operator."""
     pk = chunk.parseval
-    duality = pk.dual_residuals / (1.0 + pk.k.norm)
+    duality = pk.duality_residuals(pk.duals) / (1.0 + pk.k.norm)
     probes = pk.corange_parseval_residuals(chunk.rngs("l4"), 5)
     return CheckTable(["duality"] + ["corange-parseval"] * 5, np.column_stack([duality, probes]))
 

@@ -11,7 +11,6 @@ from kframelab.duality import (
     HypothesisError,
     ParsevalKFrame,
     ParsevalKFrames,
-    Split,
     field_norm,
     is_dual_k_bessel,
 )
@@ -30,7 +29,7 @@ from kframelab.frames import (
     synthesis,
     weighted_synthesis,
 )
-from kframelab.hilbert import DEFAULT_TOL, op_norm, pinv, ranks
+from kframelab.hilbert import DEFAULT_TOL, Split, op_norm, pinv, ranks
 from kframelab.measure import L2Coefficients, MeasureSpace, bochner_integrate, l2_inner, l2_norm_sq
 from kframelab.rng import complex_normal, stream
 from kframelab.scenario import scenario_from_dict
@@ -93,13 +92,13 @@ class TestParsevalKFrame:
 
     def test_kernel_basis_computed_at_most_once(self, monkeypatch):
         calls = []
-        original = duality.synthesis_kernel_basis
+        original = duality._kernel_bases
 
-        def counted(frame):
+        def counted(frame, rank_k=0):
             calls.append(frame)
-            return original(frame)
+            return original(frame, rank_k)
 
-        monkeypatch.setattr(duality, "synthesis_kernel_basis", counted)
+        monkeypatch.setattr(duality, "_kernel_bases", counted)
         _, k, frame = fixture_w1()
         pk = ParsevalKFrame(frame, k)
         assert calls == []
@@ -462,7 +461,7 @@ class TestComplementParseval:
     def test_zero_trials_vacuous(self):
         # The probes of a stack are drawn with a zero-width trial axis.
         space = MeasureSpace(np.array([0.5, 2.0, 1.0, 1.5]))
-        ks = KStack(np.stack([np.diag([1.0, 0.5, 0.0]), np.eye(3)]))
+        ks = KStack(np.stack([np.diag([1.0, 0.5, 0.0]), np.diag([0.0, 2.0, 1.0])]))
         samples = parseval_k_samples(ks, space, [stream(5, t) for t in range(2)])
         stack = ParsevalKFrames(FrameStack(space, samples), ks)
         assert stack.complement_parseval_holds(0, [1, 2]).tolist() == [True, True]
@@ -667,10 +666,9 @@ class TestParsevalKFramesStack:
         assert unique.characterizes(unique.duals, 8, seeds[:2]).tolist() == [True, True]
         assert built == []
         # A stack of trivial kernels makes the SVD of partner 0's gap alone:
-        # the duality residuals and analysis norms of the canonical duals
-        # are the stack's cached ones.
+        # the analysis norms of the canonical duals are the stack's cached
+        # ones.
         unique.dual_norms
-        unique.dual_residuals
         svd, counts = np.linalg.svd, []
 
         def counted(*args, **kwargs):
@@ -728,17 +726,30 @@ class TestParsevalKFramesStack:
         assert [pk.independence_transfer() for pk in unique_singles] == [(True, True, gap) for gap in gaps.tolist()]
 
     def test_members_of_different_branches_split(self):
-        # Kernel widths 0, 2, 3 and 2; member 0's frame is independent, the
-        # others are dependent.
-        stack, singles = self.build((5, 3, 2, 3))
-        assert [pk.stack.width for pk in singles] == [0, 2, 3, 2]
-        rngs = [stream(seed, 2) for seed in self.SEEDS]
+        # Ks of ranks 5, 3, 2 and 3, kernel widths 0, 2, 3 and 2: the Ks do
+        # not stack.
+        with pytest.raises(Split):
+            self.build((5, 3, 2, 3))
+        assert [self.build((r,))[0].width for r in (5, 3, 2, 3)] == [0, 2, 3, 2]
+        # One K of rank 1, and frames whose S = diag(1, 2e-12) passes the
+        # Parseval check: member 0's synthesis map has rank 2 (kernel width
+        # 0, independent), member 1's rank 1 (width 1, dependent).
+        space = MeasureSpace(np.array([1.0, 1.0]))
+        a = 0.5**0.5
+        samples = np.array([[[a, 1e-6], [a, -1e-6]], [[a, 0.0], [a, 0.0]]])
+        k = np.diag([1.0, 0.0])
+        stack = ParsevalKFrames(FrameStack(space, samples), KStack(np.stack([k, k])))
+        singles = [ParsevalKFrame(SampledFrame(space, member), KOperator(k)) for member in samples]
+        assert [pk.stack.width for pk in singles] == [0, 1]
+        assert [pk.independence_transfer()[0] for pk in singles] == [True, False]
+        seeds = self.SEEDS[:2]
+        rngs = [stream(seed, 2) for seed in seeds]
         for call in (
             lambda: stack.kernel,
             stack.is_unique,
             lambda: stack.sample_kernel_fields(rngs),
-            lambda: stack.alternative_duals(self.SEEDS),
-            lambda: stack.characterizes(stack.duals, 2, self.SEEDS),
+            lambda: stack.alternative_duals(seeds),
+            lambda: stack.characterizes(stack.duals, 2, seeds),
             stack.independence_transfer,
         ):
             with pytest.raises(Split):

@@ -21,11 +21,12 @@ from kframelab.frames import (
     generate_random_bessel,
     is_l2_independent,
     k_lower_bound,
+    parseval_k_samples,
     synthesis,
     synthesis_kernel_basis,
     weighted_synthesis,
 )
-from kframelab.hilbert import RANK_EPS, _cut_ranks, op_norm, range_inclusions, rank, ranks, svd
+from kframelab.hilbert import RANK_EPS, Split, _cut_ranks, op_norm, pinv, pinvs, range_inclusions, rank, ranks, svd
 from kframelab.measure import MeasureSpace
 from kframelab.rng import complex_normal, stream
 from kframelab.scenario import scenario_from_dict
@@ -316,7 +317,7 @@ class TestKernelBasisInPlace:
     @staticmethod
     def assert_same_bits(frame):
         built = synthesis_kernel_basis(frame)
-        built = [built] if isinstance(frame, SampledFrame) else built
+        built = [built] if isinstance(frame, SampledFrame) else list(built)
         reference = reference_kernel_bases(frame)
         assert len(built) == len(reference)
         coeffs = complex_normal(stream(60), frame.space.atom_count, 3)
@@ -341,13 +342,15 @@ class TestKernelBasisInPlace:
         full = complex_normal(rng, 4, 4)
         rank_two = complex_normal(rng, 4, 2) @ complex_normal(rng, 2, 4)
         rank_three = complex_normal(rng, 4, 3) @ complex_normal(rng, 3, 4)
-        samples = np.stack([full, rank_two, full, rank_three, np.zeros((4, 4))])
-        frames = FrameStack(space, samples)
-        assert self.assert_same_bits(frames) == [0, 2, 0, 1, 4]
+        other_rank_two = complex_normal(rng, 4, 2) @ complex_normal(rng, 2, 4)
+        samples = np.stack([full, rank_two, full, rank_three, np.zeros((4, 4)), other_rank_two])
+        # A stack takes one width: mixed widths split.
+        with pytest.raises(Split):
+            synthesis_kernel_basis(FrameStack(space, samples))
+        for members, widths in (([0, 2], [0, 0]), ([1, 5], [2, 2]), ([3], [1]), ([4], [4])):
+            assert self.assert_same_bits(FrameStack(space, samples[members])) == widths
         for member in samples:
             self.assert_same_bits(SampledFrame(space, member))
-        # Only empty bases.
-        self.assert_same_bits(FrameStack(space, samples[[0, 2]]))
 
     def test_near_cut_k(self):
         sc = scenario_from_dict(golden.SCENARIOS["near-cut-k"])
@@ -359,25 +362,54 @@ class TestKernelBasisInPlace:
 
 
 class TestRankCut:
-    def test_every_rank_consumer_applies_the_one_cut(self):
-        # With smax = 1 and three rows the cut is RANK_EPS * 1 * 3; the
-        # second singular value x sits one relative step above it (counts)
-        # and one below it (does not), in K = diag(1, x, 0) and in the
-        # 3 x 2 synthesis matrix of two unit-weight atoms in C^3.
+    @staticmethod
+    def stacks():
+        """K = diag(1, x, 0) and the 3 x 2 synthesis matrix of two unit-weight
+        atoms in C^3, with the second singular value x one relative step
+        above the cut (rank 2) and one below it (rank 1). With smax = 1 and
+        three rows the cut is RANK_EPS * 1 * 3."""
         cut = RANK_EPS * 1.0 * 3
         xs = [cut * (1.0 + 1e-3), cut * (1.0 - 1e-3)]
-        expected = [2, 1]
         ks = np.stack([np.diag([1.0, x, 0.0]) for x in xs])
-        assert KStack(ks).rank.tolist() == ranks(ks).tolist() == expected
-        assert [KOperator(k).rank for k in ks] == [rank(k) for k in ks] == [svd(k).rank for k in ks] == expected
         frames = FrameStack(MeasureSpace.uniform(2), [[[1.0, 0.0, 0.0], [0.0, x, 0.0]] for x in xs])
+        return ks, frames, [2, 1]
+
+    def test_every_rank_consumer_applies_the_one_cut(self):
+        ks, frames, expected = self.stacks()
+        assert ranks(ks).tolist() == expected
+        assert [KOperator(k).rank for k in ks] == [rank(k) for k in ks] == [svd(k).rank for k in ks] == expected
         singles = [SampledFrame(frames.space, samples) for samples in frames.samples]
         widths = [2 - r for r in expected]
-        assert [basis.shape[1] for basis in synthesis_kernel_basis(frames)] == widths
+        assert [synthesis_kernel_basis(FrameStack(frames.space, f[None])).shape[2] for f in frames.samples] == widths
         assert [synthesis_kernel_basis(frame).shape[1] for frame in singles] == widths
         independent = [r == 2 for r in expected]
         assert is_l2_independent(frames).tolist() == [is_l2_independent(f) for f in singles] == independent
-        assert range_inclusions(ks, weighted_synthesis(frames)).rank_t.tolist() == expected
+        b = weighted_synthesis(frames)
+        assert [int(range_inclusions(k[None], b_t[None]).rank_t[0]) for k, b_t in zip(ks, b)] == expected
+
+    def test_stacks_of_mixed_ranks_split_and_stacks_of_one_do_not(self):
+        # Each pair (K, B) is included, so the inclusion test reaches the
+        # pseudo-inverse of B, whose ranks differ.
+        ks, frames, _ = self.stacks()
+        b = weighted_synthesis(frames)
+        space = MeasureSpace(np.array([0.5, 2.0, 1.0, 1.5]))
+        rngs = [stream(5, t) for t in range(2)]
+        for call in (
+            lambda: KStack(ks),
+            lambda: pinvs(ks),
+            lambda: pinvs(b),
+            lambda: range_inclusions(ks, b),
+            lambda: parseval_k_samples(KStack(ks), space, rngs),
+        ):
+            with pytest.raises(Split):
+                call()
+        for t in range(2):
+            one = KStack(ks[t : t + 1])
+            assert np.array_equal(one.pinv[0], pinv(ks[t]))
+            assert np.array_equal(pinvs(b[t : t + 1])[0], pinv(b[t]))
+            assert range_inclusions(ks[t : t + 1], b[t : t + 1]).included.tolist() == [True]
+            samples = parseval_k_samples(one, space, [stream(7)])[0]
+            assert np.array_equal(samples, generate_parseval_k_frame(KOperator(ks[t]), 4, space, 7).samples)
 
 
 class TestGenerators:

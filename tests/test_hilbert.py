@@ -413,22 +413,29 @@ class TestStackedLinalg:
         a[2, :, 0] = a[2, :, 1]  # rank-deficient member
         s = self._stack(6, rows, 2)
         s[3] = a[3][:, :2]  # included member
-        p = pinvs(a)
-        inc = range_inclusions(s, a)
         # Shapes repeat, so some operators share a stacked call.
         mixed = [a[0], s[0], a[1], a[2].conj().T, s[1], a[3]]
         assert op_norms(mixed) == [op_norm(m.copy()) for m in mixed]
+        singles = [range_inclusion(s[t], a[t]) for t in range(5)]
+        groups = {}
         for t in range(5):
             f = svd(a[t])
-            assert np.array_equal(p[t], pinv(a[t]))
             # l1 takes the pseudo-inverse and both projectors from one SVD.
             assert np.array_equal(f.pinv(), pinv(a[t]))
             assert np.array_equal(f.range_projector(), svd(a[t]).range_projector())
             assert np.array_equal(f.corange_projector(), svd(a[t]).corange_projector())
             assert op_norm(a)[t] == op_norm(a[t])
             assert ranks(a)[t] == rank(a[t]) == f.rank
-            assert inc.rank_t[t] == rank(a[t])
-            single = range_inclusion(s[t], a[t])
-            assert bool(inc.included[t]) == single.included
-            if single.included:
-                assert inc.lambda_star[t] == single.lambda_star
+            groups.setdefault((f.rank, singles[t].included), []).append(t)
+        # pinvs and range_inclusions take one rank and one verdict per
+        # stack: the members that share both share one stacked call.
+        assert max(len(members) for members in groups.values()) > 1
+        for members in groups.values():
+            p = pinvs(a[members])
+            inc = range_inclusions(s[members], a[members])
+            for j, t in enumerate(members):
+                assert np.array_equal(p[j], pinv(a[t]))
+                assert inc.rank_t[j] == rank(a[t])
+                assert bool(inc.included[j]) == singles[t].included
+                if singles[t].included:
+                    assert inc.lambda_star[j] == singles[t].lambda_star

@@ -13,7 +13,7 @@ from kframelab import duality, frames, suites
 from kframelab.duality import ParsevalKFrame
 from kframelab.fixtures import fixture_scenario
 from kframelab.frames import KOperator, SampledFrame
-from kframelab.hilbert import _LoewnerTest, loewner_leq, op_norm
+from kframelab.hilbert import Split, _LoewnerTest, loewner_leq, op_norm, ranks
 from kframelab.report import emit_report, report_to_dict
 from kframelab.rng import complex_normal, stream
 from kframelab.scenario import ScenarioError, scenario_from_dict
@@ -475,7 +475,7 @@ class TestCheckTableFold:
                 return duality.CheckTable(names, residuals[at])
             taken = mask[at[0]]
             if (mask[at] != taken).any():
-                raise duality.Split
+                raise Split
             return duality.CheckTable([n for n, t in zip(names, taken) if t], residuals[at][:, taken])
 
         monkeypatch.setitem(suites._PROPERTY_FUNCS, "l1", table)
@@ -609,6 +609,18 @@ class TestChunkedTrials:
         sc = scenario_from_dict(golden.SCENARIOS[name])
         run_suite(sc)
         assert calls == {pid: 1 + sc.trials * (pid in reruns) for pid in PROPERTY_IDS}
+
+    def test_mixed_ranks_of_b_rerun_l3_alone(self):
+        # On mixed-rank-b K has one rank and every kernel one width, but B's
+        # rank is 1 on 16 trials and 2 on 4: l3 takes the pseudo-inverse of
+        # B, so it alone reruns trial by trial.
+        sc = scenario_from_dict(golden.SCENARIOS["mixed-rank-b"])
+        _, _, stack = suites._Chunk(sc, range(sc.trials)).instance
+        assert Counter(ranks(frames.weighted_synthesis(stack)).tolist()) == {1: 16, 2: 4}
+        sizes = {pid: [] for pid in PROPERTY_IDS}
+        for j, chunk, _ in suites._chunk_tables(sc, PROPERTY_IDS):
+            sizes[PROPERTY_IDS[j]].append(len(chunk.indices))
+        assert sizes == {pid: [1] * sc.trials if pid == "l3" else [sc.trials] for pid in PROPERTY_IDS}
 
 
 @pytest.mark.parametrize(

@@ -11,8 +11,9 @@ in process, as ``kframelab verify`` does. It prints:
   with exit 0, exit 1 and exit 2, and of runs that warned;
 - the number of tracebacks: any other exception, which breaks the
   contract, printed with its case number;
-- per property, the chunks it reran trial by trial, because the chunk's
-  trials took different branches or the property broke down on it.
+- per property, the chunks it reran trial by trial, in two groups: a
+  breakdown, where a trial's table holds the check ``breakdown``, and
+  otherwise a split, where the chunk's trials took different branches.
 
 Exits 1 when a run ended in a traceback, else 0.
 """
@@ -40,14 +41,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1, help="numpy seed of the documents (default 1)")
     args = parser.parse_args(argv)
 
-    reruns = {pid: [] for pid in suites.PROPERTY_IDS}
+    reruns = {pid: {"split": [], "breakdown": []} for pid in suites.PROPERTY_IDS}
     case = -1
     tables = suites._tables
 
     def watched(chunk, pid):
         pairs = tables(chunk, pid)
         if pairs[0][0] is not chunk:  # the property reran on the chunk's trials
-            reruns[pid].append(f"case {case} trials {chunk.indices[0]}-{chunk.indices[-1]}")
+            kind = "breakdown" if any("breakdown" in table.names for _, table in pairs) else "split"
+            reruns[pid][kind].append(f"case {case} trials {chunk.indices[0]}-{chunk.indices[-1]}")
         return pairs
 
     suites._tables = watched
@@ -80,8 +82,9 @@ def main(argv=None) -> int:
     for key in ("invalid", "exit 0", "exit 1", "exit 2", "warned", "tracebacks"):
         print(f"{key}: {outcomes[key]}")
     print("chunks rerun trial by trial:")
-    for pid, chunks in reruns.items():
-        print(f"  {pid}: {len(chunks)}" + (f" ({'; '.join(chunks)})" if chunks else ""))
+    for pid, kinds in reruns.items():
+        counts = (f"{len(chunks)} {kind}" + (f" ({'; '.join(chunks)})" if chunks else "") for kind, chunks in kinds.items())
+        print(f"  {pid}: {', '.join(counts)}")
     return 1 if outcomes["tracebacks"] else 0
 
 
