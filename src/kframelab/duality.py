@@ -365,11 +365,6 @@ class ParsevalKFrames:
             holds &= ~(op_norm(gram - syn_g @ analysis(partner)) > DEFAULT_TOL * scale)
         return holds
 
-    def is_unique(self) -> np.ndarray:
-        """Whether the dual family is unique: every other dual adds a nonzero
-        field the synthesis map annihilates, so the width of :attr:`kernel` is 0."""
-        return np.full(len(self), self.width == 0)
-
     def alternative_duals(self, seeds: Sequence[int]) -> Tuple[FrameStack, np.ndarray]:
         """Verified duals different from the canonical ones, with their
         duality residuals.
@@ -536,8 +531,10 @@ class ParsevalKFrame:
         return bool(self.stack.characterizes(self._one(g), trials, [seed])[0])
 
     def is_unique(self) -> bool:
-        """See :meth:`ParsevalKFrames.is_unique`."""
-        return bool(self.stack.is_unique()[0])
+        """Whether the dual family is unique: every other dual adds a nonzero
+        field the synthesis map annihilates, so the kernel width of the
+        stack (:attr:`ParsevalKFrames.width`) is 0."""
+        return self.stack.width == 0
 
     def unique_dual_transfer(self) -> bool:
         """When the dual of the frame is unique, the canonical dual must admit a
@@ -551,10 +548,6 @@ class ParsevalKFrame:
         """See :meth:`ParsevalKFrames.alternative_duals`."""
         q, _ = self.stack.alternative_duals([seed])
         return SampledFrame(self.frame.space, q.samples[0])
-
-    def corange_parseval_residuals(self, rng: np.random.Generator, count: int) -> List[float]:
-        """See :meth:`ParsevalKFrames.corange_parseval_residuals`."""
-        return self.stack.corange_parseval_residuals([rng], count)[0].tolist()
 
     def complement_parseval_holds(self, trials: int, seed: int) -> bool:
         """See :meth:`ParsevalKFrames.complement_parseval_holds`."""

@@ -47,8 +47,9 @@ def _matrix_doc(mat: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(mat, complex)]
 
 
-def fixture_scenario(name: str, trials: int = 100, seed: int = 7) -> Dict:
-    """The fixture as a scenario document, ready for the verify command."""
+def fixture_scenario(name: str) -> Dict:
+    """The fixture as a scenario document of 100 trials at seed 7, ready
+    for the verify command."""
     space, k, frame = fixture(name)
     return {
         "dim": frame.dim,
@@ -57,6 +58,6 @@ def fixture_scenario(name: str, trials: int = 100, seed: int = 7) -> Dict:
         "k_spec": {"kind": "explicit", "matrix": _matrix_doc(k.op)},
         "frame_spec": {"kind": "explicit", "samples": _matrix_doc(frame.samples)},
         "tolerances": {},
-        "trials": int(trials),
-        "seed": int(seed),
+        "trials": 100,
+        "seed": 7,
     }

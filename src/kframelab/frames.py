@@ -88,9 +88,6 @@ class SampledFrame:
     def dim(self) -> int:
         return int(self.samples.shape[1])
 
-    def sample(self, i: int) -> np.ndarray:
-        return self.samples[i]
-
 
 class FrameStack:
     """Fields on one space, stacked: ``samples[t]`` is the (m, d) sample
@@ -163,8 +160,6 @@ class KOperator:
         self.norm = float(self.stack.norm[0])
         self.adjoint = self.stack.adjoint[0]
         self.pinv = self.stack.pinv[0]
-        # Orthogonal projector onto R(K).
-        self.range_projector = self.op @ self.pinv
         self.adjoint_range_projector = self.stack.adjoint_range_projector[0]
 
     @property
@@ -403,14 +398,7 @@ def random_bessel_samples(d: int, space: MeasureSpace, rngs: Sequence) -> np.nda
     return raw / np.sqrt(m * space.weights)[:, None]
 
 
-def _require_atoms(m: int, space: MeasureSpace) -> None:
-    if m != space.atom_count:
-        raise ValueError(f"m = {m} does not match the space's {space.atom_count} atoms")
-
-
-def generate_parseval_k_frame(
-    k: KOperator, m: int, space: MeasureSpace, seed: int
-) -> SampledFrame:
+def generate_parseval_k_frame(k: KOperator, space: MeasureSpace, seed: int) -> SampledFrame:
     """Seeded Parseval K-frame: samples are K applied to a family whose
     weighted outer-product sum is the projector onto R(K*).
 
@@ -418,12 +406,11 @@ def generate_parseval_k_frame(
     Gaussian matrix, so the frame operator equals K K* by algebra rather
     than by numerical accident. Requires at least rank(K) atoms.
     """
-    _require_atoms(int(m), space)
     return SampledFrame(space, parseval_k_samples(k.stack, space, [stream(seed)])[0])
 
 
-def generate_random_bessel(d: int, m: int, space: MeasureSpace, seed: int) -> SampledFrame:
+def generate_random_bessel(d: int, space: MeasureSpace, seed: int) -> SampledFrame:
     """Seeded field with independent complex Gaussian samples scaled by
-    1/sqrt(m * weight_i); always Bessel since the atom set is finite."""
-    _require_atoms(int(m), space)
+    1/sqrt(m * weight_i), m the space's atom count; always Bessel since the
+    atom set is finite."""
     return SampledFrame(space, random_bessel_samples(d, space, [stream(seed)])[0])

@@ -125,9 +125,6 @@ class SvdFactorization:
     right: np.ndarray
     rank: int
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.left * self.singulars) @ self.right.conj().T
-
     def pinv(self) -> np.ndarray:
         """The pseudo-inverse, the product :func:`pinv` forms from the same factors."""
         return (self.right / self.singulars) @ self.left.conj().T
@@ -258,16 +255,17 @@ class _LoewnerTest:
     per member, ``eigvalsh(bb - aa)[0] >= -DEFAULT_TOL * max(1, |aa|, |bb|)``,
     for each stack ``bb`` of checked, symmetrized operands it is called on.
 
-    ``op_norm(bb)`` is computed only for the members whose verdict it can
-    change. When given, ``norm_b = (low, high)`` narrows those down further:
-    bounds per member with ``scale * low <= op_norm(bb) <= scale * high``
-    for the ``scale`` each call passes, by a relative margin of at least
-    8 eps, which covers the rounding of the products that scale them. This
-    is the one implementation of the decision, shared by :func:`loewner_leq`
-    and the minimal-scale bisection of the suites.
+    ``norm_b = (low, high)`` bounds ``op_norm(bb)`` per member, as ``scale *
+    low <= op_norm(bb) <= scale * high`` for the ``scale`` each call passes,
+    by a relative margin of at least 8 eps, which covers the rounding of the
+    products that scale them; the norm itself, given as both bounds at scale
+    1, needs no margin. ``op_norm(bb)`` is computed only for the members
+    whose verdict the bounds leave open. This is the one implementation of
+    the decision, shared by :func:`loewner_leq` and the minimal-scale
+    bisection of the suites.
     """
 
-    def __init__(self, aa: np.ndarray, norm_a, norm_b=None):
+    def __init__(self, aa: np.ndarray, norm_a, norm_b):
         self.aa = aa
         self.limit = np.maximum(1.0, norm_a)
         # The slack only grows with the max, so a verdict that holds
@@ -276,21 +274,19 @@ class _LoewnerTest:
         # Rounding is monotone, so the slack of |bb| lies between the slacks
         # of its bounds in floating point too: a verdict that holds at the
         # lower bound holds, and one that fails at the upper bound fails.
-        self.slacks = None if norm_b is None else [-DEFAULT_TOL * bound for bound in norm_b]
+        self.slacks = [-DEFAULT_TOL * bound for bound in norm_b]
 
     def __call__(self, bb: np.ndarray, scale=1.0) -> np.ndarray:
         lam_min = np.linalg.eigvalsh(bb - self.aa)[:, 0]
         holds = lam_min >= self.short
         if np.count_nonzero(holds) == len(holds):
             return holds
-        open_ = ~holds
-        if self.slacks is not None:
-            at_low, at_high = self.slacks
-            open_ &= lam_min >= scale * at_high
-            if np.count_nonzero(open_):
-                settled = lam_min >= scale * at_low
-                holds |= open_ & settled
-                open_ &= ~settled
+        at_low, at_high = self.slacks
+        open_ = ~holds & (lam_min >= scale * at_high)
+        if np.count_nonzero(open_):
+            settled = lam_min >= scale * at_low
+            holds |= open_ & settled
+            open_ &= ~settled
         idx = open_.nonzero()[0]
         if idx.size:
             holds[idx] = lam_min[idx] >= -DEFAULT_TOL * np.maximum(self.limit[idx], op_norm(bb[idx]))
@@ -330,15 +326,15 @@ def loewner_leq(a, b) -> bool:
     Both operands must be Hermitian and of the same square size; inputs are
     typically computed products, so Hermitian-ness is only required up to the
     same tolerance. Every call checks both operands here, then decides on
-    their Hermitian parts.
+    their Hermitian parts with the norms the checks computed.
     """
     aa = as_operator(a)
     bb = as_operator(b)
     if aa.shape != bb.shape or aa.shape[0] != aa.shape[1]:
         raise ValueError(f"operands must be square and of equal size, got {aa.shape} and {bb.shape}")
     aa, norm_a = _require_hermitian(aa, "first")
-    bb, _ = _require_hermitian(bb, "second")
-    return bool(_LoewnerTest(aa[None], np.array([norm_a]))(bb[None])[0])
+    bb, norm_b = _require_hermitian(bb, "second")
+    return bool(_LoewnerTest(aa[None], np.array([norm_a]), (norm_b, norm_b))(bb[None])[0])
 
 
 class RangeInclusion(NamedTuple):

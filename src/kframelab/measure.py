@@ -35,7 +35,6 @@ class MeasureSpace:
     """Finite atom set with strictly positive weights."""
 
     weights: np.ndarray
-    labels: tuple = ()
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=np.float64, copy=True)
@@ -47,10 +46,6 @@ class MeasureSpace:
             raise ValueError("weights must be positive")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        labels = tuple(self.labels) if self.labels else tuple(f"w{i}" for i in range(w.shape[0]))
-        if len(labels) != w.shape[0]:
-            raise ValueError("labels must match the number of atoms")
-        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def uniform(cls, atom_count: int) -> "MeasureSpace":
@@ -61,17 +56,11 @@ class MeasureSpace:
         return int(self.weights.shape[0])
 
     @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
-    @property
     def sqrt_weights(self) -> np.ndarray:
         return np.sqrt(self.weights)
 
     def compatible(self, other: "MeasureSpace") -> bool:
-        return self is other or (
-            np.array_equal(self.weights, other.weights) and self.labels == other.labels
-        )
+        return self is other or np.array_equal(self.weights, other.weights)
 
 
 def _require_same_space(a: MeasureSpace, b: MeasureSpace) -> None:

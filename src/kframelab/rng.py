@@ -209,29 +209,16 @@ def complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return _complex(raw[0], raw[1])
 
 
-def complex_normals(rng: np.random.Generator, count: int, *shape: int) -> np.ndarray:
-    """``count`` successive :func:`complex_normal` draws of ``shape``, stacked,
-    from one call: a stream fills an array in order, so the numbers are the
-    same."""
-    raw = rng.standard_normal((int(count), 2) + shape)
-    return _complex(raw[:, 0], raw[:, 1])
-
-
 def complex_normal_stack(rngs: Sequence[np.random.Generator], *shape: int, count: Optional[int] = None) -> np.ndarray:
-    """:func:`complex_normal` of ``shape`` from each generator, or
-    :func:`complex_normals` of ``count`` draws when it is given, stacked
-    along a new first axis. Each generator fills its member's raw normals
-    in stream order, and the whole stack is made complex at once, with the
-    expression each member's own call applies."""
+    """:func:`complex_normal` of ``shape`` from each generator, stacked along
+    a new first axis; with ``count``, each member holds ``count`` successive
+    draws, stacked. Each generator fills its member's raw normals in stream
+    order, so the numbers are those of its successive calls, and the whole
+    stack is made complex at once, with the expression each member's own
+    call applies."""
     lead = () if count is None else (int(count),)
     raw = np.empty((len(rngs),) + lead + (2,) + shape)
     for rng, out in zip(rngs, raw):
         rng.standard_normal(out=out)
     before = (slice(None),) * (1 + len(lead))  # the axes before (re, im)
     return _complex(raw[before + (0,)], raw[before + (1,)])
-
-
-def stacked(arrays) -> np.ndarray:
-    """Per-trial draws stacked along a new first axis; a single draw becomes
-    a stack of one without a copy."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)

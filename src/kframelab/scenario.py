@@ -17,7 +17,7 @@ import numpy as np
 
 from .frames import FrameStack, KStack, parseval_k_samples, random_bessel_samples
 from .measure import MeasureSpace
-from .rng import complex_normal_stack, derive_seeds, stacked, stream, streams
+from .rng import complex_normal_stack, derive_seeds, stream, streams
 
 __all__ = [
     "ScenarioError",
@@ -301,7 +301,7 @@ def _k_ops(scenario: Scenario, trials: Sequence[int]) -> np.ndarray:
     rngs = streams(spec["seed"], (_K_STREAM,), [(trial,) for trial in trials])
     # Per trial, two d x r draws and then the singular values.
     g = complex_normal_stack(rngs, d, r, count=2)
-    singulars = stacked([np.sort(rng.uniform(0.5, 2.0, r))[::-1] for rng in rngs])
+    singulars = np.stack([np.sort(rng.uniform(0.5, 2.0, r))[::-1] for rng in rngs])
     q1, _ = np.linalg.qr(g[:, 0])
     q2, _ = np.linalg.qr(g[:, 1])
     return (q1 * singulars[:, None, :]) @ q2.conj().swapaxes(-1, -2)

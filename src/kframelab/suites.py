@@ -625,6 +625,9 @@ def run_suite(scenario: Scenario, properties: Optional[Iterable[str]] = None) ->
             )
         if not props:
             raise ScenarioError(f"selects no property; valid ids: {', '.join(PROPERTY_IDS)}", "properties")
+        repeated = [pid for pid in PROPERTY_IDS if props.count(pid) > 1]
+        if repeated:
+            raise ScenarioError(f"selects property id(s) {', '.join(repeated)} more than once", "properties")
     start = time.perf_counter()
     # Per selected property: (worst residual, its check, its trial index).
     worst: List[Tuple[float, str, int]] = [(0.0, "", -1)] * len(props)

@@ -155,8 +155,8 @@ SCENARIOS: Dict[str, dict] = {
         "trials": 5,
         "seed": 216,
     },
-    "w1": fixture_scenario("W1", trials=20),
-    "w1p": fixture_scenario("W1p", trials=20),
+    "w1": dict(fixture_scenario("W1"), trials=20),
+    "w1p": dict(fixture_scenario("W1p"), trials=20),
     "d24-m96": _readme(
         dim=24,
         atoms=96,

@@ -118,5 +118,5 @@ def parseval_instance(seed, dim=None, atoms=None, rank=None, mixed_weights=None)
         mixed_weights = bool(rng.integers(0, 2))
     space = random_space(rng, atoms, mixed_weights)
     k = conditioned_operator(rng, dim, rank)
-    frame = generate_parseval_k_frame(k, atoms, space, derive_seed(seed, 1))
+    frame = generate_parseval_k_frame(k, space, derive_seed(seed, 1))
     return space, k, frame

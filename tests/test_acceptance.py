@@ -121,7 +121,7 @@ def test_criterion_03_lower_bound_equivalence():
         m = int(rng.integers(1, 25))
         space = random_space(rng, m, mixed=bool(rng.integers(0, 2)))
         k = conditioned_operator(rng, d, int(rng.integers(1, d + 1)))
-        frame = generate_random_bessel(d, m, space, derive_seed(1003, i, 1))
+        frame = generate_random_bessel(d, space, derive_seed(1003, i, 1))
         exists = k_lower_bound(frame, k) is not None
         if exists != loewner_inclusion_exists(k.op, weighted_synthesis(frame)):
             agree = False
@@ -147,7 +147,7 @@ def test_criterion_04_canonical_dual_duality():
         m = int(rng.integers(r, 65))
         space = random_space(rng, m, mixed=bool(rng.integers(0, 2)))
         k = conditioned_operator(rng, d, r)
-        frame = generate_parseval_k_frame(k, m, space, derive_seed(1004, i, 1))
+        frame = generate_parseval_k_frame(k, space, derive_seed(1004, i, 1))
         dual = ParsevalKFrame(frame, k).dual
         worst_duality = max(
             worst_duality,
@@ -270,7 +270,7 @@ def test_criterion_08_uniqueness_dichotomy():
         d = int(rng.integers(2, 9))
         space = random_space(rng, d, mixed=bool(rng.integers(0, 2)))
         k = conditioned_operator(rng, d, d)
-        frame = generate_parseval_k_frame(k, d, space, derive_seed(1008, i, 1))
+        frame = generate_parseval_k_frame(k, space, derive_seed(1008, i, 1))
         pk = ParsevalKFrame(frame, k)
         assert pk.is_unique()
         dual = pk.dual
@@ -288,7 +288,7 @@ def test_criterion_08_uniqueness_dichotomy():
         m = int(rng.integers(d + 1, 21))
         space = random_space(rng, m, mixed=bool(rng.integers(0, 2)))
         k = conditioned_operator(rng, d, r)
-        frame = generate_parseval_k_frame(k, m, space, derive_seed(1008, i, 2))
+        frame = generate_parseval_k_frame(k, space, derive_seed(1008, i, 2))
         pk = ParsevalKFrame(frame, k)
         assert not pk.is_unique()
         q = pk.alternative_dual(seed=derive_seed(1008, i, 3))
@@ -318,7 +318,7 @@ def test_criterion_09_independence_transfer():
         m = r if i % 2 == 0 else int(rng.integers(r + 1, r + 9))
         space = random_space(rng, m, mixed=bool(rng.integers(0, 2)))
         k = conditioned_operator(rng, d, r)
-        frame = generate_parseval_k_frame(k, m, space, derive_seed(1009, i, 1))
+        frame = generate_parseval_k_frame(k, space, derive_seed(1009, i, 1))
         pk = ParsevalKFrame(frame, k)
         frame_independent, dual_independent, _ = pk.independence_transfer()
         if frame_independent != dual_independent:
@@ -402,7 +402,7 @@ def test_criterion_11_dual_frame_operator_identities():
 
 
 def test_criterion_12_cli_determinism_and_diagnostics(tmp_path):
-    doc = fixture_scenario("W1p", trials=20, seed=17)
+    doc = dict(fixture_scenario("W1p"), trials=20, seed=17)
     config = tmp_path / "scenario.json"
     config.write_text(json.dumps(doc))
 

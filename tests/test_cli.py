@@ -222,6 +222,13 @@ class TestVerifyCommand:
         assert result.returncode == 2
         assert "properties" in result.stderr
 
+    def test_repeated_property_exits_two(self, tmp_path):
+        path = write_scenario(tmp_path, generated_doc())
+        result = run_cli("verify", "--config", path, "--properties", "l4,l4,t1")
+        assert result.returncode == 2
+        assert "properties" in result.stderr and "l4" in result.stderr
+        assert result.stdout == ""
+
     def test_run_suite_rejects_an_empty_selection(self):
         with pytest.raises(ScenarioError, match="properties"):
             run_suite(scenario_from_dict(generated_doc()), [])

@@ -82,6 +82,46 @@ class TestCanonicalDual:
             ParsevalKFrame(frame, KOperator.identity(2))
 
 
+# A rank-2 K on C^3: its third row is the sum of the first two, and its
+# null space is spanned by (1, -1, 1), so P = K^+ K = I - n n^T.
+LEGENDRE_K = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 2.0, 1.0]])
+LEGENDRE_NULL = np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0)
+
+
+def legendre_instance(nodes: int):
+    """The Gauss-Legendre weights of N = ``nodes`` nodes x_i, the first
+    three orthonormal Legendre polynomials psi_j = sqrt((2j + 1) / 2) P_j at
+    the nodes, and the samples F_i = K psi(x_i). The rule is exact up to
+    degree 2 N - 1 (Golub & Welsch 1969), so sum_i w_i psi(x_i) psi(x_i)* =
+    I and the frame operator is K K*."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    psi = np.stack([np.sqrt((2 * j + 1) / 2.0) * np.polynomial.legendre.Legendre.basis(j)(x) for j in range(3)], axis=1)
+    return w, psi, psi @ LEGENDRE_K.T
+
+
+@pytest.mark.parametrize("nodes", [4, 8])
+class TestClosedFormCanonicalDual:
+    def test_dual_is_the_projected_basis(self, nodes):
+        w, psi, samples = legendre_instance(nodes)
+        pk = ParsevalKFrame(SampledFrame(MeasureSpace(w), samples), KOperator(LEGENDRE_K))
+        p = np.eye(3) - np.outer(LEGENDRE_NULL, LEGENDRE_NULL)
+        assert np.max(np.abs(pk.dual.samples - psi @ p.T)) <= 1e-13
+
+    def test_every_property_passes(self, nodes):
+        w, _, samples = legendre_instance(nodes)
+        doc = {
+            "dim": 3,
+            "atoms": nodes,
+            "weights": w.tolist(),
+            "k_spec": {"kind": "explicit", "matrix": LEGENDRE_K.tolist()},
+            "frame_spec": {"kind": "explicit", "samples": samples.tolist()},
+            "trials": 5,
+            "seed": 3,
+        }
+        report = suites.run_suite(scenario_from_dict(doc))
+        assert [rec.prop_id for rec in report.properties if rec.passed] == list(suites.PROPERTY_IDS)
+
+
 class TestParsevalKFrame:
     def test_rejects_non_parseval_and_mismatched_dimensions(self):
         space = MeasureSpace.uniform(2)
@@ -415,7 +455,8 @@ class TestUniqueness:
         assert pk.k.rank.tolist() == [rank_k] * sc.trials
         assert width == max(sc.atoms - max(rank_b, rank_k), 0)
         assert pk.kernel.shape == (sc.trials, sc.atoms, width)
-        assert pk.is_unique().tolist() == [width == 0] * sc.trials
+        single = ParsevalKFrame(SampledFrame(pk.space, pk.frames.samples[0]), KOperator(pk.k.op[0]))
+        assert single.is_unique() is (width == 0)
 
 
 class TestConstructAlternativeDual:
@@ -684,7 +725,7 @@ class TestParsevalKFramesStack:
     def test_members_agree_with_their_single_runs(self, members):
         stack, singles = members
         seeds = self.SEEDS
-        assert stack.is_unique().tolist() == [pk.is_unique() for pk in singles] == [False] * 4
+        assert [pk.is_unique() for pk in singles] == [stack.width == 0] * 4 == [False] * 4
         minimality = stack.minimality_residuals([stream(seed, 1) for seed in seeds])
         assert [minimality.row(i) for i in range(len(seeds))] == [
             pk.minimality_residuals(stream(seed, 1)) for pk, seed in zip(singles, seeds)
@@ -718,7 +759,7 @@ class TestParsevalKFramesStack:
         # Rank 3 of 5 atoms: the frames are dependent, so no gap is asserted.
         assert stack.independence_transfer()[2] is None
         unique, unique_singles = self.build((5, 5))
-        assert unique.is_unique().tolist() == [True, True]
+        assert [pk.is_unique() for pk in unique_singles] == [unique.width == 0] * 2 == [True, True]
         with pytest.raises(InfeasibleError):
             unique.alternative_duals(seeds[:2])
         frame_indep, dual_indep, gaps = unique.independence_transfer()
@@ -746,7 +787,7 @@ class TestParsevalKFramesStack:
         rngs = [stream(seed, 2) for seed in seeds]
         for call in (
             lambda: stack.kernel,
-            stack.is_unique,
+            lambda: stack.width,
             lambda: stack.sample_kernel_fields(rngs),
             lambda: stack.alternative_duals(seeds),
             lambda: stack.characterizes(stack.duals, 2, seeds),

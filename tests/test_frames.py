@@ -52,7 +52,7 @@ class TestKOperator:
         assert k.rank == 1
         assert k.norm == pytest.approx(2.0)
         np.testing.assert_allclose(k.pinv, np.diag([0.5, 0.0]), atol=1e-14)
-        np.testing.assert_allclose(k.range_projector, np.diag([1.0, 0.0]), atol=1e-14)
+        np.testing.assert_allclose(k.op @ k.pinv, np.diag([1.0, 0.0]), atol=1e-14)
         np.testing.assert_allclose(k.adjoint_range_projector, np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_identity(self):
@@ -191,7 +191,7 @@ class TestKLowerBound:
             m, d = 8, 3
             space = random_space(rng, m)
             k = KOperator(np.diag([2.0, 1.0, 0.5]))
-            frame = generate_random_bessel(d, m, space, seed)
+            frame = generate_random_bessel(d, space, seed)
             a_opt = k_lower_bound(frame, k)
             assert a_opt is not None
             s = frame_operator(frame)
@@ -409,7 +409,7 @@ class TestRankCut:
             assert np.array_equal(pinvs(b[t : t + 1])[0], pinv(b[t]))
             assert range_inclusions(ks[t : t + 1], b[t : t + 1]).included.tolist() == [True]
             samples = parseval_k_samples(one, space, [stream(7)])[0]
-            assert np.array_equal(samples, generate_parseval_k_frame(KOperator(ks[t]), 4, space, 7).samples)
+            assert np.array_equal(samples, generate_parseval_k_frame(KOperator(ks[t]), space, 7).samples)
 
 
 class TestGenerators:
@@ -421,14 +421,14 @@ class TestGenerators:
             m = int(rng.integers(r, 20))
             space = random_space(rng, m)
             k = KOperator(complex_normal(rng, d, r) @ complex_normal(rng, r, d))
-            frame = generate_parseval_k_frame(k, m, space, seed)
+            frame = generate_parseval_k_frame(k, space, seed)
             kk = k.op @ k.adjoint
             assert op_norm(frame_operator(frame) - kk) <= 1e-10 * (1.0 + op_norm(kk))
             assert classify(frame, k).verdict is FrameVerdict.PARSEVAL_K_FRAME
 
     def test_identity_generator_gives_unitary_rows(self):
         space = MeasureSpace.uniform(3)
-        frame = generate_parseval_k_frame(KOperator.identity(3), 3, space, seed=5)
+        frame = generate_parseval_k_frame(KOperator.identity(3), space, seed=5)
         np.testing.assert_allclose(
             frame.samples.conj().T @ frame.samples, np.eye(3), atol=1e-12
         )
@@ -436,31 +436,31 @@ class TestGenerators:
     def test_rank_deficient_diagonal(self):
         space = MeasureSpace.uniform(3)
         k = KOperator(np.diag([1.0, 0.0]))
-        frame = generate_parseval_k_frame(k, 3, space, seed=2)
+        frame = generate_parseval_k_frame(k, space, seed=2)
         assert op_norm(frame_operator(frame) - np.diag([1.0, 0.0])) <= 1e-12
 
     def test_generator_deterministic(self):
         space = MeasureSpace.uniform(4)
         k = KOperator.identity(2)
-        a = generate_parseval_k_frame(k, 4, space, seed=9)
-        b = generate_parseval_k_frame(k, 4, space, seed=9)
+        a = generate_parseval_k_frame(k, space, seed=9)
+        b = generate_parseval_k_frame(k, space, seed=9)
         np.testing.assert_array_equal(a.samples, b.samples)
-        c = generate_parseval_k_frame(k, 4, space, seed=10)
+        c = generate_parseval_k_frame(k, space, seed=10)
         assert not frames_allclose(a, c)
 
     def test_generator_infeasible(self):
         space = MeasureSpace.uniform(1)
         with pytest.raises(InfeasibleError):
-            generate_parseval_k_frame(KOperator.identity(2), 1, space, seed=0)
+            generate_parseval_k_frame(KOperator.identity(2), space, seed=0)
 
     def test_bessel_generator(self):
         space = MeasureSpace.uniform(1)
-        a = generate_random_bessel(1, 1, space, seed=3)
-        b = generate_random_bessel(1, 1, space, seed=3)
+        a = generate_random_bessel(1, space, seed=3)
+        b = generate_random_bessel(1, space, seed=3)
         np.testing.assert_array_equal(a.samples, b.samples)
         assert a.samples.shape == (1, 1)
         space6 = MeasureSpace(np.array([0.5, 1.0, 2.0, 4.0, 0.25, 1.5]))
-        frame = generate_random_bessel(3, 6, space6, seed=8)
+        frame = generate_random_bessel(3, space6, seed=8)
         assert np.isfinite(frame_bounds(frame).upper)
 
 

@@ -90,7 +90,7 @@ class TestSvd:
             a = random_matrix(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
             f = svd(a)
             scale = f.singulars[0] if f.rank else 1.0
-            assert op_norm(f.reconstruct() - a) <= 1e-10 * scale * max(a.shape)
+            assert op_norm((f.left * f.singulars) @ f.right.conj().T - a) <= 1e-10 * scale * max(a.shape)
             assert np.all(np.diff(f.singulars) <= 0)
             assert np.all(f.singulars > 0)
 
@@ -204,6 +204,19 @@ class TestLoewner:
         assert loewner_leq(np.zeros((2, 2)), np.diag([1e6, -1e-4]))
         assert loewner_leq(np.diag([1e6, 1e-4]), np.diag([1e6, 0.0]))
         assert not loewner_leq(np.zeros((2, 2)), np.diag([1.0, -1e-4]))
+
+    def test_open_decision_reads_the_norm_of_the_check(self, monkeypatch):
+        # The first case above is open until |b| is known: the check of b
+        # already took |b|, in the one SVD per operand, so no third SVD runs.
+        svd, calls = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        assert loewner_leq(np.zeros((2, 2)), np.diag([1e6, -1e-4]))
+        assert calls == [(3, 2, 2), (3, 2, 2)]
 
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError, match="square"):

@@ -24,7 +24,7 @@ class TestMeasureSpace:
     def test_uniform(self):
         space = MeasureSpace.uniform(3)
         assert space.atom_count == 3
-        assert space.total_mass == 3.0
+        assert space.weights.tolist() == [1.0, 1.0, 1.0]
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError, match="positive"):
@@ -35,13 +35,6 @@ class TestMeasureSpace:
     def test_rejects_nonfinite_weight(self):
         with pytest.raises(ValueError, match="finite"):
             MeasureSpace(np.array([1.0, np.inf]))
-
-    def test_rejects_label_mismatch(self):
-        with pytest.raises(ValueError, match="labels"):
-            MeasureSpace(np.array([1.0, 2.0]), labels=("a",))
-
-    def test_default_labels(self):
-        assert MeasureSpace.uniform(2).labels == ("w0", "w1")
 
 
 class TestL2Coefficients:

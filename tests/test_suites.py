@@ -89,7 +89,7 @@ class TestRunSuite:
         assert list(suites._PROPERTY_FUNCS) == list(PROPERTY_IDS)
 
     def test_w1_fixture_scenario_t1(self):
-        sc = scenario_from_dict(fixture_scenario("W1", trials=4))
+        sc = scenario_from_dict(dict(fixture_scenario("W1"), trials=4))
         report = run_suite(sc, ["t1"])
         (rec,) = report.properties
         assert rec.passed
@@ -113,6 +113,13 @@ class TestRunSuite:
         sc = scenario_from_dict(generated_doc(trials=1))
         with pytest.raises(UnknownPropertyError, match="l99"):
             run_suite(sc, ["l99"])
+
+    def test_repeated_property_id(self):
+        sc = scenario_from_dict(generated_doc(trials=1))
+        with pytest.raises(ScenarioError, match="l4") as excinfo:
+            run_suite(sc, ["l4", "l4", "t1"])
+        assert excinfo.value.field_path == "properties"
+        assert "t1" not in str(excinfo.value)
 
     def test_duality_property_needs_parseval_scenario(self):
         sc = scenario_from_dict(
@@ -389,7 +396,7 @@ class TestSharedInstance:
         [
             generated_doc(trials=3),
             generated_doc(trials=3, tolerances={pid: 1e-300 for pid in PROPERTY_IDS}),
-            fixture_scenario("W1p", trials=3),
+            dict(fixture_scenario("W1p"), trials=3),
         ],
         ids=["readme", "readme-witnesses", "W1p"],
     )
@@ -566,7 +573,7 @@ class TestChunkedTrials:
         # the first trial; the error names l4 whatever the chunking.
         sc = scenario_from_dict(generated_doc(frame_spec={"kind": "random-bessel", "seed": 3}))
         with pytest.raises(ScenarioError, match="property l4 cannot run.*Parseval"):
-            run_suite(sc, ["l1", "l3", "l4", "l1"])
+            run_suite(sc, ["l1", "l3", "l4", "l2"])
         # l4 breaks down on trial 2 and l5 on trial 1: each fails with a
         # breakdown witness on its own trial, whatever the chunking, and the
         # witness replays.
