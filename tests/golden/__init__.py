@@ -20,6 +20,8 @@ import os
 import sys
 from typing import Dict, List, Sequence
 
+import numpy as np
+
 from kframelab import suites
 from kframelab.fixtures import fixture_scenario
 from kframelab.report import report_to_dict
@@ -43,6 +45,56 @@ def _readme(**overrides) -> dict:
     }
     doc.update(overrides)
     return doc
+
+
+# A rank-2 K on C^3: its third row is the sum of the first two, and its
+# null space is spanned by (1, -1, 1), so P = K^+ K = I - n n^T.
+LEGENDRE_K = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 2.0, 1.0]])
+# A complex rank-2 K on C^3, again with third row the sum of the first two.
+CIRCLE_K = np.array([[1.0, 0.5j, 0.0], [0.0, 1.0, -0.5j], [1.0, 1.0 + 0.5j, -0.5j]])
+
+
+def legendre_instance(nodes: int):
+    """The Gauss-Legendre weights of N = ``nodes`` nodes x_i, the first
+    three orthonormal Legendre polynomials psi_j = sqrt((2j + 1) / 2) P_j at
+    the nodes, and the samples F_i = K psi(x_i), K = ``LEGENDRE_K``. The
+    rule is exact up to degree 2 N - 1 (Golub & Welsch 1969), so for N >= 2
+    sum_i w_i psi(x_i) psi(x_i)* = I and the frame operator is K K*."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    psi = np.stack([np.sqrt((2 * j + 1) / 2.0) * np.polynomial.legendre.Legendre.basis(j)(x) for j in range(3)], axis=1)
+    return w, psi, psi @ LEGENDRE_K.T
+
+
+def circle_instance(nodes: int):
+    """The weights 1/N of N = ``nodes`` equispaced angles theta_i = 2 pi i /
+    N, psi(theta) = (e^{i j theta})_{j=0..2} at the angles, and the samples
+    F_i = K psi(theta_i), K = ``CIRCLE_K``. The trapezoid rule integrates
+    e^{i (j - k) theta} against d theta / 2 pi exactly when N > |j - k|
+    (Trefethen & Weideman 2014), so for N >= 3 sum_i w_i psi psi* = I and
+    the frame operator is K K*."""
+    theta = 2.0 * np.pi * np.arange(nodes) / nodes
+    psi = np.exp(1j * np.outer(theta, np.arange(3)))
+    return np.full(nodes, 1.0 / nodes), psi, psi @ CIRCLE_K.T
+
+
+def _pairs(a: np.ndarray) -> list:
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(a, dtype=complex).tolist()]
+
+
+def analytic_doc(instance, k: np.ndarray, nodes: int, trials: int = 10, seed: int = 3) -> dict:
+    """The explicit scenario of an analytic Parseval K-frame sampled on
+    ``nodes`` nodes by ``instance`` (:func:`legendre_instance` or
+    :func:`circle_instance`)."""
+    w, _, samples = instance(nodes)
+    return {
+        "dim": 3,
+        "atoms": nodes,
+        "weights": w.tolist(),
+        "k_spec": {"kind": "explicit", "matrix": _pairs(k)},
+        "frame_spec": {"kind": "explicit", "samples": _pairs(samples)},
+        "trials": trials,
+        "seed": seed,
+    }
 
 
 # Every property runs on every scenario, except where PROPERTIES says otherwise.
@@ -165,6 +217,11 @@ SCENARIOS: Dict[str, dict] = {
         trials=3,
         seed=29,
     ),
+    # Analytic Parseval K-frames on exact quadratures: S = K K* up to rounding
+    # for a frame the generator did not make; real with non-uniform weights,
+    # and complex with uniform ones.
+    "gauss-legendre": analytic_doc(legendre_instance, LEGENDRE_K, 4),
+    "circle-complex": analytic_doc(circle_instance, CIRCLE_K, 4),
 }
 
 PROPERTIES: Dict[str, Sequence[str]] = {

@@ -35,6 +35,7 @@ from kframelab.rng import complex_normal, stream
 from kframelab.scenario import scenario_from_dict
 
 import golden
+from golden import CIRCLE_K, LEGENDRE_K, circle_instance, legendre_instance
 from helpers import parseval_instance
 
 
@@ -82,21 +83,8 @@ class TestCanonicalDual:
             ParsevalKFrame(frame, KOperator.identity(2))
 
 
-# A rank-2 K on C^3: its third row is the sum of the first two, and its
-# null space is spanned by (1, -1, 1), so P = K^+ K = I - n n^T.
-LEGENDRE_K = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 2.0, 1.0]])
+# LEGENDRE_K's null space is spanned by (1, -1, 1), so P = K^+ K = I - n n^T.
 LEGENDRE_NULL = np.array([1.0, -1.0, 1.0]) / np.sqrt(3.0)
-
-
-def legendre_instance(nodes: int):
-    """The Gauss-Legendre weights of N = ``nodes`` nodes x_i, the first
-    three orthonormal Legendre polynomials psi_j = sqrt((2j + 1) / 2) P_j at
-    the nodes, and the samples F_i = K psi(x_i). The rule is exact up to
-    degree 2 N - 1 (Golub & Welsch 1969), so sum_i w_i psi(x_i) psi(x_i)* =
-    I and the frame operator is K K*."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    psi = np.stack([np.sqrt((2 * j + 1) / 2.0) * np.polynomial.legendre.Legendre.basis(j)(x) for j in range(3)], axis=1)
-    return w, psi, psi @ LEGENDRE_K.T
 
 
 @pytest.mark.parametrize("nodes", [4, 8])
@@ -120,6 +108,23 @@ class TestClosedFormCanonicalDual:
         }
         report = suites.run_suite(scenario_from_dict(doc))
         assert [rec.prop_id for rec in report.properties if rec.passed] == list(suites.PROPERTY_IDS)
+
+
+@pytest.mark.parametrize(
+    "instance, k", [(legendre_instance, LEGENDRE_K), (circle_instance, CIRCLE_K)], ids=["legendre", "circle"]
+)
+def test_refined_quadrature_keeps_every_verdict(instance, k):
+    # The same analytic frame sampled on N and on 2N nodes: both rules are
+    # exact, so every verdict is the same and l4's duality and Parseval
+    # residuals stay at rounding level.
+    coarse, fine = (
+        suites.run_suite(scenario_from_dict(golden.analytic_doc(instance, k, nodes, trials=5))).properties
+        for nodes in (4, 8)
+    )
+    assert [(rec.prop_id, rec.passed) for rec in coarse] == [(rec.prop_id, rec.passed) for rec in fine]
+    assert all(rec.passed for rec in fine)
+    for rec in (coarse[3], fine[3]):
+        assert rec.prop_id == "l4" and rec.max_residual <= 1e-13
 
 
 class TestParsevalKFrame:
