@@ -398,6 +398,17 @@ def random_bessel_samples(d: int, space: MeasureSpace, rngs: Sequence) -> np.nda
     return raw / np.sqrt(m * space.weights)[:, None]
 
 
+def conditioned_ops(rngs: Sequence, rows: int, cols: int, r: int) -> np.ndarray:
+    """Rank-r operators (n, rows, cols), member t drawing from ``rngs[t]``:
+    isometries from the QR factors of a rows x r and then a cols x r draw,
+    and then singular values in [0.5, 2], which keep each operator well
+    conditioned on its support."""
+    q1, _ = np.linalg.qr(complex_normal_stack(rngs, rows, r))
+    q2, _ = np.linalg.qr(complex_normal_stack(rngs, cols, r))
+    singulars = np.stack([np.sort(rng.uniform(0.5, 2.0, r))[::-1] for rng in rngs])
+    return (q1 * singulars[:, None, :]) @ q2.conj().swapaxes(-1, -2)
+
+
 def generate_parseval_k_frame(k: KOperator, space: MeasureSpace, seed: int) -> SampledFrame:
     """Seeded Parseval K-frame: samples are K applied to a family whose
     weighted outer-product sum is the projector onto R(K*).

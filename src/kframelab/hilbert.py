@@ -239,13 +239,16 @@ def op_norms(operators: Sequence[np.ndarray]) -> List[float]:
     return out
 
 
-def _require_hermitian(arr: np.ndarray, which: str) -> Tuple[np.ndarray, float]:
-    """The Hermitian part of ``arr`` and its norm, once ``arr`` is checked
-    Hermitian up to ``DEFAULT_TOL``; the three norms share one stacked call."""
-    herm = (arr + arr.conj().T) / 2.0
-    gap, norm, norm_herm = op_norm(np.stack([arr - arr.conj().T, arr, herm])).tolist()
-    if gap > DEFAULT_TOL * (1.0 + norm):
-        raise ValueError(f"{which} operand is not Hermitian (asymmetry {gap:.3e})")
+def _require_hermitian(arr: np.ndarray, which: str) -> Tuple[np.ndarray, np.ndarray]:
+    """The Hermitian part of an operator or of each operator of a stack
+    (..., n, n), and its norm, once every member is checked Hermitian up to
+    ``DEFAULT_TOL``; a member's three norms come from one stacked call."""
+    adj = arr.conj().swapaxes(-1, -2)
+    herm = (arr + adj) / 2.0
+    gap, norm, norm_herm = op_norm(np.stack([arr - adj, arr, herm]))
+    asymmetric = gap > DEFAULT_TOL * (1.0 + norm)
+    if asymmetric.any():
+        raise ValueError(f"{which} operand is not Hermitian (asymmetry {gap[asymmetric][0]:.3e})")
     return herm, norm_herm
 
 

@@ -15,9 +15,9 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .frames import FrameStack, KStack, parseval_k_samples, random_bessel_samples
+from .frames import FrameStack, KStack, conditioned_ops, parseval_k_samples, random_bessel_samples
 from .measure import MeasureSpace
-from .rng import complex_normal_stack, derive_seeds, stream, streams
+from .rng import derive_seeds, stream, streams
 
 __all__ = [
     "ScenarioError",
@@ -263,6 +263,8 @@ def load_scenario(path: str) -> Scenario:
             text = handle.read()
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -287,24 +289,16 @@ def _k_ops(scenario: Scenario, trials: Sequence[int]) -> np.ndarray:
     vary with the trial, each drawing from its own stream."""
     spec = scenario.k_spec
     kind = spec["kind"]
-    if kind != "random-rank":
-        if kind == "identity":
-            op = np.eye(scenario.dim)
-        elif kind == "diagonal":
-            op = np.diag(_complex_list(spec["values"]))
-        else:
-            op = np.array([_complex_list(row) for row in spec["matrix"]])
-        return np.broadcast_to(op, (len(trials),) + op.shape)
-    # random-rank: isometries from QR factors, singular values in [0.5, 2]
-    # keep the operator well conditioned on its support.
-    d, r = scenario.dim, spec["rank"]
-    rngs = streams(spec["seed"], (_K_STREAM,), [(trial,) for trial in trials])
-    # Per trial, two d x r draws and then the singular values.
-    g = complex_normal_stack(rngs, d, r, count=2)
-    singulars = np.stack([np.sort(rng.uniform(0.5, 2.0, r))[::-1] for rng in rngs])
-    q1, _ = np.linalg.qr(g[:, 0])
-    q2, _ = np.linalg.qr(g[:, 1])
-    return (q1 * singulars[:, None, :]) @ q2.conj().swapaxes(-1, -2)
+    if kind == "random-rank":
+        rngs = streams(spec["seed"], (_K_STREAM,), [(trial,) for trial in trials])
+        return conditioned_ops(rngs, scenario.dim, scenario.dim, spec["rank"])
+    if kind == "identity":
+        op = np.eye(scenario.dim)
+    elif kind == "diagonal":
+        op = np.diag(_complex_list(spec["values"]))
+    else:
+        op = np.array([_complex_list(row) for row in spec["matrix"]])
+    return np.broadcast_to(op, (len(trials),) + op.shape)
 
 
 def build_ks(scenario: Scenario, trials: Sequence[int]) -> KStack:

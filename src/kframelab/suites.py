@@ -19,8 +19,8 @@ that branch. Where the chunk's trials would take different branches
 (``hilbert.Split``), or the property breaks down on the chunk, that one
 property reruns on each trial alone. Where a property draws its matrix
 sizes per trial (``l1``, ``l2``), it runs trial by trial, except that
-``l2``'s Loewner bisections run in lockstep over the chunk's trials of
-each size.
+``l2`` checks and bisects the Gram pairs of the chunk's trials of each
+size as one stack.
 
 One table, ``_PROPERTIES``, registers each property with its function and
 default tolerance; its order is the report order and keys the streams.
@@ -29,7 +29,7 @@ default tolerance; its order is the report order and keys the streams.
 import platform
 import time
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .frames import (
     FrameStack,
     KStack,
     _max_row_norm,
+    conditioned_ops,
     synthesis,
     weighted_synthesis,
 )
@@ -45,6 +46,7 @@ from .hilbert import (
     DEFAULT_TOL,
     Split,
     _common,
+    _as_stack,
     _LoewnerTest,
     _require_hermitian,
     as_operator,
@@ -165,68 +167,31 @@ def loewner_inclusion_exists(s_op: np.ndarray, t_op: np.ndarray):
     return holds
 
 
-class _LoewnerOperands(NamedTuple):
-    """The checked operands of one minimal-scale bisection of S S* under
-    T T*: ``aa``, the Hermitian part of S S*, and ``tt`` = T T*, with the
-    norms the checks computed."""
+def _bisect_loewner_lambdas(ss: np.ndarray, tt: np.ndarray, cap: float = 1e18) -> List[Optional[float]]:
+    """:func:`bisect_loewner_lambda` of each pair of two stacks (k, n, n) of
+    S S* and T T*, bisected in lockstep.
 
-    aa: np.ndarray
-    norm_a: float
-    tt: np.ndarray
-    norm_t: float
-    gap: float  # op_norm(tt - tt*)
-
-
-def _loewner_operands(s_op: np.ndarray, t_op: np.ndarray) -> Optional[_LoewnerOperands]:
-    """The checked operands of the bisection, or None when scale zero
-    already works.
-
-    S S* is checked as ``loewner_leq`` checks it; T T* is checked Hermitian
-    relative to its own norm, which implies that check on every positive
-    multiple of it.
+    S S* is checked as ``loewner_leq`` checks it, and the members where
+    scale zero already works get 0.0. On the others, T T* is checked
+    finite, and Hermitian relative to its own norm, which implies that
+    check on every positive multiple of it. Each member's decisions read
+    only its own matrices, so the stack does not change its scale. Members
+    double their upper scale on a shrinking active set (None above the
+    cap), then halve in lockstep. A decision computes op_norm(bb) only when
+    bounds on it from |tt| and |tt - tt*| leave the decision open.
     """
-    ss = s_op @ s_op.conj().T
-    tt = t_op @ t_op.conj().T
-    if ss.shape != tt.shape:
-        raise ValueError(f"operands must be square and of equal size, got {ss.shape} and {tt.shape}")
-    aa, norm_a = _require_hermitian(as_operator(ss), "first")
+    aa, norm_a = _require_hermitian(_as_stack(ss), "first")
     # The zero operand's norm is 0, known without an SVD.
-    if _LoewnerTest(aa[None], np.array([norm_a]), (0.0, 0.0))(np.zeros_like(aa[None]))[0]:
-        return None
-    tt = as_operator(tt)
-    gap, norm_t = op_norm(np.stack([tt - tt.conj().T, tt])).tolist()
-    if gap > DEFAULT_TOL * norm_t:
-        raise ValueError(f"second operand is not Hermitian (asymmetry {gap:.3e})")
-    return _LoewnerOperands(aa, norm_a, tt, norm_t, gap)
-
-
-def _bisect_loewner_lambdas(
-    operands: Sequence[Optional[_LoewnerOperands]], cap: float = 1e18
-) -> List[Optional[float]]:
-    """:func:`bisect_loewner_lambda` of each member's checked operands (0.0
-    for None), the members of each matrix size bisected in lockstep on
-    their own (k, n, n) stack.
-
-    Each member's decisions read only its own matrices, so grouping does
-    not change its scale. Members double their upper scale on a shrinking
-    active set (None above the cap), then halve in lockstep. A decision
-    computes op_norm(bb) only when bounds on it from |tt| and |tt - tt*|
-    leave the decision open.
-    """
-    out: List[Optional[float]] = [0.0 if ops is None else None for ops in operands]
-    sizes = {j: len(ops.tt) for j, ops in enumerate(operands) if ops is not None}
-    for n in sorted(set(sizes.values())):
-        group = [j for j, size in sizes.items() if size == n]
-        for j, scale in zip(group, _bisect_stack([operands[j] for j in group], n, cap)):
-            out[j] = scale
-    return out
-
-
-def _bisect_stack(pairs: Sequence[_LoewnerOperands], n: int, cap: float) -> List[Optional[float]]:
-    """The minimal scales of n x n operand pairs, bisected in lockstep."""
-    aa = np.stack([pair.aa for pair in pairs])
-    tt = np.stack([pair.tt for pair in pairs])
-    norm_a, norm_t, gap = np.array([(pair.norm_a, pair.norm_t, pair.gap) for pair in pairs]).T
+    zero = _LoewnerTest(aa, norm_a, (0.0, 0.0))(np.zeros_like(aa))
+    out: List[Optional[float]] = [0.0 if z else None for z in zero.tolist()]
+    live = np.flatnonzero(~zero)
+    if not live.size:
+        return out
+    aa, norm_a, tt = aa[live], norm_a[live], _as_stack(tt[live])
+    gap, norm_t = op_norm(np.stack([tt - tt.conj().swapaxes(-1, -2), tt]))
+    asymmetric = gap > DEFAULT_TOL * norm_t
+    if asymmetric.any():
+        raise ValueError(f"second operand is not Hermitian (asymmetry {gap[asymmetric][0]:.3e})")
     # Bounds on op_norm(bb), bb the Hermitian part of scale * tt, per unit
     # of scale. The exact Hermitian part H of tt has | |H| - |tt| | <=
     # |tt - tt*| / 2. Forming bb rounds each entry by at most 2u relative to
@@ -238,7 +203,7 @@ def _bisect_stack(pairs: Sequence[_LoewnerOperands], n: int, cap: float) -> List
     # 64 n^2 eps (about 1e-12 for n = 8) leaves a factor of four over
     # p(n) <= 8 n^2 and the four products that form and scale the bounds; a
     # wider band only sends more decisions to the SVD.
-    band = 64.0 * np.finfo(float).eps * n**2.0
+    band = 64.0 * np.finfo(float).eps * tt.shape[-1] ** 2.0
     low, high = (norm_t - gap / 2.0) * (1.0 - band), (norm_t + gap / 2.0) * (1.0 + band)
 
     def stepper(members: np.ndarray):
@@ -257,7 +222,7 @@ def _bisect_stack(pairs: Sequence[_LoewnerOperands], n: int, cap: float) -> List
 
         return holds
 
-    count = len(pairs)
+    count = len(live)
     hi = np.ones(count)
     found = np.zeros(count, dtype=bool)
     active, holds = np.arange(count), None
@@ -270,14 +235,13 @@ def _bisect_stack(pairs: Sequence[_LoewnerOperands], n: int, cap: float) -> List
         if done.any():
             found[active[ok]] = True
             active, holds = active[~done], None
-    out: List[Optional[float]] = [None] * count
-    live = np.flatnonzero(found)
-    if not live.size:
+    settled = np.flatnonzero(found)
+    if not settled.size:
         return out
-    holds = stepper(live)
+    holds = stepper(settled)
     # The halving runs on Python floats, which round as numpy's doubles do;
     # on a stack of one they cost less than array calls.
-    lo, hi = [0.0] * live.size, hi[live].tolist()
+    lo, hi = [0.0] * settled.size, hi[settled].tolist()
     for step in range(1, 61):
         mid = [(a + b) / 2.0 for a, b in zip(lo, hi)]
         # Once every mid is a bound already decided (hi, or a lo > 0 that a
@@ -291,7 +255,7 @@ def _bisect_stack(pairs: Sequence[_LoewnerOperands], n: int, cap: float) -> List
         ok = holds(np.array(mid), check=False).tolist()
         lo = [a if k else m for a, m, k in zip(lo, mid, ok)]
         hi = [m if k else b for m, b, k in zip(mid, hi, ok)]
-    for j, scale in zip(live.tolist(), hi):
+    for j, scale in zip(live[settled].tolist(), hi):
         out[j] = scale
     return out
 
@@ -307,22 +271,19 @@ def bisect_loewner_lambda(s_op: np.ndarray, t_op: np.ndarray, cap: float = 1e18)
     :func:`loewner_inclusion_exists` for the inclusion decision itself.
 
     Each step makes the decision ``loewner_leq(S S*, scale * T T*)`` would
-    make, bit for bit, but the operands are checked once per call (see
-    :func:`_loewner_operands`), and the norm of the scaled operand is
-    bounded from the norm of T T* instead of computed wherever the bound
-    settles the decision. A non-finite product or scaled operand raises
-    ``ValueError``. The suites bisect a chunk's pairs in lockstep; this is
-    a stack of one over the same routine.
+    make, bit for bit, but the operands are checked once per call: S S* as
+    ``loewner_leq`` checks it, and T T*, unless scale zero already works,
+    finite and Hermitian relative to its own norm. The norm of the scaled
+    operand is bounded from the norm of T T* instead of computed wherever
+    the bound settles the decision. A non-finite product or scaled operand
+    raises ``ValueError``. The suites bisect the pairs of each matrix size
+    as one stack; this is a stack of one over the same routine.
     """
-    return _bisect_loewner_lambdas([_loewner_operands(s_op, t_op)], cap)[0]
-
-
-def _conditioned_matrix(rng: np.random.Generator, rows: int, cols: int, r: int) -> np.ndarray:
-    """Rank-r matrix with singular values in [0.5, 2]."""
-    q1, _ = np.linalg.qr(complex_normal(rng, rows, r))
-    q2, _ = np.linalg.qr(complex_normal(rng, cols, r))
-    singulars = np.sort(rng.uniform(0.5, 2.0, r))[::-1]
-    return (q1 * singulars) @ q2.conj().T
+    ss = s_op @ s_op.conj().T
+    tt = t_op @ t_op.conj().T
+    if ss.shape != tt.shape:
+        raise ValueError(f"operands must be square and of equal size, got {ss.shape} and {tt.shape}")
+    return _bisect_loewner_lambdas(as_operator(ss)[None], tt[None], cap)[0]
 
 
 _PINV_CHECKS = (
@@ -378,7 +339,7 @@ def _factorization_pair(rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarra
     p = int(rng.integers(1, 9))
     q = int(rng.integers(1, 9))
     rank_t = int(rng.integers(1, min(n, p) + 1))
-    t_op = _conditioned_matrix(rng, n, p, rank_t)
+    t_op = conditioned_ops([rng], n, p, rank_t)[0]
     theta0 = complex_normal(rng, p, q)
     norm0 = op_norm(theta0)
     if norm0 > 0:
@@ -390,20 +351,26 @@ def _prop_l2(chunk: _Chunk) -> CheckTable:
     """Factorization suite on random included pairs: the factor's squared
     norm must match the bisection scale, and kernel/range nesting must hold.
 
-    Matrix sizes are drawn per trial, so the draws, the factor, the
-    bisection operands and the checks run trial by trial; the bisections
-    of the chunk's trials run in one lockstep per matrix size.
+    Matrix sizes are drawn per trial, so the draws, the factor and the
+    checks run trial by trial; the Gram pairs (S S*, T T*) of the chunk's
+    trials of each size are checked and bisected as one stack.
     """
     trials = []
     for rng in chunk.rngs("l2"):
         s_op, t_op = _factorization_pair(rng)
         # The factor with the squared norm and rank of T its test computed.
         inc = douglas_factors(s_op[None], t_op[None])
-        lam, rank_t = float(inc.lambda_star[0]), int(inc.rank_t[0])
-        trials.append((s_op, t_op, inc.factor[0], lam, rank_t, _loewner_operands(s_op, t_op)))
-    scales = _bisect_loewner_lambdas([operands for *_, operands in trials])
+        trials.append((s_op, t_op, inc.factor[0], float(inc.lambda_star[0]), int(inc.rank_t[0])))
+    scales: List[Optional[float]] = [None] * len(trials)
+    sizes = [len(s_op) for s_op, *_ in trials]
+    for n in sorted(set(sizes)):
+        group = [j for j, size in enumerate(sizes) if size == n]
+        ss = np.stack([trials[j][0] @ trials[j][0].conj().T for j in group])
+        tt = np.stack([trials[j][1] @ trials[j][1].conj().T for j in group])
+        for j, scale in zip(group, _bisect_loewner_lambdas(ss, tt)):
+            scales[j] = scale
     rows = []
-    for (s_op, t_op, theta, lam, rank_t, _), lam_b in zip(trials, scales):
+    for (s_op, t_op, theta, lam, rank_t), lam_b in zip(trials, scales):
         gap, norm_s = op_norm(np.stack([t_op @ theta - s_op, s_op])).tolist()
         min_scale = 1.0 if lam_b is None else abs(lam - lam_b) / (1.0 + lam_b)
         kernel_match = rank(s_op) == rank(theta) == rank(np.vstack([s_op, theta]))

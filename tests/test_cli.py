@@ -126,6 +126,13 @@ class TestVerifyCommand:
         assert result.returncode == 2
         assert "error" in result.stderr
 
+    def test_config_that_is_not_utf8_exits_two(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"dim": 3, \xff\xfe\x00garbage')
+        result = run_cli("verify", "--config", str(path))
+        assert result.returncode == 2
+        assert result.stderr == f"error: {path}: not valid UTF-8 at byte 11\n"
+
     def test_semantic_error_names_field(self, tmp_path):
         path = write_scenario(tmp_path, generated_doc(weights=[1.0, -1.0, 1.0, 1.0]))
         result = run_cli("verify", "--config", str(path))

@@ -176,6 +176,16 @@ class TestLoading:
         with pytest.raises(ScenarioError, match="cannot read"):
             load_scenario("/nonexistent/scenario.json")
 
+    def test_bytes_that_are_not_utf8_name_the_file_and_offset(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe\x00garbage")
+        with pytest.raises(ScenarioError, match=r"bad\.json: not valid UTF-8 at byte 0$"):
+            load_scenario(str(path))
+        # The offset counts from the start of the file, past any read buffer.
+        path.write_bytes(b" " * 100000 + b"{\xc3}")
+        with pytest.raises(ScenarioError, match=r"bad\.json: not valid UTF-8 at byte 100001$"):
+            load_scenario(str(path))
+
 
 class TestRealization:
     def test_random_rank_k_varies_per_trial_deterministically(self):

@@ -12,15 +12,15 @@ import pytest
 from kframelab import duality, frames, suites
 from kframelab.duality import ParsevalKFrame
 from kframelab.fixtures import fixture_scenario
-from kframelab.frames import KOperator, SampledFrame
-from kframelab.hilbert import Split, _LoewnerTest, loewner_leq, op_norm, ranks
+from kframelab.frames import KOperator, SampledFrame, conditioned_ops
+from kframelab.hilbert import Split, _LoewnerTest, loewner_leq, op_norm, range_inclusion, ranks
 from kframelab.report import emit_report, report_to_dict
 from kframelab.rng import complex_normal, stream
 from kframelab.scenario import ScenarioError, scenario_from_dict
 from kframelab.suites import PROPERTY_IDS, UnknownPropertyError, bisect_loewner_lambda, run_suite
 
 import golden
-from helpers import bisect_loewner
+from helpers import bisect_loewner, loewner_inclusion_exists
 
 
 def generated_doc(**overrides):
@@ -241,15 +241,46 @@ class TestNonFiniteResiduals:
 def _included_pair(rng):
     """An included pair drawn like the l2 suite's: S = T theta."""
     n, p, q = int(rng.integers(2, 9)), int(rng.integers(1, 9)), int(rng.integers(1, 9))
-    t = suites._conditioned_matrix(rng, n, p, int(rng.integers(1, min(n, p) + 1)))
+    t = conditioned_ops([rng], n, p, int(rng.integers(1, min(n, p) + 1)))[0]
     return t @ (rng.uniform(0.1, 3.0) * complex_normal(rng, p, q)), t
 
 
 def _escaping_pair(rng):
     """A generic S against a rank-deficient T, so R(S) is not inside R(T)."""
     n, p, q = int(rng.integers(2, 9)), int(rng.integers(1, 9)), int(rng.integers(1, 9))
-    t = suites._conditioned_matrix(rng, n, p, int(rng.integers(1, min(n - 1, p) + 1)))
+    t = conditioned_ops([rng], n, p, int(rng.integers(1, min(n - 1, p) + 1)))[0]
     return complex_normal(rng, n, q), t
+
+
+def _one_shape_pairs(rng, n, p, q):
+    """Pairs (S, T) of one shape (n x q, n x p): nested pairs and escaping
+    pairs drawn as above, a zero S, and a nested pair whose scale, about
+    900 times T's smallest squared singular value, takes the doubling
+    several steps to reach."""
+    pairs = []
+    for _ in range(4):
+        t = conditioned_ops([rng], n, p, int(rng.integers(1, min(n, p) + 1)))[0]
+        pairs.append((t @ (rng.uniform(0.1, 3.0) * complex_normal(rng, p, q)), t))
+        t = conditioned_ops([rng], n, p, int(rng.integers(1, min(n - 1, p) + 1)))[0]
+        pairs.append((complex_normal(rng, n, q), t))
+    t = conditioned_ops([rng], n, p, min(n, p))[0]
+    pairs.append((np.zeros((n, q), dtype=complex), t))
+    theta = complex_normal(rng, p, q)
+    pairs.append((t @ (30.0 * theta / op_norm(theta)), t))
+    return pairs
+
+
+@pytest.mark.parametrize("n, p, q", [(4, 3, 2), (3, 5, 4)])
+def test_inclusion_verdicts_per_member(n, p, q):
+    # Each member leaves the doubling at its own first success, so its
+    # verdict in a stack is its verdict alone, and the oracle's.
+    pairs = _one_shape_pairs(stream(71), n, p, q)
+    assert range_inclusion(*pairs[-1]).lambda_star > 16.0
+    s, t = (np.stack(ops) for ops in zip(*pairs))
+    stacked = suites.loewner_inclusion_exists(s, t).tolist()
+    assert stacked == [bool(suites.loewner_inclusion_exists(a[None], b[None])[0]) for a, b in pairs]
+    assert stacked == [loewner_inclusion_exists(a, b) for a, b in pairs]
+    assert stacked == [True, False] * 4 + [True, True]
 
 
 class TestLoewnerBisection:
@@ -308,8 +339,9 @@ class TestLoewnerBisection:
         assert counts["svd"] <= 25 * trials
 
     def test_lockstep_equals_per_pair_bisection_and_the_oracle(self):
-        # One stack of sizes 2 to 8 mixing nested pairs, zero S (scale 0)
-        # and non-nested pairs (None at cap 1e3).
+        # Pairs of sizes 2 to 8 mixing nested pairs, zero S (scale 0) and
+        # non-nested pairs (None at cap 1e3), bisected as one stack per
+        # size, as l2 groups them.
         rng = stream(57)
         pairs = []
         for _ in range(8):
@@ -318,16 +350,25 @@ class TestLoewnerBisection:
         s, t = _included_pair(rng)
         pairs.append((np.zeros_like(s), t))
         assert len({len(t) for _, t in pairs}) >= 5
+
+        def by_size(order, cap):
+            """The stacked scale of each pair of ``order``, in that order."""
+            out = {}
+            for n in sorted({len(pairs[j][1]) for j in order}):
+                group = [j for j in order if len(pairs[j][1]) == n]
+                grams = [np.stack([op @ op.conj().T for op in ops]) for ops in zip(*(pairs[j] for j in group))]
+                out.update(zip(group, suites._bisect_loewner_lambdas(*grams, cap=cap)))
+            return [out[j] for j in order]
+
         for cap in (1e18, 1e3):
-            stacked = suites._bisect_loewner_lambdas([suites._loewner_operands(s, t) for s, t in pairs], cap=cap)
+            stacked = by_size(range(len(pairs)), cap)
             assert stacked == [bisect_loewner_lambda(s, t, cap=cap) for s, t in pairs]
             assert stacked == [bisect_loewner(s, t, cap=cap) for s, t in pairs]
             assert 0.0 in stacked
             assert (None in stacked) == (cap == 1e3)
             # The members' order does not change any member's scale.
             order = stream(58).permutation(len(pairs)).tolist()
-            shuffled = suites._bisect_loewner_lambdas([suites._loewner_operands(*pairs[j]) for j in order], cap=cap)
-            assert shuffled == [stacked[j] for j in order]
+            assert by_size(order, cap) == [stacked[j] for j in order]
 
     def test_l2_checks_do_not_depend_on_the_chunk_size(self, monkeypatch):
         sc = scenario_from_dict(generated_doc(trials=10))
@@ -690,7 +731,7 @@ def test_svds_per_benchmark_verify_call(monkeypatch):
         counts.clear()
         assert run_suite(sc, workload.properties).all_passed
         per_call[name] = counts["svd"]
-    assert per_call == {"large-lapack": 39, "small-dense": 376, "unique-dual": 23}
+    assert per_call == {"large-lapack": 39, "small-dense": 350, "unique-dual": 23}
 
 
 @pytest.mark.parametrize("v", [3.3e-10, 6e-10])

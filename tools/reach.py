@@ -1,16 +1,23 @@
-"""The functions of ``src/kframelab`` that the command line never enters.
+"""The code of ``src/kframelab`` that the command line never runs.
 
     python tools/reach.py
 
-Run it from the repository root. With the interpreter's profiler on, it
-runs, in process, ``kframelab verify --config ... --report ...`` on every
-golden scenario (``tests/golden``, each with its property selection) and
-on each benchmark workload (``perfbench/workloads.py``) at seed 42, and
-``kframelab fixtures --name ...`` for each fixture. It then prints every
-function and method defined in ``src/kframelab`` whose code was never
-entered, with its line count (decorators included), and the totals. A
-function nested in one that was never entered is counted with it, not
-on its own line.
+Run it from the repository root. With the interpreter's line tracer on,
+it runs, in process, ``kframelab verify --config ... --report ...`` on
+every golden scenario (``tests/golden``, each with its property
+selection) and on each benchmark workload (``perfbench/workloads.py``) at
+seed 42, and ``kframelab fixtures --name ...`` for each fixture. It then
+prints:
+
+- every function and method defined in ``src/kframelab`` whose code was
+  never entered, with its line count (decorators included), and the
+  totals. A function nested in one that was never entered is counted
+  with it, not on its own line;
+- inside the functions that were entered, every statement that never
+  ran, with its line count and its first line, and the totals. A
+  statement inside one that never ran is counted with it. A statement
+  with no code of its own (``try:``, ``else:``) is judged by the
+  statements it holds.
 """
 
 import ast
@@ -20,7 +27,8 @@ import json
 import os
 import sys
 import tempfile
-from typing import Iterator, List, Set, Tuple
+import types
+from typing import Dict, Iterator, List, Set, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "kframelab")
@@ -33,7 +41,7 @@ from workloads import WORKLOADS  # noqa: E402
 
 SEED = 42
 
-Function = Tuple[str, int, int, str]  # (file, first line, last line, qualified name)
+Function = Tuple[str, int, int, str, ast.FunctionDef]  # (file, first line, last line, qualified name, node)
 
 
 def functions(path: str) -> Iterator[Function]:
@@ -46,11 +54,39 @@ def functions(path: str) -> Iterator[Function]:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                yield path, first, child.end_lineno, prefix + child.name
+                yield path, first, child.end_lineno, prefix + child.name, child
             elif isinstance(child, ast.ClassDef):
                 yield from walk(child, f"{prefix}{child.name}.")
 
     yield from walk(tree, "")
+
+
+def code_lines(code: types.CodeType) -> Set[int]:
+    """The lines that hold code of ``code`` or of the code nested in it."""
+    lines = {line for *_, line in code.co_lines() if line is not None}
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            lines |= code_lines(const)
+    return lines
+
+
+def own_lines(stmt: ast.stmt) -> range:
+    """The lines of a statement that are not those of the statements it holds."""
+    inner = [child.lineno for field in ("body", "orelse", "handlers", "finalbody") for child in getattr(stmt, field, ())]
+    inner += [case.pattern.lineno for case in getattr(stmt, "cases", ())]
+    return range(stmt.lineno, min(inner) if inner else stmt.end_lineno + 1)
+
+
+def unrun(stmts, code: Set[int], ran: Set[int]) -> Iterator[ast.stmt]:
+    """The outermost statements of ``stmts`` that never ran: those with code
+    on their own lines, none of which ran."""
+    for stmt in stmts:
+        mine = code.intersection(own_lines(stmt))
+        if mine and not mine & ran:
+            yield stmt
+            continue
+        for field in ("body", "orelse", "handlers", "finalbody", "cases"):
+            yield from unrun(getattr(stmt, field, ()), code, ran)
 
 
 def runs(workdir: str) -> List[List[str]]:
@@ -72,38 +108,61 @@ def runs(workdir: str) -> List[List[str]]:
 
 def main() -> int:
     entered: Set[Tuple[str, int]] = set()
+    ran: Dict[str, Set[int]] = {}
 
-    def profile(frame, event, arg):
-        if event == "call":
-            code = frame.f_code
-            entered.add((code.co_filename, code.co_firstlineno))
+    def lines(frame, event, arg):
+        if event == "line":
+            ran[frame.f_code.co_filename].add(frame.f_lineno)
+        return lines
+
+    def trace(frame, event, arg):
+        code = frame.f_code
+        entered.add((code.co_filename, code.co_firstlineno))
+        if code.co_filename.startswith(SRC + os.sep):
+            ran.setdefault(code.co_filename, set())
+            return lines
+        return None
 
     with tempfile.TemporaryDirectory() as workdir:
         argvs, codes = runs(workdir), []
-        # Only the command lines run under the profiler, not the imports.
-        sys.setprofile(profile)
+        # Only the command lines run under the tracer, not the imports.
+        sys.settrace(trace)
         try:
             for argv in argvs:
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                     codes.append(cli.main(argv))
         finally:
-            sys.setprofile(None)
+            sys.settrace(None)
     print(f"runs: {len(argvs)} ({', '.join(f'{codes.count(c)} exit {c}' for c in sorted(set(codes)))})")
-    unreached = []
+    unreached, unrun_stmts = [], []
     total_functions = total_lines = 0
     for name in sorted(os.listdir(SRC)):
         if not name.endswith(".py"):
             continue
-        for path, first, last, qualname in functions(os.path.join(SRC, name)):
+        path = os.path.join(SRC, name)
+        with open(path, encoding="utf-8") as handle:
+            source = handle.read()
+        code, text = code_lines(compile(source, path, "exec")), source.splitlines()
+        for path, first, last, qualname, node in functions(path):
             total_functions += 1
             total_lines += last - first + 1
             if (path, first) not in entered:
                 unreached.append((name, first, qualname, last - first + 1))
-    for name, first, qualname, lines in unreached:
-        print(f"{name}:{first} {qualname} {lines}")
+                continue
+            for stmt in unrun(node.body, code, ran.get(path, set())):
+                lines_ = stmt.end_lineno - stmt.lineno + 1
+                unrun_stmts.append((name, stmt.lineno, qualname, lines_, text[stmt.lineno - 1].strip()))
+    for name, first, qualname, lines_ in unreached:
+        print(f"{name}:{first} {qualname} {lines_}")
     print(
         f"unreached: {len(unreached)} of {total_functions} functions, "
-        f"{sum(lines for *_, lines in unreached)} of {total_lines} lines"
+        f"{sum(lines_ for *_, lines_ in unreached)} of {total_lines} lines"
+    )
+    for name, first, qualname, lines_, line in unrun_stmts:
+        print(f"{name}:{first} {qualname} {lines_}: {line}")
+    print(
+        f"unrun in entered functions: {len(unrun_stmts)} statements, "
+        f"{sum(stmt[3] for stmt in unrun_stmts)} lines"
     )
     return 0
 
