@@ -254,8 +254,8 @@ def _escaping_pair(rng):
 
 def _one_shape_pairs(rng, n, p, q):
     """Pairs (S, T) of one shape (n x q, n x p): nested pairs and escaping
-    pairs drawn as above, a zero S, and a nested pair whose scale, about
-    900 times T's smallest squared singular value, takes the doubling
+    pairs drawn as above, a zero S, and a nested pair S = T theta with
+    ||theta|| = 30, whose minimal scale (up to 900) the doubling takes
     several steps to reach."""
     pairs = []
     for _ in range(4):

@@ -42,6 +42,8 @@ from workloads import WORKLOADS  # noqa: E402
 SEED = 42
 
 Function = Tuple[str, int, int, str, ast.FunctionDef]  # (file, first line, last line, qualified name, node)
+# The fields of a statement that hold statements (or except clauses).
+BLOCKS = ("body", "orelse", "handlers", "finalbody")
 
 
 def functions(path: str) -> Iterator[Function]:
@@ -72,8 +74,7 @@ def code_lines(code: types.CodeType) -> Set[int]:
 
 def own_lines(stmt: ast.stmt) -> range:
     """The lines of a statement that are not those of the statements it holds."""
-    inner = [child.lineno for field in ("body", "orelse", "handlers", "finalbody") for child in getattr(stmt, field, ())]
-    inner += [case.pattern.lineno for case in getattr(stmt, "cases", ())]
+    inner = [child.lineno for field in BLOCKS for child in getattr(stmt, field, ())]
     return range(stmt.lineno, min(inner) if inner else stmt.end_lineno + 1)
 
 
@@ -85,7 +86,7 @@ def unrun(stmts, code: Set[int], ran: Set[int]) -> Iterator[ast.stmt]:
         if mine and not mine & ran:
             yield stmt
             continue
-        for field in ("body", "orelse", "handlers", "finalbody", "cases"):
+        for field in BLOCKS:
             yield from unrun(getattr(stmt, field, ()), code, ran)
 
 
@@ -110,17 +111,17 @@ def main() -> int:
     entered: Set[Tuple[str, int]] = set()
     ran: Dict[str, Set[int]] = {}
 
-    def lines(frame, event, arg):
+    def line_events(frame, event, arg):
         if event == "line":
             ran[frame.f_code.co_filename].add(frame.f_lineno)
-        return lines
+        return line_events
 
     def trace(frame, event, arg):
         code = frame.f_code
         entered.add((code.co_filename, code.co_firstlineno))
         if code.co_filename.startswith(SRC + os.sep):
             ran.setdefault(code.co_filename, set())
-            return lines
+            return line_events
         return None
 
     with tempfile.TemporaryDirectory() as workdir:
@@ -150,19 +151,19 @@ def main() -> int:
                 unreached.append((name, first, qualname, last - first + 1))
                 continue
             for stmt in unrun(node.body, code, ran.get(path, set())):
-                lines_ = stmt.end_lineno - stmt.lineno + 1
-                unrun_stmts.append((name, stmt.lineno, qualname, lines_, text[stmt.lineno - 1].strip()))
-    for name, first, qualname, lines_ in unreached:
-        print(f"{name}:{first} {qualname} {lines_}")
+                lines = stmt.end_lineno - stmt.lineno + 1
+                unrun_stmts.append((name, stmt.lineno, qualname, lines, text[stmt.lineno - 1].strip()))
+    for name, first, qualname, lines in unreached:
+        print(f"{name}:{first} {qualname} {lines}")
     print(
         f"unreached: {len(unreached)} of {total_functions} functions, "
-        f"{sum(lines_ for *_, lines_ in unreached)} of {total_lines} lines"
+        f"{sum(lines for *_, lines in unreached)} of {total_lines} lines"
     )
-    for name, first, qualname, lines_, line in unrun_stmts:
-        print(f"{name}:{first} {qualname} {lines_}: {line}")
+    for name, first, qualname, lines, line in unrun_stmts:
+        print(f"{name}:{first} {qualname} {lines}: {line}")
     print(
         f"unrun in entered functions: {len(unrun_stmts)} statements, "
-        f"{sum(stmt[3] for stmt in unrun_stmts)} lines"
+        f"{sum(lines for _, _, _, lines, _ in unrun_stmts)} lines"
     )
     return 0
 
