@@ -61,11 +61,7 @@ def as_operator(a) -> np.ndarray:
     arr = np.array(a, dtype=np.complex128, copy=True)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D operator, got ndim={arr.ndim}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"operator needs at least one row and column, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("operator entries must be finite")
-    return arr
+    return _as_stack(arr)
 
 
 def as_vector(a) -> np.ndarray:

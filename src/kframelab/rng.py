@@ -7,16 +7,14 @@ index path is the same on every platform and independent of how many
 other streams were drawn before it. Trial loops derive one stream per
 (seed, trial index) pair and may therefore run in any order.
 
-The SeedSequence hash (NEP 19) is computed here on Python ints instead of
-through one ``SeedSequence`` object per key. The seed and each index are
-split into little-endian uint32 words, the seed's words are zero-padded
-to the pool of four, and the words are mixed into the pool with
-``hashmix``/``mix`` exactly as numpy mixes them. numpy pads only when a
-spawn key is present, but without one it runs the hash out over zeros,
-which gives the same pool. The pool after the words that keys share
-(the seed and every index but the last) is memoized in a bounded cache,
-so each key hashes only its own trailing words. Philox then takes its
-key from a seed sequence that returns the precomputed state.
+The SeedSequence hash (NEP 19) of the words that keys share (the seed and
+every index but the last) is taken once from numpy, as the pool of
+``SeedSequence(seed, spawn_key=shared)``, and memoized in a bounded
+cache. Each key's own trial, slot and partner words are then mixed into
+that pool on Python ints, with ``hashmix``/``mix`` exactly as numpy mixes
+entropy past the pool's size, so a key costs no SeedSequence of its own.
+Philox then takes its key from a seed sequence that returns the
+precomputed state.
 
 A batch of keys (:func:`streams`, :func:`derive_seeds`) is keyed lazily:
 each stream or derived seed is built when a caller first reads it, so
@@ -24,14 +22,14 @@ members that draw nothing, such as those whose synthesis kernel is
 trivial, cost no Philox constructor. Building the generator is what is
 left of a stream's cost. Stacked complex Gaussian draws
 (:func:`complex_normal_stack`) fill each member's raw normals from its
-own stream and make the whole stack complex in one expression, the one
-:func:`complex_normal` applies per member.
+own stream and make the whole stack complex in one expression;
+:func:`complex_normal` is the stack of one.
 """
 
 import operator
 from collections.abc import Sequence
 from functools import lru_cache
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -53,18 +51,13 @@ _STATE_CONSTS = (_INIT_B,) + tuple(_INIT_B * _MULT_B**k & _MASK for k in range(1
 Pool = Tuple[int, int, int, int]
 
 
-def _words(value) -> List[int]:
-    """A nonnegative integer as little-endian uint32 words, as
-    SeedSequence splits its entropy and spawn key (zero is one word)."""
+def _word_count(value) -> int:
+    """The number of little-endian uint32 words SeedSequence splits a
+    nonnegative integer into (zero is one word)."""
     value = int(value)
     if value < 0:
         raise ValueError(f"seeds and stream indices must be nonnegative, got {value}")
-    words = [value & _MASK]
-    value >>= 32
-    while value:
-        words.append(value & _MASK)
-        value >>= 32
-    return words
+    return max(1, -(-value.bit_length() // 32))
 
 
 def _absorb(pool: Pool, const: int, words: Sequence[int]) -> Tuple[Pool, int]:
@@ -86,35 +79,11 @@ def _absorb(pool: Pool, const: int, words: Sequence[int]) -> Tuple[Pool, int]:
 @lru_cache(maxsize=1024)
 def _prefix(seed: int, indices: Tuple[int, ...]) -> Tuple[Pool, int]:
     """The pool and running constant after the seed's words, zero-padded
-    to the pool size, and the words of ``indices``."""
-    if indices:
-        return _absorb(*_prefix(seed, indices[:-1]), _words(indices[-1]))
-    words = _words(seed)
-    const = _INIT_A
-    pool = []
-    for w in (words + [0] * _POOL)[:_POOL]:
-        h = w ^ const
-        const = const * _MULT_A & _MASK
-        h = h * const & _MASK
-        pool.append(h ^ h >> 16)
-    # Every pool word into every other, so late words reach early ones.
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                h = pool[src] ^ const
-                const = const * _MULT_A & _MASK
-                h = h * const & _MASK
-                r = (_MIX_L * pool[dst] - _MIX_R * (h ^ h >> 16)) & _MASK
-                pool[dst] = r ^ r >> 16
-    return _absorb(tuple(pool), const, words[_POOL:])
-
-
-def _tail_words(tail: Tuple[int, ...]) -> Sequence[int]:
-    """The words of a key's own indices; one index of one word is the
-    common case."""
-    if len(tail) == 1 and 0 <= tail[0] <= _MASK:
-        return (int(tail[0]),)
-    return [w for i in tail for w in _words(i)]
+    to the pool size, and the words of ``indices``. hashmix advances the
+    constant once per pool word per mixed word, whatever the word."""
+    words = max(_POOL, _word_count(seed)) + sum(map(_word_count, indices))
+    pool = np.random.SeedSequence(seed, spawn_key=indices).pool
+    return tuple(pool.tolist()), _INIT_A * pow(_MULT_A, _POOL * words, 1 << 32) & _MASK
 
 
 def _seeds64(pool: Pool) -> Tuple[int, int]:
@@ -130,10 +99,12 @@ def _seeds64(pool: Pool) -> Tuple[int, int]:
 
 def _state(seed: int, shared: Tuple[int, ...], tail: Tuple[int, ...]) -> Tuple[int, int]:
     """The Philox key state of (seed, *shared, *tail): the prefix (seed,
-    *shared) is hashed once and memoized, the tail per key. Every stream
+    *shared) is hashed once and memoized, a tail of one-word indices is
+    mixed in per key, and any other tail joins the prefix. Every stream
     and derived seed is keyed here."""
-    pool, const = _prefix(seed, tuple(shared))
-    return _seeds64(_absorb(pool, const, _tail_words(tail))[0])
+    if all(0 <= i <= _MASK for i in tail):
+        return _seeds64(_absorb(*_prefix(seed, tuple(shared)), [int(i) for i in tail])[0])
+    return _seeds64(_prefix(seed, (*shared, *tail))[0])
 
 
 class _PhiloxKey(ISeedSequence):
@@ -198,15 +169,10 @@ def derive_seed(seed: int, *indices: int) -> int:
     return _state(seed, indices[:-1], indices[-1:])[0]
 
 
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    return (re + 1j * im) / np.sqrt(2.0)
-
-
 def complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
     """Standard complex Gaussian draws (unit total variance per entry): the
     real parts, then the imaginary parts, from one call."""
-    raw = rng.standard_normal((2,) + shape)
-    return _complex(raw[0], raw[1])
+    return complex_normal_stack([rng], *shape)[0]
 
 
 def complex_normal_stack(rngs: Sequence[np.random.Generator], *shape: int, count: Optional[int] = None) -> np.ndarray:
@@ -214,11 +180,10 @@ def complex_normal_stack(rngs: Sequence[np.random.Generator], *shape: int, count
     a new first axis; with ``count``, each member holds ``count`` successive
     draws, stacked. Each generator fills its member's raw normals in stream
     order, so the numbers are those of its successive calls, and the whole
-    stack is made complex at once, with the expression each member's own
-    call applies."""
+    stack is made complex at once."""
     lead = () if count is None else (int(count),)
     raw = np.empty((len(rngs),) + lead + (2,) + shape)
     for rng, out in zip(rngs, raw):
         rng.standard_normal(out=out)
     before = (slice(None),) * (1 + len(lead))  # the axes before (re, im)
-    return _complex(raw[before + (0,)], raw[before + (1,)])
+    return (raw[before + (0,)] + 1j * raw[before + (1,)]) / np.sqrt(2.0)

@@ -256,6 +256,16 @@ def scenario_from_dict(doc: dict) -> Scenario:
     )
 
 
+def _distinct_keys(pairs) -> dict:
+    """A JSON object as a dict, refusing a key that appears twice in it."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ScenarioError(f"the key {json.dumps(key)} appears more than once in one object")
+        doc[key] = value
+    return doc
+
+
 def load_scenario(path: str) -> Scenario:
     """Read and validate a scenario file."""
     try:
@@ -266,7 +276,9 @@ def load_scenario(path: str) -> Scenario:
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_distinct_keys)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
     except ValueError as exc:  # an integer literal past the interpreter's digit limit

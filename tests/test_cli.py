@@ -133,6 +133,13 @@ class TestVerifyCommand:
         assert result.returncode == 2
         assert result.stderr == f"error: {path}: not valid UTF-8 at byte 11\n"
 
+    def test_repeated_key_exits_two(self, tmp_path):
+        text = json.dumps(generated_doc(seed=1))[:-1] + ', "seed": 2, "k_spec": {"kind": "identity"}}'
+        path = write_text(tmp_path, text)
+        result = run_cli("verify", "--config", path, "--properties", "l4")
+        assert result.returncode == 2
+        assert result.stderr == f'error: {path}: the key "seed" appears more than once in one object\n'
+
     def test_semantic_error_names_field(self, tmp_path):
         path = write_scenario(tmp_path, generated_doc(weights=[1.0, -1.0, 1.0, 1.0]))
         result = run_cli("verify", "--config", str(path))

@@ -1,8 +1,9 @@
 """The keyed streams against numpy's SeedSequence, and the stacked draws.
 
-kframelab computes the SeedSequence hash itself; every stream and derived
-seed must equal the one ``np.random.SeedSequence(seed, spawn_key=indices)``
-gives, over the whole range of seeds and indices the runner can ask for.
+kframelab takes the SeedSequence pool of each shared prefix from numpy and
+mixes each key's own words by hand; every stream and derived seed must
+equal the one ``np.random.SeedSequence(seed, spawn_key=indices)`` gives,
+over the whole range of seeds and indices the runner can ask for.
 A run keys only the streams it draws from and the seeds it reads, and a
 stack of complex Gaussian draws gives each member the bits of its own
 per-generator call.
@@ -176,6 +177,28 @@ def test_streams_and_seeds_keyed_per_trial(monkeypatch, doc, props, per_trial):
     assert suites.run_suite(sc, props).all_passed
     made = (counts["philox"], counts["states"] - counts["philox"])
     assert made == (per_trial[0] * sc.trials, per_trial[1] * sc.trials)
+
+
+def test_seed_sequences_only_for_new_prefixes(monkeypatch):
+    # numpy hashes each memoized prefix (a seed and at most a property or
+    # instance tag here); the trial, slot and partner words of every key
+    # are mixed by hand, and a second run finds every prefix memoized.
+    built = []
+    seed_sequence = np.random.SeedSequence
+
+    def counted(seed, spawn_key=()):
+        built.append((seed, tuple(spawn_key)))
+        return seed_sequence(seed, spawn_key=spawn_key)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counted)
+    rng._prefix.cache_clear()
+    sc = scenario_from_dict(README_DOC)
+    suites.run_suite(sc)
+    assert built and len(set(built)) == len(built)
+    assert all(len(key) <= 1 for _, key in built)
+    first = list(built)
+    suites.run_suite(sc)
+    assert built == first
 
 
 class Crafted:

@@ -172,6 +172,21 @@ class TestLoading:
         with pytest.raises(ScenarioError, match=r":1:"):
             load_scenario(str(path))
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"dim": 2, "seed": 1, "seed": 2}', "seed"),
+            ('{"dim": 2, "k_spec": {"kind": "identity", "rank": 1, "kind": "diagonal"}}', "kind"),
+        ],
+        ids=["top-level", "in-k_spec"],
+    )
+    def test_repeated_key_names_the_file_and_key(self, tmp_path, text, key):
+        # json.loads alone keeps the last value silently.
+        path = tmp_path / "twice.json"
+        path.write_text(text)
+        with pytest.raises(ScenarioError, match=rf'twice\.json: the key "{key}" appears more than once in one object$'):
+            load_scenario(str(path))
+
     def test_missing_file(self):
         with pytest.raises(ScenarioError, match="cannot read"):
             load_scenario("/nonexistent/scenario.json")
