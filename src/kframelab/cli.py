@@ -7,6 +7,7 @@ Exit codes: 0 when every selected property passes, 1 when any fails,
 import argparse
 import json
 import sys
+from functools import cache
 
 from .fixtures import FIXTURE_NAMES, fixture_scenario
 from .report import emit_report, render_text
@@ -70,8 +71,14 @@ def _cmd_fixtures(args) -> int:
     return EXIT_OK
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call: parsing reads it and never changes it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "verify":
         return _cmd_verify(args)
     return _cmd_fixtures(args)

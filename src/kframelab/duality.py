@@ -69,6 +69,10 @@ Check = Tuple[str, float]
 # Probe vectors per member of the pointwise norm split of minimality_residuals.
 _MINIMALITY_PROBES = 20
 
+# Stacked arrays stay within about this many bytes: the suite runner's
+# trials per chunk, and the partners per pass of ``characterizes``.
+_CHUNK_BYTES = 1 << 22
+
 # A kernel field's norm is 10**u times the analysis norm of its canonical
 # dual (or 1 when that is smaller), u uniform over these decades.
 _KERNEL_FIELD_DECADES = (-1.0, 1.0)
@@ -252,21 +256,23 @@ class ParsevalKFrames:
         return analysis_norm(self.frames)
 
     def sample_kernel_fields(self, rngs: Sequence) -> np.ndarray:
-        """Random fields (n, m, d) that the synthesis maps annihilate, scaled
-        into a band of norms around the canonical duals' analysis norms.
-        Member j draws from ``rngs[j]``; a trivial kernel gives the zero
-        fields and draws nothing.
+        """Random fields (len(rngs), m, d) that the synthesis maps annihilate,
+        scaled into a band of norms around the canonical duals' analysis
+        norms. Field i belongs to member i mod n and draws from ``rngs[i]``,
+        so c fields per member come as c blocks of n; a trivial kernel gives
+        the zero fields and draws nothing.
 
         The draw is a complex Gaussian pushed through the kernel basis, so
         both small and dominant perturbations are exercised as the band
-        endpoints spread.
+        endpoints spread. The kernel bases broadcast over the blocks.
         """
-        space, dim, w = self.space, self.frames.dim, self.width
+        space, dim, w, n = self.space, self.frames.dim, self.width, len(self)
         if not w:
-            return np.zeros((len(self), space.atom_count, dim), dtype=np.complex128)
-        draws = self.kernel @ complex_normal_stack(rngs, w, dim)
+            return np.zeros((len(rngs), space.atom_count, dim), dtype=np.complex128)
+        draws = (self.kernel @ complex_normal_stack(rngs, w, dim).reshape(-1, n, w, dim)).reshape(len(rngs), -1, dim)
         lo, hi = _KERNEL_FIELD_DECADES
-        target = [max(norm, 1.0) * 10.0 ** rng.uniform(lo, hi) for norm, rng in zip(self.dual_norms.tolist(), rngs)]
+        norms = self.dual_norms.tolist() * (len(rngs) // n)
+        target = [max(norm, 1.0) * 10.0 ** rng.uniform(lo, hi) for norm, rng in zip(norms, rngs)]
         scale = np.array(target) / field_norm(space, draws)
         return draws * scale[:, None, None]
 
@@ -275,20 +281,22 @@ class ParsevalKFrames:
 
         Adding the conjugated rows of phi to the canonical dual leaves the
         duality identity intact exactly when synthesis(frame) @ phi = 0;
-        the zero field gives the canonical dual itself. The leak check
+        the zero field gives the canonical dual itself. Field i belongs to
+        member i mod n, see :meth:`sample_kernel_fields`. The leak check
         takes the norms of synthesis(frame) @ phi and of the field only
         where a bound leaves its verdict open, see :func:`_norms_exceed`:
         ``field_norm(phi)`` is at least phi's largest weighted column norm.
         """
-        frame_norms = self.frame_norms
+        frame_norms = np.tile(self.frame_norms, len(phi) // len(self))
+        blocks = phi.reshape(-1, len(self), *phi.shape[1:])
         floor = DEFAULT_TOL * (1.0 + frame_norms * _norm_bounds(self.space.sqrt_weights[:, None] * phi)[0])
         fails, leak = _norms_exceed(
-            synthesis(self.frames) @ phi,
+            (synthesis(self.frames) @ blocks).reshape(len(phi), self.frames.dim, -1),
             floor,
             lambda norm, j: norm > DEFAULT_TOL * (1.0 + frame_norms[j] * field_norm(self.space, phi[j])),
         )
         _require(fails, leak, "the synthesis map does not annihilate phi (residual {:.3e})")
-        return FrameStack(self.space, self.duals.samples + np.conj(phi))
+        return FrameStack(self.space, (self.duals.samples + np.conj(blocks)).reshape(phi.shape))
 
     def duality_residuals(self, g: FrameStack) -> np.ndarray:
         """Norms of synthesis(frame) @ analysis(G) - K, see :func:`is_dual_k_bessel`."""
@@ -347,7 +355,9 @@ class ParsevalKFrames:
         dual, and every later partner would repeat partner 0's comparison.
         Members that disagree on partner 0 raise ``Split``. Zero
         trials pass vacuously. Partner t of member j draws from
-        ``stream(seeds[j], t)``.
+        ``stream(seeds[j], t)``. The later partners run as one stack per
+        pass, within ``_CHUNK_BYTES`` at 128 m d bytes per partner and
+        member; the first that leaks raises, as it would one at a time.
         """
         self.require_duals(g)
         norms = self.dual_norms if g is self.duals else analysis_norm(g)
@@ -359,10 +369,13 @@ class ParsevalKFrames:
         holds = ~(op_norm(gram - syn_g @ self.dual_analysis) > DEFAULT_TOL * scale)
         if trials == 1 or not self.width or not _common(holds):
             return holds
-        for t in range(1, int(trials)):
-            rngs = [stream(seed, t) for seed in seeds]
-            partner = self.build_duals(self.sample_kernel_fields(rngs))
-            holds &= ~(op_norm(gram - syn_g @ analysis(partner)) > DEFAULT_TOL * scale)
+        n, m, d = self.frames.samples.shape
+        per_pass = max(1, _CHUNK_BYTES // (128 * m * d * n))
+        for first in range(1, int(trials), per_pass):
+            ts = range(first, min(first + per_pass, int(trials)))
+            partners = self.build_duals(self.sample_kernel_fields([stream(seed, t) for t in ts for seed in seeds]))
+            gaps = op_norm(gram - syn_g @ analysis(partners).reshape(len(ts), n, m, d))
+            holds &= ~(gaps > DEFAULT_TOL * scale).any(axis=0)
         return holds
 
     def alternative_duals(self, seeds: Sequence[int]) -> Tuple[FrameStack, np.ndarray]:

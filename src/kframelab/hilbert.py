@@ -261,7 +261,8 @@ class _LoewnerTest:
     1, needs no margin. ``op_norm(bb)`` is computed only for the members
     whose verdict the bounds leave open. This is the one implementation of
     the decision, shared by :func:`loewner_leq` and the minimal-scale
-    bisection of the suites.
+    bisection of the suites, which reads each call's ``eigvalsh(bb -
+    aa)[0]``, kept as ``lam_min``, to predict its next decisions.
     """
 
     def __init__(self, aa: np.ndarray, norm_a, norm_b):
@@ -276,7 +277,7 @@ class _LoewnerTest:
         self.slacks = [-DEFAULT_TOL * bound for bound in norm_b]
 
     def __call__(self, bb: np.ndarray, scale=1.0) -> np.ndarray:
-        lam_min = np.linalg.eigvalsh(bb - self.aa)[:, 0]
+        self.lam_min = lam_min = np.linalg.eigvalsh(bb - self.aa)[:, 0]
         holds = lam_min >= self.short
         if np.count_nonzero(holds) == len(holds):
             return holds

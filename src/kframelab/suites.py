@@ -33,7 +33,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .duality import CheckTable, HypothesisError, ParsevalKFrames, _positive_part, field_norm
+from .duality import _CHUNK_BYTES, CheckTable, HypothesisError, ParsevalKFrames, _positive_part, field_norm
 from .frames import (
     FrameStack,
     KStack,
@@ -77,11 +77,6 @@ __all__ = [
 
 class UnknownPropertyError(ScenarioError):
     """A property id outside the registered set was requested."""
-
-
-# Trials per chunk are capped so that the chunk's stacked arrays stay
-# within about this many bytes, so memory does not grow with the trials.
-_CHUNK_BYTES = 1 << 22
 
 
 def _trial_bytes(scenario: Scenario) -> int:
@@ -167,22 +162,45 @@ def loewner_inclusion_exists(s_op: np.ndarray, t_op: np.ndarray):
     return holds
 
 
+# At most this many steps of a member are decided in one stacked call.
+_ROUND_STEPS = 32
+
+
+def _threshold_guess(s1: float, m1: float, s2: float, m2: float, lo: float, hi: float) -> float:
+    """The scale in [lo, hi] where a member's decisions are guessed to turn
+    from fail to hold: the root of the secant through its last two failed
+    scales and their margins, else the midpoint. A hint, never a decision."""
+    if m2 != m1:
+        guess = s2 - m2 * (s2 - s1) / (m2 - m1)
+        if lo <= guess <= hi:
+            return guess
+    return (lo + hi) / 2.0
+
+
 def _bisect_loewner_lambdas(ss: np.ndarray, tt: np.ndarray, cap: float = 1e18) -> List[Optional[float]]:
     """:func:`bisect_loewner_lambda` of each pair of two stacks (k, n, n) of
-    S S* and T T*, bisected in lockstep.
+    S S* and T T*, bisected together.
 
     S S* is checked as ``loewner_leq`` checks it, and the members where
     scale zero already works get 0.0. On the others, T T* is checked
     finite, and Hermitian relative to its own norm, which implies that
     check on every positive multiple of it. Each member's decisions read
     only its own matrices, so the stack does not change its scale. Members
-    double their upper scale on a shrinking active set (None above the
-    cap), then halve in lockstep. A decision computes op_norm(bb) only when
-    bounds on it from |tt| and |tt - tt*| leave the decision open.
+    double their upper scale (None above the cap), then halve. A decision
+    computes op_norm(bb) only when bounds on it from |tt| and |tt - tt*|
+    leave the decision open.
+
+    The steps speculate. Each round follows each member's path as its
+    guessed threshold predicts it (:func:`_threshold_guess`, from the
+    margins lam_min + DEFAULT_TOL * max(limit, scale |tt|) of its failed
+    decisions) for up to ``_ROUND_STEPS`` steps, decides them in one
+    stacked call, and keeps them up to the first misprediction, included:
+    each at the scale, and on the matrix, of the step-by-step bisection.
     """
     aa, norm_a = _require_hermitian(_as_stack(ss), "first")
     # The zero operand's norm is 0, known without an SVD.
-    zero = _LoewnerTest(aa, norm_a, (0.0, 0.0))(np.zeros_like(aa))
+    at_zero = _LoewnerTest(aa, norm_a, (0.0, 0.0))
+    zero = at_zero(np.zeros_like(aa))
     out: List[Optional[float]] = [0.0 if z else None for z in zero.tolist()]
     live = np.flatnonzero(~zero)
     if not live.size:
@@ -205,58 +223,79 @@ def _bisect_loewner_lambdas(ss: np.ndarray, tt: np.ndarray, cap: float = 1e18) -
     # wider band only sends more decisions to the SVD.
     band = 64.0 * np.finfo(float).eps * tt.shape[-1] ** 2.0
     low, high = (norm_t - gap / 2.0) * (1.0 - band), (norm_t + gap / 2.0) * (1.0 + band)
-
-    def stepper(members: np.ndarray):
-        """The members' decisions, each at its own scale."""
-        t = tt[members]
-        test = _LoewnerTest(aa[members], norm_a[members], (low[members], high[members]))
-
-        def holds(scale: np.ndarray, check: bool = True) -> np.ndarray:
-            bb = scale[:, None, None] * t
+    # The minimal scale up to rounding, the top eigenvalue of aa against tt on
+    # tt's range, enters as a zero margin. A hint: its cut need not be RANK_EPS.
+    w, v = np.linalg.eigh(tt)
+    inv = np.divide(1.0, np.sqrt(np.abs(w)), out=np.zeros_like(w), where=w > 1e-10 * w[:, -1:])
+    with np.errstate(all="ignore"):
+        pencil = inv[:, :, None] * (v.conj().swapaxes(-1, -2) @ aa @ v) * inv[:, None, :]
+    seeds = np.linalg.eigvalsh(np.where(np.isfinite(pencil), pencil, 0.0))[:, -1].tolist()
+    margins = (at_zero.lam_min + DEFAULT_TOL * at_zero.limit)[live].tolist()
+    failed = [(0.0, m, s, 0.0) for m, s in zip(margins, seeds)]
+    # The bisection runs on Python floats, which round as numpy's doubles
+    # do; on small stacks they cost less than array calls. hi starts at 1
+    # whatever the cap.
+    count, top = len(live), max(cap, 1.0)
+    lo, hi, steps, doubling = [0.0] * count, [1.0] * count, [0] * count, [True] * count
+    going, depth = list(range(count)), _ROUND_STEPS
+    while going:
+        # About four complex n x n arrays per decided matrix.
+        depth = max(1, min(depth, _CHUNK_BYTES // (64 * tt[0].size * len(going))))
+        owners, scales, paths = [], [], []
+        for j in going:
+            guess = _threshold_guess(*failed[j], lo[j], np.inf if doubling[j] else hi[j])
+            a, b, up, step, first = lo[j], hi[j], doubling[j], steps[j], len(scales)
+            while len(scales) - first < depth and (b <= top or not up):
+                mid, step = (b, step) if up else ((a + b) / 2.0, step + 1)
+                # Once mid is a bound already decided (hi, or a lo > 0 that a
+                # failed decision set), each later step repeats that decision
+                # and changes nothing. Doubling leaves hi a power of two and lo
+                # zero, so the first 53 midpoints are exact and strictly inside.
+                if step > 60 or (step > 53 and (mid == b or (mid == a and a > 0.0))):
+                    break
+                scales.append(mid)
+                if mid >= guess:
+                    b, up = mid, False
+                elif up:
+                    b = 2.0 * b
+                else:
+                    a = mid
+            if len(scales) > first:
+                owners += [j] * (len(scales) - first)
+                paths.append((j, guess, first, len(scales)))
+        if not scales:
+            break
+        idx, scale = np.array(owners), np.array(scales)
+        # Both the scaled operand and its symmetrized sum can overflow.
+        with np.errstate(over="ignore", invalid="ignore"):
+            bb = scale[:, None, None] * tt[idx]
             bb += bb.conj().swapaxes(-1, -2)
             bb /= 2.0
-            # Both the scaled operand and its symmetrized sum can overflow.
-            if check and not np.isfinite(bb).all():
+        if not np.isfinite(bb).all():
+            # One step at a time, it raises where the step-by-step bisection does:
+            # a mid <= hi, whose operand was finite, has one too (rounding is monotone).
+            if depth == 1:
                 raise ValueError("operator entries must be finite")
-            return test(bb, scale)
-
-        return holds
-
-    count = len(live)
-    hi = np.ones(count)
-    found = np.zeros(count, dtype=bool)
-    active, holds = np.arange(count), None
-    while active.size:
-        if holds is None:
-            holds = stepper(active)
-        ok = holds(hi[active])
-        hi[active[~ok]] *= 2.0
-        done = ok | (hi[active] > cap)
-        if done.any():
-            found[active[ok]] = True
-            active, holds = active[~done], None
-    settled = np.flatnonzero(found)
-    if not settled.size:
-        return out
-    holds = stepper(settled)
-    # The halving runs on Python floats, which round as numpy's doubles do;
-    # on a stack of one they cost less than array calls.
-    lo, hi = [0.0] * settled.size, hi[settled].tolist()
-    for step in range(1, 61):
-        mid = [(a + b) / 2.0 for a, b in zip(lo, hi)]
-        # Once every mid is a bound already decided (hi, or a lo > 0 that a
-        # failed decision set), each later step repeats that decision and
-        # changes nothing. Doubling leaves hi a power of two and lo zero, so
-        # the first 53 midpoints are exact and strictly inside.
-        if step > 53 and all(m == b or (m == a and a > 0.0) for a, m, b in zip(lo, mid, hi)):
-            break
-        # mid <= hi, whose symmetrized scaled operand was finite, and
-        # rounding is monotone: so is this one, with no need to check.
-        ok = holds(np.array(mid), check=False).tolist()
-        lo = [a if k else m for a, m, k in zip(lo, mid, ok)]
-        hi = [m if k else b for m, b, k in zip(mid, hi, ok)]
-    for j, scale in zip(live[settled].tolist(), hi):
-        out[j] = scale
+            depth = 1
+            continue
+        test = _LoewnerTest(aa[idx], norm_a[idx], (low[idx], high[idx]))
+        ok = test(bb, scale).tolist()
+        margins = (test.lam_min + DEFAULT_TOL * np.maximum(test.limit, scale * norm_t[idx])).tolist()
+        for j, guess, first, stop in paths:
+            for i in range(first, stop):
+                mid, k = scales[i], ok[i]
+                if not k:
+                    failed[j] = (*failed[j][2:], mid, margins[i])
+                if doubling[j]:
+                    doubling[j], hi[j] = not k, mid if k else 2.0 * mid
+                else:
+                    steps[j] += 1
+                    lo[j], hi[j] = (lo[j], mid) if k else (mid, hi[j])
+                if k != (mid >= guess):
+                    break
+        going, depth = [j for j, *_ in paths], _ROUND_STEPS
+    for j, scale, up in zip(live.tolist(), hi, doubling):
+        out[j] = None if up else scale
     return out
 
 

@@ -677,23 +677,26 @@ class TestParsevalKFramesStack:
         assert stack.kernel.shape == (4, 5, 2)
         return stack, singles
 
+    @staticmethod
+    def every_partner(pk, g, trials, seed):
+        """The verdict of ``characterizes`` from a loop over every partner."""
+        syn_g = synthesis(g)
+        gram, scale = syn_g @ analysis(g), 1.0 + analysis_norm(g) ** 2
+        for t in range(trials):
+            partner = pk.dual if t == 0 else pk.build_dual(pk.sample_kernel_field(stream(seed, t)))
+            if op_norm(gram - syn_g @ analysis(partner)) > DEFAULT_TOL * scale:
+                return False
+        return True
+
     def test_characterizes_stops_trivial_kernels_after_the_canonical_dual(self, members, monkeypatch):
         # Width 0 makes the canonical dual the only dual, so every later
         # partner would repeat partner 0's comparison: none is built. Width
-        # 2 builds the 7 later partners of 8 when partner 0 holds, with the
-        # verdicts a loop over every partner gives.
+        # 2 builds the 7 later partners of 8 when partner 0 holds, in one
+        # pass of 7 partners per member, with the verdicts a loop over every
+        # partner gives.
         stack, singles = members
         seeds = self.SEEDS
-
-        def every_partner(pk, g, trials, seed):
-            syn_g = synthesis(g)
-            gram, scale = syn_g @ analysis(g), 1.0 + analysis_norm(g) ** 2
-            for t in range(trials):
-                partner = pk.dual if t == 0 else pk.build_dual(pk.sample_kernel_field(stream(seed, t)))
-                if op_norm(gram - syn_g @ analysis(partner)) > DEFAULT_TOL * scale:
-                    return False
-            return True
-
+        every_partner = self.every_partner
         perturbed = stack.build_duals(stack.sample_kernel_fields([stream(seed, 2) for seed in seeds]))
         unique, _ = self.build((5, 5))
         assert unique.kernel.shape == (2, 5, 0)
@@ -701,13 +704,13 @@ class TestParsevalKFramesStack:
         for pk in (stack, unique):
             build_duals = pk.build_duals
             monkeypatch.setattr(pk, "build_duals", lambda phi, f=build_duals: built.append(len(phi)) or f(phi))
-        for g, count in ((stack.duals, 7), (perturbed, 0)):
+        for g, passes in ((stack.duals, 1), (perturbed, 0)):
             built.clear()
             assert stack.characterizes(g, 8, seeds).tolist() == [
                 every_partner(pk, SampledFrame(pk.frame.space, g.samples[t]), 8, seed)
                 for t, (pk, seed) in enumerate(zip(singles, seeds))
             ]
-            assert built == [len(seeds)] * count
+            assert built == [7 * len(seeds)] * passes
         built.clear()
         assert unique.characterizes(unique.duals, 8, seeds[:2]).tolist() == [True, True]
         assert built == []
@@ -726,6 +729,50 @@ class TestParsevalKFramesStack:
             counts.append(0)
             assert unique.characterizes(unique.duals, trials, seeds[:2]).tolist() == [True, True]
         assert counts[0] == counts[1] == 1
+
+    @pytest.mark.parametrize("per_pass, sizes", [(1, [1] * 7), (3, [3, 3, 1]), (7, [7])])
+    def test_partner_passes_keep_every_field_and_verdict(self, members, monkeypatch, per_pass, sizes):
+        # A byte budget of per_pass partners per pass splits the 7 later
+        # partners into passes, and every (member, partner) field keeps the
+        # bits it has drawn alone. Fields of size 1e-7 and 1e-12 relative to
+        # a kernel field pass partner 0; the 1e-7 ones fail a later partner.
+        stack, singles = members
+        seeds = self.SEEDS
+        n, m, d = stack.frames.samples.shape
+        monkeypatch.setattr(duality, "_CHUNK_BYTES", per_pass * 128 * m * d * n)
+        phi = stack.sample_kernel_fields([stream(seed, 2) for seed in seeds])
+        g = stack.build_duals(np.array([0.0, 1e-7, 1e-12, 1e-7])[:, None, None] * phi)
+        fields, calls = [], []
+        sample = stack.sample_kernel_fields
+
+        def recorded(rngs):
+            fields.append(sample(rngs))
+            calls.append(len(rngs) // n)
+            return fields[-1]
+
+        monkeypatch.setattr(stack, "sample_kernel_fields", recorded)
+        verdicts = stack.characterizes(g, 8, seeds).tolist()
+        assert verdicts == [
+            self.every_partner(pk, SampledFrame(pk.frame.space, g.samples[t]), 8, seed)
+            for t, (pk, seed) in enumerate(zip(singles, seeds))
+        ]
+        assert verdicts == [True, False, True, False]
+        assert calls == sizes
+        fields = np.concatenate(fields).reshape(7, n, m, d)
+        for j, (pk, seed) in enumerate(zip(singles, seeds)):
+            for t in range(1, 8):
+                assert np.array_equal(fields[t - 1, j], pk.sample_kernel_field(stream(seed, t)))
+
+    def test_one_partner_per_pass_at_d64_m512(self, monkeypatch):
+        # 128 m d bytes per partner and member fill the whole budget at the
+        # large-lapack size, so each of the 7 later partners is its own pass.
+        workload = golden.perfbench_module("workloads").WORKLOADS["large-lapack"]
+        pk = suites._Chunk(scenario_from_dict(workload.scenario_doc(42)), [0]).parseval
+        assert pk.frames.samples.shape == (1, 512, 64)
+        built, build_duals = [], pk.build_duals
+        monkeypatch.setattr(pk, "build_duals", lambda phi: built.append(len(phi)) or build_duals(phi))
+        assert pk.characterizes(pk.duals, 8, [3]).tolist() == [True]
+        assert built == [1] * 7
 
     def test_members_agree_with_their_single_runs(self, members):
         stack, singles = members

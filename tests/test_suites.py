@@ -330,12 +330,16 @@ class TestLoewnerBisection:
         trials = 20
         report = run_suite(scenario_from_dict(generated_doc(trials=trials)), ["l2"])
         assert report.all_passed
-        # The chunk's bisections decide one matrix per member and step, with
-        # one stacked eigvalsh per matrix size and step, and each size stops
-        # once its members' bisections have settled. The norm bounds settle
-        # every decision here, so the SVDs are those of each trial's fixed checks.
-        assert counts["eigvalsh matrices"] == 1143
-        assert counts["eigvalsh"] < counts["eigvalsh matrices"] / 2
+        # Each size's bisections decide up to 32 steps per member in one
+        # stacked eigvalsh call, along the path that each member's guessed
+        # threshold predicts: 21 calls decide the 1123 steps of the step-by-
+        # step bisection (399 calls, one per size and step) and 36 steps past
+        # a misprediction. Each size adds one call for its zero-scale
+        # decisions and one for its guesses, 20 matrices each. The norm bounds
+        # settle every decision here, so the SVDs are those of each trial's
+        # fixed checks.
+        assert counts["eigvalsh matrices"] == 1199
+        assert counts["eigvalsh"] == 35
         assert counts["svd"] <= 25 * trials
 
     def test_lockstep_equals_per_pair_bisection_and_the_oracle(self):
@@ -369,6 +373,42 @@ class TestLoewnerBisection:
             # The members' order does not change any member's scale.
             order = stream(58).permutation(len(pairs)).tolist()
             assert by_size(order, cap) == [stacked[j] for j in order]
+
+    @pytest.mark.parametrize("predictor", ["hold", "fail", "random"])
+    def test_predictions_never_change_a_scale(self, monkeypatch, predictor):
+        # The guessed threshold only picks which steps are decided together:
+        # guessing below every scale predicts that each decision holds, above
+        # every scale that each fails, and a random guess splits the path
+        # anywhere. Every member still ends at the oracle's scale, on the
+        # lockstep test's pairs and a pair whose T T* = 1e300 I overflows at
+        # scales that a guess above every scale reaches but the bisection
+        # does not.
+        rng = stream(57)
+        pairs = []
+        for _ in range(8):
+            pairs.append(_included_pair(rng))
+            pairs.append(_escaping_pair(rng))
+        s, t = _included_pair(rng)
+        pairs.append((np.zeros_like(s), t))
+        pairs.append((1e-4 * np.eye(2), 1e150 * np.eye(2)))
+        draws = np.random.default_rng(5)
+
+        def guess(s1, m1, s2, m2, lo, hi):
+            if predictor != "random":
+                return -math.inf if predictor == "hold" else math.inf
+            return draws.uniform(lo, hi if hi < math.inf else lo + 2.0 ** draws.integers(0, 12))
+
+        monkeypatch.setattr(suites, "_threshold_guess", guess)
+        for cap in (1e18, 1e3):
+            stacked = {}
+            for n in sorted({len(t) for _, t in pairs}):
+                group = [j for j, (_, t) in enumerate(pairs) if len(t) == n]
+                grams = [np.stack([op @ op.conj().T for op in ops]) for ops in zip(*(pairs[j] for j in group))]
+                stacked.update(zip(group, suites._bisect_loewner_lambdas(*grams, cap=cap)))
+            stacked = [stacked[j] for j in range(len(pairs))]
+            assert stacked == [bisect_loewner(s, t, cap=cap) for s, t in pairs]
+            assert stacked == [bisect_loewner_lambda(s, t, cap=cap) for s, t in pairs]
+            assert 0.0 in stacked and (None in stacked) == (cap == 1e3)
 
     def test_l2_checks_do_not_depend_on_the_chunk_size(self, monkeypatch):
         sc = scenario_from_dict(generated_doc(trials=10))
@@ -731,7 +771,7 @@ def test_svds_per_benchmark_verify_call(monkeypatch):
         counts.clear()
         assert run_suite(sc, workload.properties).all_passed
         per_call[name] = counts["svd"]
-    assert per_call == {"large-lapack": 39, "small-dense": 350, "unique-dual": 23}
+    assert per_call == {"large-lapack": 39, "small-dense": 338, "unique-dual": 23}
 
 
 @pytest.mark.parametrize("v", [3.3e-10, 6e-10])
