@@ -55,6 +55,16 @@ class TestFixturesCommand:
     def test_unknown_fixture_name(self):
         assert run_cli("fixtures", "--name", "W9").returncode == 2
 
+    def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        for name in ("W1", "W1p"):
+            assert cli.main(["fixtures", "--name", name]) == 0
+            assert json.loads(capsys.readouterr().out) == fixture_scenario(name)
+        assert built == [1]
+
 
 class TestVerifyCommand:
     def test_pass_run_writes_schema_report(self, tmp_path):
