@@ -53,7 +53,7 @@ from .measure import (
     weighted_norm_sq,
     weighted_sums,
 )
-from .rng import complex_normal_stack, stream, streams
+from .rng import Streams, complex_normal_stack, complex_parts, member_draws
 
 __all__ = [
     "HypothesisError",
@@ -266,15 +266,24 @@ class ParsevalKFrames:
         both small and dominant perturbations are exercised as the band
         endpoints spread. The kernel bases broadcast over the blocks.
         """
+        return self._kernel_fields(rngs)[0]
+
+    def _kernel_fields(self, rngs: Sequence, *then) -> List[np.ndarray]:
+        """:meth:`sample_kernel_fields`, then each member's draws of
+        ``then`` (see :func:`~kframelab.rng.member_draws`): a member draws
+        its normals, its decade and then the rest in one visit."""
         space, dim, w, n = self.space, self.frames.dim, self.width, len(self)
         if not w:
-            return np.zeros((len(rngs), space.atom_count, dim), dtype=np.complex128)
-        draws = (self.kernel @ complex_normal_stack(rngs, w, dim).reshape(-1, n, w, dim)).reshape(len(rngs), -1, dim)
+            return [np.zeros((len(rngs), space.atom_count, dim), dtype=np.complex128), *member_draws(rngs, *then)]
         lo, hi = _KERNEL_FIELD_DECADES
+        raw, decades, *rest = member_draws(
+            rngs, lambda rng: rng.standard_normal((2, w, dim)), lambda rng: rng.uniform(lo, hi), *then
+        )
+        draws = (self.kernel @ complex_parts(raw).reshape(-1, n, w, dim)).reshape(len(rngs), -1, dim)
         norms = self.dual_norms.tolist() * (len(rngs) // n)
-        target = [max(norm, 1.0) * 10.0 ** rng.uniform(lo, hi) for norm, rng in zip(norms, rngs)]
+        target = [max(norm, 1.0) * 10.0**u for norm, u in zip(norms, decades.tolist())]
         scale = np.array(target) / field_norm(space, draws)
-        return draws * scale[:, None, None]
+        return [draws * scale[:, None, None], *rest]
 
     def build_duals(self, phi: np.ndarray) -> FrameStack:
         """Rebuild duals from fields annihilated by the synthesis maps.
@@ -330,13 +339,14 @@ class ParsevalKFrames:
         One dual is built from a kernel field drawn from each member's
         generator. Then the pointwise split is checked: the squared
         coefficient norm of its analysis equals the canonical part plus
-        the field part, for 20 probe vectors (``_MINIMALITY_PROBES``).
+        the field part, for 20 probe vectors (``_MINIMALITY_PROBES``),
+        which each member draws after its field.
         """
-        phi = self.sample_kernel_fields(rngs)
+        phi, f = self._kernel_fields(rngs, lambda rng: rng.standard_normal((_MINIMALITY_PROBES, 2, self.frames.dim)))
         g = self.build_duals(phi)
         g_norm = analysis_norm(g)
         minimality = _positive_part(self.dual_norms - g_norm) / (1.0 + g_norm)
-        f = self._probes(rngs, _MINIMALITY_PROBES)
+        f = complex_parts(f.swapaxes(1, 2))
         total = self._coefficient_norms(analysis(g), f)
         canonical = self._coefficient_norms(self.dual_analysis, f)
         residual = self._coefficient_norms(phi, f)
@@ -373,7 +383,8 @@ class ParsevalKFrames:
         per_pass = max(1, _CHUNK_BYTES // (128 * m * d * n))
         for first in range(1, int(trials), per_pass):
             ts = range(first, min(first + per_pass, int(trials)))
-            partners = self.build_duals(self.sample_kernel_fields([stream(seed, t) for t in ts for seed in seeds]))
+            rngs = Streams((seed, (), (t,)) for t in ts for seed in seeds)
+            partners = self.build_duals(self.sample_kernel_fields(rngs))
             gaps = op_norm(gram - syn_g @ analysis(partners).reshape(len(ts), n, m, d))
             holds &= ~(gaps > DEFAULT_TOL * scale).any(axis=0)
         return holds
@@ -385,15 +396,17 @@ class ParsevalKFrames:
         Picks a unit coefficient function in the orthogonal complement of
         the analysis range and a unit vector h, and adds the rank-one field
         conj(alpha_i) h to the canonical dual. Orthogonality alone makes the
-        result dual; infeasible when the dual is unique.
+        result dual; infeasible when the dual is unique. Member j draws
+        alpha's normals and then h's from ``stream(seeds[j])``.
         """
-        space, w = self.space, self.width
+        space, w, dim = self.space, self.width, self.frames.dim
         if not w:
             raise InfeasibleError("the dual family is unique; no alternative exists")
-        rngs = [stream(seed) for seed in seeds]
-        alpha = (self.kernel @ complex_normal_stack(rngs, w)[..., None])[..., 0]
+        rngs = Streams((seed, (), ()) for seed in seeds)
+        draws = member_draws(rngs, lambda rng: rng.standard_normal((2, w)), lambda rng: rng.standard_normal((2, dim)))
+        alpha, h = map(complex_parts, draws)
+        alpha = (self.kernel @ alpha[..., None])[..., 0]
         alpha = alpha / np.sqrt(weighted_norm_sq(space, alpha))[:, None]
-        h = complex_normal_stack(rngs, self.frames.dim)
         h = h / vector_norms(h)[:, None]
         q = FrameStack(space, self.duals.samples + np.conj(alpha)[:, :, None] * h[:, None, :])
         residual = self.duality_residuals(q)
@@ -421,7 +434,7 @@ class ParsevalKFrames:
         ``stream(seeds[j], t)``, all within the tolerance. The probes of
         every member and trial are drawn and compared in one pass."""
         trials = int(trials)
-        rngs = [stream(seed, t) for seed in seeds for t in range(trials)]
+        rngs = Streams((seed, (), (t,)) for seed in seeds for t in range(trials))
         probes = self._probes(rngs, 1).reshape(len(self), trials, self.frames.dim)
         return (self._corange_gaps(probes) <= DEFAULT_TOL).all(axis=1)
 
@@ -482,7 +495,7 @@ class ParsevalKFrames:
         kernel_part = np.zeros((len(self), int(count), self.space.atom_count), dtype=np.complex128)
         if count > 1 and self.width:
             tails = [(t,) for t in range(1, count)]
-            rngs = [rng for seed in seeds for rng in streams(seed, (), tails)]
+            rngs = Streams((seed, (), tail) for seed in seeds for tail in tails)
             draws = complex_normal_stack(rngs, self.width).reshape(len(self), count - 1, self.width)
             kernel_part[:, 1:] = scale[:, None, None] * (self.kernel[:, None] @ draws[..., None])[..., 0]
         return canonical_values[:, None] + kernel_part

@@ -35,7 +35,7 @@ from .hilbert import (
     svd,
 )
 from .measure import MeasureSpace, _require_same_space
-from .rng import complex_normal_stack, stream
+from .rng import complex_normal_stack, complex_parts, member_draws, stream
 
 __all__ = [
     "InfeasibleError",
@@ -402,10 +402,15 @@ def conditioned_ops(rngs: Sequence, rows: int, cols: int, r: int) -> np.ndarray:
     """Rank-r operators (n, rows, cols), member t drawing from ``rngs[t]``:
     isometries from the QR factors of a rows x r and then a cols x r draw,
     and then singular values in [0.5, 2], which keep each operator well
-    conditioned on its support."""
-    q1, _ = np.linalg.qr(complex_normal_stack(rngs, rows, r))
-    q2, _ = np.linalg.qr(complex_normal_stack(rngs, cols, r))
-    singulars = np.stack([np.sort(rng.uniform(0.5, 2.0, r))[::-1] for rng in rngs])
+    conditioned on its support. Each member draws all three in one visit."""
+    raw1, raw2, singulars = member_draws(
+        rngs,
+        lambda rng: rng.standard_normal((2, rows, r)),
+        lambda rng: rng.standard_normal((2, cols, r)),
+        lambda rng: np.sort(rng.uniform(0.5, 2.0, r))[::-1],
+    )
+    q1, _ = np.linalg.qr(complex_parts(raw1))
+    q2, _ = np.linalg.qr(complex_parts(raw2))
     return (q1 * singulars[:, None, :]) @ q2.conj().swapaxes(-1, -2)
 
 

@@ -156,9 +156,10 @@ def svd(a) -> SvdFactorization:
 
 
 def rank(a) -> int:
-    """Numerical rank under the module's rank cut, as a stack of one for
-    :func:`ranks`."""
-    return int(ranks(as_operator(a)[None])[0])
+    """Numerical rank under the module's rank cut, from the SVD of a stack
+    of one as :func:`ranks` takes it, with the operand validated once."""
+    arr = as_operator(a)[None]
+    return int(_cut_ranks(np.linalg.svd(arr, full_matrices=False)[1], arr.shape)[0])
 
 
 def ranks(a) -> np.ndarray:

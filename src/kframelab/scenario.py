@@ -17,7 +17,7 @@ import numpy as np
 
 from .frames import FrameStack, KStack, conditioned_ops, parseval_k_samples, random_bessel_samples
 from .measure import MeasureSpace
-from .rng import derive_seeds, stream, streams
+from .rng import Streams, derive_seeds
 
 __all__ = [
     "ScenarioError",
@@ -302,7 +302,7 @@ def _k_ops(scenario: Scenario, trials: Sequence[int]) -> np.ndarray:
     spec = scenario.k_spec
     kind = spec["kind"]
     if kind == "random-rank":
-        rngs = streams(spec["seed"], (_K_STREAM,), [(trial,) for trial in trials])
+        rngs = Streams((spec["seed"], (_K_STREAM,), (trial,)) for trial in trials)
         return conditioned_ops(rngs, scenario.dim, scenario.dim, spec["rank"])
     if kind == "identity":
         op = np.eye(scenario.dim)
@@ -330,7 +330,8 @@ def build_frames(scenario: Scenario, space: MeasureSpace, ks: KStack, trials: Se
         if spec["kind"] == "explicit":
             samples = np.array([_complex_list(row) for row in spec["samples"]])
             return FrameStack(space, np.broadcast_to(samples, (len(trials),) + samples.shape))
-        rngs = [stream(seed) for seed in derive_seeds(spec["seed"], (_FRAME_STREAM,), [(trial,) for trial in trials])]
+        seeds = derive_seeds(spec["seed"], (_FRAME_STREAM,), [(trial,) for trial in trials])
+        rngs = Streams((seed, (), ()) for seed in seeds)
         if spec["kind"] == "generate-parseval-k":
             return FrameStack(space, parseval_k_samples(ks, space, rngs))
         return FrameStack(space, random_bessel_samples(scenario.dim, space, rngs))

@@ -26,6 +26,7 @@ One table, ``_PROPERTIES``, registers each property with its function and
 default tolerance; its order is the report order and keys the streams.
 """
 
+import math
 import platform
 import time
 from functools import cached_property
@@ -62,7 +63,7 @@ from .hilbert import (
 )
 from .measure import MeasureSpace
 from .report import REPORT_VERSION, PropertyRecord, SuiteReport
-from .rng import Keyed, complex_normal, complex_normal_stack, derive_seeds, streams
+from .rng import Keyed, Streams, complex_normal, complex_normal_stack, derive_seeds
 from .scenario import Scenario, ScenarioError, build_frames, build_ks, build_space
 
 __all__ = [
@@ -106,9 +107,9 @@ class _Chunk:
         self.scenario = scenario
         self.indices = list(indices)
 
-    def rngs(self, pid: str) -> Keyed:
-        """The property's stream of each trial, each built when it is first drawn from."""
-        return streams(self.scenario.seed, (_PROPERTY_TAG[pid],), [(i,) for i in self.indices])
+    def rngs(self, pid: str) -> Streams:
+        """The property's stream of each trial, as one batch (see ``rng.Streams``)."""
+        return Streams((self.scenario.seed, (_PROPERTY_TAG[pid],), (i,)) for i in self.indices)
 
     def sub_seeds(self, pid: str, slot: int) -> Keyed:
         """The property's derived seed in ``slot`` of each trial, each derived when first read."""
@@ -164,6 +165,9 @@ def loewner_inclusion_exists(s_op: np.ndarray, t_op: np.ndarray):
 
 # At most this many steps of a member are decided in one stacked call.
 _ROUND_STEPS = 32
+# A member's first-round band reaches where its margins clear the rounding
+# bound this many times over; a speed knob, never a decision.
+_BAND = 2.0
 
 
 def _threshold_guess(s1: float, m1: float, s2: float, m2: float, lo: float, hi: float) -> float:
@@ -175,6 +179,30 @@ def _threshold_guess(s1: float, m1: float, s2: float, m2: float, lo: float, hi: 
         if lo <= guess <= hi:
             return guess
     return (lo + hi) / 2.0
+
+
+def _first_jump(guess: float, half: float, top: float, reckless: float) -> Optional[tuple]:
+    """The last of a member's predicted steps from the start that keeps its
+    bounds ``half`` from its guess, as ((lo, hi, False, i), anchors, 2^k):
+    after doubling to 2^k and i halving steps they are (hi - 2^(k-i), hi),
+    hi the least multiple of 2^(k-i) at or above the guess, exactly while
+    i <= 52, and no later step moves them away. The anchors are the last
+    skipped scale predicted to fail (none if none is) and hi: each skipped
+    scale lies at or below the one or in [hi, 2^k]. None if none is skipped."""
+    if not (0.0 < guess < math.inf and 0.0 < half < math.inf):
+        return None
+    mant, exp = math.frexp(guess)
+    k = max(exp - (mant == 0.5), 0)
+    doubled = math.ldexp(1.0, k)
+    if doubled > top or doubled >= reckless:
+        return None
+    for i in range(min(52, k - math.frexp(half)[1]), -1, -1):  # 2^(k-i) >= 2 half
+        delta = math.ldexp(1.0, k - i)
+        b = math.ceil(guess / delta) * delta
+        if guess - (b - delta) >= half and b - guess >= half:
+            a = b - delta
+            return (a, b, False, i), ([a] if a > 0.0 else [doubled / 2.0] if k else []) + [b], doubled
+    return None
 
 
 def _bisect_loewner_lambdas(ss: np.ndarray, tt: np.ndarray, cap: float = 1e18) -> List[Optional[float]]:
@@ -193,9 +221,13 @@ def _bisect_loewner_lambdas(ss: np.ndarray, tt: np.ndarray, cap: float = 1e18) -
     The steps speculate. Each round follows each member's path as its
     guessed threshold predicts it (:func:`_threshold_guess`, from the
     margins lam_min + DEFAULT_TOL * max(limit, scale |tt|) of its failed
-    decisions) for up to ``_ROUND_STEPS`` steps, decides them in one
-    stacked call, and keeps them up to the first misprediction, included:
-    each at the scale, and on the matrix, of the step-by-step bisection.
+    decisions), decides its steps in one stacked call, and keeps them up to
+    the first misprediction, included: each at the scale, and on the
+    matrix, of the step-by-step bisection. The first round sends to
+    ``eigvalsh`` only two anchors and the steps near the guess
+    (:func:`_first_jump`); the anchors decide the others by monotonicity
+    where their margins clear the rounding bound, or the member keeps none.
+    Later rounds decide up to ``_ROUND_STEPS`` steps each.
     """
     aa, norm_a = _require_hermitian(_as_stack(ss), "first")
     # The zero operand's norm is 0, known without an SVD.
@@ -221,31 +253,62 @@ def _bisect_loewner_lambdas(ss: np.ndarray, tt: np.ndarray, cap: float = 1e18) -
     # 64 n^2 eps (about 1e-12 for n = 8) leaves a factor of four over
     # p(n) <= 8 n^2 and the four products that form and scale the bounds; a
     # wider band only sends more decisions to the SVD.
-    band = 64.0 * np.finfo(float).eps * tt.shape[-1] ** 2.0
+    n = tt.shape[-1]
+    band = 64.0 * float(np.finfo(float).eps) * n**2.0
     low, high = (norm_t - gap / 2.0) * (1.0 - band), (norm_t + gap / 2.0) * (1.0 + band)
-    # The minimal scale up to rounding, the top eigenvalue of aa against tt on
-    # tt's range, enters as a zero margin. A hint: its cut need not be RANK_EPS.
+    # The minimal scale up to rounding, the top eigenvalue s* of aa against
+    # tt on tt's range, with its eigenvector x: x* H x = 1, so lam_min rises
+    # at rate 1 / |x|^2 below s*. Moved to where the margin crosses zero, it
+    # is the first guess. A hint: its cut need not be RANK_EPS.
+    #
+    # The rounding bound on a margin, fixed + scale per_scale: by Weyl's
+    # inequality, forming bb - aa (as above) and eigvalsh (p(n) u |bb - aa|)
+    # move lam_min by at most band (limit + scale high), again a factor of
+    # four over p(n) <= 8 n^2; a slack's bounds differ by DEFAULT_TOL scale
+    # (high - low); and lam_min(scale H - aa) rises with the scale unless H
+    # has an eigenvalue below zero, which eigh of tt's lower triangle, within
+    # n |tt - tt*| of H, bounds below by -neg. So a failed decision whose
+    # margin is below -(twice its bound) makes each lower scale fail, and a
+    # held one whose margin clears its bound plus that at a higher scale
+    # makes each scale in between hold, as the step-by-step bisection does.
     w, v = np.linalg.eigh(tt)
     inv = np.divide(1.0, np.sqrt(np.abs(w)), out=np.zeros_like(w), where=w > 1e-10 * w[:, -1:])
+    count, top_scale, limit = len(live), max(cap, 1.0), at_zero.limit[live]
+    fixed = 2.0 * band * limit
+    neg = np.maximum(-w[:, 0], 0.0) + n * gap + band * high
+    per_scale = 2.0 * band * high + neg + DEFAULT_TOL * (high - low)
     with np.errstate(all="ignore"):
         pencil = inv[:, :, None] * (v.conj().swapaxes(-1, -2) @ aa @ v) * inv[:, None, :]
-    seeds = np.linalg.eigvalsh(np.where(np.isfinite(pencil), pencil, 0.0))[:, -1].tolist()
-    margins = (at_zero.lam_min + DEFAULT_TOL * at_zero.limit)[live].tolist()
-    failed = [(0.0, m, s, 0.0) for m, s in zip(margins, seeds)]
+        top, x = (part[..., -1] for part in np.linalg.eigh(np.where(np.isfinite(pencil), pencil, 0.0)))
+        reach = (inv**2 * (x.real**2 + x.imag**2)).sum(axis=-1)
+        # The guess enters the secant as a zero margin, and the point before
+        # it needs only some other margin.
+        seeds = top - DEFAULT_TOL * np.maximum(limit, top * norm_t) * reach
+        failed = [(0.0, -1.0, seed, 0.0) for seed in seeds.tolist()]
+        guesses = [_threshold_guess(*f, 0.0, math.inf) for f in failed]
+        # The band: where margins, rising at rate 1 / |x|^2, clear the bound
+        # at the top scale 2^k <= max(1, 2 guess) _BAND times over. Scales
+        # from which an entry of scale * tt could overflow are never skipped.
+        half = _BAND * (fixed + np.maximum(1.0, 2.0 * np.array(guesses)) * per_scale) * reach
+        reckless = 2.0**1022 / np.abs(tt.view(float)).max(axis=(-2, -1))
+    jumps = [_first_jump(g, h, top_scale, r) for g, h, r in zip(guesses, half.tolist(), reckless.tolist())]
+    fixed, per_scale = fixed.tolist(), per_scale.tolist()
     # The bisection runs on Python floats, which round as numpy's doubles
     # do; on small stacks they cost less than array calls. hi starts at 1
     # whatever the cap.
-    count, top = len(live), max(cap, 1.0)
     lo, hi, steps, doubling = [0.0] * count, [1.0] * count, [0] * count, [True] * count
-    going, depth = list(range(count)), _ROUND_STEPS
+    going, depth, first_round = list(range(count)), _ROUND_STEPS, True
     while going:
         # About four complex n x n arrays per decided matrix.
         depth = max(1, min(depth, _CHUNK_BYTES // (64 * tt[0].size * len(going))))
         owners, scales, paths = [], [], []
         for j in going:
-            guess = _threshold_guess(*failed[j], lo[j], np.inf if doubling[j] else hi[j])
-            a, b, up, step, first = lo[j], hi[j], doubling[j], steps[j], len(scales)
-            while len(scales) - first < depth and (b <= top or not up):
+            jump = jumps[j] if first_round else None
+            guess = guesses[j] if first_round else _threshold_guess(*failed[j], lo[j], np.inf if doubling[j] else hi[j])
+            a, b, up, step = jump[0] if jump else (lo[j], hi[j], doubling[j], steps[j])
+            scales += jump[1] if jump else []
+            first = len(scales)
+            while len(scales) - first < depth and (b <= top_scale or not up):
                 mid, step = (b, step) if up else ((a + b) / 2.0, step + 1)
                 # Once mid is a bound already decided (hi, or a lo > 0 that a
                 # failed decision set), each later step repeats that decision
@@ -260,9 +323,9 @@ def _bisect_loewner_lambdas(ss: np.ndarray, tt: np.ndarray, cap: float = 1e18) -
                     b = 2.0 * b
                 else:
                     a = mid
-            if len(scales) > first:
-                owners += [j] * (len(scales) - first)
-                paths.append((j, guess, first, len(scales)))
+            if len(scales) > len(owners):
+                owners += [j] * (len(scales) - len(owners))
+                paths.append((j, guess, first, len(scales), jump))
         if not scales:
             break
         idx, scale = np.array(owners), np.array(scales)
@@ -276,12 +339,22 @@ def _bisect_loewner_lambdas(ss: np.ndarray, tt: np.ndarray, cap: float = 1e18) -
             # a mid <= hi, whose operand was finite, has one too (rounding is monotone).
             if depth == 1:
                 raise ValueError("operator entries must be finite")
-            depth = 1
+            depth, first_round = 1, False
             continue
         test = _LoewnerTest(aa[idx], norm_a[idx], (low[idx], high[idx]))
         ok = test(bb, scale).tolist()
         margins = (test.lam_min + DEFAULT_TOL * np.maximum(test.limit, scale * norm_t[idx])).tolist()
-        for j, guess, first, stop in paths:
+        for j, guess, first, stop, jump in paths:
+            if jump:
+                # The anchors decide every skipped step, or the member keeps none.
+                *fails, held = range(first - len(jump[1]), first)
+                if any(ok[i] or margins[i] >= -(fixed[j] + scales[i] * per_scale[j]) for i in fails):
+                    continue
+                if not ok[held] or margins[held] < fixed[j] + jump[2] * per_scale[j]:
+                    continue
+                for i in fails:
+                    failed[j] = (*failed[j][2:], scales[i], margins[i])
+                lo[j], hi[j], doubling[j], steps[j] = jump[0]
             for i in range(first, stop):
                 mid, k = scales[i], ok[i]
                 if not k:
@@ -293,7 +366,7 @@ def _bisect_loewner_lambdas(ss: np.ndarray, tt: np.ndarray, cap: float = 1e18) -
                     lo[j], hi[j] = (lo[j], mid) if k else (mid, hi[j])
                 if k != (mid >= guess):
                     break
-        going, depth = [j for j, *_ in paths], _ROUND_STEPS
+        going, depth, first_round = [j for j, *_ in paths], _ROUND_STEPS, False
     for j, scale, up in zip(live.tolist(), hi, doubling):
         out[j] = None if up else scale
     return out

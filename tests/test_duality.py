@@ -31,7 +31,7 @@ from kframelab.frames import (
 )
 from kframelab.hilbert import DEFAULT_TOL, Split, op_norm, pinv, ranks
 from kframelab.measure import L2Coefficients, MeasureSpace, bochner_integrate, l2_inner, l2_norm_sq
-from kframelab.rng import complex_normal, stream
+from kframelab.rng import Streams, complex_normal, stream
 from kframelab.scenario import scenario_from_dict
 
 import golden
@@ -773,6 +773,17 @@ class TestParsevalKFramesStack:
         monkeypatch.setattr(pk, "build_duals", lambda phi: built.append(len(phi)) or build_duals(phi))
         assert pk.characterizes(pk.duals, 8, [3]).tolist() == [True]
         assert built == [1] * 7
+
+    @pytest.mark.parametrize("ranks", [(3, 3, 3, 3), (5, 5)], ids=["kernel", "trivial-kernel"])
+    def test_batches_of_streams_draw_as_fresh_generators(self, ranks):
+        # A member draws its field's normals and decade, then minimality's
+        # probes, in one visit, so a batch of streams that loads each member
+        # into one generator gives every member the bits of its own.
+        stack, _ = self.build(ranks)
+        seeds = self.SEEDS[: len(ranks)]
+        for draw in (stack.sample_kernel_fields, lambda rngs: stack.minimality_residuals(rngs).residuals):
+            batch = draw(Streams((seed, (), (2,)) for seed in seeds))
+            assert batch.tobytes() == draw([stream(seed, 2) for seed in seeds]).tobytes()
 
     def test_members_agree_with_their_single_runs(self, members):
         stack, singles = members

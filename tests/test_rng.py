@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from kframelab import rng, suites
+from kframelab.frames import conditioned_ops
 from kframelab.rng import (
+    Streams,
     complex_normal,
     complex_normal_stack,
     derive_seed,
@@ -130,6 +132,74 @@ def test_keyed_entries_are_built_on_first_read_and_kept(monkeypatch):
         generators[5]
 
 
+def state_words(seed, *indices):
+    return tuple(int(w) for w in reference(seed, *indices).generate_state(2, np.uint64))
+
+
+@pytest.mark.parametrize("seed", [7, 2**32 + 5, 2**64 + 2**40 + 3, 2**96 + 11, 2**128 + 2**100 + 1])
+@pytest.mark.parametrize("shared", [(), (1003,), (1000, 2**40)], ids=str)
+def test_one_word_mix_equals_seed_sequence(monkeypatch, seed, shared):
+    # Seeds of one to five words; the unrolled mix takes every one-word
+    # tail, and a tail of 2**32 or more joins the prefix on the general path.
+    consts = rng._prefix(seed, shared)[2]
+    for t in (0, 1, 2**32 - 1):
+        assert rng._mix(consts, t) == rng._state(seed, shared, (t,)) == state_words(seed, *shared, t), t
+    monkeypatch.setattr(rng, "_mix", None)
+    for t in (2**32, 2**40 + 7):
+        assert rng._state(seed, shared, (t,)) == state_words(seed, *shared, t), t
+
+
+KEYS = [(42, (1003,), (i,)) for i in range(5)] + [(derive_seed(3, 1), (), (t,)) for t in range(3)] + [(99, (), ())]
+
+
+def fresh(key):
+    """A new generator of the stream that a batch keys by (seed, shared, tail)."""
+    seed, shared, tail = key
+    return stream(seed, *shared, *tail)
+
+
+def test_batch_members_draw_what_fresh_streams_draw():
+    # Each member makes its whole sequence in one visit: normals, then an
+    # odd count of 32-bit integers, which leaves half a word buffered, then
+    # a uniform. The next member starts from its own fresh state.
+    def draws(g):
+        return g.standard_normal(7).tolist() + g.integers(0, 10, 3).tolist() + [g.uniform(0.5, 2.0)]
+
+    assert [draws(g) for g in Streams(KEYS)] == [draws(fresh(key)) for key in KEYS]
+    # _pinv_checks draws its sizes as integers and then normals.
+    rows = [suites._pinv_checks(g, i) for i, g in enumerate(Streams(KEYS))]
+    assert rows == [suites._pinv_checks(fresh(key), i) for i, key in enumerate(KEYS)]
+
+
+def test_draw_sites_take_batches_as_fresh_generators():
+    fresh_ones = [fresh(key) for key in KEYS]
+    assert same_bits(conditioned_ops(Streams(KEYS), 4, 3, 2), conditioned_ops(fresh_ones, 4, 3, 2))
+    fresh_ones = [fresh(key) for key in KEYS]
+    assert same_bits(complex_normal_stack(Streams(KEYS), 3, count=2), complex_normal_stack(fresh_ones, 3, count=2))
+
+
+def test_a_batch_member_is_drawn_in_one_visit(monkeypatch):
+    expected = fresh(KEYS[1]).standard_normal(5)
+    built, keyed = [], []
+    philox, state = np.random.Philox, rng._state
+    monkeypatch.setattr(np.random, "Philox", lambda key: built.append(key) or philox(key))
+    monkeypatch.setattr(rng, "_state", lambda *key: keyed.append(key) or state(*key))
+    batch = Streams(KEYS)
+    assert len(batch) == len(KEYS) and built == keyed == []
+    g = batch[1]
+    first = g.standard_normal(3)
+    # Reading the member it draws for again continues its stream.
+    assert batch[1] is g and batch[-len(KEYS) + 1] is g
+    assert np.array_equal(np.concatenate([first, batch[1].standard_normal(2)]), expected)
+    assert batch[3] is g and len(built) == 1
+    with pytest.raises(RuntimeError, match="left"):
+        batch[1]
+    with pytest.raises(IndexError):
+        batch[len(KEYS)]
+    # A member that is never read is never keyed.
+    assert keyed == [KEYS[1], KEYS[3]]
+
+
 README_DOC = {
     "dim": 3,
     "atoms": 7,
@@ -156,26 +226,28 @@ INSTANCE_PROPERTIES = [pid for pid in suites.PROPERTY_IDS if pid not in ("l1", "
 )
 def test_streams_and_seeds_keyed_per_trial(monkeypatch, doc, props, per_trial):
     # Every stream and every derived seed takes one state from the hash; a
-    # stream also builds one Philox. Members with a trivial kernel draw no
-    # kernel field (l5, canonical-char) and read no partner or family seeds
-    # (canonical-char, t4), and canonical-char's one-partner check reads no
-    # seeds at all.
-    counts = {"philox": 0, "states": 0}
-    philox, seeds64 = np.random.Philox, rng._seeds64
+    # stream loads it into its batch's one generator when the batch reads
+    # it. Members with a trivial kernel draw no kernel field (l5,
+    # canonical-char) and read no partner or family seeds (canonical-char,
+    # t4), and canonical-char's one-partner check reads no seeds at all.
+    counts = {"loads": 0, "states": 0}
+    getitem, state = rng.Streams.__getitem__, rng._state
 
-    def counted_philox(key):
-        counts["philox"] += 1
-        return philox(key)
+    def counted_getitem(self, j):
+        loads = j != self._at
+        member = getitem(self, j)
+        counts["loads"] += loads
+        return member
 
-    def counted_state(pool):
+    def counted_state(*key):
         counts["states"] += 1
-        return seeds64(pool)
+        return state(*key)
 
-    monkeypatch.setattr(np.random, "Philox", counted_philox)
-    monkeypatch.setattr(rng, "_seeds64", counted_state)
+    monkeypatch.setattr(rng.Streams, "__getitem__", counted_getitem)
+    monkeypatch.setattr(rng, "_state", counted_state)
     sc = scenario_from_dict(doc)
     assert suites.run_suite(sc, props).all_passed
-    made = (counts["philox"], counts["states"] - counts["philox"])
+    made = (counts["loads"], counts["states"] - counts["loads"])
     assert made == (per_trial[0] * sc.trials, per_trial[1] * sc.trials)
 
 

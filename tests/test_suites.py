@@ -330,16 +330,19 @@ class TestLoewnerBisection:
         trials = 20
         report = run_suite(scenario_from_dict(generated_doc(trials=trials)), ["l2"])
         assert report.all_passed
-        # Each size's bisections decide up to 32 steps per member in one
-        # stacked eigvalsh call, along the path that each member's guessed
-        # threshold predicts: 21 calls decide the 1123 steps of the step-by-
-        # step bisection (399 calls, one per size and step) and 36 steps past
-        # a misprediction. Each size adds one call for its zero-scale
-        # decisions and one for its guesses, 20 matrices each. The norm bounds
-        # settle every decision here, so the SVDs are those of each trial's
-        # fixed checks.
-        assert counts["eigvalsh matrices"] == 1199
-        assert counts["eigvalsh"] == 35
+        # Each size's first round sends to eigvalsh, per member, the two
+        # anchors and the steps of its predicted path from where the path
+        # comes within the rounding band of its guess; the anchors decide the
+        # steps before it by monotonicity. Nine later rounds, of up
+        # to 32 predicted steps each, finish the members whose decisions near
+        # the threshold differ from the prediction, and each size adds one
+        # call for its zero-scale decisions, 20 matrices in all: 23 calls over
+        # 467 matrices decide what the step-by-step bisection decides in 1123
+        # steps (399 calls, one per size and step). The norm bounds settle
+        # every decision here, so the SVDs are those of each trial's fixed
+        # checks.
+        assert counts["eigvalsh matrices"] == 467
+        assert counts["eigvalsh"] == 23
         assert counts["svd"] <= 25 * trials
 
     def test_lockstep_equals_per_pair_bisection_and_the_oracle(self):
@@ -409,6 +412,91 @@ class TestLoewnerBisection:
             assert stacked == [bisect_loewner(s, t, cap=cap) for s, t in pairs]
             assert stacked == [bisect_loewner_lambda(s, t, cap=cap) for s, t in pairs]
             assert 0.0 in stacked and (None in stacked) == (cap == 1e3)
+
+    @staticmethod
+    def skipping_grams():
+        """(S S*, T T*) of the lockstep test's pairs, of T T* = 1e300 I
+        (overflowing only at scales far above its threshold), of T T* =
+        9e306 I with its threshold just below the scales at which it
+        overflows, of a subnormal T T*, and of a rank-deficient T with and
+        without a zero S; and a T T* with a negative eigenvalue, below which
+        decisions hold and above which they fail, so a scale that holds
+        says nothing of those above it."""
+        rng = stream(57)
+        pairs = []
+        for _ in range(8):
+            pairs.append(_included_pair(rng))
+            pairs.append(_escaping_pair(rng))
+        s, t = _included_pair(rng)
+        pairs.append((np.zeros_like(s), t))
+        pairs.append((1e-4 * np.eye(2), 1e150 * np.eye(2)))
+        pairs.append((6e153 * np.eye(3), 3e153 * np.eye(3)))
+        pairs.append((1e-4 * np.eye(3), 1e-160 * np.eye(3)))
+        t = conditioned_ops([rng], 5, 5, 3)[0]
+        pairs.append((t @ complex_normal(rng, 5, 2), t))
+        pairs.append((np.zeros((5, 2), dtype=complex), t))
+        with np.errstate(over="ignore", invalid="ignore"):
+            grams = [tuple(op @ op.conj().T for op in pair) for pair in pairs]
+        return grams + [(np.diag([1e-3, 0.0, 0.0]).astype(complex), np.diag([1.0, -1e-7, 0.5]).astype(complex))]
+
+    @staticmethod
+    def stacked_scales(grams, cap):
+        """The scale of each Gram pair, bisected in one stack per size, as
+        l2 groups them, or the error that a size's stack raised."""
+        out = {}
+        for n in sorted({len(tt) for _, tt in grams}):
+            group = [j for j, (_, tt) in enumerate(grams) if len(tt) == n]
+            ss, tt = map(np.stack, zip(*(grams[j] for j in group)))
+            try:
+                out.update(zip(group, suites._bisect_loewner_lambdas(ss, tt, cap=cap)))
+            except ValueError as exc:
+                out.update((j, str(exc)) for j in group)
+        return [out[j] for j in range(len(grams))]
+
+    @pytest.mark.parametrize("guessed", ["exact", "1e-6", "1e3", "narrow"])
+    def test_skipping_never_changes_a_scale(self, monkeypatch, guessed):
+        # With an infinite band no step is skipped: each goes to eigvalsh,
+        # as the speculative rounds decide it. The run that skips the steps
+        # its anchors certify must end every member at the same scale, bit
+        # for bit, or raise the same error, at each cap and whether its
+        # guess is right, off by 1e-6 relative or off by a factor of 1e3.
+        # A band of 1e-9 of the default puts the anchors next to the guess,
+        # where only their margins against the rounding bound keep them from
+        # certifying steps that rounding decides the other way.
+        grams = self.skipping_grams()
+        factor = {"1e-6": 1.0 + 1e-6, "1e3": 1e3}.get(guessed, 1.0)
+        original = suites._threshold_guess
+        monkeypatch.setattr(suites, "_threshold_guess", lambda *args: original(*args) * factor)
+        if guessed == "narrow":
+            monkeypatch.setattr(suites, "_BAND", 1e-9 * suites._BAND)
+        eigvalsh = np.linalg.eigvalsh
+        matrices = Counter()
+
+        def counted(a, *args, **kwargs):
+            matrices[suites._BAND] += int(np.prod(np.shape(a)[:-2]))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        # Alone, T T* = 9e306 I with threshold 8.6 overflows at scale 16.
+        overflowing = [(7.74e307 * np.eye(2, dtype=complex), 9e306 * np.eye(2, dtype=complex))]
+        for cap in (1e18, 1e3, 0.7):
+            skipped = self.stacked_scales(grams, cap)
+            raised = self.stacked_scales(overflowing, cap)
+            with monkeypatch.context() as every_step:
+                every_step.setattr(suites, "_BAND", math.inf)
+                assert self.stacked_scales(grams, cap) == skipped, cap
+                assert self.stacked_scales(overflowing, cap) == raised, cap
+            # Zero S gives 0.0; the subnormal T T* gives None below every cap.
+            assert 0.0 in skipped and None in skipped
+            assert raised == (["operator entries must be finite"] if cap > 1.0 else [None])
+        # On the nested pairs, an exact guess skips most steps; a wrong one,
+        # or anchors too near it to clear the rounding bound, skip none.
+        matrices.clear()
+        nested, band = grams[:16:2], suites._BAND
+        self.stacked_scales(nested, 1e18)
+        monkeypatch.setattr(suites, "_BAND", math.inf)
+        self.stacked_scales(nested, 1e18)
+        assert (matrices[band] < matrices[math.inf] / 2) == (guessed == "exact"), matrices
 
     def test_l2_checks_do_not_depend_on_the_chunk_size(self, monkeypatch):
         sc = scenario_from_dict(generated_doc(trials=10))
