@@ -4,9 +4,10 @@ kframelab takes the SeedSequence pool of each shared prefix from numpy and
 mixes each key's own words by hand; every stream and derived seed must
 equal the one ``np.random.SeedSequence(seed, spawn_key=indices)`` gives,
 over the whole range of seeds and indices the runner can ask for.
-A run keys only the streams it draws from and the seeds it reads, and a
-stack of complex Gaussian draws gives each member the bits of its own
-per-generator call.
+A run keys only the streams it draws from and the seeds it reads, a
+batch that draws each member through one reused generator gives it the
+draws of a fresh one, and a stack of complex Gaussian draws gives each
+member the bits of its own per-generator call.
 """
 
 import itertools
