@@ -149,12 +149,10 @@ _FRESH = np.random.Philox(0).state
 
 
 class Keyed(Sequence):
-    """The streams or derived seeds of the keys (seed, shared, tail), each
-    keyed on first use and then kept: a member that never draws or reads
-    costs nothing, and repeated reads see one generator."""
+    """The derived seeds of the keys (seed, shared, tail), each derived on
+    first read and then kept: a member that is never read costs nothing."""
 
-    def __init__(self, keys: Iterable[tuple], make: Optional[Callable[[Tuple[int, int]], object]] = None):
-        self._make = make
+    def __init__(self, keys: Iterable[tuple]):
         self._keys = list(keys)
         self._made: list = [None] * len(self._keys)
 
@@ -165,7 +163,7 @@ class Keyed(Sequence):
         j = operator.index(j)
         made = self._made[j]
         if made is None:
-            made = self._made[j] = self._make(_state(*self._keys[j]))
+            made = self._made[j] = _state(*self._keys[j])[0]
         return made
 
 
@@ -200,16 +198,10 @@ def _generator(state: Tuple[int, int]) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_PhiloxKey(state)))
 
 
-def streams(seed: int, shared: Tuple[int, ...], tails: Iterable[Tuple[int, ...]]) -> Keyed:
-    """:func:`stream` of each key (seed, *shared, *tail), each built on first
-    use and kept, so a member can be drawn from again after others."""
-    return Keyed(((seed, tuple(shared), tuple(tail)) for tail in tails), _generator)
-
-
 def derive_seeds(seed: int, shared: Tuple[int, ...], tails: Iterable[Tuple[int, ...]]) -> Keyed:
     """:func:`derive_seed` of each key (seed, *shared, *tail), each derived on
     first read: the first of the two uint64 state words."""
-    return Keyed(((seed, tuple(shared), tuple(tail)) for tail in tails), operator.itemgetter(0))
+    return Keyed((seed, tuple(shared), tuple(tail)) for tail in tails)
 
 
 def stream(seed: int, *indices: int) -> np.random.Generator:

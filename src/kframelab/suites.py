@@ -170,15 +170,14 @@ _ROUND_STEPS = 32
 _BAND = 2.0
 
 
-def _threshold_guess(s1: float, m1: float, s2: float, m2: float, lo: float, hi: float) -> float:
-    """The scale in [lo, hi] where a member's decisions are guessed to turn
-    from fail to hold: the root of the secant through its last two failed
-    scales and their margins, else the midpoint. A hint, never a decision."""
-    if m2 != m1:
-        guess = s2 - m2 * (s2 - s1) / (m2 - m1)
-        if lo <= guess <= hi:
-            return guess
-    return (lo + hi) / 2.0
+def _first_guesses(top: np.ndarray, reach: np.ndarray, limit: np.ndarray, norm_t: np.ndarray) -> np.ndarray:
+    """Each member's guessed threshold: the top eigenvalue ``top`` of S S*
+    against T T*, moved where its margin lam_min + DEFAULT_TOL * max(limit,
+    scale |tt|), rising at rate 1 / ``reach``, crosses zero; inf where that
+    is not a scale. Each round predicts the member's path from it; a hint,
+    never a decision."""
+    guess = top - DEFAULT_TOL * np.maximum(limit, top * norm_t) * reach
+    return np.where(guess >= 0.0, guess, np.inf)
 
 
 def _first_jump(guess: float, half: float, top: float, reckless: float) -> Optional[tuple]:
@@ -218,16 +217,18 @@ def _bisect_loewner_lambdas(ss: np.ndarray, tt: np.ndarray, cap: float = 1e18) -
     computes op_norm(bb) only when bounds on it from |tt| and |tt - tt*|
     leave the decision open.
 
-    The steps speculate. Each round follows each member's path as its
-    guessed threshold predicts it (:func:`_threshold_guess`, from the
-    margins lam_min + DEFAULT_TOL * max(limit, scale |tt|) of its failed
-    decisions), decides its steps in one stacked call, and keeps them up to
-    the first misprediction, included: each at the scale, and on the
+    The steps speculate. Each member guesses its threshold once
+    (:func:`_first_guesses`). Each round follows each member's path as that
+    guess predicts it, decides its steps in one stacked call, and keeps them
+    up to the first misprediction, included: each at the scale, and on the
     matrix, of the step-by-step bisection. The first round sends to
     ``eigvalsh`` only two anchors and the steps near the guess
     (:func:`_first_jump`); the anchors decide the others by monotonicity
     where their margins clear the rounding bound, or the member keeps none.
-    Later rounds decide up to ``_ROUND_STEPS`` steps each.
+    Later rounds decide up to ``_ROUND_STEPS`` steps each. A step whose
+    scaled operand is not finite is left undecided, and raises
+    ``ValueError`` only where the kept path reaches it, as the step-by-step
+    bisection raises there.
     """
     aa, norm_a = _require_hermitian(_as_stack(ss), "first")
     # The zero operand's norm is 0, known without an SVD.
@@ -259,7 +260,7 @@ def _bisect_loewner_lambdas(ss: np.ndarray, tt: np.ndarray, cap: float = 1e18) -
     # The minimal scale up to rounding, the top eigenvalue s* of aa against
     # tt on tt's range, with its eigenvector x: x* H x = 1, so lam_min rises
     # at rate 1 / |x|^2 below s*. Moved to where the margin crosses zero, it
-    # is the first guess. A hint: its cut need not be RANK_EPS.
+    # is the guess. A hint: its cut need not be RANK_EPS.
     #
     # The rounding bound on a margin, fixed + scale per_scale: by Weyl's
     # inequality, forming bb - aa (as above) and eigvalsh (p(n) u |bb - aa|)
@@ -281,30 +282,26 @@ def _bisect_loewner_lambdas(ss: np.ndarray, tt: np.ndarray, cap: float = 1e18) -
         pencil = inv[:, :, None] * (v.conj().swapaxes(-1, -2) @ aa @ v) * inv[:, None, :]
         top, x = (part[..., -1] for part in np.linalg.eigh(np.where(np.isfinite(pencil), pencil, 0.0)))
         reach = (inv**2 * (x.real**2 + x.imag**2)).sum(axis=-1)
-        # The guess enters the secant as a zero margin, and the point before
-        # it needs only some other margin.
-        seeds = top - DEFAULT_TOL * np.maximum(limit, top * norm_t) * reach
-        failed = [(0.0, -1.0, seed, 0.0) for seed in seeds.tolist()]
-        guesses = [_threshold_guess(*f, 0.0, math.inf) for f in failed]
+        guesses = _first_guesses(top, reach, limit, norm_t)
         # The band: where margins, rising at rate 1 / |x|^2, clear the bound
         # at the top scale 2^k <= max(1, 2 guess) _BAND times over. Scales
         # from which an entry of scale * tt could overflow are never skipped.
-        half = _BAND * (fixed + np.maximum(1.0, 2.0 * np.array(guesses)) * per_scale) * reach
+        half = _BAND * (fixed + np.maximum(1.0, 2.0 * guesses) * per_scale) * reach
         reckless = 2.0**1022 / np.abs(tt.view(float)).max(axis=(-2, -1))
+    guesses = guesses.tolist()
     jumps = [_first_jump(g, h, top_scale, r) for g, h, r in zip(guesses, half.tolist(), reckless.tolist())]
     fixed, per_scale = fixed.tolist(), per_scale.tolist()
     # The bisection runs on Python floats, which round as numpy's doubles
     # do; on small stacks they cost less than array calls. hi starts at 1
     # whatever the cap.
     lo, hi, steps, doubling = [0.0] * count, [1.0] * count, [0] * count, [True] * count
-    going, depth, first_round = list(range(count)), _ROUND_STEPS, True
+    going = list(range(count))
     while going:
         # About four complex n x n arrays per decided matrix.
-        depth = max(1, min(depth, _CHUNK_BYTES // (64 * tt[0].size * len(going))))
+        depth = max(1, min(_ROUND_STEPS, _CHUNK_BYTES // (64 * tt[0].size * len(going))))
         owners, scales, paths = [], [], []
         for j in going:
-            jump = jumps[j] if first_round else None
-            guess = guesses[j] if first_round else _threshold_guess(*failed[j], lo[j], np.inf if doubling[j] else hi[j])
+            jump, guess = jumps[j], guesses[j]
             a, b, up, step = jump[0] if jump else (lo[j], hi[j], doubling[j], steps[j])
             scales += jump[1] if jump else []
             first = len(scales)
@@ -325,26 +322,26 @@ def _bisect_loewner_lambdas(ss: np.ndarray, tt: np.ndarray, cap: float = 1e18) -
                     a = mid
             if len(scales) > len(owners):
                 owners += [j] * (len(scales) - len(owners))
-                paths.append((j, guess, first, len(scales), jump))
+                paths.append((j, first, len(scales), jump))
         if not scales:
             break
         idx, scale = np.array(owners), np.array(scales)
-        # Both the scaled operand and its symmetrized sum can overflow.
+        # Both the scaled operand and its symmetrized sum can overflow. A
+        # step whose operand is not finite is left undecided (None): the
+        # step-by-step bisection raises there, so this one does once a kept
+        # path reaches it.
         with np.errstate(over="ignore", invalid="ignore"):
             bb = scale[:, None, None] * tt[idx]
             bb += bb.conj().swapaxes(-1, -2)
             bb /= 2.0
+        at = range(len(scales))
         if not np.isfinite(bb).all():
-            # One step at a time, it raises where the step-by-step bisection does:
-            # a mid <= hi, whose operand was finite, has one too (rounding is monotone).
-            if depth == 1:
-                raise ValueError("operator entries must be finite")
-            depth, first_round = 1, False
-            continue
+            at = np.flatnonzero(np.isfinite(bb).all(axis=(-2, -1))).tolist()
+            idx, scale, bb = idx[at], scale[at], bb[at]
         test = _LoewnerTest(aa[idx], norm_a[idx], (low[idx], high[idx]))
-        ok = test(bb, scale).tolist()
-        margins = (test.lam_min + DEFAULT_TOL * np.maximum(test.limit, scale * norm_t[idx])).tolist()
-        for j, guess, first, stop, jump in paths:
+        ok = dict(zip(at, test(bb, scale).tolist()))
+        margins = dict(zip(at, (test.lam_min + DEFAULT_TOL * np.maximum(test.limit, scale * norm_t[idx])).tolist()))
+        for j, first, stop, jump in paths:
             if jump:
                 # The anchors decide every skipped step, or the member keeps none.
                 *fails, held = range(first - len(jump[1]), first)
@@ -352,21 +349,20 @@ def _bisect_loewner_lambdas(ss: np.ndarray, tt: np.ndarray, cap: float = 1e18) -
                     continue
                 if not ok[held] or margins[held] < fixed[j] + jump[2] * per_scale[j]:
                     continue
-                for i in fails:
-                    failed[j] = (*failed[j][2:], scales[i], margins[i])
                 lo[j], hi[j], doubling[j], steps[j] = jump[0]
             for i in range(first, stop):
-                mid, k = scales[i], ok[i]
-                if not k:
-                    failed[j] = (*failed[j][2:], mid, margins[i])
+                mid, k = scales[i], ok.get(i)
+                if k is None:
+                    raise ValueError("operator entries must be finite")
                 if doubling[j]:
                     doubling[j], hi[j] = not k, mid if k else 2.0 * mid
                 else:
                     steps[j] += 1
                     lo[j], hi[j] = (lo[j], mid) if k else (mid, hi[j])
-                if k != (mid >= guess):
+                if k != (mid >= guesses[j]):
                     break
-        going, depth, first_round = [j for j, *_ in paths], _ROUND_STEPS, False
+        # Only the first round skips steps.
+        going, jumps = [j for j, *_ in paths], [None] * count
     for j, scale, up in zip(live.tolist(), hi, doubling):
         out[j] = None if up else scale
     return out

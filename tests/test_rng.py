@@ -24,7 +24,6 @@ from kframelab.rng import (
     derive_seed,
     derive_seeds,
     stream,
-    streams,
 )
 from kframelab.scenario import scenario_from_dict
 
@@ -67,10 +66,10 @@ def test_streams_of_derived_seeds_without_a_spawn_key():
 def test_hundreds_of_trial_indices(offset):
     # Large trial offsets put the trial index into two words.
     trials = range(offset, offset + 300)
-    generators = streams(42, (1003,), [(i,) for i in trials])
     seeds = derive_seeds(42, (1003,), [(i, 1) for i in trials])
-    for i, g, seed in zip(trials, generators, seeds):
-        assert np.array_equal(g.bit_generator.random_raw(DRAWS), np.random.Philox(reference(42, 1003, i)).random_raw(DRAWS))
+    for i, seed in zip(trials, seeds):
+        got = stream(42, 1003, i).bit_generator.random_raw(DRAWS)
+        assert np.array_equal(got, np.random.Philox(reference(42, 1003, i)).random_raw(DRAWS))
         assert seed == int(reference(42, 1003, i, 1).generate_state(1, np.uint64)[0])
 
 
@@ -120,17 +119,17 @@ def test_precomputed_key_answers_only_the_philox_request():
         key.generate_state(4, np.uint32)
 
 
-def test_keyed_entries_are_built_on_first_read_and_kept(monkeypatch):
-    built = []
-    philox = np.random.Philox
-    monkeypatch.setattr(np.random, "Philox", lambda key: built.append(key) or philox(key))
-    generators = streams(42, (1003,), [(i,) for i in range(5)])
-    assert len(generators) == 5 and built == []
-    assert generators[3] is generators[3] and len(built) == 1
-    assert np.array_equal(generators[1].standard_normal(DRAWS), stream(42, 1003, 1).standard_normal(DRAWS))
-    assert list(derive_seeds(42, (1003,), [(2, 1)])) == [derive_seed(42, 1003, 2, 1)]
+def test_derived_seeds_are_derived_on_first_read_and_kept(monkeypatch):
+    expected = [derive_seed(42, 1003, i, 1) for i in range(5)]
+    keyed = []
+    state = rng._state
+    monkeypatch.setattr(rng, "_state", lambda *key: keyed.append(key) or state(*key))
+    seeds = derive_seeds(42, (1003,), [(i, 1) for i in range(5)])
+    assert len(seeds) == 5 and keyed == []
+    assert seeds[3] == seeds[3] == expected[3] and keyed == [(42, (1003,), (3, 1))]
+    assert list(seeds) == expected and len(keyed) == 5
     with pytest.raises(IndexError):
-        generators[5]
+        seeds[5]
 
 
 def state_words(seed, *indices):
@@ -301,8 +300,8 @@ def test_stacked_draws_equal_per_generator_draws(members, shape, count):
             return complex_normal(g, *shape)
         return np.stack([complex_normal(g, *shape) for _ in range(count)])
 
-    singles = streams(7, (1000,), keys)
-    generators = streams(7, (1000,), keys)
+    singles = [stream(7, 1000, *key) for key in keys]
+    generators = [stream(7, 1000, *key) for key in keys]
     stack = complex_normal_stack(generators, *shape, count=count)
     assert stack.shape == (members,) + (() if count is None else (count,)) + shape
     for j in range(members):

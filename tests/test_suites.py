@@ -316,6 +316,28 @@ class TestLoewnerBisection:
                 bisect_loewner_lambda(np.eye(3), np.diag([1e154, 1e154, 0.0]))
         assert not isinstance(raised.value, np.linalg.LinAlgError)
 
+    @pytest.mark.parametrize("guessed", ["first", "above"])
+    def test_only_a_kept_overflowing_step_raises(self, monkeypatch, guessed):
+        # T T* = 1e300 I overflows only at scales that are never kept: its
+        # first guess predicts a path below scale 1, and a guess above every
+        # scale predicts that the doubling fails up to the cap, which
+        # speculates scales that overflow, while scale 1 already holds.
+        # T T* = 9e306 I, threshold 8.6, overflows on its kept path at scale
+        # 16. In one stack, the second raises as the step-by-step bisection
+        # does; alone, the first gets the oracle's scale.
+        eye = np.eye(2, dtype=complex)
+        pairs = [(1e-4 * eye, 1e150 * eye), (np.sqrt(7.74e307) * eye, np.sqrt(9e306) * eye)]
+        if guessed == "above":
+            monkeypatch.setattr(suites, "_first_guesses", lambda top, *_: np.full(len(top), math.inf))
+        grams = [np.stack([op @ op.conj().T for op in ops]) for ops in zip(*pairs)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for cap in (1e18, 1e3):
+                with pytest.raises(ValueError, match="operator entries must be finite"):
+                    bisect_loewner(*pairs[1], cap=cap)
+                with pytest.raises(ValueError, match="operator entries must be finite"):
+                    suites._bisect_loewner_lambdas(*grams, cap=cap)
+                assert suites._bisect_loewner_lambdas(*(g[:1] for g in grams), cap=cap) == [bisect_loewner(*pairs[0], cap=cap)]
+
     def test_l2_work_per_trial(self, monkeypatch):
         counts = Counter()
         for name in ("svd", "eigvalsh"):
@@ -333,15 +355,16 @@ class TestLoewnerBisection:
         # Each size's first round sends to eigvalsh, per member, the two
         # anchors and the steps of its predicted path from where the path
         # comes within the rounding band of its guess; the anchors decide the
-        # steps before it by monotonicity. Nine later rounds, of up
-        # to 32 predicted steps each, finish the members whose decisions near
-        # the threshold differ from the prediction, and each size adds one
+        # steps before it by monotonicity. Nine later rounds, over 32
+        # matrices, finish the members whose decisions near the threshold
+        # differ from the prediction: each predicts up to 32 steps from the
+        # member's one guess, past the steps it kept. Each size adds one
         # call for its zero-scale decisions, 20 matrices in all: 23 calls over
-        # 467 matrices decide what the step-by-step bisection decides in 1123
+        # 469 matrices decide what the step-by-step bisection decides in 1123
         # steps (399 calls, one per size and step). The norm bounds settle
         # every decision here, so the SVDs are those of each trial's fixed
         # checks.
-        assert counts["eigvalsh matrices"] == 467
+        assert counts["eigvalsh matrices"] == 469
         assert counts["eigvalsh"] == 23
         assert counts["svd"] <= 25 * trials
 
@@ -382,10 +405,10 @@ class TestLoewnerBisection:
         # The guessed threshold only picks which steps are decided together:
         # guessing below every scale predicts that each decision holds, above
         # every scale that each fails, and a random guess splits the path
-        # anywhere. Every member still ends at the oracle's scale, on the
-        # lockstep test's pairs and a pair whose T T* = 1e300 I overflows at
-        # scales that a guess above every scale reaches but the bisection
-        # does not.
+        # anywhere; ten runs each draw one random guess per member. Every
+        # member still ends at the oracle's scale, on the lockstep test's
+        # pairs and a pair whose T T* = 1e300 I overflows at scales that a
+        # guess above every scale reaches but the bisection does not.
         rng = stream(57)
         pairs = []
         for _ in range(8):
@@ -396,22 +419,24 @@ class TestLoewnerBisection:
         pairs.append((1e-4 * np.eye(2), 1e150 * np.eye(2)))
         draws = np.random.default_rng(5)
 
-        def guess(s1, m1, s2, m2, lo, hi):
+        def guess(top, reach, limit, norm_t):
             if predictor != "random":
-                return -math.inf if predictor == "hold" else math.inf
-            return draws.uniform(lo, hi if hi < math.inf else lo + 2.0 ** draws.integers(0, 12))
+                return np.full(len(top), -math.inf if predictor == "hold" else math.inf)
+            return draws.uniform(0.0, 2.0 ** draws.integers(0, 12, size=len(top)))
 
-        monkeypatch.setattr(suites, "_threshold_guess", guess)
+        monkeypatch.setattr(suites, "_first_guesses", guess)
         for cap in (1e18, 1e3):
-            stacked = {}
-            for n in sorted({len(t) for _, t in pairs}):
-                group = [j for j, (_, t) in enumerate(pairs) if len(t) == n]
-                grams = [np.stack([op @ op.conj().T for op in ops]) for ops in zip(*(pairs[j] for j in group))]
-                stacked.update(zip(group, suites._bisect_loewner_lambdas(*grams, cap=cap)))
-            stacked = [stacked[j] for j in range(len(pairs))]
-            assert stacked == [bisect_loewner(s, t, cap=cap) for s, t in pairs]
-            assert stacked == [bisect_loewner_lambda(s, t, cap=cap) for s, t in pairs]
-            assert 0.0 in stacked and (None in stacked) == (cap == 1e3)
+            oracle = [bisect_loewner(s, t, cap=cap) for s, t in pairs]
+            for _ in range(10 if predictor == "random" else 1):
+                stacked = {}
+                for n in sorted({len(t) for _, t in pairs}):
+                    group = [j for j, (_, t) in enumerate(pairs) if len(t) == n]
+                    grams = [np.stack([op @ op.conj().T for op in ops]) for ops in zip(*(pairs[j] for j in group))]
+                    stacked.update(zip(group, suites._bisect_loewner_lambdas(*grams, cap=cap)))
+                stacked = [stacked[j] for j in range(len(pairs))]
+                assert stacked == oracle
+                assert stacked == [bisect_loewner_lambda(s, t, cap=cap) for s, t in pairs]
+                assert 0.0 in stacked and (None in stacked) == (cap == 1e3)
 
     @staticmethod
     def skipping_grams():
@@ -465,8 +490,8 @@ class TestLoewnerBisection:
         # certifying steps that rounding decides the other way.
         grams = self.skipping_grams()
         factor = {"1e-6": 1.0 + 1e-6, "1e3": 1e3}.get(guessed, 1.0)
-        original = suites._threshold_guess
-        monkeypatch.setattr(suites, "_threshold_guess", lambda *args: original(*args) * factor)
+        original = suites._first_guesses
+        monkeypatch.setattr(suites, "_first_guesses", lambda *args: original(*args) * factor)
         if guessed == "narrow":
             monkeypatch.setattr(suites, "_BAND", 1e-9 * suites._BAND)
         eigvalsh = np.linalg.eigvalsh
