@@ -29,7 +29,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .hilbert import DEFAULT_TOL, _common, _norm_bounds, _norms_exceed, as_operator, as_vector, op_norm
-from .hilbert import full_row_ranks, vdots, vector_norms
+from .hilbert import _CHUNK_BYTES, full_row_ranks, vdots, vector_norms
 from .frames import (
     FrameStack,
     InfeasibleError,
@@ -38,6 +38,7 @@ from .frames import (
     SampledFrame,
     _kernel_bases,
     _max_row_norm,
+    _require_same_dim,
     analysis,
     analysis_norm,
     frame_operator,
@@ -68,10 +69,6 @@ Check = Tuple[str, float]
 
 # Probe vectors per member of the pointwise norm split of minimality_residuals.
 _MINIMALITY_PROBES = 20
-
-# Stacked arrays stay within about this many bytes: the suite runner's
-# trials per chunk, and the partners per pass of ``characterizes``.
-_CHUNK_BYTES = 1 << 22
 
 # A kernel field's norm is 10**u times the analysis norm of its canonical
 # dual (or 1 when that is smaller), u uniform over these decades.
@@ -160,8 +157,7 @@ class DualityReport:
 def is_dual_k_bessel(g: SampledFrame, f: SampledFrame, k: KOperator) -> DualityReport:
     """Test whether G reproduces K through F, with the residual norm."""
     _require_dual_pair(g, f)
-    if k.dim != f.dim:
-        raise ValueError(f"operator dimension {k.dim} does not match frame dimension {f.dim}")
+    _require_same_dim(f, k)
     residual = op_norm(_duality_gap(f, g, k.op))
     norm_g = analysis_norm(g)
     return DualityReport(

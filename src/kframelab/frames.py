@@ -256,6 +256,12 @@ def frame_bounds(frame: SampledFrame) -> FrameBounds:
     return FrameBounds(lower=max(float(eigs[0]), 0.0), upper=max(float(eigs[-1]), 0.0))
 
 
+def _require_same_dim(frame: SampledFrame, k: KOperator) -> None:
+    """Raise ``ValueError`` unless K acts on the space of the frame's samples."""
+    if k.dim != frame.dim:
+        raise ValueError(f"operator dimension {k.dim} does not match frame dimension {frame.dim}")
+
+
 def k_lower_bound(frame: SampledFrame, k: KOperator) -> Optional[float]:
     """Optimal lower K-frame bound, or None when no such bound exists.
 
@@ -266,8 +272,7 @@ def k_lower_bound(frame: SampledFrame, k: KOperator) -> Optional[float]:
     about the operator on the weighted coefficient space. A rank-zero K
     admits every lower bound; infinity is returned in that case.
     """
-    if k.dim != frame.dim:
-        raise ValueError(f"operator dimension {k.dim} does not match frame dimension {frame.dim}")
+    _require_same_dim(frame, k)
     inc = range_inclusion(k.op, weighted_synthesis(frame))
     if not inc.included:
         return None
@@ -277,6 +282,7 @@ def k_lower_bound(frame: SampledFrame, k: KOperator) -> Optional[float]:
 def parseval_residual(frame: SampledFrame, k: KOperator) -> float:
     """Defect of the operator identity S = K K*, in norm and relative to
     the size of K K*; the Parseval K-frame test compares it to a tolerance."""
+    _require_same_dim(frame, k)
     kk = k.op @ k.adjoint
     return op_norm(frame_operator(frame) - kk) / (1.0 + op_norm(kk))
 

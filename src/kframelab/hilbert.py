@@ -20,8 +20,14 @@ passes; the per-matrix routines are stacks of one over the same code.
 A stacked routine takes one rank or verdict for the whole stack, and
 raises the internal :class:`Split` where its members would differ; the
 suite runner then reruns the property on each member alone.
+
+The Loewner order has one decision (``_loewner_decisions``) and one
+rounding band (``_band``), taken by :func:`loewner_leq` and by the
+minimal-scale Loewner bisection ``_bisect_loewner_lambdas``.
+``_CHUNK_BYTES`` bounds the stacked arrays that the package forms.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -50,6 +56,10 @@ RANK_EPS = 1e-10
 # Default relative comparison tolerance; identities are exact in theory and
 # residuals reflect only floating point error.
 DEFAULT_TOL = 1e-9
+# Stacked arrays stay within about this many bytes: the suite runner's
+# trials per chunk, the partners per pass of ``characterizes`` and the
+# steps per round of :func:`_bisect_loewner_lambdas`.
+_CHUNK_BYTES = 1 << 22
 
 
 class RangeInclusionError(ValueError):
@@ -249,58 +259,17 @@ def _require_hermitian(arr: np.ndarray, which: str) -> Tuple[np.ndarray, np.ndar
     return herm, norm_herm
 
 
-class _LoewnerTest:
-    """The Loewner decisions ``aa <= bb`` against a fixed stack (k, n, n) of
-    operands ``aa``, already checked and symmetrized, given ``op_norm(aa)``:
-    per member, ``eigvalsh(bb - aa)[0] >= -DEFAULT_TOL * max(1, |aa|, |bb|)``,
-    for each stack ``bb`` of checked, symmetrized operands it is called on.
-
-    ``norm_b = (low, high)`` bounds ``op_norm(bb)`` per member, as ``scale *
-    low <= op_norm(bb) <= scale * high`` for the ``scale`` each call passes,
-    by a relative margin of at least 8 eps, which covers the rounding of the
-    products that scale them; the norm itself, given as both bounds at scale
-    1, needs no margin. ``op_norm(bb)`` is computed only for the members
-    whose verdict the bounds leave open. This is the one implementation of
-    the decision, shared by :func:`loewner_leq` and the minimal-scale
-    bisection of the suites, which reads each call's ``eigvalsh(bb -
-    aa)[0]``, kept as ``lam_min``, to predict its next decisions.
-    """
-
-    def __init__(self, aa: np.ndarray, norm_a, norm_b):
-        self.aa = aa
-        self.limit = np.maximum(1.0, norm_a)
-        # The slack only grows with the max, so a verdict that holds
-        # without the norm of bb holds with it.
-        self.short = -DEFAULT_TOL * self.limit
-        # Rounding is monotone, so the slack of |bb| lies between the slacks
-        # of its bounds in floating point too: a verdict that holds at the
-        # lower bound holds, and one that fails at the upper bound fails.
-        self.slacks = [-DEFAULT_TOL * bound for bound in norm_b]
-
-    def __call__(self, bb: np.ndarray, scale=1.0) -> np.ndarray:
-        self.lam_min = lam_min = np.linalg.eigvalsh(bb - self.aa)[:, 0]
-        holds = lam_min >= self.short
-        if np.count_nonzero(holds) == len(holds):
-            return holds
-        at_low, at_high = self.slacks
-        open_ = ~holds & (lam_min >= scale * at_high)
-        if np.count_nonzero(open_):
-            settled = lam_min >= scale * at_low
-            holds |= open_ & settled
-            open_ &= ~settled
-        idx = open_.nonzero()[0]
-        if idx.size:
-            holds[idx] = lam_min[idx] >= -DEFAULT_TOL * np.maximum(self.limit[idx], op_norm(bb[idx]))
-        return holds
+def _band(n) -> float:
+    """The relative rounding band 64 n^2 eps, n the larger side of the
+    operands: it covers n^2 rounded terms and LAPACK's p(n) u, p <= 8 n^2."""
+    return 64.0 * float(np.finfo(float).eps) * n**2.0
 
 
 def _norm_bounds(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Bounds (low, high) per member of a stack (n, rows, cols) on the
     op_norm LAPACK returns for it: the largest column norm and the
-    Frobenius norm, widened by the band 64 N^2 eps, N = max(rows, cols),
-    as :func:`_bisect_loewner_lambdas` widens its bounds. It covers the
-    N^2 rounded terms of the sums and LAPACK's p(N) u, p <= 8 N^2."""
-    band = 64.0 * np.finfo(float).eps * max(a.shape[-2:]) ** 2.0
+    Frobenius norm, widened by :func:`_band`."""
+    band = _band(max(a.shape[-2:]))
     columns = (a.real**2 + a.imag**2).sum(axis=-2)
     return np.sqrt(columns.max(axis=-1)) * (1.0 - band), np.sqrt(columns.sum(axis=-1)) * (1.0 + band)
 
@@ -320,6 +289,40 @@ def _norms_exceed(a: np.ndarray, floor: np.ndarray, exceeds) -> Tuple[np.ndarray
     return verdicts, norms
 
 
+def _loewner_decisions(aa: np.ndarray, limit: np.ndarray, bb: np.ndarray, norm_b, scale=1.0) -> Tuple[np.ndarray, np.ndarray]:
+    """The Loewner decisions ``aa <= bb``, the one implementation, per
+    member of two stacks (k, n, n) of checked, symmetrized operands, given
+    ``limit = max(1, op_norm(aa))``: ``eigvalsh(bb - aa)[0] >= -DEFAULT_TOL
+    * max(limit, |bb|)``, returned with those least eigenvalues ``lam_min``.
+
+    ``norm_b = (low, high)`` bounds ``op_norm(bb)`` per member, as ``scale *
+    low <= op_norm(bb) <= scale * high``, by a relative margin of at least
+    8 eps, which covers the rounding of the products that scale them; the
+    norm itself, given as both bounds at scale 1, needs no margin.
+    ``op_norm(bb)`` is computed only for the members whose verdict the
+    bounds leave open.
+    """
+    lam_min = np.linalg.eigvalsh(bb - aa)[:, 0]
+    # The slack only grows with the max, so a verdict that holds
+    # without the norm of bb holds with it.
+    holds = lam_min >= -DEFAULT_TOL * limit
+    if np.count_nonzero(holds) == len(holds):
+        return holds, lam_min
+    # Rounding is monotone, so the slack of |bb| lies between the slacks
+    # of its bounds in floating point too: a verdict that holds at the
+    # lower bound holds, and one that fails at the upper bound fails.
+    at_low, at_high = (-DEFAULT_TOL * bound for bound in norm_b)
+    open_ = ~holds & (lam_min >= scale * at_high)
+    if np.count_nonzero(open_):
+        settled = lam_min >= scale * at_low
+        holds |= open_ & settled
+        open_ &= ~settled
+    idx = open_.nonzero()[0]
+    if idx.size:
+        holds[idx] = lam_min[idx] >= -DEFAULT_TOL * np.maximum(limit[idx], op_norm(bb[idx]))
+    return holds, lam_min
+
+
 def loewner_leq(a, b) -> bool:
     """Whether ``a <= b`` in the Loewner (positive semidefinite) order, up
     to ``DEFAULT_TOL * max(1, |a|, |b|)``.
@@ -335,7 +338,216 @@ def loewner_leq(a, b) -> bool:
         raise ValueError(f"operands must be square and of equal size, got {aa.shape} and {bb.shape}")
     aa, norm_a = _require_hermitian(aa, "first")
     bb, norm_b = _require_hermitian(bb, "second")
-    return bool(_LoewnerTest(aa[None], np.array([norm_a]), (norm_b, norm_b))(bb[None])[0])
+    return bool(_loewner_decisions(aa[None], np.maximum(1.0, [norm_a]), bb[None], (norm_b, norm_b))[0][0])
+
+
+# At most this many steps of a member are decided in one stacked call.
+_ROUND_STEPS = 32
+# A member's first-round band reaches where its margins clear the rounding
+# bound this many times over; a speed knob, never a decision.
+_BAND = 2.0
+
+
+def _first_guesses(top: np.ndarray, reach: np.ndarray, limit: np.ndarray, norm_t: np.ndarray) -> np.ndarray:
+    """Each member's guessed threshold: the top eigenvalue ``top`` of S S*
+    against T T*, moved where its margin lam_min + DEFAULT_TOL * max(limit,
+    scale |tt|), rising at rate 1 / ``reach``, crosses zero; inf where that
+    is not a scale. Each round predicts the member's path from it; a hint,
+    never a decision."""
+    guess = top - DEFAULT_TOL * np.maximum(limit, top * norm_t) * reach
+    return np.where(guess >= 0.0, guess, np.inf)
+
+
+def _first_jump(guess: float, half: float, top: float, reckless: float) -> Optional[tuple]:
+    """The last of a member's predicted steps from the start that keeps its
+    bounds ``half`` from its guess, as ((lo, hi, False, i), anchors, 2^k):
+    after doubling to 2^k and i halving steps they are (hi - 2^(k-i), hi),
+    hi the least multiple of 2^(k-i) at or above the guess, exactly while
+    i <= 52, and no later step moves them away. The anchors are the last
+    skipped scale predicted to fail (none if none is) and hi: each skipped
+    scale lies at or below the one or in [hi, 2^k]. None if none is skipped."""
+    if not (0.0 < guess < math.inf and 0.0 < half < math.inf):
+        return None
+    mant, exp = math.frexp(guess)
+    k = max(exp - (mant == 0.5), 0)
+    doubled = math.ldexp(1.0, k)
+    if doubled > top or doubled >= reckless:
+        return None
+    for i in range(min(52, k - math.frexp(half)[1]), -1, -1):  # 2^(k-i) >= 2 half
+        delta = math.ldexp(1.0, k - i)
+        b = math.ceil(guess / delta) * delta
+        if guess - (b - delta) >= half and b - guess >= half:
+            a = b - delta
+            return (a, b, False, i), ([a] if a > 0.0 else [doubled / 2.0] if k else []) + [b], doubled
+    return None
+
+
+def _bisect_loewner_lambdas(ss: np.ndarray, tt: np.ndarray, cap: float = 1e18) -> List[Optional[float]]:
+    """The minimal scale putting S S* under the cone of T T*, for each pair
+    of two stacks (k, n, n) of S S* and T T*, by 60 bisection steps; None
+    where no scale below the cap works.
+
+    The eigenvalue-only route, kept apart from the pseudo-inverse factor of
+    :func:`range_inclusions` so the two check each other; meaningful only
+    where the minimal scale lies far below the cap. Every step decides as
+    ``loewner_leq(S S*, scale * T T*)`` does, bit for bit, with the operands
+    checked once per call: S S* as ``loewner_leq`` checks it, and where
+    scale zero does not already work (0.0), T T* finite and Hermitian
+    relative to its own norm, which implies that check on every positive
+    multiple of it. A member's decisions read only its own matrices, so the
+    stack does not change its scale. Members double their upper scale (None
+    above the cap), then halve. A decision computes op_norm(bb) only when
+    bounds on it from |tt| and |tt - tt*| leave it open.
+
+    The steps speculate. Each member guesses its threshold once
+    (:func:`_first_guesses`). Each round follows each member's path as that
+    guess predicts it, decides its steps in one stacked call, and keeps them
+    up to the first misprediction, included: each at the scale, and on the
+    matrix, of the step-by-step bisection. The first round sends to
+    ``eigvalsh`` only two anchors and the steps near the guess
+    (:func:`_first_jump`); the anchors decide the others by monotonicity
+    where their margins clear the rounding bound, or the member keeps none.
+    Later rounds decide up to ``_ROUND_STEPS`` steps each. A step whose
+    scaled operand is not finite is left undecided, and raises
+    ``ValueError`` only where the kept path reaches it, as the step-by-step
+    bisection raises there.
+    """
+    aa, norm_a = _require_hermitian(_as_stack(ss), "first")
+    # The zero operand's norm is 0, known without an SVD.
+    limit = np.maximum(1.0, norm_a)
+    zero = _loewner_decisions(aa, limit, np.zeros_like(aa), (0.0, 0.0))[0]
+    out: List[Optional[float]] = [0.0 if z else None for z in zero.tolist()]
+    live = np.flatnonzero(~zero)
+    if not live.size:
+        return out
+    aa, limit, tt = aa[live], limit[live], _as_stack(tt[live])
+    gap, norm_t = op_norm(np.stack([tt - tt.conj().swapaxes(-1, -2), tt]))
+    asymmetric = gap > DEFAULT_TOL * norm_t
+    if asymmetric.any():
+        raise ValueError(f"second operand is not Hermitian (asymmetry {gap[asymmetric][0]:.3e})")
+    # Bounds on op_norm(bb), bb the Hermitian part of scale * tt, per unit
+    # of scale. The exact Hermitian part H of tt has | |H| - |tt| | <=
+    # |tt - tt*| / 2. Forming bb rounds each entry by at most 2u relative to
+    # scale (|tt_ij| + |tt_ji|) / 2 (u = eps / 2; halving is exact), so
+    # |bb - scale H| <= 2 sqrt(n) u scale |tt|, and forming tt - tt* moves
+    # half of it by at most sqrt(n) u |tt|. LAPACK's SVD returns a norm
+    # within p(n) u of it, p a small polynomial, and three norms enter.
+    # With |tt| <= |H| (1 + 1e-9) once T T* is checked Hermitian, the band
+    # 64 n^2 eps (about 1e-12 for n = 8) leaves a factor of four over
+    # p(n) <= 8 n^2 and the four products that form and scale the bounds; a
+    # wider band only sends more decisions to the SVD.
+    n = tt.shape[-1]
+    band = _band(n)
+    low, high = (norm_t - gap / 2.0) * (1.0 - band), (norm_t + gap / 2.0) * (1.0 + band)
+    # The minimal scale up to rounding, the top eigenvalue s* of aa against
+    # tt on tt's range, with its eigenvector x: x* H x = 1, so lam_min rises
+    # at rate 1 / |x|^2 below s*. Moved to where the margin crosses zero, it
+    # is the guess. A hint: its cut need not be RANK_EPS.
+    #
+    # The rounding bound on a margin, fixed + scale per_scale: by Weyl's
+    # inequality, forming bb - aa (as above) and eigvalsh (p(n) u |bb - aa|)
+    # move lam_min by at most band (limit + scale high), again a factor of
+    # four over p(n) <= 8 n^2; a slack's bounds differ by DEFAULT_TOL scale
+    # (high - low); and lam_min(scale H - aa) rises with the scale unless H
+    # has an eigenvalue below zero, which eigh of tt's lower triangle, within
+    # n |tt - tt*| of H, bounds below by -neg. So a failed decision whose
+    # margin is below -(twice its bound) makes each lower scale fail, and a
+    # held one whose margin clears its bound plus that at a higher scale
+    # makes each scale in between hold, as the step-by-step bisection does.
+    w, v = np.linalg.eigh(tt)
+    inv = np.divide(1.0, np.sqrt(np.abs(w)), out=np.zeros_like(w), where=w > 1e-10 * w[:, -1:])
+    count, top_scale = len(live), max(cap, 1.0)
+    fixed = 2.0 * band * limit
+    neg = np.maximum(-w[:, 0], 0.0) + n * gap + band * high
+    per_scale = 2.0 * band * high + neg + DEFAULT_TOL * (high - low)
+    with np.errstate(all="ignore"):
+        pencil = inv[:, :, None] * (v.conj().swapaxes(-1, -2) @ aa @ v) * inv[:, None, :]
+        top, x = (part[..., -1] for part in np.linalg.eigh(np.where(np.isfinite(pencil), pencil, 0.0)))
+        reach = (inv**2 * (x.real**2 + x.imag**2)).sum(axis=-1)
+        guesses = _first_guesses(top, reach, limit, norm_t)
+        # The band: where margins, rising at rate 1 / |x|^2, clear the bound
+        # at the top scale 2^k <= max(1, 2 guess) _BAND times over. Scales
+        # from which an entry of scale * tt could overflow are never skipped.
+        half = _BAND * (fixed + np.maximum(1.0, 2.0 * guesses) * per_scale) * reach
+        reckless = 2.0**1022 / np.abs(tt.view(float)).max(axis=(-2, -1))
+    guesses = guesses.tolist()
+    jumps = [_first_jump(g, h, top_scale, r) for g, h, r in zip(guesses, half.tolist(), reckless.tolist())]
+    fixed, per_scale = fixed.tolist(), per_scale.tolist()
+    # The bisection runs on Python floats, which round as numpy's doubles
+    # do; on small stacks they cost less than array calls. hi starts at 1
+    # whatever the cap.
+    lo, hi, steps, doubling = [0.0] * count, [1.0] * count, [0] * count, [True] * count
+    going = list(range(count))
+    while going:
+        # About four complex n x n arrays per decided matrix.
+        depth = max(1, min(_ROUND_STEPS, _CHUNK_BYTES // (64 * tt[0].size * len(going))))
+        owners, scales, paths = [], [], []
+        for j in going:
+            jump, guess = jumps[j], guesses[j]
+            a, b, up, step = jump[0] if jump else (lo[j], hi[j], doubling[j], steps[j])
+            scales += jump[1] if jump else []
+            first = len(scales)
+            while len(scales) - first < depth and (b <= top_scale or not up):
+                mid, step = (b, step) if up else ((a + b) / 2.0, step + 1)
+                # Once mid is a bound already decided (hi, or a lo > 0 that a
+                # failed decision set), each later step repeats that decision
+                # and changes nothing. Doubling leaves hi a power of two and lo
+                # zero, so the first 53 midpoints are exact and strictly inside.
+                if step > 60 or (step > 53 and (mid == b or (mid == a and a > 0.0))):
+                    break
+                scales.append(mid)
+                if mid >= guess:
+                    b, up = mid, False
+                elif up:
+                    b = 2.0 * b
+                else:
+                    a = mid
+            if len(scales) > len(owners):
+                owners += [j] * (len(scales) - len(owners))
+                paths.append((j, first, len(scales), jump))
+        if not scales:
+            break
+        idx, scale = np.array(owners), np.array(scales)
+        # Both the scaled operand and its symmetrized sum can overflow. A
+        # step whose operand is not finite is left undecided (None): the
+        # step-by-step bisection raises there, so this one does once a kept
+        # path reaches it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            bb = scale[:, None, None] * tt[idx]
+            bb += bb.conj().swapaxes(-1, -2)
+            bb /= 2.0
+        at = range(len(scales))
+        if not np.isfinite(bb).all():
+            at = np.flatnonzero(np.isfinite(bb).all(axis=(-2, -1))).tolist()
+            idx, scale, bb = idx[at], scale[at], bb[at]
+        verdicts, lam_min = _loewner_decisions(aa[idx], limit[idx], bb, (low[idx], high[idx]), scale)
+        ok = dict(zip(at, verdicts.tolist()))
+        margins = dict(zip(at, (lam_min + DEFAULT_TOL * np.maximum(limit[idx], scale * norm_t[idx])).tolist()))
+        for j, first, stop, jump in paths:
+            if jump:
+                # The anchors decide every skipped step, or the member keeps none.
+                *fails, held = range(first - len(jump[1]), first)
+                if any(ok[i] or margins[i] >= -(fixed[j] + scales[i] * per_scale[j]) for i in fails):
+                    continue
+                if not ok[held] or margins[held] < fixed[j] + jump[2] * per_scale[j]:
+                    continue
+                lo[j], hi[j], doubling[j], steps[j] = jump[0]
+            for i in range(first, stop):
+                mid, k = scales[i], ok.get(i)
+                if k is None:
+                    raise ValueError("operator entries must be finite")
+                if doubling[j]:
+                    doubling[j], hi[j] = not k, mid if k else 2.0 * mid
+                else:
+                    steps[j] += 1
+                    lo[j], hi[j] = (lo[j], mid) if k else (mid, hi[j])
+                if k != (mid >= guesses[j]):
+                    break
+        # Only the first round skips steps.
+        going, jumps = [j for j, *_ in paths], [None] * count
+    for j, scale, up in zip(live.tolist(), hi, doubling):
+        out[j] = None if up else scale
+    return out
 
 
 class RangeInclusion(NamedTuple):

@@ -26,7 +26,6 @@ One table, ``_PROPERTIES``, registers each property with its function and
 default tolerance; its order is the report order and keys the streams.
 """
 
-import math
 import platform
 import time
 from functools import cached_property
@@ -34,7 +33,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .duality import _CHUNK_BYTES, CheckTable, HypothesisError, ParsevalKFrames, _positive_part, field_norm
+from .duality import CheckTable, HypothesisError, ParsevalKFrames, _positive_part, field_norm
 from .frames import (
     FrameStack,
     KStack,
@@ -44,13 +43,11 @@ from .frames import (
     weighted_synthesis,
 )
 from .hilbert import (
+    _CHUNK_BYTES,
     DEFAULT_TOL,
     Split,
+    _bisect_loewner_lambdas,
     _common,
-    _as_stack,
-    _LoewnerTest,
-    _require_hermitian,
-    as_operator,
     douglas_factors,
     op_norm,
     op_norms,
@@ -70,7 +67,6 @@ __all__ = [
     "PROPERTY_IDS",
     "DEFAULT_TOLERANCES",
     "UnknownPropertyError",
-    "bisect_loewner_lambda",
     "loewner_inclusion_exists",
     "run_suite",
 ]
@@ -161,237 +157,6 @@ def loewner_inclusion_exists(s_op: np.ndarray, t_op: np.ndarray):
         active = active[~found]
         lam *= 2.0
     return holds
-
-
-# At most this many steps of a member are decided in one stacked call.
-_ROUND_STEPS = 32
-# A member's first-round band reaches where its margins clear the rounding
-# bound this many times over; a speed knob, never a decision.
-_BAND = 2.0
-
-
-def _first_guesses(top: np.ndarray, reach: np.ndarray, limit: np.ndarray, norm_t: np.ndarray) -> np.ndarray:
-    """Each member's guessed threshold: the top eigenvalue ``top`` of S S*
-    against T T*, moved where its margin lam_min + DEFAULT_TOL * max(limit,
-    scale |tt|), rising at rate 1 / ``reach``, crosses zero; inf where that
-    is not a scale. Each round predicts the member's path from it; a hint,
-    never a decision."""
-    guess = top - DEFAULT_TOL * np.maximum(limit, top * norm_t) * reach
-    return np.where(guess >= 0.0, guess, np.inf)
-
-
-def _first_jump(guess: float, half: float, top: float, reckless: float) -> Optional[tuple]:
-    """The last of a member's predicted steps from the start that keeps its
-    bounds ``half`` from its guess, as ((lo, hi, False, i), anchors, 2^k):
-    after doubling to 2^k and i halving steps they are (hi - 2^(k-i), hi),
-    hi the least multiple of 2^(k-i) at or above the guess, exactly while
-    i <= 52, and no later step moves them away. The anchors are the last
-    skipped scale predicted to fail (none if none is) and hi: each skipped
-    scale lies at or below the one or in [hi, 2^k]. None if none is skipped."""
-    if not (0.0 < guess < math.inf and 0.0 < half < math.inf):
-        return None
-    mant, exp = math.frexp(guess)
-    k = max(exp - (mant == 0.5), 0)
-    doubled = math.ldexp(1.0, k)
-    if doubled > top or doubled >= reckless:
-        return None
-    for i in range(min(52, k - math.frexp(half)[1]), -1, -1):  # 2^(k-i) >= 2 half
-        delta = math.ldexp(1.0, k - i)
-        b = math.ceil(guess / delta) * delta
-        if guess - (b - delta) >= half and b - guess >= half:
-            a = b - delta
-            return (a, b, False, i), ([a] if a > 0.0 else [doubled / 2.0] if k else []) + [b], doubled
-    return None
-
-
-def _bisect_loewner_lambdas(ss: np.ndarray, tt: np.ndarray, cap: float = 1e18) -> List[Optional[float]]:
-    """:func:`bisect_loewner_lambda` of each pair of two stacks (k, n, n) of
-    S S* and T T*, bisected together.
-
-    S S* is checked as ``loewner_leq`` checks it, and the members where
-    scale zero already works get 0.0. On the others, T T* is checked
-    finite, and Hermitian relative to its own norm, which implies that
-    check on every positive multiple of it. Each member's decisions read
-    only its own matrices, so the stack does not change its scale. Members
-    double their upper scale (None above the cap), then halve. A decision
-    computes op_norm(bb) only when bounds on it from |tt| and |tt - tt*|
-    leave the decision open.
-
-    The steps speculate. Each member guesses its threshold once
-    (:func:`_first_guesses`). Each round follows each member's path as that
-    guess predicts it, decides its steps in one stacked call, and keeps them
-    up to the first misprediction, included: each at the scale, and on the
-    matrix, of the step-by-step bisection. The first round sends to
-    ``eigvalsh`` only two anchors and the steps near the guess
-    (:func:`_first_jump`); the anchors decide the others by monotonicity
-    where their margins clear the rounding bound, or the member keeps none.
-    Later rounds decide up to ``_ROUND_STEPS`` steps each. A step whose
-    scaled operand is not finite is left undecided, and raises
-    ``ValueError`` only where the kept path reaches it, as the step-by-step
-    bisection raises there.
-    """
-    aa, norm_a = _require_hermitian(_as_stack(ss), "first")
-    # The zero operand's norm is 0, known without an SVD.
-    at_zero = _LoewnerTest(aa, norm_a, (0.0, 0.0))
-    zero = at_zero(np.zeros_like(aa))
-    out: List[Optional[float]] = [0.0 if z else None for z in zero.tolist()]
-    live = np.flatnonzero(~zero)
-    if not live.size:
-        return out
-    aa, norm_a, tt = aa[live], norm_a[live], _as_stack(tt[live])
-    gap, norm_t = op_norm(np.stack([tt - tt.conj().swapaxes(-1, -2), tt]))
-    asymmetric = gap > DEFAULT_TOL * norm_t
-    if asymmetric.any():
-        raise ValueError(f"second operand is not Hermitian (asymmetry {gap[asymmetric][0]:.3e})")
-    # Bounds on op_norm(bb), bb the Hermitian part of scale * tt, per unit
-    # of scale. The exact Hermitian part H of tt has | |H| - |tt| | <=
-    # |tt - tt*| / 2. Forming bb rounds each entry by at most 2u relative to
-    # scale (|tt_ij| + |tt_ji|) / 2 (u = eps / 2; halving is exact), so
-    # |bb - scale H| <= 2 sqrt(n) u scale |tt|, and forming tt - tt* moves
-    # half of it by at most sqrt(n) u |tt|. LAPACK's SVD returns a norm
-    # within p(n) u of it, p a small polynomial, and three norms enter.
-    # With |tt| <= |H| (1 + 1e-9) once T T* is checked Hermitian, the band
-    # 64 n^2 eps (about 1e-12 for n = 8) leaves a factor of four over
-    # p(n) <= 8 n^2 and the four products that form and scale the bounds; a
-    # wider band only sends more decisions to the SVD.
-    n = tt.shape[-1]
-    band = 64.0 * float(np.finfo(float).eps) * n**2.0
-    low, high = (norm_t - gap / 2.0) * (1.0 - band), (norm_t + gap / 2.0) * (1.0 + band)
-    # The minimal scale up to rounding, the top eigenvalue s* of aa against
-    # tt on tt's range, with its eigenvector x: x* H x = 1, so lam_min rises
-    # at rate 1 / |x|^2 below s*. Moved to where the margin crosses zero, it
-    # is the guess. A hint: its cut need not be RANK_EPS.
-    #
-    # The rounding bound on a margin, fixed + scale per_scale: by Weyl's
-    # inequality, forming bb - aa (as above) and eigvalsh (p(n) u |bb - aa|)
-    # move lam_min by at most band (limit + scale high), again a factor of
-    # four over p(n) <= 8 n^2; a slack's bounds differ by DEFAULT_TOL scale
-    # (high - low); and lam_min(scale H - aa) rises with the scale unless H
-    # has an eigenvalue below zero, which eigh of tt's lower triangle, within
-    # n |tt - tt*| of H, bounds below by -neg. So a failed decision whose
-    # margin is below -(twice its bound) makes each lower scale fail, and a
-    # held one whose margin clears its bound plus that at a higher scale
-    # makes each scale in between hold, as the step-by-step bisection does.
-    w, v = np.linalg.eigh(tt)
-    inv = np.divide(1.0, np.sqrt(np.abs(w)), out=np.zeros_like(w), where=w > 1e-10 * w[:, -1:])
-    count, top_scale, limit = len(live), max(cap, 1.0), at_zero.limit[live]
-    fixed = 2.0 * band * limit
-    neg = np.maximum(-w[:, 0], 0.0) + n * gap + band * high
-    per_scale = 2.0 * band * high + neg + DEFAULT_TOL * (high - low)
-    with np.errstate(all="ignore"):
-        pencil = inv[:, :, None] * (v.conj().swapaxes(-1, -2) @ aa @ v) * inv[:, None, :]
-        top, x = (part[..., -1] for part in np.linalg.eigh(np.where(np.isfinite(pencil), pencil, 0.0)))
-        reach = (inv**2 * (x.real**2 + x.imag**2)).sum(axis=-1)
-        guesses = _first_guesses(top, reach, limit, norm_t)
-        # The band: where margins, rising at rate 1 / |x|^2, clear the bound
-        # at the top scale 2^k <= max(1, 2 guess) _BAND times over. Scales
-        # from which an entry of scale * tt could overflow are never skipped.
-        half = _BAND * (fixed + np.maximum(1.0, 2.0 * guesses) * per_scale) * reach
-        reckless = 2.0**1022 / np.abs(tt.view(float)).max(axis=(-2, -1))
-    guesses = guesses.tolist()
-    jumps = [_first_jump(g, h, top_scale, r) for g, h, r in zip(guesses, half.tolist(), reckless.tolist())]
-    fixed, per_scale = fixed.tolist(), per_scale.tolist()
-    # The bisection runs on Python floats, which round as numpy's doubles
-    # do; on small stacks they cost less than array calls. hi starts at 1
-    # whatever the cap.
-    lo, hi, steps, doubling = [0.0] * count, [1.0] * count, [0] * count, [True] * count
-    going = list(range(count))
-    while going:
-        # About four complex n x n arrays per decided matrix.
-        depth = max(1, min(_ROUND_STEPS, _CHUNK_BYTES // (64 * tt[0].size * len(going))))
-        owners, scales, paths = [], [], []
-        for j in going:
-            jump, guess = jumps[j], guesses[j]
-            a, b, up, step = jump[0] if jump else (lo[j], hi[j], doubling[j], steps[j])
-            scales += jump[1] if jump else []
-            first = len(scales)
-            while len(scales) - first < depth and (b <= top_scale or not up):
-                mid, step = (b, step) if up else ((a + b) / 2.0, step + 1)
-                # Once mid is a bound already decided (hi, or a lo > 0 that a
-                # failed decision set), each later step repeats that decision
-                # and changes nothing. Doubling leaves hi a power of two and lo
-                # zero, so the first 53 midpoints are exact and strictly inside.
-                if step > 60 or (step > 53 and (mid == b or (mid == a and a > 0.0))):
-                    break
-                scales.append(mid)
-                if mid >= guess:
-                    b, up = mid, False
-                elif up:
-                    b = 2.0 * b
-                else:
-                    a = mid
-            if len(scales) > len(owners):
-                owners += [j] * (len(scales) - len(owners))
-                paths.append((j, first, len(scales), jump))
-        if not scales:
-            break
-        idx, scale = np.array(owners), np.array(scales)
-        # Both the scaled operand and its symmetrized sum can overflow. A
-        # step whose operand is not finite is left undecided (None): the
-        # step-by-step bisection raises there, so this one does once a kept
-        # path reaches it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            bb = scale[:, None, None] * tt[idx]
-            bb += bb.conj().swapaxes(-1, -2)
-            bb /= 2.0
-        at = range(len(scales))
-        if not np.isfinite(bb).all():
-            at = np.flatnonzero(np.isfinite(bb).all(axis=(-2, -1))).tolist()
-            idx, scale, bb = idx[at], scale[at], bb[at]
-        test = _LoewnerTest(aa[idx], norm_a[idx], (low[idx], high[idx]))
-        ok = dict(zip(at, test(bb, scale).tolist()))
-        margins = dict(zip(at, (test.lam_min + DEFAULT_TOL * np.maximum(test.limit, scale * norm_t[idx])).tolist()))
-        for j, first, stop, jump in paths:
-            if jump:
-                # The anchors decide every skipped step, or the member keeps none.
-                *fails, held = range(first - len(jump[1]), first)
-                if any(ok[i] or margins[i] >= -(fixed[j] + scales[i] * per_scale[j]) for i in fails):
-                    continue
-                if not ok[held] or margins[held] < fixed[j] + jump[2] * per_scale[j]:
-                    continue
-                lo[j], hi[j], doubling[j], steps[j] = jump[0]
-            for i in range(first, stop):
-                mid, k = scales[i], ok.get(i)
-                if k is None:
-                    raise ValueError("operator entries must be finite")
-                if doubling[j]:
-                    doubling[j], hi[j] = not k, mid if k else 2.0 * mid
-                else:
-                    steps[j] += 1
-                    lo[j], hi[j] = (lo[j], mid) if k else (mid, hi[j])
-                if k != (mid >= guesses[j]):
-                    break
-        # Only the first round skips steps.
-        going, jumps = [j for j, *_ in paths], [None] * count
-    for j, scale, up in zip(live.tolist(), hi, doubling):
-        out[j] = None if up else scale
-    return out
-
-
-def bisect_loewner_lambda(s_op: np.ndarray, t_op: np.ndarray, cap: float = 1e18) -> Optional[float]:
-    """Minimal scale putting S S* under the cone of T T*, found by 60 steps
-    of bisection over the Loewner test alone; None when no scale below the
-    cap works.
-
-    This is the slow, eigenvalue-only route kept deliberately separate from
-    the pseudo-inverse factor, so the two can check each other. Only
-    meaningful for pairs whose minimal scale is far below the cap; use
-    :func:`loewner_inclusion_exists` for the inclusion decision itself.
-
-    Each step makes the decision ``loewner_leq(S S*, scale * T T*)`` would
-    make, bit for bit, but the operands are checked once per call: S S* as
-    ``loewner_leq`` checks it, and T T*, unless scale zero already works,
-    finite and Hermitian relative to its own norm. The norm of the scaled
-    operand is bounded from the norm of T T* instead of computed wherever
-    the bound settles the decision. A non-finite product or scaled operand
-    raises ``ValueError``. The suites bisect the pairs of each matrix size
-    as one stack; this is a stack of one over the same routine.
-    """
-    ss = s_op @ s_op.conj().T
-    tt = t_op @ t_op.conj().T
-    if ss.shape != tt.shape:
-        raise ValueError(f"operands must be square and of equal size, got {ss.shape} and {tt.shape}")
-    return _bisect_loewner_lambdas(as_operator(ss)[None], tt[None], cap)[0]
 
 
 _PINV_CHECKS = (

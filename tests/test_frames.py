@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kframelab.duality import is_dual_k_bessel
 from kframelab.fixtures import fixture_w1, fixture_w1_prime
 from kframelab.frames import (
     FrameStack,
@@ -22,6 +23,7 @@ from kframelab.frames import (
     is_l2_independent,
     k_lower_bound,
     parseval_k_samples,
+    parseval_residual,
     synthesis,
     synthesis_kernel_basis,
     weighted_synthesis,
@@ -254,6 +256,19 @@ class TestClassify:
         result = classify(frame, KOperator.identity(2))
         assert result.verdict is FrameVerdict.BESSEL_ONLY
         assert result.bounds.lower == 0.0
+
+
+@pytest.mark.parametrize(
+    "routine",
+    [classify, parseval_residual, k_lower_bound, lambda frame, k: is_dual_k_bessel(frame, frame, k)],
+    ids=["classify", "parseval_residual", "k_lower_bound", "is_dual_k_bessel"],
+)
+def test_k_of_another_dimension_is_named(routine):
+    # K acts on C^2, the samples lie in C^3: the error names both sizes
+    # instead of numpy's failed broadcast of S against K K*.
+    frame = SampledFrame(MeasureSpace.uniform(3), np.eye(3))
+    with pytest.raises(ValueError, match="operator dimension 2 does not match frame dimension 3"):
+        routine(frame, KOperator.identity(2))
 
 
 class TestIndependence:

@@ -9,15 +9,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kframelab import duality, frames, suites
+from kframelab import duality, frames, hilbert, suites
 from kframelab.duality import ParsevalKFrame
 from kframelab.fixtures import fixture_scenario
 from kframelab.frames import KOperator, SampledFrame, conditioned_ops
-from kframelab.hilbert import Split, _LoewnerTest, loewner_leq, op_norm, range_inclusion, ranks
+from kframelab.hilbert import Split, _loewner_decisions, loewner_leq, op_norm, range_inclusion, ranks
 from kframelab.report import emit_report, report_to_dict
 from kframelab.rng import complex_normal, stream
 from kframelab.scenario import ScenarioError, scenario_from_dict
-from kframelab.suites import PROPERTY_IDS, UnknownPropertyError, bisect_loewner_lambda, run_suite
+from kframelab.suites import PROPERTY_IDS, UnknownPropertyError, run_suite
 
 import golden
 from helpers import bisect_loewner, loewner_inclusion_exists
@@ -283,6 +283,12 @@ def test_inclusion_verdicts_per_member(n, p, q):
     assert stacked == [True, False] * 4 + [True, True]
 
 
+def bisect_loewner_lambda(s_op, t_op, cap=1e18):
+    """The stacked bisection's scale for one pair (S, T), on both Grams as a stack of one."""
+    ss, tt = (op @ op.conj().T for op in (s_op, t_op))
+    return hilbert._bisect_loewner_lambdas(ss[None], tt[None], cap)[0]
+
+
 class TestLoewnerBisection:
     def test_matches_the_loewner_leq_oracle_bit_for_bit(self):
         rng = stream(31)
@@ -328,15 +334,15 @@ class TestLoewnerBisection:
         eye = np.eye(2, dtype=complex)
         pairs = [(1e-4 * eye, 1e150 * eye), (np.sqrt(7.74e307) * eye, np.sqrt(9e306) * eye)]
         if guessed == "above":
-            monkeypatch.setattr(suites, "_first_guesses", lambda top, *_: np.full(len(top), math.inf))
+            monkeypatch.setattr(hilbert, "_first_guesses", lambda top, *_: np.full(len(top), math.inf))
         grams = [np.stack([op @ op.conj().T for op in ops]) for ops in zip(*pairs)]
         with np.errstate(over="ignore", invalid="ignore"):
             for cap in (1e18, 1e3):
                 with pytest.raises(ValueError, match="operator entries must be finite"):
                     bisect_loewner(*pairs[1], cap=cap)
                 with pytest.raises(ValueError, match="operator entries must be finite"):
-                    suites._bisect_loewner_lambdas(*grams, cap=cap)
-                assert suites._bisect_loewner_lambdas(*(g[:1] for g in grams), cap=cap) == [bisect_loewner(*pairs[0], cap=cap)]
+                    hilbert._bisect_loewner_lambdas(*grams, cap=cap)
+                assert hilbert._bisect_loewner_lambdas(*(g[:1] for g in grams), cap=cap) == [bisect_loewner(*pairs[0], cap=cap)]
 
     def test_l2_work_per_trial(self, monkeypatch):
         counts = Counter()
@@ -387,7 +393,7 @@ class TestLoewnerBisection:
             for n in sorted({len(pairs[j][1]) for j in order}):
                 group = [j for j in order if len(pairs[j][1]) == n]
                 grams = [np.stack([op @ op.conj().T for op in ops]) for ops in zip(*(pairs[j] for j in group))]
-                out.update(zip(group, suites._bisect_loewner_lambdas(*grams, cap=cap)))
+                out.update(zip(group, hilbert._bisect_loewner_lambdas(*grams, cap=cap)))
             return [out[j] for j in order]
 
         for cap in (1e18, 1e3):
@@ -424,7 +430,7 @@ class TestLoewnerBisection:
                 return np.full(len(top), -math.inf if predictor == "hold" else math.inf)
             return draws.uniform(0.0, 2.0 ** draws.integers(0, 12, size=len(top)))
 
-        monkeypatch.setattr(suites, "_first_guesses", guess)
+        monkeypatch.setattr(hilbert, "_first_guesses", guess)
         for cap in (1e18, 1e3):
             oracle = [bisect_loewner(s, t, cap=cap) for s, t in pairs]
             for _ in range(10 if predictor == "random" else 1):
@@ -432,7 +438,7 @@ class TestLoewnerBisection:
                 for n in sorted({len(t) for _, t in pairs}):
                     group = [j for j, (_, t) in enumerate(pairs) if len(t) == n]
                     grams = [np.stack([op @ op.conj().T for op in ops]) for ops in zip(*(pairs[j] for j in group))]
-                    stacked.update(zip(group, suites._bisect_loewner_lambdas(*grams, cap=cap)))
+                    stacked.update(zip(group, hilbert._bisect_loewner_lambdas(*grams, cap=cap)))
                 stacked = [stacked[j] for j in range(len(pairs))]
                 assert stacked == oracle
                 assert stacked == [bisect_loewner_lambda(s, t, cap=cap) for s, t in pairs]
@@ -473,7 +479,7 @@ class TestLoewnerBisection:
             group = [j for j, (_, tt) in enumerate(grams) if len(tt) == n]
             ss, tt = map(np.stack, zip(*(grams[j] for j in group)))
             try:
-                out.update(zip(group, suites._bisect_loewner_lambdas(ss, tt, cap=cap)))
+                out.update(zip(group, hilbert._bisect_loewner_lambdas(ss, tt, cap=cap)))
             except ValueError as exc:
                 out.update((j, str(exc)) for j in group)
         return [out[j] for j in range(len(grams))]
@@ -490,15 +496,15 @@ class TestLoewnerBisection:
         # certifying steps that rounding decides the other way.
         grams = self.skipping_grams()
         factor = {"1e-6": 1.0 + 1e-6, "1e3": 1e3}.get(guessed, 1.0)
-        original = suites._first_guesses
-        monkeypatch.setattr(suites, "_first_guesses", lambda *args: original(*args) * factor)
+        original = hilbert._first_guesses
+        monkeypatch.setattr(hilbert, "_first_guesses", lambda *args: original(*args) * factor)
         if guessed == "narrow":
-            monkeypatch.setattr(suites, "_BAND", 1e-9 * suites._BAND)
+            monkeypatch.setattr(hilbert, "_BAND", 1e-9 * hilbert._BAND)
         eigvalsh = np.linalg.eigvalsh
         matrices = Counter()
 
         def counted(a, *args, **kwargs):
-            matrices[suites._BAND] += int(np.prod(np.shape(a)[:-2]))
+            matrices[hilbert._BAND] += int(np.prod(np.shape(a)[:-2]))
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
@@ -508,7 +514,7 @@ class TestLoewnerBisection:
             skipped = self.stacked_scales(grams, cap)
             raised = self.stacked_scales(overflowing, cap)
             with monkeypatch.context() as every_step:
-                every_step.setattr(suites, "_BAND", math.inf)
+                every_step.setattr(hilbert, "_BAND", math.inf)
                 assert self.stacked_scales(grams, cap) == skipped, cap
                 assert self.stacked_scales(overflowing, cap) == raised, cap
             # Zero S gives 0.0; the subnormal T T* gives None below every cap.
@@ -517,9 +523,9 @@ class TestLoewnerBisection:
         # On the nested pairs, an exact guess skips most steps; a wrong one,
         # or anchors too near it to clear the rounding bound, skip none.
         matrices.clear()
-        nested, band = grams[:16:2], suites._BAND
+        nested, band = grams[:16:2], hilbert._BAND
         self.stacked_scales(nested, 1e18)
-        monkeypatch.setattr(suites, "_BAND", math.inf)
+        monkeypatch.setattr(hilbert, "_BAND", math.inf)
         self.stacked_scales(nested, 1e18)
         assert (matrices[band] < matrices[math.inf] / 2) == (guessed == "exact"), matrices
 
@@ -549,9 +555,9 @@ class TestLoewnerBisection:
             calls["svd"] += 1
             return svd(*args, **kwargs)
 
-        test = _LoewnerTest(aa[None], op_norm(aa[None]), (np.array([10 - 1e-11]), np.array([10 + 1e-11])))
+        limit = np.maximum(1.0, op_norm(aa[None]))
         monkeypatch.setattr(np.linalg, "svd", counted)
-        verdict = bool(test(bb[None])[0])
+        verdict = bool(_loewner_decisions(aa[None], limit, bb[None], (np.array([10 - 1e-11]), np.array([10 + 1e-11])))[0][0])
         monkeypatch.setattr(np.linalg, "svd", svd)
         assert verdict == loewner_leq(aa, bb) == (x <= 1e-8)
         assert calls["svd"] == (1 if x in (1e-8, np.nextafter(1e-8, 1.0)) else 0)
@@ -633,6 +639,7 @@ def _tight(doc):
 
 def _set_chunk_trials(monkeypatch, scenario, trials):
     monkeypatch.setattr(suites, "_CHUNK_BYTES", trials * suites._trial_bytes(scenario))
+    monkeypatch.setattr(hilbert, "_CHUNK_BYTES", trials * suites._trial_bytes(scenario))
 
 
 def _one_at_a_time(names, residuals, present=None):
