@@ -22,6 +22,7 @@ The stack serves the suite runner and is left out of ``__all__``;
 instance.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -29,7 +30,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .hilbert import DEFAULT_TOL, _common, _norm_bounds, _norms_exceed, as_operator, as_vector, op_norm
-from .hilbert import _CHUNK_BYTES, full_row_ranks, vdots, vector_norms
+from .hilbert import _CHUNK_BYTES, _band, full_row_ranks, vdots, vector_norms
 from .frames import (
     FrameStack,
     InfeasibleError,
@@ -175,6 +176,88 @@ class ResidualOperator:
 
     space: object
     phi: np.ndarray
+
+
+def _weighted_frobenius(space: MeasureSpace, samples: np.ndarray) -> np.ndarray:
+    """||W^(1/2) X||_F of each member of a stack of samples (n, m, d)."""
+    return np.sqrt(weighted_norm_sq(space, samples.swapaxes(-1, -2)).sum(axis=-1))
+
+
+# The certificate of ``characterizes``: per member, bounds from above on
+# every Gram gap and every leak norm that its partner loop could compute,
+# for any draw. Notation, per member: u = eps / 2, W the weights, S =
+# synthesis(G), A = analysis(C) for the canonical dual C, B = synthesis(F),
+# N the kernel basis (m, w). |X| is an operator norm (for samples, the
+# analysis norm |W^(1/2) X|), and a_X = ||W^(1/2) X||_F.
+#
+# A partner adds the field phi = fl(fl(N Z) s), the draw Z scaled by s so
+# that its computed field norm x is at most t = max(|C|, 1) 10^hi, up to
+# the rounding of the scale. Write phi = N rho + E with rho = s Z exactly.
+# W^(1/2) N has orthonormal columns up to LAPACK's p(m) u, so |rho| is at
+# most x and ||W^(1/2) N||_F at most sqrt(w), both up to that rounding.
+# The rounding terms use Higham's gamma_n = n u / (1 - n u); a complex
+# product of inner size n errs by at most sqrt(2) gamma_(n+2) |X||Y|
+# entrywise (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+# 3.6), below c = (m + 3) eps, which also takes in the u or two of an
+# entry's sum or scaling. Two rules turn them into weighted norms:
+# ||(|S| |X|)||_F <= a_G a_X for a product with the (m, .) matrix X, and
+# |S X| <= |G| |W^(1/2) X| for an exact one. So:
+# - ||W^(1/2) E||_F <= c sqrt(w) ||rho||_F <= c sqrt(w d) x, from the
+#   products of inner size w and the scaling; ||W^(1/2) phi||_F <=
+#   sqrt(d) x, phi being of rank at most d.
+# - The partner's analysis is fl(A + phi), within u |A + phi| of it. Its
+#   gap matrix fl(gram - fl(S fl(A + phi))) then differs from the exact
+#   gram - S A by -S N rho - S E, the sum's and the product's rounding
+#   (c a_G (a_C + sqrt(d) x)), and its own subtraction's (u relative).
+#   Partner 0's matrix fl(gram - fl(S A)) is within c a_G a_C of gram - S
+#   A, and up to u relative. With |S N| <= ||fl(S N)||_F + c a_G sqrt(w),
+#   the rounding of the product taken here, every partner's gap is at most
+#     k (gap0 + 2 c a_G a_C + x (||fl(S N)||_F + c (a_G (sqrt(d) +
+#     sqrt(w)) + |G| sqrt(w d)))).
+# - The leak norm |fl(B phi)| of ``build_duals`` the same way, with F for
+#   G and nothing from partner 0: at most k x L, with L = ||fl(B N)||_F +
+#   c (a_F (sqrt(d) + sqrt(w)) + |F| sqrt(w d)).
+# - k = 1 + 16 b, with b = _band(max(m, d)), which covers p(n) u of each
+#   LAPACK norm (the gap, the leak and the field's scale), the computed
+#   norms and Frobenius norms that stand for the exact ones, the
+#   orthonormality above, and the dozen roundings that form the bounds:
+#   at most eight factors 1 + b meet in a product, and (1 + b)^8 <= 1 + 16
+#   b while b <= 1/16. Above 1/16 the bounds are infinite.
+# A partner holds where its gap is at most partner 0's limit DEFAULT_TOL
+# (1 + |G|^2), and leaks where its leak exceeds DEFAULT_TOL (1 + |F| x).
+# k x L - DEFAULT_TOL (1 + |F| x) is linear in x, so where it is at most 0
+# at the largest x, k t, it is at every x: k^2 t L <= DEFAULT_TOL (1 + |F|
+# t) suffices. Away from overflow and underflow: a non-finite bound or
+# limit leaves the chunk open.
+def _partner_bounds(pk: "ParsevalKFrames", g: FrameStack, syn_g: np.ndarray, g_norms: np.ndarray, gap0: np.ndarray):
+    """(gap, leak, leak_limit) per member, for the sampled partners of
+    :meth:`ParsevalKFrames.characterizes` against G, whose synthesis maps
+    are ``syn_g``, analysis norms ``g_norms`` and partner 0 gaps ``gap0``:
+    gap bounds every partner's computed Gram gap, leak every partner's
+    leak norm in :meth:`ParsevalKFrames.build_duals`, and leak_limit that
+    check's limit below, see the comment above. Two products (n, d, w)."""
+    m, d = pk.frames.samples.shape[1:]
+    w, band = pk.width, _band(max(m, d))
+    k = 1.0 + 16.0 * band if band <= 1.0 / 16.0 else math.inf
+    c = (m + 3) * float(np.finfo(float).eps)
+    t = np.maximum(pk.dual_norms, 1.0) * 10.0 ** _KERNEL_FIELD_DECADES[1]
+    a_c = _weighted_frobenius(pk.space, pk.duals.samples)
+    a_g = a_c if g is pk.duals else _weighted_frobenius(pk.space, g.samples)
+    a_f = _weighted_frobenius(pk.space, pk.frames.samples)
+    spread, cross = math.sqrt(d) + math.sqrt(w), math.sqrt(w * d)
+    syn_g_n = np.linalg.norm(syn_g @ pk.kernel, axis=(-2, -1))
+    syn_f_n = np.linalg.norm(synthesis(pk.frames) @ pk.kernel, axis=(-2, -1))
+    gap = k * (gap0 + 2.0 * c * a_g * a_c + t * (syn_g_n + c * (a_g * spread + g_norms * cross)))
+    leak = k * k * t * (syn_f_n + c * (a_f * spread + pk.frame_norms * cross))
+    return gap, leak, DEFAULT_TOL * (1.0 + pk.frame_norms * t)
+
+
+def _partners_certified(pk: "ParsevalKFrames", g: FrameStack, syn_g: np.ndarray, g_norms: np.ndarray, gap0: np.ndarray, limit: np.ndarray) -> bool:
+    """Whether every member's :func:`_partner_bounds` clear their finite
+    limits, ``limit`` being partner 0's: then every partner that
+    ``characterizes`` could draw holds and none leaks."""
+    gap, leak, leak_limit = _partner_bounds(pk, g, syn_g, g_norms, gap0)
+    return bool(((gap <= limit) & (leak <= leak_limit) & np.isfinite(limit) & np.isfinite(leak_limit)).all())
 
 
 class ParsevalKFrames:
@@ -361,9 +444,17 @@ class ParsevalKFrames:
         dual, and every later partner would repeat partner 0's comparison.
         Members that disagree on partner 0 raise ``Split``. Zero
         trials pass vacuously. Partner t of member j draws from
-        ``stream(seeds[j], t)``. The later partners run as one stack per
-        pass, within ``_CHUNK_BYTES`` at 128 m d bytes per partner and
-        member; the first that leaks raises, as it would one at a time.
+        ``stream(seeds[j], t)``.
+
+        Before any partner is drawn, a certificate bounds every later
+        partner's Gram gap and leak from partner 0's gap and the norms of
+        synthesis(G) N and synthesis(F) N, N the kernel bases, rounding
+        included, for any draw (see :func:`_partner_bounds`). Where every
+        member clears its limits, each partner would hold and none would
+        leak, so G holds with no partner drawn. Otherwise the later
+        partners run as one stack per pass, within ``_CHUNK_BYTES`` at 128
+        m d bytes per partner and member; the first that leaks raises, as
+        it would one at a time.
         """
         self.require_duals(g)
         norms = self.dual_norms if g is self.duals else analysis_norm(g)
@@ -371,9 +462,12 @@ class ParsevalKFrames:
             return np.ones(len(g), dtype=bool)
         syn_g = synthesis(g)
         gram = syn_g @ analysis(g)
-        scale = 1.0 + _squares(norms)
-        holds = ~(op_norm(gram - syn_g @ self.dual_analysis) > DEFAULT_TOL * scale)
+        limit = DEFAULT_TOL * (1.0 + _squares(norms))
+        gap0 = op_norm(gram - syn_g @ self.dual_analysis)
+        holds = ~(gap0 > limit)
         if trials == 1 or not self.width or not _common(holds):
+            return holds
+        if _partners_certified(self, g, syn_g, norms, gap0, limit):
             return holds
         n, m, d = self.frames.samples.shape
         per_pass = max(1, _CHUNK_BYTES // (128 * m * d * n))
@@ -382,7 +476,7 @@ class ParsevalKFrames:
             rngs = Streams((seed, (), (t,)) for t in ts for seed in seeds)
             partners = self.build_duals(self.sample_kernel_fields(rngs))
             gaps = op_norm(gram - syn_g @ analysis(partners).reshape(len(ts), n, m, d))
-            holds &= ~(gaps > DEFAULT_TOL * scale).any(axis=0)
+            holds &= ~(gaps > limit).any(axis=0)
         return holds
 
     def alternative_duals(self, seeds: Sequence[int]) -> Tuple[FrameStack, np.ndarray]:

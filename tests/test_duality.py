@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kframelab import duality, hilbert, suites
+from kframelab import duality, hilbert, rng, suites
 from kframelab.duality import (
     HypothesisError,
     ParsevalKFrame,
@@ -691,9 +691,10 @@ class TestParsevalKFramesStack:
     def test_characterizes_stops_trivial_kernels_after_the_canonical_dual(self, members, monkeypatch):
         # Width 0 makes the canonical dual the only dual, so every later
         # partner would repeat partner 0's comparison: none is built. Width
-        # 2 builds the 7 later partners of 8 when partner 0 holds, in one
-        # pass of 7 partners per member, with the verdicts a loop over every
-        # partner gives.
+        # 2, with the certificate forced open, builds the 7 later partners
+        # of 8 when partner 0 holds, in one pass of 7 partners per member,
+        # with the verdicts a loop over every partner gives.
+        monkeypatch.setattr(duality, "_partners_certified", lambda *args: False)
         stack, singles = members
         seeds = self.SEEDS
         every_partner = self.every_partner
@@ -765,14 +766,25 @@ class TestParsevalKFramesStack:
 
     def test_one_partner_per_pass_at_d64_m512(self, monkeypatch):
         # 128 m d bytes per partner and member fill the whole budget at the
-        # large-lapack size, so each of the 7 later partners is its own pass.
+        # large-lapack size, so with the certificate forced open each of the
+        # 7 later partners is its own pass. The certificate decides this
+        # chunk: it builds no partner and keys no partner stream.
         workload = golden.perfbench_module("workloads").WORKLOADS["large-lapack"]
         pk = suites._Chunk(scenario_from_dict(workload.scenario_doc(42)), [0]).parseval
         assert pk.frames.samples.shape == (1, 512, 64)
         built, build_duals = [], pk.build_duals
         monkeypatch.setattr(pk, "build_duals", lambda phi: built.append(len(phi)) or build_duals(phi))
+        keyed, state = [], rng._state
+        monkeypatch.setattr(rng, "_state", lambda *key: keyed.append(key) or state(*key))
+        certified = duality._partners_certified
+        monkeypatch.setattr(duality, "_partners_certified", lambda *args: False)
         assert pk.characterizes(pk.duals, 8, [3]).tolist() == [True]
-        assert built == [1] * 7
+        assert built == [1] * 7 and len(keyed) == 7
+        built.clear()
+        keyed.clear()
+        monkeypatch.setattr(duality, "_partners_certified", certified)
+        assert pk.characterizes(pk.duals, 8, [3]).tolist() == [True]
+        assert built == [] and keyed == []
 
     @pytest.mark.parametrize("ranks", [(3, 3, 3, 3), (5, 5)], ids=["kernel", "trivial-kernel"])
     def test_batches_of_streams_draw_as_fresh_generators(self, ranks):
@@ -858,3 +870,116 @@ class TestParsevalKFramesStack:
         ):
             with pytest.raises(Split):
                 call()
+
+
+class TestPartnerCertificate:
+    """``characterizes`` certifies its later partners from bounds on every
+    Gram gap and leak they could give. Where the bounds clear the limits,
+    G holds with no partner built; elsewhere the partner loop runs."""
+
+    @staticmethod
+    def chunk(doc, trials):
+        return suites._Chunk(scenario_from_dict(doc), trials)
+
+    @staticmethod
+    def bounds(pk, g):
+        """Partner 0's limits and the certificate's bounds against G."""
+        syn_g, norms = synthesis(g), analysis_norm(g)
+        gap0 = op_norm(syn_g @ analysis(g) - syn_g @ pk.dual_analysis)
+        limit = DEFAULT_TOL * (1.0 + norms**2)
+        return limit, duality._partner_bounds(pk, g, syn_g, norms, gap0)
+
+    @staticmethod
+    def partner_norms(pk, g, seeds):
+        """The Gram gaps and leak norms (7, members) of the 7 later partners
+        of an 8-partner loop, each from the expressions the loop computes."""
+        syn_g = synthesis(g)
+        gram = syn_g @ analysis(g)
+        gaps, leaks = [], []
+        for t in range(1, 8):
+            phi = pk.sample_kernel_fields(Streams((seed, (), (t,)) for seed in seeds))
+            leaks.append(op_norm(synthesis(pk.frames) @ phi))
+            gaps.append(op_norm(gram - syn_g @ analysis(pk.build_duals(phi))))
+        return np.array(gaps), np.array(leaks)
+
+    @pytest.mark.parametrize(
+        "doc, trials",
+        [
+            (golden.SCENARIOS["readme-seed-1"], range(4)),
+            (golden.SCENARIOS["readme-seed-7"], range(4, 8)),
+            (golden.SCENARIOS["readme-seed-123"], range(8, 12)),
+            (golden.perfbench_module("workloads").WORKLOADS["large-lapack"].scenario_doc(7), [0]),
+        ],
+        ids=["readme-1", "readme-7", "readme-123", "d64-m512"],
+    )
+    def test_bounds_hold_for_every_partner(self, monkeypatch, doc, trials):
+        # G is the canonical dual, or the canonical dual plus a kernel field
+        # scaled down by 1e-12 or 1e-9. Every partner gap and leak the loop
+        # computes lies under the member's bound, and the verdicts, with
+        # the certificate and with it forced open, are a loop over every
+        # partner's. The canonical dual is certified.
+        chunk = self.chunk(doc, trials)
+        pk = chunk.parseval
+        space, ks, frames = chunk.instance
+        singles = [ParsevalKFrame(SampledFrame(space, frames.samples[j]), KOperator(ks.op[j])) for j in range(len(pk))]
+        seeds = list(chunk.sub_seeds("canonical-char", 1))
+        fields = pk.sample_kernel_fields(chunk.rngs("canonical-char"))
+        certified = duality._partners_certified
+        for size in (0.0, 1e-12, 1e-9):
+            g = pk.build_duals(size * fields) if size else pk.duals
+            limit, (gap_bound, leak_bound, _) = self.bounds(pk, g)
+            gaps, leaks = self.partner_norms(pk, g, seeds)
+            assert (gaps <= gap_bound).all() and (leaks <= leak_bound).all()
+            if not size:
+                assert (gap_bound <= limit).all()
+            verdicts = pk.characterizes(g, 8, seeds).tolist()
+            monkeypatch.setattr(duality, "_partners_certified", lambda *args: False)
+            assert pk.characterizes(g, 8, seeds).tolist() == verdicts
+            monkeypatch.setattr(duality, "_partners_certified", certified)
+            assert verdicts == [
+                TestParsevalKFramesStack.every_partner(single, SampledFrame(space, g.samples[j]), 8, seed)
+                for j, (single, seed) in enumerate(zip(singles, seeds))
+            ]
+
+    @pytest.mark.parametrize(
+        "size, verdicts",
+        [
+            (1e-5, [False] * 4),
+            (1e-6, [False] * 4),
+            (1e-7, [False] * 4),
+            (1e-8, [False] * 4),
+            (1e-9, [False, True, False, False]),
+        ],
+    )
+    def test_near_canonical_duals_stay_open(self, monkeypatch, size, verdicts):
+        # G = C + psi on the README scenario's trials 0-3, psi a kernel field
+        # of norm size: every member holds against partner 0, and sampled
+        # partners fail. synthesis(G) N, about size times a kernel field's
+        # norm, keeps the certificate open, so the partner loop decides.
+        chunk = self.chunk(golden.SCENARIOS["readme-seed-42"], range(4))
+        pk = chunk.parseval
+        psi = pk.sample_kernel_fields(chunk.rngs("canonical-char"))
+        g = pk.build_duals(psi * (size / field_norm(pk.space, psi))[:, None, None])
+        decisions, certified = [], duality._partners_certified
+        monkeypatch.setattr(duality, "_partners_certified", lambda *args: decisions.append(certified(*args)) or decisions[-1])
+        assert pk.characterizes(g, 8, chunk.sub_seeds("canonical-char", 1)).tolist() == verdicts
+        assert decisions == [False]
+
+    def test_certificate_stays_open_where_a_partner_would_leak(self, monkeypatch):
+        # G = C + conj(psi), psi = N Z P small and P the projector onto
+        # R(K*), keeps synthesis(G) at rank 2, and G's own kernel basis N'
+        # put in place of N is one that synthesis(G) annihilates and
+        # synthesis(F) does not. Partner 0 holds and no partner moves the
+        # Gram gap, but every partner leaks: the certificate stays open, and
+        # the loop raises as it would without it.
+        chunk = self.chunk(golden.SCENARIOS["readme-seed-42"], [0])
+        pk = chunk.parseval
+        z = 1e-6 * complex_normal(stream(3), pk.width, pk.frames.dim) @ pk.k.adjoint_range_projector[0]
+        g = pk.build_duals(pk.kernel @ z)
+        n_bad = duality._kernel_bases(g, pk.k.rank)
+        assert n_bad.shape == pk.kernel.shape
+        monkeypatch.setitem(pk.__dict__, "kernel", n_bad)
+        limit, (gap_bound, leak_bound, leak_limit) = self.bounds(pk, g)
+        assert (gap_bound <= limit).all() and not (leak_bound <= leak_limit).any()
+        with pytest.raises(HypothesisError, match="does not annihilate"):
+            pk.characterizes(g, 8, [3])
