@@ -30,7 +30,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .hilbert import DEFAULT_TOL, _common, _norm_bounds, _norms_exceed, as_operator, as_vector, op_norm
-from .hilbert import _CHUNK_BYTES, _band, full_row_ranks, vdots, vector_norms
+from .hilbert import _band, full_row_ranks, vdots, vector_norms
 from .frames import (
     FrameStack,
     InfeasibleError,
@@ -335,15 +335,14 @@ class ParsevalKFrames:
         return analysis_norm(self.frames)
 
     def sample_kernel_fields(self, rngs: Sequence) -> np.ndarray:
-        """Random fields (len(rngs), m, d) that the synthesis maps annihilate,
-        scaled into a band of norms around the canonical duals' analysis
-        norms. Field i belongs to member i mod n and draws from ``rngs[i]``,
-        so c fields per member come as c blocks of n; a trivial kernel gives
-        the zero fields and draws nothing.
+        """Random fields (n, m, d) that the synthesis maps annihilate, one
+        per member, scaled into a band of norms around the canonical duals'
+        analysis norms. Member i's field draws from ``rngs[i]``; a trivial
+        kernel gives the zero fields and draws nothing.
 
         The draw is a complex Gaussian pushed through the kernel basis, so
         both small and dominant perturbations are exercised as the band
-        endpoints spread. The kernel bases broadcast over the blocks.
+        endpoints spread.
         """
         return self._kernel_fields(rngs)[0]
 
@@ -351,16 +350,15 @@ class ParsevalKFrames:
         """:meth:`sample_kernel_fields`, then each member's draws of
         ``then`` (see :func:`~kframelab.rng.member_draws`): a member draws
         its normals, its decade and then the rest in one visit."""
-        space, dim, w, n = self.space, self.frames.dim, self.width, len(self)
+        space, dim, w = self.space, self.frames.dim, self.width
         if not w:
-            return [np.zeros((len(rngs), space.atom_count, dim), dtype=np.complex128), *member_draws(rngs, *then)]
+            return [np.zeros((len(self), space.atom_count, dim), dtype=np.complex128), *member_draws(rngs, *then)]
         lo, hi = _KERNEL_FIELD_DECADES
         raw, decades, *rest = member_draws(
             rngs, lambda rng: rng.standard_normal((2, w, dim)), lambda rng: rng.uniform(lo, hi), *then
         )
-        draws = (self.kernel @ complex_parts(raw).reshape(-1, n, w, dim)).reshape(len(rngs), -1, dim)
-        norms = self.dual_norms.tolist() * (len(rngs) // n)
-        target = [max(norm, 1.0) * 10.0**u for norm, u in zip(norms, decades.tolist())]
+        draws = self.kernel @ complex_parts(raw)
+        target = [max(norm, 1.0) * 10.0**u for norm, u in zip(self.dual_norms.tolist(), decades.tolist())]
         scale = np.array(target) / field_norm(space, draws)
         return [draws * scale[:, None, None], *rest]
 
@@ -369,22 +367,19 @@ class ParsevalKFrames:
 
         Adding the conjugated rows of phi to the canonical dual leaves the
         duality identity intact exactly when synthesis(frame) @ phi = 0;
-        the zero field gives the canonical dual itself. Field i belongs to
-        member i mod n, see :meth:`sample_kernel_fields`. The leak check
+        the zero field gives the canonical dual itself. The leak check
         takes the norms of synthesis(frame) @ phi and of the field only
         where a bound leaves its verdict open, see :func:`_norms_exceed`:
         ``field_norm(phi)`` is at least phi's largest weighted column norm.
         """
-        frame_norms = np.tile(self.frame_norms, len(phi) // len(self))
-        blocks = phi.reshape(-1, len(self), *phi.shape[1:])
-        floor = DEFAULT_TOL * (1.0 + frame_norms * _norm_bounds(self.space.sqrt_weights[:, None] * phi)[0])
+        floor = DEFAULT_TOL * (1.0 + self.frame_norms * _norm_bounds(self.space.sqrt_weights[:, None] * phi)[0])
         fails, leak = _norms_exceed(
-            (synthesis(self.frames) @ blocks).reshape(len(phi), self.frames.dim, -1),
+            synthesis(self.frames) @ phi,
             floor,
-            lambda norm, j: norm > DEFAULT_TOL * (1.0 + frame_norms[j] * field_norm(self.space, phi[j])),
+            lambda norm, j: norm > DEFAULT_TOL * (1.0 + self.frame_norms[j] * field_norm(self.space, phi[j])),
         )
         _require(fails, leak, "the synthesis map does not annihilate phi (residual {:.3e})")
-        return FrameStack(self.space, (self.duals.samples + np.conj(blocks)).reshape(phi.shape))
+        return FrameStack(self.space, self.duals.samples + np.conj(phi))
 
     def duality_residuals(self, g: FrameStack) -> np.ndarray:
         """Norms of synthesis(frame) @ analysis(G) - K, see :func:`is_dual_k_bessel`."""
@@ -452,9 +447,7 @@ class ParsevalKFrames:
         included, for any draw (see :func:`_partner_bounds`). Where every
         member clears its limits, each partner would hold and none would
         leak, so G holds with no partner drawn. Otherwise the later
-        partners run as one stack per pass, within ``_CHUNK_BYTES`` at 128
-        m d bytes per partner and member; the first that leaks raises, as
-        it would one at a time.
+        partners run one per pass; the first that leaks raises.
         """
         self.require_duals(g)
         norms = self.dual_norms if g is self.duals else analysis_norm(g)
@@ -469,14 +462,9 @@ class ParsevalKFrames:
             return holds
         if _partners_certified(self, g, syn_g, norms, gap0, limit):
             return holds
-        n, m, d = self.frames.samples.shape
-        per_pass = max(1, _CHUNK_BYTES // (128 * m * d * n))
-        for first in range(1, int(trials), per_pass):
-            ts = range(first, min(first + per_pass, int(trials)))
-            rngs = Streams((seed, (), (t,)) for t in ts for seed in seeds)
-            partners = self.build_duals(self.sample_kernel_fields(rngs))
-            gaps = op_norm(gram - syn_g @ analysis(partners).reshape(len(ts), n, m, d))
-            holds &= ~(gaps > limit).any(axis=0)
+        for t in range(1, int(trials)):
+            partners = self.build_duals(self.sample_kernel_fields(Streams((seed, (), (t,)) for seed in seeds)))
+            holds &= ~(op_norm(gram - syn_g @ analysis(partners)) > limit)
         return holds
 
     def alternative_duals(self, seeds: Sequence[int]) -> Tuple[FrameStack, np.ndarray]:

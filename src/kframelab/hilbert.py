@@ -57,8 +57,8 @@ RANK_EPS = 1e-10
 # residuals reflect only floating point error.
 DEFAULT_TOL = 1e-9
 # Stacked arrays stay within about this many bytes: the suite runner's
-# trials per chunk, the partners per pass of ``characterizes`` and the
-# steps per round of :func:`_bisect_loewner_lambdas`.
+# trials per chunk and the steps per round of
+# :func:`_bisect_loewner_lambdas`.
 _CHUNK_BYTES = 1 << 22
 
 

@@ -107,9 +107,9 @@ class _Chunk:
         """The property's stream of each trial, as one batch (see ``rng.Streams``)."""
         return Streams((self.scenario.seed, (_PROPERTY_TAG[pid],), (i,)) for i in self.indices)
 
-    def sub_seeds(self, pid: str, slot: int) -> Keyed:
-        """The property's derived seed in ``slot`` of each trial, each derived when first read."""
-        return derive_seeds(self.scenario.seed, (_PROPERTY_TAG[pid],), [(i, slot) for i in self.indices])
+    def sub_seeds(self, pid: str) -> Keyed:
+        """The property's derived seed of each trial, keyed (trial, 1), each derived when first read."""
+        return derive_seeds(self.scenario.seed, (_PROPERTY_TAG[pid],), [(i, 1) for i in self.indices])
 
     @cached_property
     def trials(self) -> List["_Chunk"]:
@@ -321,11 +321,11 @@ def _prop_canonical_char(chunk: _Chunk) -> CheckTable:
     sampled partners, while any sampled perturbation fails with the canonical
     dual itself as witness."""
     pk = chunk.parseval
-    ok_forward = pk.characterizes(pk.duals, trials=8, seeds=chunk.sub_seeds("canonical-char", 1))
+    ok_forward = pk.characterizes(pk.duals, trials=8, seeds=chunk.sub_seeds("canonical-char"))
     phi = pk.sample_kernel_fields(chunk.rngs("canonical-char"))
     if not pk.width:  # the zero field perturbs nothing
         return CheckTable(["canonical-passes"], (~ok_forward).astype(float)[:, None])
-    ok_perturbed = pk.characterizes(pk.build_duals(phi), trials=1, seeds=chunk.sub_seeds("canonical-char", 2))
+    ok_perturbed = pk.characterizes(pk.build_duals(phi), trials=1, seeds=())
     residuals = np.column_stack([~ok_forward, ok_perturbed]).astype(float)
     return CheckTable(["canonical-passes", "perturbed-fails"], residuals)
 
@@ -336,7 +336,7 @@ def _prop_t1(chunk: _Chunk) -> CheckTable:
     pk = chunk.parseval
     space, k, dual = pk.space, pk.k, pk.duals.samples
     if pk.width:
-        q, residual = pk.alternative_duals(chunk.sub_seeds("t1", 1))
+        q, residual = pk.alternative_duals(chunk.sub_seeds("t1"))
         differs = np.where(_max_row_norm(q.samples - dual) > 1e-6, 0.0, 1.0)
         residuals = np.column_stack([residual / (1.0 + k.norm), differs])
         return CheckTable(["alternative-dual", "alternative-differs"], residuals)
@@ -366,7 +366,7 @@ def _prop_t4(chunk: _Chunk) -> CheckTable:
     weights = pk.space.weights
     f = complex_normal_stack(chunk.rngs("t4"), pk.frames.dim)
     canonical_values = pk.canonical_values(f)[:, None]
-    families = pk.coefficient_families(f, count=10, seeds=chunk.sub_seeds("t4", 1))
+    families = pk.coefficient_families(f, count=10, seeds=chunk.sub_seeds("t4"))
     total, residual, canonical = pk.norm_splits(f, families)
     cross = np.sum(weights * (families - canonical_values) * np.conj(canonical_values), axis=-1)
     cross = np.array([[abs(z) for z in row] for row in cross.tolist()])
@@ -378,7 +378,7 @@ def _prop_t4(chunk: _Chunk) -> CheckTable:
 def _prop_complement(chunk: _Chunk) -> CheckTable:
     """Canonical dual is Parseval on the orthogonal complement of N(K)."""
     pk = chunk.parseval
-    ok = pk.complement_parseval_holds(trials=5, seeds=chunk.sub_seeds("complement-parseval", 1))
+    ok = pk.complement_parseval_holds(trials=5, seeds=chunk.sub_seeds("complement-parseval"))
     probe = pk.corange_parseval_residuals(chunk.rngs("complement-parseval"), 1)[:, 0]
     return CheckTable(["complement-parseval", "probe-residual"], np.column_stack([np.where(ok, 0.0, 1.0), probe]))
 

@@ -692,8 +692,8 @@ class TestParsevalKFramesStack:
         # Width 0 makes the canonical dual the only dual, so every later
         # partner would repeat partner 0's comparison: none is built. Width
         # 2, with the certificate forced open, builds the 7 later partners
-        # of 8 when partner 0 holds, in one pass of 7 partners per member,
-        # with the verdicts a loop over every partner gives.
+        # of 8 when partner 0 holds, one partner per member in each of 7
+        # passes, with the verdicts a loop over every partner gives.
         monkeypatch.setattr(duality, "_partners_certified", lambda *args: False)
         stack, singles = members
         seeds = self.SEEDS
@@ -711,7 +711,7 @@ class TestParsevalKFramesStack:
                 every_partner(pk, SampledFrame(pk.frame.space, g.samples[t]), 8, seed)
                 for t, (pk, seed) in enumerate(zip(singles, seeds))
             ]
-            assert built == [7 * len(seeds)] * passes
+            assert built == [len(seeds)] * 7 * passes
         built.clear()
         assert unique.characterizes(unique.duals, 8, seeds[:2]).tolist() == [True, True]
         assert built == []
@@ -731,16 +731,14 @@ class TestParsevalKFramesStack:
             assert unique.characterizes(unique.duals, trials, seeds[:2]).tolist() == [True, True]
         assert counts[0] == counts[1] == 1
 
-    @pytest.mark.parametrize("per_pass, sizes", [(1, [1] * 7), (3, [3, 3, 1]), (7, [7])])
-    def test_partner_passes_keep_every_field_and_verdict(self, members, monkeypatch, per_pass, sizes):
-        # A byte budget of per_pass partners per pass splits the 7 later
-        # partners into passes, and every (member, partner) field keeps the
-        # bits it has drawn alone. Fields of size 1e-7 and 1e-12 relative to
-        # a kernel field pass partner 0; the 1e-7 ones fail a later partner.
+    def test_partner_passes_keep_every_field_and_verdict(self, members, monkeypatch):
+        # The 7 later partners run one per pass, and every (member, partner)
+        # field keeps the bits it has drawn alone. Fields of size 1e-7 and
+        # 1e-12 relative to a kernel field pass partner 0; the 1e-7 ones
+        # fail a later partner.
         stack, singles = members
         seeds = self.SEEDS
         n, m, d = stack.frames.samples.shape
-        monkeypatch.setattr(duality, "_CHUNK_BYTES", per_pass * 128 * m * d * n)
         phi = stack.sample_kernel_fields([stream(seed, 2) for seed in seeds])
         g = stack.build_duals(np.array([0.0, 1e-7, 1e-12, 1e-7])[:, None, None] * phi)
         fields, calls = [], []
@@ -758,16 +756,15 @@ class TestParsevalKFramesStack:
             for t, (pk, seed) in enumerate(zip(singles, seeds))
         ]
         assert verdicts == [True, False, True, False]
-        assert calls == sizes
+        assert calls == [1] * 7
         fields = np.concatenate(fields).reshape(7, n, m, d)
         for j, (pk, seed) in enumerate(zip(singles, seeds)):
             for t in range(1, 8):
                 assert np.array_equal(fields[t - 1, j], pk.sample_kernel_field(stream(seed, t)))
 
     def test_one_partner_per_pass_at_d64_m512(self, monkeypatch):
-        # 128 m d bytes per partner and member fill the whole budget at the
-        # large-lapack size, so with the certificate forced open each of the
-        # 7 later partners is its own pass. The certificate decides this
+        # At the large-lapack size, with the certificate forced open, each
+        # of the 7 later partners is its own pass. The certificate decides this
         # chunk: it builds no partner and keys no partner stream.
         workload = golden.perfbench_module("workloads").WORKLOADS["large-lapack"]
         pk = suites._Chunk(scenario_from_dict(workload.scenario_doc(42)), [0]).parseval
@@ -922,7 +919,7 @@ class TestPartnerCertificate:
         pk = chunk.parseval
         space, ks, frames = chunk.instance
         singles = [ParsevalKFrame(SampledFrame(space, frames.samples[j]), KOperator(ks.op[j])) for j in range(len(pk))]
-        seeds = list(chunk.sub_seeds("canonical-char", 1))
+        seeds = list(chunk.sub_seeds("canonical-char"))
         fields = pk.sample_kernel_fields(chunk.rngs("canonical-char"))
         certified = duality._partners_certified
         for size in (0.0, 1e-12, 1e-9):
@@ -962,7 +959,7 @@ class TestPartnerCertificate:
         g = pk.build_duals(psi * (size / field_norm(pk.space, psi))[:, None, None])
         decisions, certified = [], duality._partners_certified
         monkeypatch.setattr(duality, "_partners_certified", lambda *args: decisions.append(certified(*args)) or decisions[-1])
-        assert pk.characterizes(g, 8, chunk.sub_seeds("canonical-char", 1)).tolist() == verdicts
+        assert pk.characterizes(g, 8, chunk.sub_seeds("canonical-char")).tolist() == verdicts
         assert decisions == [False]
 
     def test_certificate_stays_open_where_a_partner_would_leak(self, monkeypatch):

@@ -90,7 +90,7 @@ def test_runner_streams_match_seed_sequence():
     tag = suites._PROPERTY_TAG["t4"]
     for i, g in zip(chunk.indices, chunk.rngs("t4")):
         assert np.array_equal(g.standard_normal(DRAWS), np.random.Generator(np.random.Philox(reference(7, tag, i))).standard_normal(DRAWS))
-    for i, seed in zip(chunk.indices, chunk.sub_seeds("t4", 1)):
+    for i, seed in zip(chunk.indices, chunk.sub_seeds("t4")):
         assert seed == int(reference(7, tag, i, 1).generate_state(1, np.uint64)[0])
 
 

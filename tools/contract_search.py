@@ -15,7 +15,8 @@ in process, as ``kframelab verify`` does. It prints:
   breakdown, where a trial's table holds the check ``breakdown``, and
   otherwise a split, where the chunk's trials took different branches;
 - how many ``canonical-char`` chunks the partner certificate of
-  ``characterizes`` decided, and how many ran the partner loop;
+  ``characterizes`` decided, and how many ran the partner loop, with
+  their case numbers;
 - the runs that exit 1 by group: excluded, where the rank test of
   ``classify`` puts R(K) outside the range of the synthesis map on some
   trial; weak direction, where K keeps a singular value below
@@ -76,12 +77,12 @@ def main(argv=None) -> int:
             reruns[pid][kind].append(f"case {case} trials {chunk.indices[0]}-{chunk.indices[-1]}")
         return pairs
 
-    certificates = Counter()
+    certificates = {True: [], False: []}  # the case of each decided and each open chunk
     certified = duality._partners_certified
 
     def counted(*args):
         decided = certified(*args)
-        certificates["decided" if decided else "open"] += 1
+        certificates[decided].append(str(case))
         return decided
 
     suites._tables = watched
@@ -122,9 +123,10 @@ def main(argv=None) -> int:
     for pid, kinds in reruns.items():
         counts = (f"{len(chunks)} {kind}" + (f" ({'; '.join(chunks)})" if chunks else "") for kind, chunks in kinds.items())
         print(f"  {pid}: {', '.join(counts)}")
+    opened = certificates[False]
     print(
-        f"canonical-char partner certificate: {certificates['decided']} chunks decided, "
-        f"{certificates['open']} ran the partner loop"
+        f"canonical-char partner certificate: {len(certificates[True])} chunks decided, "
+        f"{len(opened)} ran the partner loop" + (f" (cases {', '.join(opened)})" if opened else "")
     )
     counts = (f"{len(cases)} {group}" + (f" (cases {', '.join(cases)})" if cases else "") for group, cases in groups.items())
     print(f"exit 1 by group: {', '.join(counts)}")
